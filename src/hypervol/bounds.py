@@ -42,6 +42,7 @@ __all__ = [
     "hm_bounds",
     "growth_bounds",
     "growth_ratio",
+    "growth_ratio_parts",
     "euclidean_limit_ratio",
     "limit_audit",
     "LimitAudit",
@@ -122,12 +123,12 @@ def growth_bounds(params: SimplexParams) -> GrowthBounds:
     )
 
 
-def growth_ratio(params: SimplexParams, cfg: QuadratureConfig | None = None) -> VolumeEstimate:
-    """Measured growth ratio V(tau[n,t]) / V(facet), n >= 3, t in (0, pi/2].
+def growth_ratio_parts(params: SimplexParams, cfg: QuadratureConfig | None = None):
+    """(ratio, volume, facet volume) of tau[n, t], n >= 3, t in (0, pi/2].
 
-    Both volumes come from the projective form; the error is first-order
-    propagated from the two quadrature errors and the method tag records
-    the forms used.
+    Both volumes come from the projective form; the ratio's error is
+    first-order propagated from the two quadrature errors and its method
+    tag records the forms used.
     """
     cfg = cfg or QuadratureConfig()
     if params.n < 3:
@@ -140,10 +141,17 @@ def growth_ratio(params: SimplexParams, cfg: QuadratureConfig | None = None) -> 
     err = ratio * (
         vol.error_estimate / vol.value + facet.error_estimate / facet.value
     )
-    return VolumeEstimate(
+    est = VolumeEstimate(
         ratio, err, vol.n_evals + facet.n_evals,
         f"{vol.method}/{facet.method}",
     )
+    return est, vol, facet
+
+
+def growth_ratio(params: SimplexParams, cfg: QuadratureConfig | None = None) -> VolumeEstimate:
+    """Measured growth ratio V(tau[n,t]) / V(facet), n >= 3, t in (0, pi/2];
+    see `growth_ratio_parts`."""
+    return growth_ratio_parts(params, cfg)[0]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,13 +31,13 @@ from .bounds import (
     default_audit_sequence,
     growth_bounds,
     growth_ratio,
+    growth_ratio_parts,
     limit_audit,
 )
 from .errors import ConvergenceError, DegenerateGeometryError, DomainError, HypervolError
 from .geometry import SimplexParams, halfspace_embedding, ladder
 from .quadrature import QuadratureConfig
 from .volume_forms import (
-    facet_volume_projective,
     volume_halfspace,
     volume_orthoscheme,
     volume_projective,
@@ -177,35 +176,10 @@ def cmd_ratio(args) -> int:
     return code
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A validated sweep request: dimensions, t grid, format, tolerances."""
-
-    n_list: tuple
-    t_grid: tuple
-    output_format: str = "csv"
-    cfg: QuadratureConfig = field(default_factory=QuadratureConfig)
-
-    def __post_init__(self):
-        if not self.n_list or not self.t_grid:
-            raise DomainError("sweep grid is empty")
-        for t in self.t_grid:
-            if not 0.0 <= t <= math.pi / 2 + 1e-9:
-                raise DomainError(f"t = {t!r} outside [0, pi/2]")
-        if self.output_format not in ("csv", "json"):
-            raise DomainError(f"unknown output format {self.output_format!r}")
-
-    @property
-    def cells(self):
-        return [(n, t) for n in self.n_list for t in self.t_grid]
-
-
 def _sweep_row(n: int, t: float, cfg: QuadratureConfig) -> dict:
     params = SimplexParams(n, t)
-    est = growth_ratio(params, cfg)
+    est, vol, facet = growth_ratio_parts(params, cfg)
     b = growth_bounds(params)
-    vol = volume_projective(params, cfg)
-    facet = facet_volume_projective(params, cfg)
     ok = (b.lower - est.error_estimate <= est.value <= b.upper + est.error_estimate)
     return {
         "n": n, "t": t, "ratio": est.value, "ratio_err": est.error_estimate,
@@ -216,7 +190,8 @@ def _sweep_row(n: int, t: float, cfg: QuadratureConfig) -> dict:
     }
 
 
-def _parse_sweep_spec(args) -> SweepSpec:
+def _parse_sweep_spec(args) -> tuple[tuple, tuple]:
+    """The validated (dimensions, t values) grid of a sweep request."""
     if args.t_list:
         ts = tuple(float(x) for x in args.t_list.split(",") if x.strip())
     else:
@@ -227,15 +202,21 @@ def _parse_sweep_spec(args) -> SweepSpec:
         count = int(math.floor((args.t_stop - args.t_start) / args.t_step + 1e-9)) + 1
         ts = tuple(args.t_start + k * args.t_step for k in range(max(count, 0)))
     ns = tuple(int(x) for x in args.n_list.split(",") if x.strip())
-    return SweepSpec(n_list=ns, t_grid=ts, output_format=args.format, cfg=_config(args))
+    if not ns or not ts:
+        raise DomainError("sweep grid is empty")
+    for t in ts:
+        if not 0.0 <= t <= math.pi / 2 + 1e-9:
+            raise DomainError(f"t = {t!r} outside [0, pi/2]")
+    return ns, ts
 
 
 def cmd_sweep(args) -> int:
-    spec = _parse_sweep_spec(args)
-    cfg = spec.cfg
+    ns, ts = _parse_sweep_spec(args)
+    cfg = _config(args)
+    cells = [(n, t) for n in ns for t in ts]
     with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        rows = list(pool.map(lambda nt: _sweep_row(nt[0], nt[1], cfg), spec.cells))
-    if spec.output_format == "json":
+        rows = list(pool.map(lambda nt: _sweep_row(nt[0], nt[1], cfg), cells))
+    if args.format == "json":
         text = json.dumps(
             [{k: (_fmt(v) if isinstance(v, float) else v) for k, v in row.items()}
              for row in rows],
@@ -261,12 +242,14 @@ def _check_lines(params: SimplexParams, cfg: QuadratureConfig):
     d1 = 0.0 if lad.tanh_r[0] == lad.tanh_d[0] else abs(lad.tanh_r[0] - lad.tanh_d[0])
     yield "d1_equals_r1", d1 <= 1e-15, d1
 
-    degenerate = params.t <= 0.0 or params.is_ideal or (math.pi / 2 - params.t) < 1e-6
-    if degenerate:
+    try:
+        emb = halfspace_embedding(params)
+    except DegenerateGeometryError:
+        emb = None
+    if emb is None:
         for label in ("gram_closed_form", "gamma_spheres", "sin_alpha_ladder", "zn_sandwich"):
             yield label, None, None
     else:
-        emb = halfspace_embedding(params)
         gram = emb.v[1:] @ emb.v[1:].T if params.n >= 2 else np.zeros((0, 0))
         gram_res = float(np.max(np.abs(gram - emb.gram))) / max(emb.sin_alpha**2, 1e-30)
         yield "gram_closed_form", gram_res <= 1e-12, gram_res
@@ -306,7 +289,7 @@ def _check_lines(params: SimplexParams, cfg: QuadratureConfig):
         yield "cross_model", None, None
     else:
         ests = [volume_projective(params, cfg), volume_orthoscheme(params, cfg)]
-        if not degenerate:
+        if emb is not None:
             ests.append(volume_halfspace(params, cfg))
         vals = [e.value for e in ests]
         spread = (max(vals) - min(vals)) / max(max(vals), 1e-300)

@@ -20,10 +20,9 @@ class ConvergenceError(HypervolError):
     VolumeEstimate) so callers can still report a value.
     """
 
-    def __init__(self, message, estimate=None, level=None):
+    def __init__(self, message, estimate=None):
         super().__init__(message)
         self.estimate = estimate
-        self.level = level
 
 
 class CapabilityError(HypervolError):

@@ -296,11 +296,7 @@ def circumradius(params: SimplexParams, k: int) -> float:
     n = params.n
     if not 1 <= k <= n:
         raise DomainError(f"face dimension k must lie in 1..{n}, got {k}")
-    s = params.sin_t
-    if k == n:
-        return params.circumradius
-    m = _ratio_m(n, n - k)
-    return _atanh_or_inf(s * math.sqrt(1.0 - m) / math.sqrt(1.0 - s * s * m))
+    return float(ladder(params).r[k - 1])
 
 
 def edge_length(params: SimplexParams, k: int) -> float:
@@ -310,11 +306,7 @@ def edge_length(params: SimplexParams, k: int) -> float:
     n = params.n
     if not 1 <= k <= n:
         raise DomainError(f"index k must lie in 1..{n}, got {k}")
-    s = params.sin_t
-    if k == n:
-        return math.atanh(s / n)
-    m = _ratio_m(n, n - k)
-    return _atanh_or_inf(s * math.sqrt(1.0 - m) / (k * math.sqrt(1.0 - s * s * m)))
+    return float(ladder(params).d[k - 1])
 
 
 @dataclass(frozen=True)
@@ -342,8 +334,6 @@ class HalfspaceEmbedding:
     v: np.ndarray             # (n, n-1) horizontal parts of the lower vertices
     centers: np.ndarray       # (n+1, n-1); last row is the origin
     gamma: float
-    bottom_radius: float
-    c: float                  # common inner product <v_k, y_i>, k != i
     gram: np.ndarray          # (n-1, n-1) Gram matrix of any n-1 of the v_k
     top_height: float
     height_sq_scale: float    # A
@@ -386,12 +376,11 @@ def halfspace_embedding(params: SimplexParams) -> HalfspaceEmbedding:
     centers = np.zeros((n + 1, n - 1))
     centers[:n] = y
     gamma = (n + s) / om
-    c = -(n + 1) * s / ((n - s) * om)
     off = -1.0 / (n - 1)
     gram = sin_alpha**2 * ((1.0 - off) * np.eye(n - 1) + off * np.ones((n - 1, n - 1)))
     return HalfspaceEmbedding(
         params=params, sin_alpha=sin_alpha, cos_alpha=cos_alpha,
         vertices=vertices, v=v, centers=centers, gamma=gamma,
-        bottom_radius=1.0, c=c, gram=gram, top_height=top,
+        gram=gram, top_height=top,
         height_sq_scale=A, height_sq_slope=B,
     )

@@ -6,8 +6,7 @@ Four engines live here:
   interval, with an embedded-rule error estimate;
 * `integrate_nested` -- iterated integrals with state-dependent limits
   (each level's upper limit is a function of the previous variable),
-  either by recursive adaptive calls or by a vectorized tensor rule with
-  progressive order refinement;
+  by a vectorized tensor rule with progressive order refinement;
 * `integrate_simplex_radialpow` -- integrals of (1 - |x|^2)^(-p) over a
   scaled regular simplex, the volume element of the projective model.
   The simplex is collapsed to iterated cone (Duffy-type) coordinates; in
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -59,8 +58,6 @@ class QuadratureConfig:
     base_order              Gauss points per panel in the structured engines
     method                  "adaptive" or "monte_carlo" (engines that support both)
     seed, mc_samples        Monte Carlo stream key and sample count
-    precision               "double" or "extended" (80-bit long double where
-                            the platform provides it) for the tensor engine
     """
 
     rel_tol: float = 1e-8
@@ -70,7 +67,6 @@ class QuadratureConfig:
     method: str = "adaptive"
     seed: int = 0
     mc_samples: int = 200_000
-    precision: str = "double"
 
     def __post_init__(self):
         if self.rel_tol < 10 * _EPS:
@@ -87,8 +83,6 @@ class QuadratureConfig:
             raise DomainError("seed must fit in 64 unsigned bits")
         if self.mc_samples < 100:
             raise DomainError("mc_samples must be >= 100")
-        if self.precision not in ("double", "extended"):
-            raise DomainError(f"unknown precision {self.precision!r}")
 
     def tolerance(self, value: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value))
@@ -113,35 +107,15 @@ class VolumeEstimate:
         if not self.error_estimate >= 0.0:
             raise DomainError("error_estimate must be nonnegative")
 
-    def combined_with(self, other: "VolumeEstimate") -> float:
-        return self.error_estimate + other.error_estimate
-
 
 # ---------------------------------------------------------------------------
 # Gauss nodes
 
 @lru_cache(maxsize=None)
-def _gauss01(order: int, extended: bool = False):
+def _gauss01(order: int):
     """Gauss-Legendre nodes/weights mapped to (0, 1)."""
     x, w = np.polynomial.legendre.leggauss(order)
-    if extended:
-        x = x.astype(np.longdouble)
-        # Newton-refine the float64 roots in long double precision
-        for _ in range(3):
-            p0 = np.ones_like(x)
-            p1 = x.copy()
-            for k in range(2, order + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = order * (x * p1 - p0) / (x * x - 1)
-            x = x - p1 / dp
-        p0 = np.ones_like(x)
-        p1 = x.copy()
-        for k in range(2, order + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = order * (x * p1 - p0) / (x * x - 1)
-        w = 2.0 / ((1 - x * x) * dp * dp)
-    one = np.longdouble(1) if extended else 1.0
-    return (x + one) / 2, w / 2
+    return (x + 1.0) / 2, w / 2
 
 
 # Gauss-Kronrod (7, 15) nodes on [-1, 1] and both weight sets (QUADPACK values)
@@ -274,48 +248,13 @@ def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig | None = Non
 # ---------------------------------------------------------------------------
 # Nested iterated integrals
 
-def _nested_recursive(limits, factors, cfg):
-    depth = len(limits)
-    level_cfg = replace(cfg, rel_tol=max(cfg.rel_tol / depth, 10 * _EPS),
-                        abs_tol=cfg.abs_tol / depth)
-    evals = [0]
-    inner_rel = [0.0]
-
-    def level(k, prev):
-        upper = limits[k] if k == 0 else limits[k](prev)
-        if upper <= 0.0:
-            return 0.0
-        fac = factors[k]
-
-        def f(x):
-            base = np.ones_like(x) if fac is None else np.asarray(fac(x), dtype=float)
-            if k + 1 < depth:
-                inner = np.array([level(k + 1, xi) for xi in x])
-                base = base * inner
-            else:
-                evals[0] += x.size
-            return base
-
-        try:
-            est = integrate_adaptive(f, 0.0, float(upper), level_cfg)
-        except ConvergenceError as exc:
-            if exc.level is None:
-                exc.level = k
-            raise
-        if abs(est.value) > 0:
-            inner_rel[0] = max(inner_rel[0], est.error_estimate / abs(est.value))
-        return est.value
-
-    value = level(0, None)
-    err = abs(value) * min(1.0, depth * inner_rel[0]) + cfg.abs_tol
-    return VolumeEstimate(value, err, evals[0], "nested-recursive")
-
-
 _TENSOR_BUDGET = 8_000_000
 
 
 def _tensor_orders(depth, base):
-    cap = max(4, int(_TENSOR_BUDGET ** (1.0 / depth)))
+    # depth 1 shares the depth-2 cap: leggauss builds an order x order
+    # companion matrix, so the full budget as one order cannot be allocated
+    cap = max(4, int(_TENSOR_BUDGET ** (1.0 / max(depth, 2))))
     orders, k = [], max(6, base // 2)
     while k < cap:
         orders.append(k)
@@ -327,12 +266,10 @@ def _tensor_orders(depth, base):
     return orders
 
 
-def _nested_tensor_pass(limits, factors, order, dtype):
-    g, w = _gauss01(order, extended=(dtype == np.longdouble))
-    g = g.astype(dtype)
-    w = w.astype(dtype)
+def _nested_tensor_pass(limits, factors, order):
+    g, w = _gauss01(order)
     depth = len(limits)
-    upper0 = dtype(limits[0])
+    upper0 = float(limits[0])
     x = upper0 * g
     acc = upper0 * w
     if factors[0] is not None:
@@ -351,8 +288,8 @@ def _nested_tensor_pass(limits, factors, order, dtype):
     return float(acc.sum()), evals
 
 
-def integrate_nested(limits: Sequence, factors: Sequence, cfg: QuadratureConfig | None = None,
-                     method: str = "auto") -> VolumeEstimate:
+def integrate_nested(limits: Sequence, factors: Sequence,
+                     cfg: QuadratureConfig | None = None) -> VolumeEstimate:
     """Iterated integral with state-dependent limits.
 
     ``limits[0]`` is the outermost (constant) upper limit; ``limits[k]``
@@ -361,10 +298,12 @@ def integrate_nested(limits: Sequence, factors: Sequence, cfg: QuadratureConfig 
     for 1); the integrand is the product of the factors.  All lower
     limits are 0.
 
-    method "recursive" integrates each level with the adaptive interval
-    engine at a per-level budget of rel_tol/depth; "tensor" uses nested
-    Gauss panels at progressively refined order (limits and factors must
-    then be vectorized); "auto" picks recursive for depth <= 3.
+    Each pass is a tensor product of Gauss rules, one per level, so
+    limits and factors must accept and return arrays.  Passes run at
+    increasing order until two successive values agree to the tolerance;
+    their difference is the error estimate.  If the order budget runs
+    out first with the difference above 100 times the tolerance, the
+    last pass is attached to a ConvergenceError.
     """
     cfg = cfg or QuadratureConfig()
     depth = len(limits)
@@ -372,18 +311,11 @@ def integrate_nested(limits: Sequence, factors: Sequence, cfg: QuadratureConfig 
         raise DomainError("chain depth must be >= 1")
     if len(factors) != depth:
         raise DomainError("need one factor entry per level")
-    if method == "auto":
-        method = "recursive" if depth <= 3 else "tensor"
-    if method == "recursive":
-        return _nested_recursive(limits, factors, cfg)
-    if method != "tensor":
-        raise DomainError(f"unknown nested method {method!r}")
-    dtype = np.longdouble if cfg.precision == "extended" else np.float64
     prev_val = None
     total_evals = 0
     err = math.inf
     for order in _tensor_orders(depth, cfg.base_order):
-        val, ev = _nested_tensor_pass(limits, factors, order, dtype)
+        val, ev = _nested_tensor_pass(limits, factors, order)
         total_evals += ev
         if prev_val is not None:
             err = abs(val - prev_val)
@@ -456,11 +388,6 @@ def _panels_toward_one(depth: int, order: int):
         xs.append(1.0 - om)
         ws.append((hi - lo) * w)
     return np.concatenate(xs), np.concatenate(oms), np.concatenate(ws)
-
-
-def _panels_toward_zero(depth: int, order: int):
-    x, om, w = _panels_toward_one(depth, order)
-    return om, x, w
 
 
 @dataclass(frozen=True)
@@ -539,8 +466,9 @@ class RadialPowerStack:
         h2 = 1.0 / (k * k)
         rho2 = 1.0 - h2
         if eta_sub:
-            # xi = 1 - eta^2 regularizes the vertex endpoint when sigma = 1
-            eta, _, weta = _panels_toward_zero(self.settings.depth // 2 + 8, self.settings.order)
+            # xi = 1 - eta^2 regularizes the vertex endpoint when sigma = 1;
+            # eta is the 1 - x of panels toward one, so it is refined toward 0
+            _, eta, weta = _panels_toward_one(self.settings.depth // 2 + 8, self.settings.order)
             om = eta * eta
             xi = 1.0 - om
             wq = 2.0 * eta * weta

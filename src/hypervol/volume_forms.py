@@ -176,11 +176,9 @@ def volume_orthoscheme(params: SimplexParams, cfg: QuadratureConfig | None = Non
         return VolumeEstimate(0.0, 0.0, 0, "orthoscheme")
     lad = ladder(params)
     chain = alpha_chain(lad)
-    coeff = chain.coefficients
 
     def limit_k(k):
-        c = coeff[k - 1]
-        return lambda x: np.arctanh(np.minimum(c * np.sinh(x), _CLIP))
+        return lambda x: chain.alpha(k, x)
 
     def weight_k(k):
         return lambda x: np.cosh(x) ** k
@@ -201,7 +199,7 @@ def volume_orthoscheme(params: SimplexParams, cfg: QuadratureConfig | None = Non
         return VolumeEstimate(value, err, est.n_evals, "orthoscheme")
 
     try:
-        est = integrate_nested(limits, factors, cfg, method="tensor")
+        est = integrate_nested(limits, factors, cfg)
     except ConvergenceError as exc:
         raise ConvergenceError(str(exc), estimate=scaled(exc.estimate)) from exc
     return scaled(est)

@@ -232,12 +232,14 @@ class TestHalfspaceEmbedding:
             assert np.max(np.abs(gram - emb.gram)) <= 1e-12 * emb.sin_alpha**2
 
     def test_gram_rhs_constant(self):
-        emb = halfspace_embedding(SimplexParams.from_sin_t(3, 0.6))
-        for i in range(3):
-            for k in range(3):
+        n, s = 3, 0.6
+        emb = halfspace_embedding(SimplexParams.from_sin_t(n, s))
+        c = -(n + 1) * s / ((n - s) * (1 - s))
+        for i in range(n):
+            for k in range(n):
                 if k == i:
                     continue
-                assert emb.v[k] @ emb.centers[i] == pytest.approx(emb.c, rel=1e-12)
+                assert emb.v[k] @ emb.centers[i] == pytest.approx(c, rel=1e-12)
 
     def test_vertical_coordinates(self):
         p = SimplexParams(4, 0.9)

@@ -15,6 +15,8 @@ from hypervol import (
     monte_carlo_simplex,
 )
 
+from hypervol.quadrature import _tensor_orders
+
 from oracles import (
     gauss_bonnet_triangle_area,
     klein_triangle_integral,
@@ -34,7 +36,7 @@ class TestConfig:
         {"base_order": 1},
         {"method": "simpson"},
         {"mc_samples": 50},
-        {"precision": "quad"},
+        {"seed": 2**64},
         {"seed": -1},
     ])
     def test_rejects(self, kw):
@@ -112,25 +114,19 @@ class TestNested:
         limits = [1.0, lambda x: np.full_like(x, 2.0)]
         factors = [np.cosh, lambda y: y * y]
         exact = math.sinh(1.0) * 8.0 / 3.0
-        for method in ("recursive", "tensor"):
-            est = integrate_nested(limits, factors, method=method)
-            assert abs(est.value - exact) <= 1e-12 * exact
+        est = integrate_nested(limits, factors)
+        assert abs(est.value - exact) <= 1e-12 * exact
 
-    def test_tensor_matches_recursive_depth3(self):
+    def test_against_tplquad_depth3(self):
+        """Depth-3 chain vs an independent 3-d adaptive cubature."""
         limits = [0.8, lambda x: x, lambda y: np.sinh(y)]
         factors = [None, np.cosh, lambda z: np.cosh(z) ** 2]
-        r = integrate_nested(limits, factors, QuadratureConfig(rel_tol=1e-10),
-                             method="recursive")
-        t = integrate_nested(limits, factors, method="tensor")
-        assert t.value == pytest.approx(r.value, rel=1e-9)
-
-    def test_extended_precision(self):
-        cfg = QuadratureConfig(precision="extended")
-        t_ext = integrate_nested([1.0, lambda x: x], [np.cosh, lambda y: np.cosh(y) ** 2],
-                                 cfg, method="tensor")
-        t_dbl = integrate_nested([1.0, lambda x: x], [np.cosh, lambda y: np.cosh(y) ** 2],
-                                 method="tensor")
-        assert t_ext.value == pytest.approx(t_dbl.value, rel=1e-12)
+        t = integrate_nested(limits, factors)
+        ref, _ = scipy.integrate.tplquad(
+            lambda z, y, x: math.cosh(y) * math.cosh(z) ** 2, 0.0, 0.8,
+            0.0, lambda x: x, 0.0, lambda x, y: math.sinh(y),
+            epsabs=1e-13, epsrel=1e-12)
+        assert t.value == pytest.approx(ref, rel=1e-9)
 
     def test_bad_chain(self):
         with pytest.raises(DomainError):
@@ -138,15 +134,20 @@ class TestNested:
         with pytest.raises(DomainError):
             integrate_nested([1.0], [None, None])
 
-    def test_convergence_error_carries_level(self):
-        # the jagged inner factor defeats the tiny panel budget; the error
-        # must identify which level failed
-        cfg = QuadratureConfig(max_subdivisions=3, rel_tol=1e-13)
-        limits = [1.0, lambda x: x + 0.5]
-        factors = [None, lambda y: 1.0 / np.sqrt(np.abs(y - 0.31) + 1e-13)]
+    def test_tensor_exhaustion_carries_estimate(self):
+        # the cusp at y = 0.31 defeats every Gauss order in the budget
+        cfg = QuadratureConfig(rel_tol=1e-13)
+        limits = [1.0, lambda x: x + 0.5, lambda y: y]
+        factors = [None, lambda y: 1.0 / np.sqrt(np.abs(y - 0.31) + 1e-13), None]
         with pytest.raises(ConvergenceError) as info:
-            integrate_nested(limits, factors, cfg, method="recursive")
-        assert info.value.level is not None
+            integrate_nested(limits, factors, cfg)
+        assert info.value.estimate is not None
+        assert info.value.estimate.value > 0
+
+    def test_depth1_order_cap(self):
+        # leggauss allocates order x order; depth 1 must not take the whole
+        # point budget as a single order
+        assert max(_tensor_orders(1, 14)) <= max(_tensor_orders(2, 14))
 
 
 class TestSimplexRadialPow:
