@@ -11,8 +11,7 @@ Subcommands:
 Exit codes: 0 success; 1 argument or domain error; 2 quadrature
 non-convergence (best estimate still printed); 3 bound violation found
 in sweep/check mode.  Floats print with 17 significant digits so output
-diffs are lossless at double precision.  Sweep rows are computed in a
-thread pool (capped by HYPERVOL_THREADS) and emitted in deterministic
+diffs are lossless at double precision.  Sweep rows are emitted in
 n-major, t-minor order.
 """
 
@@ -21,9 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -92,17 +89,6 @@ def _emit(args, text: str):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _workers() -> int:
-    cap = os.environ.get("HYPERVOL_THREADS")
-    default = min(8, os.cpu_count() or 1)
-    if cap:
-        try:
-            return max(1, min(int(cap), 64))
-        except ValueError:
-            pass
-    return default
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +200,7 @@ def cmd_sweep(args) -> int:
     ns, ts = _parse_sweep_spec(args)
     cfg = _config(args)
     cells = [(n, t) for n in ns for t in ts]
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        rows = list(pool.map(lambda nt: _sweep_row(nt[0], nt[1], cfg), cells))
+    rows = [_sweep_row(n, t, cfg) for n, t in cells]
     if args.format == "json":
         text = json.dumps(
             [{k: (_fmt(v) if isinstance(v, float) else v) for k, v in row.items()}

@@ -11,8 +11,8 @@ Four engines live here:
   scaled regular simplex, the volume element of the projective model.
   The simplex is collapsed to iterated cone (Duffy-type) coordinates; in
   these coordinates each level is a one-dimensional integral of the same
-  integral one dimension down, which is tabulated on a Chebyshev grid in
-  log(1 - sigma^2) and interpolated.  Panels are refined dyadically
+  integral one dimension down, which is held as a Chebyshev series in
+  log(1 - sigma^2).  Panels are refined dyadically
   toward the vertex end, so the vertex-touching case scale = 1 (ideal
   simplices) integrates its corner singularities properly;
 * `monte_carlo_simplex` -- uniform sampling over the simplex via the
@@ -56,7 +56,6 @@ class QuadratureConfig:
     rel_tol / abs_tol       target |error| <= max(abs_tol, rel_tol * |I|)
     max_subdivisions        panel cap for the adaptive interval engine
     base_order              Gauss points per panel in the structured engines
-    method                  "adaptive" or "monte_carlo" (engines that support both)
     seed, mc_samples        Monte Carlo stream key and sample count
     """
 
@@ -64,7 +63,6 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
     max_subdivisions: int = 4000
     base_order: int = 14
-    method: str = "adaptive"
     seed: int = 0
     mc_samples: int = 200_000
 
@@ -77,8 +75,6 @@ class QuadratureConfig:
             raise DomainError("max_subdivisions must be >= 1")
         if self.base_order < 2:
             raise DomainError("base_order must be >= 2")
-        if self.method not in ("adaptive", "monte_carlo"):
-            raise DomainError(f"unknown method {self.method!r}")
         if not 0 <= int(self.seed) < 2**64:
             raise DomainError("seed must fit in 64 unsigned bits")
         if self.mc_samples < 100:
@@ -333,41 +329,6 @@ def integrate_nested(limits: Sequence, factors: Sequence,
 # ---------------------------------------------------------------------------
 # Radial powers over the regular simplex
 
-class _Chebyshev:
-    """Barycentric interpolation at Chebyshev-Lobatto nodes on [a, b]."""
-
-    __slots__ = ("a", "b", "nodes", "values", "weights")
-
-    def __init__(self, a, b, nodes, values):
-        self.a, self.b = a, b
-        self.nodes = nodes
-        self.values = values
-        m = nodes.size - 1
-        w = np.ones(m + 1)
-        w[1::2] = -1.0
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        self.weights = w
-
-    @classmethod
-    def nodes_on(cls, a, b, count):
-        return (a + b) / 2 + (b - a) / 2 * np.cos(np.arange(count + 1) * math.pi / count)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        shape = t.shape
-        t = np.clip(t.ravel(), min(self.a, self.b), max(self.a, self.b))
-        diff = t[:, None] - self.nodes[None, :]
-        hit = diff == 0.0
-        diff = np.where(hit, 1.0, diff)
-        coef = self.weights[None, :] / diff
-        out = (coef @ self.values) / coef.sum(axis=1)
-        rows, cols = np.nonzero(hit)
-        if rows.size:
-            out[rows] = self.values[cols]
-        return out.reshape(shape)
-
-
 def _panels_toward_one(depth: int, order: int):
     """Gauss panels on (0, 1), dyadically refined toward 1.
 
@@ -390,6 +351,27 @@ def _panels_toward_one(depth: int, order: int):
     return np.concatenate(xs), np.concatenate(oms), np.concatenate(ws)
 
 
+# theta rows per block when a level is evaluated on its Chebyshev points;
+# bounds the (rows x xi nodes) temporaries
+_ROW_BLOCK = 64
+
+
+def _chebyshev_series(f, degree: int, a: float) -> np.polynomial.Chebyshev:
+    """Chebyshev series interpolating f at the degree + 1 Chebyshev points
+    of the first kind on [a, 0].
+
+    The coefficients are cosine sums over the point angles.  numpy's
+    Chebyshev.interpolate builds T_k at the points by the three-term
+    recurrence, whose rounding grows like k^2 toward the interval ends; at
+    degree 420 that left a 2e-12 floor on the coefficients of log I_k.
+    """
+    angles = math.pi * (np.arange(degree + 1) + 0.5) / (degree + 1)
+    values = f(a / 2 * (1.0 - np.cos(angles)))
+    coef = np.cos(np.outer(np.arange(degree + 1), angles)) @ values * (2.0 / (degree + 1))
+    coef[0] /= 2
+    return np.polynomial.Chebyshev(coef, domain=(a, 0.0))
+
+
 @dataclass(frozen=True)
 class _RadialSettings:
     ncheb: int
@@ -409,14 +391,14 @@ def _radial_settings(cfg: QuadratureConfig, theta_min: float):
 
 
 class RadialPowerStack:
-    """Tabulated levels of the iterated-cone reduction of
+    """Chebyshev series for the levels of the iterated-cone reduction of
     integral over S(k) of (1 - sigma^2 |x|^2)^(-p) dx.
 
-    Level k is stored as a Chebyshev interpolant of
-    log I_k(p, sigma) against theta = log(1 - sigma^2) on
-    [theta_min, 0].  Each level's defining integral runs over the cone
-    parameter xi in (0, 1) on panels refined dyadically toward xi = 1,
-    where the integrand concentrates as sigma -> 1.
+    Level k is held as a Chebyshev series in theta = log(1 - sigma^2)
+    on [theta_min, 0], interpolating log I_k(p, sigma) at the Chebyshev
+    points of the first kind.  Each level's defining integral runs over
+    the cone parameter xi in (0, 1) on panels refined dyadically toward
+    xi = 1, where the integrand concentrates as sigma -> 1.
 
     The reduction, with h = 1/k and rho^2 = 1 - h^2:
 
@@ -432,39 +414,26 @@ class RadialPowerStack:
         self.theta_min = theta_min
         self.settings = settings
         self.n_evals = 0
-        self._interp: list[_Chebyshev | None] = [None] * (levels + 1)
+        self._series: list[np.polynomial.Chebyshev | None] = [None] * (levels + 1)
         xi, om, w = _panels_toward_one(settings.depth, settings.order)
-        self._xi, self._one_minus_xi, self._w = xi, om, w
+        self._xi, self._w = xi, w
         self._one_minus_xi2 = om * (2.0 - om)                  # 1 - xi^2, exact
-        if levels >= 1:
-            thetas = _Chebyshev.nodes_on(theta_min, 0.0, settings.ncheb)
-            vals = np.log(self._level1_batch(thetas))
-            self._interp[1] = _Chebyshev(theta_min, 0.0, thetas, vals)
-            for k in range(2, levels + 1):
-                vals = np.log(self._levelk_batch(k, thetas))
-                self._interp[k] = _Chebyshev(theta_min, 0.0, thetas, vals)
+        for k in range(1, levels + 1):
+            self._series[k] = _chebyshev_series(
+                lambda thetas: self._log_level(k, thetas), settings.ncheb, theta_min)
 
-    # -- level evaluation on the theta grid ---------------------------------
-
-    def _level1_batch(self, thetas):
-        w = np.exp(thetas)[:, None]
-        s2 = -np.expm1(thetas)[:, None]
-        vals = (w + s2 * self._one_minus_xi2[None, :]) ** (-self.p)
-        self.n_evals += vals.size
-        return 2.0 * (vals @ self._w)
-
-    def _levelk_batch(self, k, thetas):
-        w = np.exp(thetas)[:, None]
-        s2 = -np.expm1(thetas)[:, None]
+    def _log_level(self, k, thetas):
+        """log I_k at each theta, by direct quadrature in row blocks."""
         out = np.empty(thetas.size)
-        for i in range(thetas.size):
-            out[i] = self._level_integral(k, float(w[i, 0]), float(s2[i, 0]))
+        for i in range(0, thetas.size, _ROW_BLOCK):
+            block = thetas[i:i + _ROW_BLOCK]
+            out[i:i + _ROW_BLOCK] = np.log(
+                self._level_integral(k, np.exp(block), -np.expm1(block)))
         return out
 
-    def _level_integral(self, k, w_val, sigma2, eta_sub=False):
-        """Direct quadrature of level k given the level k-1 interpolant."""
-        h2 = 1.0 / (k * k)
-        rho2 = 1.0 - h2
+    def _level_integral(self, k, w, sigma2, eta_sub=False):
+        """Direct quadrature of level k at each row of the arrays
+        (w, sigma2) = (1 - sigma^2, sigma^2), given the level k-1 series."""
         if eta_sub:
             # xi = 1 - eta^2 regularizes the vertex endpoint when sigma = 1;
             # eta is the 1 - x of panels toward one, so it is refined toward 0
@@ -474,33 +443,32 @@ class RadialPowerStack:
             wq = 2.0 * eta * weta
             one_m_xi2 = om * (2.0 - om)
         else:
-            xi, om, wq = self._xi, self._one_minus_xi, self._w
-            one_m_xi2 = self._one_minus_xi2
-        num = w_val + sigma2 * one_m_xi2                        # 1 - sigma^2 xi^2
-        den = h2 * num + rho2                                   # 1 - sigma^2 xi^2 h^2
+            xi, wq, one_m_xi2 = self._xi, self._w, self._one_minus_xi2
+        num = w[:, None] + sigma2[:, None] * one_m_xi2          # 1 - sigma^2 xi^2
+        self.n_evals += num.size
         if k == 1:
-            vals = (w_val + sigma2 * one_m_xi2) ** (-self.p)
-            self.n_evals += vals.size
-            return 2.0 * float(vals @ wq)
-        wprime = num / den
-        inner = self.level_value(k - 1, wprime)
+            return 2.0 * (num ** (-self.p) @ wq)
+        h2 = 1.0 / (k * k)
+        rho2 = 1.0 - h2
+        den = h2 * num + rho2                                   # 1 - sigma^2 xi^2 h^2
+        inner = self.level_value(k - 1, num / den)
         coef = (k + 1) / k * rho2 ** ((k - 1) / 2)
-        vals = xi ** (k - 1) * den ** (-self.p) * inner
-        self.n_evals += vals.size
-        return coef * float(vals @ wq)
+        return coef * ((xi ** (k - 1) * den ** (-self.p) * inner) @ wq)
 
     # -- public surface ------------------------------------------------------
 
     def level_value(self, k: int, one_minus_sigma_sq):
-        """I_k(p, sigma) for an array of 1 - sigma^2 values (via interpolation)."""
+        """I_k(p, sigma) for an array of 1 - sigma^2 values (from the series)."""
         if k == 0:
             return np.ones_like(np.asarray(one_minus_sigma_sq, dtype=float))
         w = np.maximum(np.asarray(one_minus_sigma_sq, dtype=float), 1e-300)
-        return np.exp(self._interp[k](np.log(w)))
+        return np.exp(self._series[k](np.clip(np.log(w), self.theta_min, 0.0)))
 
     def top_integral(self, k: int, w_top: float, sigma2_top: float) -> float:
         """I_k evaluated directly at the target sigma (not interpolated)."""
-        return self._level_integral(k, w_top, sigma2_top, eta_sub=(w_top == 0.0))
+        row = self._level_integral(k, np.array([w_top]), np.array([sigma2_top]),
+                                   eta_sub=(w_top == 0.0))
+        return float(row[0])
 
 
 def _radial_theta_min(w_top: float, depth: int) -> float:
@@ -548,12 +516,6 @@ def integrate_simplex_radialpow(n: int, scale: float, p: float,
         )
     if scale == 0.0:
         return VolumeEstimate(0.0, 0.0, 0, "simplex-radial")
-    if cfg.method == "monte_carlo":
-        if scale == 1.0 and p > 0:
-            raise DomainError("monte_carlo route requires scale < 1 or p <= 0")
-        return monte_carlo_simplex(
-            n, scale, lambda x: (1.0 - np.einsum("ij,ij->i", x, x)) ** (-p), cfg
-        )
     sigma2 = scale * scale
     w_top = one_minus_scale_sq if one_minus_scale_sq is not None \
         else (1.0 - scale) * (1.0 + scale)

@@ -43,9 +43,7 @@ from .quadrature import (
     QuadratureConfig,
     VolumeEstimate,
     _panels_toward_one,
-    _radial_settings,
-    _radial_theta_min,
-    RadialPowerStack,
+    build_radial_stacks,
     integrate_nested,
     integrate_simplex_radialpow,
 )
@@ -301,13 +299,11 @@ def _halfspace_value(n: int, sigma: float, w_perp: float, slope: float,
     b_c = sigma / (n - 1)                                # |centroid of a piece's outer face|
     rho_f_sq = sigma * sigma * n * (n - 2) / (n - 1) ** 2
     depth = int(min(64, max(18, math.log2(max(slope, 2.0)) + 14)))
-    lo_set, hi_set = _radial_settings(cfg, _radial_theta_min(w_perp, depth))
     values = []
     evals = 0
-    for settings in (lo_set, hi_set):
-        stack = RadialPowerStack(max(dim - 1, 0), p, _radial_theta_min(w_perp, settings.depth), settings)
+    for stack in build_radial_stacks(dim, p, w_perp, cfg):
         t1 = sigma**dim * stack.top_integral(dim, w_perp, sigma * sigma)
-        a, one_m_a, wq = _panels_toward_one(depth, settings.order)
+        a, one_m_a, wq = _panels_toward_one(depth, stack.settings.order)
         # C(a) = upper^2 at the slice's outermost radius, built from (1 - a)
         c_of_a = (1.0 - b_c * b_c) + slope * one_m_a + b_c * b_c * one_m_a * (2.0 - one_m_a)
         w_slice = (w_perp + slope * one_m_a + sigma * sigma * one_m_a * (2.0 - one_m_a)) / c_of_a

@@ -15,7 +15,7 @@ from hypervol import (
     monte_carlo_simplex,
 )
 
-from hypervol.quadrature import _tensor_orders
+from hypervol.quadrature import _tensor_orders, build_radial_stacks
 
 from oracles import (
     gauss_bonnet_triangle_area,
@@ -34,7 +34,6 @@ class TestConfig:
         {"abs_tol": 0.0},
         {"max_subdivisions": 0},
         {"base_order": 1},
-        {"method": "simpson"},
         {"mc_samples": 50},
         {"seed": 2**64},
         {"seed": -1},
@@ -210,11 +209,28 @@ class TestSimplexRadialPow:
         scale = float(rng.uniform(0.2, 0.95))
         p = float(rng.uniform(-1.0, (n + 1) / 2 - 0.3))
         ada = integrate_simplex_radialpow(n, scale, p)
-        mc = integrate_simplex_radialpow(
-            n, scale, p,
-            QuadratureConfig(method="monte_carlo", seed=case, mc_samples=400_000))
+        mc = monte_carlo_simplex(
+            n, scale, lambda x: (1.0 - np.einsum("ij,ij->i", x, x)) ** (-p),
+            QuadratureConfig(seed=case, mc_samples=400_000))
         combined = 4.0 * (ada.error_estimate + mc.error_estimate) + 1e-12
         assert abs(ada.value - mc.value) <= combined
+
+
+class TestRadialPowerStack:
+    @pytest.mark.parametrize("w_top, rel", [(0.36, 1e-12), (1e-6, 1e-12), (0.0, 1e-9)])
+    def test_series_matches_direct_level_integral(self, w_top, rel):
+        # level_value reads each level's Chebyshev series; top_integral
+        # computes the same level by direct quadrature on the series one down
+        _, stack = build_radial_stacks(5, 3.0, w_top, QuadratureConfig())
+        # theta = log(1 - sigma^2) from 0 to theta_min, then one point below
+        # theta_min, where the series' argument is clipped to theta_min
+        for k in range(1, 5):
+            for frac in (0.0, 0.1, 0.5, 0.9, 0.999, 1.0, 1.01):
+                theta = frac * stack.theta_min
+                at = max(theta, stack.theta_min)
+                ref = stack.top_integral(k, math.exp(at), -math.expm1(at))
+                got = stack.level_value(k, np.array([math.exp(theta)]))[0]
+                assert got == pytest.approx(ref, rel=rel), (k, frac)
 
 
 class TestMonteCarlo:
@@ -231,8 +247,10 @@ class TestMonteCarlo:
 
     def test_area_estimate(self):
         # radial power 0 over the full triangle: exact area, zero variance
-        est = integrate_simplex_radialpow(
-            2, 1.0, 0.0, QuadratureConfig(method="monte_carlo", mc_samples=100_000))
+        p = 0.0
+        est = monte_carlo_simplex(
+            2, 1.0, lambda x: (1.0 - np.einsum("ij,ij->i", x, x)) ** (-p),
+            QuadratureConfig(mc_samples=100_000))
         assert est.value == pytest.approx(3.0 * math.sqrt(3.0) / 4.0, rel=1e-13)
 
     def test_deterministic(self):
