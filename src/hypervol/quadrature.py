@@ -67,9 +67,9 @@ class QuadratureConfig:
     mc_samples: int = 200_000
 
     def __post_init__(self):
-        if self.rel_tol < 10 * _EPS:
+        if not self.rel_tol >= 10 * _EPS:
             raise DomainError(f"rel_tol must be >= {10 * _EPS:.2e}")
-        if self.abs_tol <= 0:
+        if not self.abs_tol > 0:
             raise DomainError("abs_tol must be positive")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")

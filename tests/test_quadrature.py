@@ -37,6 +37,7 @@ class TestConfig:
         {"mc_samples": 50},
         {"seed": 2**64},
         {"seed": -1},
+        {"rel_tol": float("nan")},
     ])
     def test_rejects(self, kw):
         with pytest.raises(DomainError):
