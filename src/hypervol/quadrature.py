@@ -351,9 +351,11 @@ def _panels_toward_one(depth: int, order: int):
     return np.concatenate(xs), np.concatenate(oms), np.concatenate(ws)
 
 
-# theta rows per block when a level is evaluated on its Chebyshev points;
-# bounds the (rows x xi nodes) temporaries
-_ROW_BLOCK = 64
+# entries of each (theta rows x xi nodes) temporary when a level is
+# evaluated on its Chebyshev points.  At 128 KiB of float64 the series'
+# temporaries are reused from the heap; 530 KiB blocks were mapped and
+# faulted in afresh, 28,000 page faults per ideal n = 5 volume
+_BLOCK_ENTRIES = 1 << 14
 
 
 def _chebyshev_series(f, degree: int, a: float) -> np.polynomial.Chebyshev:
@@ -425,9 +427,10 @@ class RadialPowerStack:
     def _log_level(self, k, thetas):
         """log I_k at each theta, by direct quadrature in row blocks."""
         out = np.empty(thetas.size)
-        for i in range(0, thetas.size, _ROW_BLOCK):
-            block = thetas[i:i + _ROW_BLOCK]
-            out[i:i + _ROW_BLOCK] = np.log(
+        rows = max(1, _BLOCK_ENTRIES // self._xi.size)
+        for i in range(0, thetas.size, rows):
+            block = thetas[i:i + rows]
+            out[i:i + rows] = np.log(
                 self._level_integral(k, np.exp(block), -np.expm1(block)))
         return out
 
