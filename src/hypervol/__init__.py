@@ -29,11 +29,9 @@ from .geometry import (
 from .quadrature import (
     QuadratureConfig,
     VolumeEstimate,
-    euclidean_simplex_volume,
     integrate_adaptive,
     integrate_nested,
     integrate_simplex_radialpow,
-    monte_carlo_simplex,
 )
 from .volume_forms import (
     AlphaChain,
@@ -67,8 +65,7 @@ __all__ = [
     "cross_ratio_distance", "simplex_vertices", "unit_simplex_vertices",
     "circumradius", "edge_length", "ladder", "halfspace_embedding",
     "QuadratureConfig", "VolumeEstimate", "integrate_adaptive",
-    "integrate_nested", "integrate_simplex_radialpow", "monte_carlo_simplex",
-    "euclidean_simplex_volume",
+    "integrate_nested", "integrate_simplex_radialpow",
     "AlphaChain", "QuasiRegularParams", "cosh_power_antiderivative",
     "alpha_chain", "volume_orthoscheme", "volume_projective",
     "facet_volume_projective", "zn_bounds", "volume_halfspace",

@@ -59,28 +59,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p, need_t=True):
-    p.add_argument("--n", type=int, required=True, help="simplex dimension (>= 2)")
-    if need_t:
-        g = p.add_mutually_exclusive_group(required=True)
-        g.add_argument("--t", type=float, help="parameter t in radians, 0 <= t <= pi/2")
-        g.add_argument("--sin-t", type=float, dest="sin_t", help="sin t in [0, 1]")
-    p.add_argument("--tol", type=float, default=None, help="relative tolerance override")
-    p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
-    p.add_argument("--out", type=str, default=None, help="write output to this file")
-
-
 def _params(args) -> SimplexParams:
-    if getattr(args, "sin_t", None) is not None:
+    if args.sin_t is not None:
         return SimplexParams.from_sin_t(args.n, args.sin_t)
     return SimplexParams(args.n, args.t)
 
 
 def _config(args) -> QuadratureConfig:
-    kw = {"seed": getattr(args, "seed", 0)}
-    if getattr(args, "tol", None) is not None:
-        kw["rel_tol"] = args.tol
-    return QuadratureConfig(**kw)
+    return QuadratureConfig() if args.tol is None else QuadratureConfig(rel_tol=args.tol)
 
 
 def _emit(args, text: str):
@@ -249,7 +235,7 @@ def _check_lines(params: SimplexParams, cfg: QuadratureConfig):
         yield "gamma_spheres", worst <= 1e-10, worst
         alpha_res = abs(emb.sin_alpha - lad.tanh_r[params.n - 2])
         yield "sin_alpha_ladder", alpha_res <= 1e-12, alpha_res
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+        rng = np.random.Generator(np.random.Philox(key=0))
         bad = 0.0
         for _ in range(200):
             w = rng.dirichlet(np.ones(params.n))
@@ -328,37 +314,42 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hypervol", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    # shared flags; each subcommand takes only the groups it reads
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--n", type=int, required=True, help="simplex dimension (>= 2)")
+    g = point.add_mutually_exclusive_group(required=True)
+    g.add_argument("--t", type=float, help="parameter t in radians, 0 <= t <= pi/2")
+    g.add_argument("--sin-t", type=float, dest="sin_t", help="sin t in [0, 1]")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=None, help="relative tolerance override")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=str, default=None, help="write output to this file")
 
-    p = sub.add_parser("volume", help="volume of tau[n, t]")
-    _add_common(p)
+    p = sub.add_parser("volume", parents=[point, tol, out], help="volume of tau[n, t]")
     p.add_argument("--method", choices=["projective", "orthoscheme", "halfspace", "all"],
                    default="projective")
     p.set_defaults(func=cmd_volume)
 
-    p = sub.add_parser("ratio", help="growth ratio and bounds")
-    _add_common(p)
+    p = sub.add_parser("ratio", parents=[point, tol, out], help="growth ratio and bounds")
     p.set_defaults(func=cmd_ratio)
 
-    p = sub.add_parser("sweep", help="ratio/bound table over an (n, t) grid")
+    p = sub.add_parser("sweep", parents=[tol, out],
+                       help="ratio/bound table over an (n, t) grid")
     p.add_argument("--n-list", type=str, required=True, help="comma-separated dimensions")
     p.add_argument("--t-start", type=float)
     p.add_argument("--t-stop", type=float)
     p.add_argument("--t-step", type=float)
     p.add_argument("--t-list", type=str, help="comma-separated t values (overrides start/stop/step)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("check", help="structural and cross-model self-checks")
-    _add_common(p)
+    p = sub.add_parser("check", parents=[point, tol, out],
+                       help="structural and cross-model self-checks")
     p.add_argument("--audit-limits", action="store_true",
                    help="also audit the endpoint product cos(t) atanh(sin t)")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("ladder", help="circumradius/edge ladder table")
-    _add_common(p)
+    p = sub.add_parser("ladder", parents=[point, out], help="circumradius/edge ladder table")
     p.set_defaults(func=cmd_ladder)
     return parser
 

@@ -1,6 +1,6 @@
 """Adaptive and structured numerical integration engines.
 
-Four engines live here:
+Three engines live here:
 
 * `integrate_adaptive` -- globally adaptive Gauss-Kronrod (7, 15) on an
   interval, with an embedded-rule error estimate;
@@ -14,14 +14,9 @@ Four engines live here:
   integral one dimension down, which is held as a Chebyshev series in
   log(1 - sigma^2).  Panels are refined dyadically
   toward the vertex end, so the vertex-touching case scale = 1 (ideal
-  simplices) integrates its corner singularities properly;
-* `monte_carlo_simplex` -- uniform sampling over the simplex via the
-  exponential-spacing method, as an independent cross-check with an
-  honest standard error.
+  simplices) integrates its corner singularities properly.
 
-All engines are pure functions of their inputs and reentrant; Monte
-Carlo uses counter-based streams derived from the seed so chunked and
-serial evaluation produce identical output.
+All engines are pure functions of their inputs and reentrant.
 """
 
 from __future__ import annotations
@@ -42,8 +37,6 @@ __all__ = [
     "integrate_adaptive",
     "integrate_nested",
     "integrate_simplex_radialpow",
-    "monte_carlo_simplex",
-    "euclidean_simplex_volume",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -56,29 +49,22 @@ class QuadratureConfig:
     rel_tol / abs_tol       target |error| <= max(abs_tol, rel_tol * |I|)
     max_subdivisions        panel cap for the adaptive interval engine
     base_order              Gauss points per panel in the structured engines
-    seed, mc_samples        Monte Carlo stream key and sample count
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_subdivisions: int = 4000
     base_order: int = 14
-    seed: int = 0
-    mc_samples: int = 200_000
 
     def __post_init__(self):
-        if not self.rel_tol >= 10 * _EPS:
-            raise DomainError(f"rel_tol must be >= {10 * _EPS:.2e}")
-        if not self.abs_tol > 0:
-            raise DomainError("abs_tol must be positive")
+        if not 10 * _EPS <= self.rel_tol < 1.0:
+            raise DomainError(f"rel_tol must lie in [{10 * _EPS:.2e}, 1)")
+        if not 0.0 < self.abs_tol < math.inf:
+            raise DomainError("abs_tol must be positive and finite")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")
         if self.base_order < 2:
             raise DomainError("base_order must be >= 2")
-        if not 0 <= int(self.seed) < 2**64:
-            raise DomainError("seed must fit in 64 unsigned bits")
-        if self.mc_samples < 100:
-            raise DomainError("mc_samples must be >= 100")
 
     def tolerance(self, value: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value))
@@ -88,10 +74,9 @@ class QuadratureConfig:
 class VolumeEstimate:
     """A computed integral with its error estimate and evaluation count.
 
-    For Monte Carlo results the error estimate is one standard error; for
-    the deterministic engines it is the embedded-rule or refinement
-    difference, which in practice overestimates the true error.  Values
-    produced by the volume operations are nonnegative.
+    The error estimate is the embedded-rule or refinement difference,
+    which in practice overestimates the true error.  Values produced by
+    the volume operations are nonnegative.
     """
 
     value: float
@@ -538,67 +523,3 @@ def integrate_simplex_radialpow(n: int, scale: float, p: float,
             f"radial refinement stalled (err {err:.3e} on value {hi:.6e})", estimate=est
         )
     return est
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo over the simplex
-
-def euclidean_simplex_volume(n: int, scale: float = 1.0) -> float:
-    """Euclidean volume of scale * S(n) (regular, unit circumradius at scale 1)."""
-    return scale**n * (n + 1) ** ((n + 1) / 2) / (math.factorial(n) * n ** (n / 2))
-
-
-_MC_CHUNK = 1 << 16
-
-
-def _mc_chunk_stream(seed: int, index: int) -> np.random.Generator:
-    # Philox is counter-based: distinct chunk indices give independent,
-    # order-insensitive streams for the same key
-    return np.random.Generator(
-        np.random.Philox(key=seed, counter=np.array([0, 0, 0, index], dtype=np.uint64))
-    )
-
-
-def monte_carlo_simplex(n: int, scale: float, integrand: Callable,
-                        cfg: QuadratureConfig | None = None) -> VolumeEstimate:
-    """Monte Carlo estimate of the integral of ``integrand`` over scale * S(n).
-
-    Points are sampled uniformly via the exponential-spacing method
-    (normalized unit-rate exponentials as barycentric weights).  The
-    returned error is one standard error of the mean.  Given the same
-    seed the result is bit-identical run to run, regardless of how the
-    chunks would be scheduled.
-
-    ``integrand`` receives an (m, n) array of points and must return m values.
-    """
-    from .geometry import unit_simplex_vertices
-
-    cfg = cfg or QuadratureConfig()
-    if n < 1:
-        raise DomainError("dimension must be >= 1")
-    if not 0.0 <= scale <= 1.0:
-        raise DomainError(f"scale must lie in [0, 1], got {scale!r}")
-    verts = scale * unit_simplex_vertices(n)
-    vol = euclidean_simplex_volume(n, scale)
-    total = cfg.mc_samples
-    s1 = 0.0
-    s2 = 0.0
-    done = 0
-    index = 0
-    while done < total:
-        m = min(_MC_CHUNK, total - done)
-        rng = _mc_chunk_stream(cfg.seed, index)
-        expo = rng.standard_exponential(size=(m, n + 1))
-        lam = expo / expo.sum(axis=1, keepdims=True)
-        pts = lam @ verts
-        vals = np.asarray(integrand(pts), dtype=float)
-        if vals.shape != (m,):
-            raise DomainError("integrand must return one value per sample point")
-        s1 += float(vals.sum())
-        s2 += float(vals @ vals)
-        done += m
-        index += 1
-    mean = s1 / total
-    var = max(s2 / total - mean * mean, 0.0)
-    stderr = vol * math.sqrt(var / total)
-    return VolumeEstimate(vol * mean, stderr, total, "monte-carlo")

@@ -115,7 +115,6 @@ class AlphaChain:
 
     ladder: OrthoschemeLadder
     coefficients: np.ndarray     # c_1..c_{n-1}; c_1 = 0 at the ideal point
-    outer_limit: float           # d_1 (inf at the ideal point)
     outer_ratio: float           # tanh d_2: alpha_1 coefficient against q
 
     @property
@@ -142,12 +141,7 @@ def alpha_chain(lad: OrthoschemeLadder) -> AlphaChain:
     for k in range(1, n):
         sinh_dk = lad.sinh_d[k - 1]
         coeff[k - 1] = 0.0 if math.isinf(sinh_dk) else lad.tanh_d[k] / sinh_dk
-    return AlphaChain(
-        ladder=lad,
-        coefficients=coeff,
-        outer_limit=lad.d[0],
-        outer_ratio=lad.tanh_d[1] if n >= 2 else 0.0,
-    )
+    return AlphaChain(ladder=lad, coefficients=coeff, outer_ratio=lad.tanh_d[1])
 
 
 def volume_orthoscheme(params: SimplexParams, cfg: QuadratureConfig | None = None) -> VolumeEstimate:

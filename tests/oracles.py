@@ -2,8 +2,8 @@
 
 Nothing here imports from hypervol's numerical engines: every value is
 produced by a different route (closed forms, classical identities,
-series, or high-precision mpmath quadrature) so agreement is evidence,
-not circularity.
+series, high-precision mpmath quadrature, or uniform sampling) so
+agreement is evidence, not circularity.
 """
 
 import math
@@ -82,3 +82,56 @@ def hyperbolic_triangle_angle_from_side(cosh_side: float) -> float:
     side, from the hyperbolic law of cosines:
     cos(theta) = cosh(side) / (cosh(side) + 1)."""
     return math.acos(cosh_side / (cosh_side + 1.0))
+
+
+def euclidean_simplex_volume(n: int, scale: float = 1.0) -> float:
+    """Euclidean volume of scale * S(n) (regular, unit circumradius at scale 1)."""
+    return scale**n * (n + 1) ** ((n + 1) / 2) / (math.factorial(n) * n ** (n / 2))
+
+
+_MC_CHUNK = 1 << 16
+
+
+def _mc_chunk_stream(seed: int, index: int) -> np.random.Generator:
+    # Philox is counter-based: distinct chunk indices give independent,
+    # order-insensitive streams for the same key
+    return np.random.Generator(
+        np.random.Philox(key=seed, counter=np.array([0, 0, 0, index], dtype=np.uint64))
+    )
+
+
+def monte_carlo_simplex(n: int, scale: float, integrand, samples: int,
+                        seed: int = 0) -> tuple[float, float]:
+    """Monte Carlo estimate of the integral of ``integrand`` over scale * S(n),
+    returned as (value, standard error of the mean).
+
+    Points are sampled uniformly via the exponential-spacing method
+    (normalized unit-rate exponentials as barycentric weights).  Given the
+    same seed the result is bit-identical run to run, regardless of how the
+    chunks would be scheduled.
+
+    ``integrand`` receives an (m, n) array of points and must return m values.
+    """
+    # imported here: perfbench loads this module without hypervol on the path
+    from hypervol.geometry import unit_simplex_vertices
+
+    verts = scale * unit_simplex_vertices(n)
+    vol = euclidean_simplex_volume(n, scale)
+    s1 = 0.0
+    s2 = 0.0
+    done = 0
+    index = 0
+    while done < samples:
+        m = min(_MC_CHUNK, samples - done)
+        rng = _mc_chunk_stream(seed, index)
+        expo = rng.standard_exponential(size=(m, n + 1))
+        lam = expo / expo.sum(axis=1, keepdims=True)
+        vals = np.asarray(integrand(lam @ verts), dtype=float)
+        assert vals.shape == (m,), "integrand must return one value per sample point"
+        s1 += float(vals.sum())
+        s2 += float(vals @ vals)
+        done += m
+        index += 1
+    mean = s1 / samples
+    var = max(s2 / samples - mean * mean, 0.0)
+    return vol * mean, vol * math.sqrt(var / samples)

@@ -53,15 +53,22 @@ class TestVolume:
         assert "error" in err
 
     def test_tol_and_seed_flags(self, capsys):
-        code, out, _ = run(capsys, "volume", "--n", "3", "--t", "0.8",
-                           "--tol", "1e-6", "--seed", "5")
+        code, out, _ = run(capsys, "volume", "--n", "3", "--t", "0.8", "--tol", "1e-6")
         assert code == 0
         assert "value=" in out
+        # nothing samples, so there is no seed to set
+        with pytest.raises(SystemExit) as info:
+            main(["volume", "--n", "3", "--t", "0.8", "--seed", "5"])
+        assert info.value.code == 1
 
     def test_bad_tol(self, capsys):
         code, _, err = run(capsys, "volume", "--n", "3", "--t", "0.8",
                            "--tol", "1e-20")
         assert code == 1
+        for tol in ("inf", "1e10"):
+            code, _, err = run(capsys, "volume", "--n", "3", "--t", "0.8", "--tol", tol)
+            assert code == 1
+            assert "error:" in err
 
 
 class TestRatio:
@@ -190,6 +197,12 @@ class TestLadder:
         assert code == 0
         r3 = float(out.strip().splitlines()[-1].split(",")[1])
         assert r3 == pytest.approx(math.log(2.0), rel=1e-9)
+
+    def test_rejects_tol(self, capsys):
+        # the ladder is closed-form; no quadrature reads a tolerance
+        with pytest.raises(SystemExit) as info:
+            main(["ladder", "--n", "3", "--t", "0.5", "--tol", "1e-6"])
+        assert info.value.code == 1
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "ladder.csv"
