@@ -31,7 +31,8 @@ from .bounds import (
     growth_ratio_parts,
     limit_audit,
 )
-from .errors import ConvergenceError, DegenerateGeometryError, DomainError, HypervolError
+from .errors import (CapabilityError, ConvergenceError, DegenerateGeometryError, DomainError,
+                     HypervolError)
 from .geometry import SimplexParams, halfspace_embedding, ladder
 from .quadrature import QuadratureConfig
 from .volume_forms import (
@@ -71,8 +72,11 @@ def _config(args) -> QuadratureConfig:
 
 def _emit(args, text: str):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise HypervolError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -89,39 +93,31 @@ _FORMS = {
 def cmd_volume(args) -> int:
     params = _params(args)
     cfg = _config(args)
-    lines = []
+    every = args.method == "all"
+    lines, vals = [], []
     code = 0
-    if args.method == "all":
-        results = {}
-        for name, fn in _FORMS.items():
-            try:
-                est = fn(params, cfg)
-            except DegenerateGeometryError:
-                lines.append(f"method={name} skipped (degenerate t)")
-                continue
-            except ConvergenceError as exc:
-                est, code = exc.estimate, 2
-            results[name] = est
-            lines.append(
-                f"method={name} value={_fmt(est.value)} "
-                f"error={_fmt(est.error_estimate)} n_evals={est.n_evals}"
-            )
-        vals = [e.value for e in results.values()]
+    for name in _FORMS if every else [args.method]:
+        try:
+            est = _FORMS[name](params, cfg)
+        except (DegenerateGeometryError, CapabilityError) as exc:
+            if not every:
+                raise
+            why = "degenerate t" if isinstance(exc, DegenerateGeometryError) else "dimension cap"
+            lines.append(f"method={name} skipped ({why})")
+            continue
+        except ConvergenceError as exc:
+            est, code = exc.estimate, 2
+        vals.append(est.value)
+        lines.append(
+            f"method={name} value={_fmt(est.value)} "
+            f"error={_fmt(est.error_estimate)} n_evals={est.n_evals}"
+        )
+    if every:
         if len(vals) >= 2 and max(vals) > 0:
             spread = (max(vals) - min(vals)) / max(vals)
         else:
             spread = 0.0
         lines.append(f"max_rel_diff={_fmt(spread)}")
-    else:
-        est = None
-        try:
-            est = _FORMS[args.method](params, cfg)
-        except ConvergenceError as exc:
-            est, code = exc.estimate, 2
-        lines.append(
-            f"method={args.method} value={_fmt(est.value)} "
-            f"error={_fmt(est.error_estimate)} n_evals={est.n_evals}"
-        )
     _emit(args, "\n".join(lines) + "\n")
     return code
 
@@ -162,10 +158,17 @@ def _sweep_row(n: int, t: float, cfg: QuadratureConfig) -> dict:
     }
 
 
+def _split(text: str, kind, flag: str) -> tuple:
+    try:
+        return tuple(kind(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise DomainError(f"{flag} takes comma-separated {kind.__name__} values") from None
+
+
 def _parse_sweep_spec(args) -> tuple[tuple, tuple]:
     """The validated (dimensions, t values) grid of a sweep request."""
     if args.t_list:
-        ts = tuple(float(x) for x in args.t_list.split(",") if x.strip())
+        ts = _split(args.t_list, float, "--t-list")
     else:
         if args.t_start is None or args.t_stop is None or args.t_step is None:
             raise DomainError("provide either --t-list or --t-start/--t-stop/--t-step")
@@ -173,7 +176,7 @@ def _parse_sweep_spec(args) -> tuple[tuple, tuple]:
             raise DomainError("t-step must be positive")
         count = int(math.floor((args.t_stop - args.t_start) / args.t_step + 1e-9)) + 1
         ts = tuple(args.t_start + k * args.t_step for k in range(max(count, 0)))
-    ns = tuple(int(x) for x in args.n_list.split(",") if x.strip())
+    ns = _split(args.n_list, int, "--n-list")
     if not ns or not ts:
         raise DomainError("sweep grid is empty")
     for t in ts:
@@ -207,8 +210,7 @@ def cmd_sweep(args) -> int:
 def _check_lines(params: SimplexParams, cfg: QuadratureConfig):
     """Yield (label, status, residual_or_None) triples."""
     lad = ladder(params)
-    res = lad.chain_residuals()
-    chain = float(res.max()) if res.size else 0.0
+    chain = float(lad.chain_residuals().max())
     yield "ladder_chain", chain <= 1e-12, chain
     d1 = 0.0 if lad.tanh_r[0] == lad.tanh_d[0] else abs(lad.tanh_r[0] - lad.tanh_d[0])
     yield "d1_equals_r1", d1 <= 1e-15, d1
@@ -221,7 +223,7 @@ def _check_lines(params: SimplexParams, cfg: QuadratureConfig):
         for label in ("gram_closed_form", "gamma_spheres", "sin_alpha_ladder", "zn_sandwich"):
             yield label, None, None
     else:
-        gram = emb.v[1:] @ emb.v[1:].T if params.n >= 2 else np.zeros((0, 0))
+        gram = emb.v[1:] @ emb.v[1:].T
         gram_res = float(np.max(np.abs(gram - emb.gram))) / max(emb.sin_alpha**2, 1e-30)
         yield "gram_closed_form", gram_res <= 1e-12, gram_res
         worst = 0.0
@@ -256,12 +258,18 @@ def _check_lines(params: SimplexParams, cfg: QuadratureConfig):
                         bad = max(bad, d2 / emb.gamma**2 - 1.0)
         yield "zn_sandwich", bad == 0.0, bad
 
-    if params.t <= 0.0:
-        yield "cross_model", None, None
-    else:
-        ests = [volume_projective(params, cfg), volume_orthoscheme(params, cfg)]
+    ests = []     # the forms that run here: orthoscheme stops at its dimension cap
+    if params.t > 0.0:
+        ests.append(volume_projective(params, cfg))
+        try:
+            ests.append(volume_orthoscheme(params, cfg))
+        except CapabilityError:
+            pass
         if emb is not None:
             ests.append(volume_halfspace(params, cfg))
+    if len(ests) < 2:
+        yield "cross_model", None, None
+    else:
         vals = [e.value for e in ests]
         spread = (max(vals) - min(vals)) / max(max(vals), 1e-300)
         budget = max(1e-6, sum(e.error_estimate for e in ests) / max(max(vals), 1e-300))

@@ -121,11 +121,6 @@ class SimplexParams:
             return 1.0
         return 2.0 * math.cos(math.pi / 4 - self.t / 2) ** 2
 
-    @property
-    def circumradius(self) -> float:
-        """Hyperbolic circumradius atanh(sin t); inf at the ideal point."""
-        return math.inf if self.is_ideal else math.atanh(self.sin_t)
-
 
 def _atanh_or_inf(x: float) -> float:
     return math.inf if x >= 1.0 else math.atanh(x)
@@ -160,13 +155,6 @@ class OrthoschemeLadder:
     cosh_r: np.ndarray
     cosh_d: np.ndarray
     sinh_d: np.ndarray
-
-    def __len__(self) -> int:
-        return self.params.n
-
-    @property
-    def ideal(self) -> bool:
-        return self.params.is_ideal
 
     def chain_residuals(self) -> np.ndarray:
         """Relative residuals of cosh r_{k+1} - cosh d_{k+1} cosh r_k, k=1..n-1.

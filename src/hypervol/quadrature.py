@@ -16,6 +16,8 @@ Three engines live here:
   toward the vertex end, so the vertex-touching case scale = 1 (ideal
   simplices) integrates its corner singularities properly.
 
+The only setting is the relative tolerance in `QuadratureConfig`; the
+absolute floor, the panel cap and the Gauss order are module constants.
 All engines are pure functions of their inputs and reentrant.
 """
 
@@ -40,34 +42,24 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+_ABS_TOL = 1e-12       # absolute floor of every tolerance and radial error bar
+_BASE_ORDER = 14       # Gauss points per panel in the structured engines
+_MAX_PANELS = 4000     # panel cap of the adaptive interval engine
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and resource limits shared by the integration engines.
-
-    rel_tol / abs_tol       target |error| <= max(abs_tol, rel_tol * |I|)
-    max_subdivisions        panel cap for the adaptive interval engine
-    base_order              Gauss points per panel in the structured engines
-    """
+    """The relative tolerance shared by the integration engines, which
+    target |error| <= max(_ABS_TOL, rel_tol * |I|)."""
 
     rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 4000
-    base_order: int = 14
 
     def __post_init__(self):
         if not 10 * _EPS <= self.rel_tol < 1.0:
             raise DomainError(f"rel_tol must lie in [{10 * _EPS:.2e}, 1)")
-        if not 0.0 < self.abs_tol < math.inf:
-            raise DomainError("abs_tol must be positive and finite")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-        if self.base_order < 2:
-            raise DomainError("base_order must be >= 2")
 
     def tolerance(self, value: float) -> float:
-        return max(self.abs_tol, self.rel_tol * abs(value))
+        return max(_ABS_TOL, self.rel_tol * abs(value))
 
 
 @dataclass(frozen=True)
@@ -190,7 +182,7 @@ def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig | None = Non
     singularities are admissible.
 
     Raises ConvergenceError (with the best estimate attached) if the
-    tolerance is not met within ``cfg.max_subdivisions`` panels.
+    tolerance is not met within _MAX_PANELS panels.
     """
     cfg = cfg or QuadratureConfig()
     if not a <= b:
@@ -204,7 +196,7 @@ def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig | None = Non
     evals = 15
     panels = 1
     while err > cfg.tolerance(total):
-        if panels >= cfg.max_subdivisions:
+        if panels >= _MAX_PANELS:
             est = VolumeEstimate(total, err, evals, "adaptive-gk15")
             raise ConvergenceError(
                 f"no convergence after {panels} panels (err {err:.3e})", estimate=est
@@ -232,11 +224,11 @@ def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig | None = Non
 _TENSOR_BUDGET = 8_000_000
 
 
-def _tensor_orders(depth, base):
+def _tensor_orders(depth):
     # depth 1 shares the depth-2 cap: leggauss builds an order x order
     # companion matrix, so the full budget as one order cannot be allocated
     cap = max(4, int(_TENSOR_BUDGET ** (1.0 / max(depth, 2))))
-    orders, k = [], max(6, base // 2)
+    orders, k = [], _BASE_ORDER // 2
     while k < cap:
         orders.append(k)
         k = int(k * 1.5) + 1
@@ -295,7 +287,7 @@ def integrate_nested(limits: Sequence, factors: Sequence,
     prev_val = None
     total_evals = 0
     err = math.inf
-    for order in _tensor_orders(depth, cfg.base_order):
+    for order in _tensor_orders(depth):
         val, ev = _nested_tensor_pass(limits, factors, order)
         total_evals += ev
         if prev_val is not None:
@@ -371,9 +363,8 @@ def _radial_settings(cfg: QuadratureConfig, theta_min: float):
     span = max(4.0, -theta_min)
     ncheb = int(min(420, (26 + 7.5 * digits) * max(1.0, span / 9.0)))
     depth = int(min(72, max(16, span / math.log(2) + 12)))
-    order = max(8, cfg.base_order)
-    hi = _RadialSettings(ncheb, depth, order)
-    lo = _RadialSettings(max(24, int(0.6 * ncheb)), max(12, depth - 6), max(6, order - 5))
+    hi = _RadialSettings(ncheb, depth, _BASE_ORDER)
+    lo = _RadialSettings(max(24, int(0.6 * ncheb)), max(12, depth - 6), _BASE_ORDER - 5)
     return lo, hi
 
 
@@ -478,6 +469,28 @@ def build_radial_stacks(dim: int, p: float, w_top: float, cfg: QuadratureConfig)
     )
 
 
+def _radial_estimate(dim: int, p: float, w_top: float, cfg: QuadratureConfig,
+                     value_of: Callable, method: str) -> VolumeEstimate:
+    """``value_of(stack)`` on the high-fidelity stack of a `build_radial_stacks`
+    pair; its error is the gap to the low-fidelity value plus _ABS_TOL.
+    ``value_of`` returns (value, evaluations beyond the stack's own).  A gap
+    above max(1e-3 |value|, 1e4 * tolerance) raises ConvergenceError."""
+    values = []
+    evals = 0
+    for stack in build_radial_stacks(dim, p, w_top, cfg):
+        value, extra = value_of(stack)
+        values.append(value)
+        evals += stack.n_evals + extra
+    lo, hi = values
+    err = abs(hi - lo) + _ABS_TOL
+    est = VolumeEstimate(hi, err, evals, method)
+    if err > max(1e-3 * abs(hi), 1e4 * cfg.tolerance(hi)):
+        raise ConvergenceError(
+            f"radial refinement stalled (err {err:.3e} on value {hi:.6e})", estimate=est
+        )
+    return est
+
+
 def integrate_simplex_radialpow(n: int, scale: float, p: float,
                                 cfg: QuadratureConfig | None = None, *,
                                 one_minus_scale_sq: float | None = None) -> VolumeEstimate:
@@ -509,17 +522,7 @@ def integrate_simplex_radialpow(n: int, scale: float, p: float,
         else (1.0 - scale) * (1.0 + scale)
     if w_top < 0.0:
         raise DomainError("one_minus_scale_sq must be nonnegative")
-    results = []
-    evals = 0
-    for stack in build_radial_stacks(n, p, w_top, cfg):
-        val = sigma2 ** (n / 2) * stack.top_integral(n, w_top, sigma2)
-        results.append(val)
-        evals += stack.n_evals
-    lo, hi = results
-    err = abs(hi - lo) + cfg.abs_tol
-    est = VolumeEstimate(hi, err, evals, "simplex-radial")
-    if err > max(1e-3 * abs(hi), 1e4 * cfg.tolerance(hi)):
-        raise ConvergenceError(
-            f"radial refinement stalled (err {err:.3e} on value {hi:.6e})", estimate=est
-        )
-    return est
+    return _radial_estimate(
+        n, p, w_top, cfg,
+        lambda stack: (sigma2 ** (n / 2) * stack.top_integral(n, w_top, sigma2), 0),
+        "simplex-radial")

@@ -43,7 +43,7 @@ from .quadrature import (
     QuadratureConfig,
     VolumeEstimate,
     _panels_toward_one,
-    build_radial_stacks,
+    _radial_estimate,
     integrate_nested,
     integrate_simplex_radialpow,
 )
@@ -293,9 +293,8 @@ def _halfspace_value(n: int, sigma: float, w_perp: float, slope: float,
     b_c = sigma / (n - 1)                                # |centroid of a piece's outer face|
     rho_f_sq = sigma * sigma * n * (n - 2) / (n - 1) ** 2
     depth = int(min(64, max(18, math.log2(max(slope, 2.0)) + 14)))
-    values = []
-    evals = 0
-    for stack in build_radial_stacks(dim, p, w_perp, cfg):
+
+    def value_of(stack):
         t1 = sigma**dim * stack.top_integral(dim, w_perp, sigma * sigma)
         a, one_m_a, wq = _panels_toward_one(depth, stack.settings.order)
         # C(a) = upper^2 at the slice's outermost radius, built from (1 - a)
@@ -307,10 +306,9 @@ def _halfspace_value(n: int, sigma: float, w_perp: float, slope: float,
         )
         if not t2 < t1:
             raise DomainError("half-space integrand ordering violated (degenerate input)")
-        values.append((t1 - t2) / (n - 1))
-        evals += stack.n_evals + a.size
-    lo, hi = values
-    return VolumeEstimate(hi, abs(hi - lo) + cfg.abs_tol, evals, "halfspace")
+        return (t1 - t2) / (n - 1), a.size
+
+    return _radial_estimate(dim, p, w_perp, cfg, value_of, "halfspace")
 
 
 def volume_halfspace(params: SimplexParams, cfg: QuadratureConfig | None = None) -> VolumeEstimate:

@@ -61,6 +61,22 @@ class TestVolume:
             main(["volume", "--n", "3", "--t", "0.8", "--seed", "5"])
         assert info.value.code == 1
 
+    def test_all_skips_orthoscheme_beyond_cap(self, capsys):
+        code, out, err = run(capsys, "volume", "--n", "13", "--t", "0.5", "--method", "all")
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert [line.split()[0] for line in lines[:3]] == [
+            "method=projective", "method=orthoscheme", "method=halfspace"]
+        assert lines[1] == "method=orthoscheme skipped (dimension cap)"
+        assert lines[3].startswith("max_rel_diff=")
+        assert float(lines[3].split("=")[1]) <= 1e-6
+
+    def test_orthoscheme_beyond_cap_rejected(self, capsys):
+        code, out, err = run(capsys, "volume", "--n", "13", "--t", "0.5",
+                             "--method", "orthoscheme")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "exceeds the cap 12" in err
+
     def test_bad_tol(self, capsys):
         code, _, err = run(capsys, "volume", "--n", "3", "--t", "0.8",
                            "--tol", "1e-20")
@@ -143,6 +159,12 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--n-list", "3", "--t-list", "1.8")
         assert code == 1
 
+    @pytest.mark.parametrize("n_list, t_list", [("3,x", "0.5"), ("3", "0.5,abc")])
+    def test_rejects_unparsable_list(self, capsys, n_list, t_list):
+        code, out, err = run(capsys, "sweep", "--n-list", n_list, "--t-list", t_list)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --")
+
 
 class TestCheck:
     def test_all_pass(self, capsys):
@@ -164,6 +186,12 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--n", "5", "--t", "1.3")
         assert code == 0
         assert "FAIL" not in out
+
+    def test_beyond_orthoscheme_cap(self, capsys):
+        # cross_model compares the two forms that run at n = 13
+        code, out, err = run(capsys, "check", "--n", "13", "--t", "0.5")
+        assert code == 0 and err == ""
+        assert "PASS cross_model" in out and "FAIL" not in out
 
     def test_audit_limits(self, capsys):
         code, out, _ = run(capsys, "check", "--n", "3", "--t", "0.8", "--audit-limits")
@@ -211,3 +239,10 @@ class TestLadder:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("k,r_k")
+
+    def test_out_unwritable(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "ladder.csv"
+        code, out, err = run(capsys, "ladder", "--n", "3", "--t", "0.5",
+                             "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot write") and str(target) in err

@@ -35,12 +35,12 @@ class TestConfig:
 
     @pytest.mark.parametrize("kw", [
         {"rel_tol": 1e-17},
-        {"abs_tol": 0.0},
-        {"max_subdivisions": 0},
-        {"base_order": 1},
+        {"rel_tol": 0.0},
+        {"rel_tol": -1e-8},
+        {"rel_tol": -math.inf},
         {"rel_tol": math.inf},
         {"rel_tol": 1.0},
-        {"abs_tol": math.inf},
+        {"rel_tol": 2e-15},          # just under 10 * eps
         {"rel_tol": float("nan")},
     ])
     def test_rejects(self, kw):
@@ -75,10 +75,10 @@ class TestAdaptive:
         assert est.value == pytest.approx(math.e - 1.0, rel=1e-12)
 
     def test_convergence_error_carries_estimate(self):
-        cfg = QuadratureConfig(max_subdivisions=2, rel_tol=1e-13)
+        # the oscillations pile up toward x = 0 faster than 4000 panels resolve
+        cfg = QuadratureConfig(rel_tol=1e-13)
         with pytest.raises(ConvergenceError) as info:
-            integrate_adaptive(lambda x: 1.0 / np.sqrt(np.abs(x - 0.3123) + 1e-14),
-                               0.0, 1.0, cfg)
+            integrate_adaptive(lambda x: np.sin(1.0 / (x + 1e-6)), 0.0, 1.0, cfg)
         assert info.value.estimate is not None
         assert info.value.estimate.value > 0
 
@@ -151,7 +151,7 @@ class TestNested:
     def test_depth1_order_cap(self):
         # leggauss allocates order x order; depth 1 must not take the whole
         # point budget as a single order
-        assert max(_tensor_orders(1, 14)) <= max(_tensor_orders(2, 14))
+        assert max(_tensor_orders(1)) <= max(_tensor_orders(2))
 
 
 class TestSimplexRadialPow:

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from hypervol import quadrature
 from hypervol import (
     CapabilityError,
+    ConvergenceError,
     DegenerateGeometryError,
     DomainError,
     QuadratureConfig,
@@ -274,6 +276,18 @@ class TestHalfspace:
         vals = [volume_halfspace(SimplexParams(3, math.pi / 2 - e)).value for e in eps]
         limit, _ = richardson_limit(eps, vals)
         assert limit == pytest.approx(IDEAL_TET, abs=1e-4)
+
+    def test_stalled_refinement_raises(self, monkeypatch):
+        # a crude low-fidelity stack leaves a fidelity gap above the stall
+        # gate, which half-space shares with the projective form
+        settings = quadrature._radial_settings
+        monkeypatch.setattr(quadrature, "_radial_settings", lambda cfg, theta_min: (
+            quadrature._RadialSettings(2, 2, 2), settings(cfg, theta_min)[1]))
+        with pytest.raises(ConvergenceError) as info:
+            volume_halfspace(SimplexParams(4, 1.5))
+        est = info.value.estimate
+        assert est.method == "halfspace"
+        assert est.error_estimate > 1e-3 * est.value > 0.0
 
 
 class TestHalfspaceGeneral:
