@@ -8,7 +8,6 @@ ratio is compared against closed-form lower/upper bounds.
 """
 
 from .errors import (
-    CapabilityError,
     ConvergenceError,
     DegenerateGeometryError,
     DomainError,
@@ -73,6 +72,6 @@ __all__ = [
     "GrowthBounds", "LimitAudit", "lower_bound", "upper_bound", "hm_bounds",
     "growth_bounds", "growth_ratio", "euclidean_limit_ratio", "limit_audit",
     "HypervolError", "DomainError", "DegenerateGeometryError",
-    "ConvergenceError", "CapabilityError",
+    "ConvergenceError",
     "__version__",
 ]

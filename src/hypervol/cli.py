@@ -18,6 +18,7 @@ n-major, t-minor order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -31,8 +32,7 @@ from .bounds import (
     growth_ratio_parts,
     limit_audit,
 )
-from .errors import (CapabilityError, ConvergenceError, DegenerateGeometryError, DomainError,
-                     HypervolError)
+from .errors import ConvergenceError, DegenerateGeometryError, DomainError, HypervolError
 from .geometry import SimplexParams, halfspace_embedding, ladder
 from .quadrature import QuadratureConfig
 from .volume_forms import (
@@ -70,15 +70,15 @@ def _config(args) -> QuadratureConfig:
     return QuadratureConfig() if args.tol is None else QuadratureConfig(rel_tol=args.tol)
 
 
-def _emit(args, text: str):
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise HypervolError(f"cannot write {args.out}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(text)
+def _open_out(path):
+    """The output stream: stdout, or the --out file, opened before any
+    command computes so that an unwritable path fails at once."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise HypervolError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +99,10 @@ def cmd_volume(args) -> int:
     for name in _FORMS if every else [args.method]:
         try:
             est = _FORMS[name](params, cfg)
-        except (DegenerateGeometryError, CapabilityError) as exc:
+        except DegenerateGeometryError:
             if not every:
                 raise
-            why = "degenerate t" if isinstance(exc, DegenerateGeometryError) else "dimension cap"
-            lines.append(f"method={name} skipped ({why})")
+            lines.append(f"method={name} skipped (degenerate t)")
             continue
         except ConvergenceError as exc:
             est, code = exc.estimate, 2
@@ -118,7 +117,7 @@ def cmd_volume(args) -> int:
         else:
             spread = 0.0
         lines.append(f"max_rel_diff={_fmt(spread)}")
-    _emit(args, "\n".join(lines) + "\n")
+    args.stream.write("\n".join(lines) + "\n")
     return code
 
 
@@ -138,7 +137,7 @@ def cmd_ratio(args) -> int:
         f"hm_lower={_fmt(b.hm_lower)} hm_upper={_fmt(b.hm_upper)} "
         f"SANDWICH={'ok' if ok else 'VIOLATION'}"
     ]
-    _emit(args, "\n".join(lines) + "\n")
+    args.stream.write("\n".join(lines) + "\n")
     if not ok and code == 0:
         code = 3
     return code
@@ -201,7 +200,7 @@ def cmd_sweep(args) -> int:
         for row in rows:
             lines.append(",".join(_fmt(row[c]) for c in _SWEEP_COLUMNS))
         text = "\n".join(lines) + "\n"
-    _emit(args, text)
+    args.stream.write(text)
     if any(row["sandwich_flag"] == "violation" for row in rows):
         return 3
     return 0
@@ -258,13 +257,9 @@ def _check_lines(params: SimplexParams, cfg: QuadratureConfig):
                         bad = max(bad, d2 / emb.gamma**2 - 1.0)
         yield "zn_sandwich", bad == 0.0, bad
 
-    ests = []     # the forms that run here: orthoscheme stops at its dimension cap
+    ests = []
     if params.t > 0.0:
-        ests.append(volume_projective(params, cfg))
-        try:
-            ests.append(volume_orthoscheme(params, cfg))
-        except CapabilityError:
-            pass
+        ests = [volume_projective(params, cfg), volume_orthoscheme(params, cfg)]
         if emb is not None:
             ests.append(volume_halfspace(params, cfg))
     if len(ests) < 2:
@@ -298,7 +293,7 @@ def cmd_check(args) -> int:
             f"claimed_limit={_fmt(audit.claimed_limit)} "
             f"agreement={'yes' if audit.agrees_with_claim else 'NO'}"
         )
-    _emit(args, "\n".join(lines) + "\n")
+    args.stream.write("\n".join(lines) + "\n")
     return 0 if all_ok else 3
 
 
@@ -312,7 +307,7 @@ def cmd_ladder(args) -> int:
         lines.append(
             f"{k + 1},{r},{_fmt(float(lad.tanh_r[k]))},{d},{_fmt(float(lad.tanh_d[k]))}"
         )
-    _emit(args, "\n".join(lines) + "\n")
+    args.stream.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -366,7 +361,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _open_out(args.out) as args.stream:
+            return args.func(args)
     except (DomainError, DegenerateGeometryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -23,7 +23,3 @@ class ConvergenceError(HypervolError):
     def __init__(self, message, estimate=None):
         super().__init__(message)
         self.estimate = estimate
-
-
-class CapabilityError(HypervolError):
-    """Request exceeds the configured capability ceiling (e.g. dimension cap)."""

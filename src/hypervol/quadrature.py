@@ -6,7 +6,8 @@ Three engines live here:
   interval, with an embedded-rule error estimate;
 * `integrate_nested` -- iterated integrals with state-dependent limits
   (each level's upper limit is a function of the previous variable),
-  by a vectorized tensor rule with progressive order refinement;
+  held as a stack of one-variable Chebyshev series, one per level, at
+  increasing degree until two passes agree;
 * `integrate_simplex_radialpow` -- integrals of (1 - |x|^2)^(-p) over a
   scaled regular simplex, the volume element of the projective model.
   The simplex is collapsed to iterated cone (Duffy-type) coordinates; in
@@ -16,8 +17,10 @@ Three engines live here:
   toward the vertex end, so the vertex-touching case scale = 1 (ideal
   simplices) integrates its corner singularities properly.
 
-The only setting is the relative tolerance in `QuadratureConfig`; the
-absolute floor, the panel cap and the Gauss order are module constants.
+The nested and radial engines share one interpolation scheme,
+`_chebyshev_series`.  The only setting is the relative tolerance in
+`QuadratureConfig`; the absolute floor, the panel cap, the Gauss order
+and the nested degree ladder are module constants.
 All engines are pure functions of their inputs and reentrant.
 """
 
@@ -31,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, HypervolError
+from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "QuadratureConfig",
@@ -43,14 +46,15 @@ __all__ = [
 
 _EPS = float(np.finfo(np.float64).eps)
 _ABS_TOL = 1e-12       # absolute floor of every tolerance and radial error bar
-_BASE_ORDER = 14       # Gauss points per panel in the structured engines
+_BASE_ORDER = 14       # Gauss points per panel in the radial engine
 _MAX_PANELS = 4000     # panel cap of the adaptive interval engine
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """The relative tolerance shared by the integration engines, which
-    target |error| <= max(_ABS_TOL, rel_tol * |I|)."""
+    """The relative tolerance shared by the integration engines.  The
+    adaptive and radial engines target |error| <= max(_ABS_TOL,
+    rel_tol * |I|), the nested engine rel_tol * |I|."""
 
     rel_tol: float = 1e-8
 
@@ -137,26 +141,6 @@ _GK_WG = np.array([
 ])
 
 
-def _vectorized(f: Callable, a: float, b: float) -> Callable:
-    """Return f if it maps arrays to arrays, else a vectorized wrapper.
-
-    The probe stays inside (a, b); genuine evaluation failures (domain or
-    convergence errors from nested engines) propagate instead of being
-    mistaken for a scalar-only signature.
-    """
-    probe = a + (b - a) * np.array([0.35, 0.65])
-    try:
-        out = np.asarray(f(probe), dtype=float)
-        if out.shape == probe.shape:
-            return f
-    except HypervolError:
-        raise
-    except Exception:
-        pass
-    vf = np.vectorize(f, otypes=[float])
-    return lambda x: vf(x)
-
-
 def _gk_panel(f, a, b):
     half = (b - a) / 2
     x = (a + b) / 2 + half * _GK_NODES
@@ -176,8 +160,8 @@ def _gk_panel(f, a, b):
 def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> VolumeEstimate:
     """Adaptive Gauss-Kronrod integration of ``f`` on [a, b].
 
-    ``f`` should accept an ndarray of abscissae and return the integrand
-    values elementwise; scalar-only callables are wrapped automatically.
+    ``f`` must accept an ndarray of abscissae and return the integrand
+    values elementwise.
     Endpoint behavior: nodes are strictly interior, so integrable endpoint
     singularities are admissible.
 
@@ -189,7 +173,6 @@ def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig | None = Non
         raise DomainError(f"need a <= b, got ({a!r}, {b!r})")
     if a == b:
         return VolumeEstimate(0.0, 0.0, 0, "adaptive-gk15")
-    f = _vectorized(f, a, b)
     i0, e0 = _gk_panel(f, a, b)
     heap = [(-e0, a, b, i0)]
     total, err = i0, e0
@@ -221,44 +204,42 @@ def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig | None = Non
 # ---------------------------------------------------------------------------
 # Nested iterated integrals
 
-_TENSOR_BUDGET = 8_000_000
+# Chebyshev degree and Gauss order of the successive level-stack passes
+_NESTED_ORDERS = (8, 12, 18, 27, 40, 60, 90)
 
 
-def _tensor_orders(depth):
-    # depth 1 shares the depth-2 cap: leggauss builds an order x order
-    # companion matrix, so the full budget as one order cannot be allocated
-    cap = max(4, int(_TENSOR_BUDGET ** (1.0 / max(depth, 2))))
-    orders, k = [], _BASE_ORDER // 2
-    while k < cap:
-        orders.append(k)
-        k = int(k * 1.5) + 1
-    orders.append(cap)
-    if len(orders) == 1:
-        # always run two passes so the refinement difference exists
-        orders.insert(0, max(3, int(0.7 * cap)))
-    return orders
+def _level_series(limit, factor, inner, top: float, m: int) -> np.polynomial.Chebyshev:
+    """Degree-m Chebyshev series on [0, top] of
+    x -> int_0^{limit(x)} factor(y) inner(y) dy, by an m-point Gauss rule."""
+    g, w = _gauss01(m)
+
+    def level(x):
+        ub = limit(x)[:, None]
+        y = ub * g
+        v = ub * w * inner(y)
+        if factor is not None:
+            v = v * factor(y)
+        return v.sum(axis=1)
+
+    return _chebyshev_series(level, m, 0.0, top)
 
 
-def _nested_tensor_pass(limits, factors, order):
-    g, w = _gauss01(order)
-    depth = len(limits)
-    upper0 = float(limits[0])
-    x = upper0 * g
-    acc = upper0 * w
+def _nested_pass(limits, factors, m: int):
+    """One level-stack pass at Chebyshev degree and Gauss order m."""
+    tops = [float(limits[0])]               # X_k, the range of level k's variable
+    for limit in limits[1:-1]:
+        tops.append(float(limit(np.array([tops[-1]]))[0]))
+    inner = np.ones_like
+    for k in range(len(limits) - 1, 0, -1):
+        inner = _level_series(limits[k], factors[k], inner, tops[k - 1], m)
+    # the outer panels are graded toward 0, where the first factor may
+    # carry a thin layer
+    _, x, w = _panels_toward_one(52, m)
+    x = tops[0] * x
+    w = tops[0] * w * inner(x)
     if factors[0] is not None:
-        acc = acc * factors[0](x)
-    prev = x
-    evals = order
-    for k in range(1, depth):
-        ub = limits[k](prev)
-        xk = ub[:, None] * g[None, :]
-        wk = ub[:, None] * w[None, :]
-        if factors[k] is not None:
-            wk = wk * factors[k](xk)
-        acc = (acc[:, None] * wk).ravel()
-        prev = xk.ravel()
-        evals += prev.size
-    return float(acc.sum()), evals
+        w = w * factors[0](x)
+    return float(w.sum()), (len(limits) - 1) * (m + 1) * m + x.size
 
 
 def integrate_nested(limits: Sequence, factors: Sequence,
@@ -267,16 +248,23 @@ def integrate_nested(limits: Sequence, factors: Sequence,
 
     ``limits[0]`` is the outermost (constant) upper limit; ``limits[k]``
     for k >= 1 maps the previous level's variable to the next upper
-    limit.  ``factors[k]`` is the per-level integrand factor (``None``
-    for 1); the integrand is the product of the factors.  All lower
-    limits are 0.
+    limit and must be nondecreasing.  ``factors[k]`` is the per-level
+    integrand factor (``None`` for 1); the integrand is the product of the
+    factors.  All lower limits are 0.  Limits and factors must accept and
+    return arrays.
 
-    Each pass is a tensor product of Gauss rules, one per level, so
-    limits and factors must accept and return arrays.  Passes run at
-    increasing order until two successive values agree to the tolerance;
-    their difference is the error estimate.  If the order budget runs
-    out first with the difference above 100 times the tolerance, the
-    last pass is attached to a ConvergenceError.
+    The chain is held one level at a time.  With X_0 = limits[0] and
+    X_k = limits[k](X_{k-1}), level k = n-1 .. 1 is one Chebyshev series
+
+        I_k(x) = int_0^{limits[k](x)} factors[k](y) I_{k+1}(y) dy   on [0, X_{k-1}],
+
+    with I_n = 1, built by a Gauss rule on each of its Chebyshev points.
+    The outer integral of factors[0] I_1 runs on Gauss panels graded
+    dyadically toward 0.  Pass m uses degree and Gauss order m over
+    _NESTED_ORDERS, until two successive values agree to rel_tol times
+    the value; their difference is the error estimate.  If the passes run
+    out first with the difference above 100 times that, the last pass is
+    attached to a ConvergenceError.
     """
     cfg = cfg or QuadratureConfig()
     depth = len(limits)
@@ -284,21 +272,20 @@ def integrate_nested(limits: Sequence, factors: Sequence,
         raise DomainError("chain depth must be >= 1")
     if len(factors) != depth:
         raise DomainError("need one factor entry per level")
-    prev_val = None
+    prev = None
     total_evals = 0
-    err = math.inf
-    for order in _tensor_orders(depth):
-        val, ev = _nested_tensor_pass(limits, factors, order)
+    for m in _NESTED_ORDERS:
+        val, ev = _nested_pass(limits, factors, m)
         total_evals += ev
-        if prev_val is not None:
-            err = abs(val - prev_val)
-            if err <= cfg.tolerance(val):
-                return VolumeEstimate(val, err, total_evals, "nested-tensor")
-        prev_val = val
-    est = VolumeEstimate(prev_val, err, total_evals, "nested-tensor")
-    if err > 100 * cfg.tolerance(prev_val):
+        if prev is not None:
+            err = abs(val - prev)
+            if err <= cfg.rel_tol * abs(val):
+                return VolumeEstimate(val, err, total_evals, "nested-chebyshev")
+        prev = val
+    est = VolumeEstimate(val, err, total_evals, "nested-chebyshev")
+    if err > 100 * cfg.rel_tol * abs(val):
         raise ConvergenceError(
-            f"tensor refinement exhausted at depth {depth} (err {err:.3e})", estimate=est
+            f"level-stack refinement exhausted at depth {depth} (err {err:.3e})", estimate=est
         )
     return est
 
@@ -335,9 +322,9 @@ def _panels_toward_one(depth: int, order: int):
 _BLOCK_ENTRIES = 1 << 14
 
 
-def _chebyshev_series(f, degree: int, a: float) -> np.polynomial.Chebyshev:
+def _chebyshev_series(f, degree: int, a: float, b: float) -> np.polynomial.Chebyshev:
     """Chebyshev series interpolating f at the degree + 1 Chebyshev points
-    of the first kind on [a, 0].
+    of the first kind on [a, b].
 
     The coefficients are cosine sums over the point angles.  numpy's
     Chebyshev.interpolate builds T_k at the points by the three-term
@@ -345,10 +332,10 @@ def _chebyshev_series(f, degree: int, a: float) -> np.polynomial.Chebyshev:
     degree 420 that left a 2e-12 floor on the coefficients of log I_k.
     """
     angles = math.pi * (np.arange(degree + 1) + 0.5) / (degree + 1)
-    values = f(a / 2 * (1.0 - np.cos(angles)))
+    values = f(b - (b - a) / 2 * (1.0 - np.cos(angles)))
     coef = np.cos(np.outer(np.arange(degree + 1), angles)) @ values * (2.0 / (degree + 1))
     coef[0] /= 2
-    return np.polynomial.Chebyshev(coef, domain=(a, 0.0))
+    return np.polynomial.Chebyshev(coef, domain=(a, b))
 
 
 @dataclass(frozen=True)
@@ -398,7 +385,7 @@ class RadialPowerStack:
         self._one_minus_xi2 = om * (2.0 - om)                  # 1 - xi^2, exact
         for k in range(1, levels + 1):
             self._series[k] = _chebyshev_series(
-                lambda thetas: self._log_level(k, thetas), settings.ncheb, theta_min)
+                lambda thetas: self._log_level(k, thetas), settings.ncheb, theta_min, 0.0)
 
     def _log_level(self, k, thetas):
         """log I_k at each theta, by direct quadrature in row blocks."""

@@ -9,7 +9,8 @@ each other:
 * `volume_orthoscheme` integrates the orthogonal-coordinate volume form
   over the fundamental orthoscheme (whose limits are the alpha-chain
   built from the edge ladder) and multiplies by the (n+1)! congruent
-  copies tiling the simplex;
+  copies tiling the simplex; the chain is the level stack of
+  `quadrature.integrate_nested`, one Chebyshev series per level;
 * `volume_halfspace` integrates the half-space volume element z^(-n)
   vertically between the unit hemisphere below and the facet spheres
   above, reducing to two integrals over the projected bottom facet.
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapabilityError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 from .geometry import (
     HalfspaceEmbedding,
     OrthoschemeLadder,
@@ -60,11 +61,7 @@ __all__ = [
     "volume_halfspace",
     "volume_halfspace_general",
     "richardson_limit",
-    "ORTHOSCHEME_DIM_CAP",
 ]
-
-# nested tensor cost grows as order^n; beyond this the engine refuses
-ORTHOSCHEME_DIM_CAP = 12
 
 _CLIP = 1.0 - 1e-16
 
@@ -156,14 +153,14 @@ def volume_orthoscheme(params: SimplexParams, cfg: QuadratureConfig | None = Non
     closed form atanh(tanh(d_2) q).  This keeps the integrand analytic
     on the whole cube uniformly in t: in the native variable the mass
     concentrates in a boundary layer below d_1 as t -> pi/2 (at the
-    ideal point the Jacobian is exactly 1/q).
+    ideal point the Jacobian is exactly 1/q).  What is left, a layer at
+    q ~ 1/sinh d_1, falls to the outer panels graded toward 0.
+
+    The (n+1)! copies are folded into the outer factor, so the tolerance
+    applies to the returned volume.
     """
     cfg = cfg or QuadratureConfig()
     n = params.n
-    if n > ORTHOSCHEME_DIM_CAP:
-        raise CapabilityError(
-            f"orthoscheme chain depth {n} exceeds the cap {ORTHOSCHEME_DIM_CAP}"
-        )
     if params.t <= 0.0:
         return VolumeEstimate(0.0, 0.0, 0, "orthoscheme")
     lad = ladder(params)
@@ -177,24 +174,18 @@ def volume_orthoscheme(params: SimplexParams, cfg: QuadratureConfig | None = Non
 
     beta = 0.0 if math.isinf(lad.sinh_d[0]) else 1.0 / lad.sinh_d[0]
     ratio = chain.outer_ratio                           # tanh d_2
+    copies = float(math.factorial(n + 1))
     limits = [1.0, lambda q: np.arctanh(np.minimum(ratio * q, _CLIP))]
-    factors = [lambda q: 1.0 / np.hypot(beta, q), weight_k(1)]
+    factors = [lambda q: copies / np.hypot(beta, q), weight_k(1)]
     for k in range(2, n):
         limits.append(limit_k(k))
         factors.append(weight_k(k))
-    def scaled(est: VolumeEstimate) -> VolumeEstimate:
-        if est.value <= 0.0:
-            return VolumeEstimate(0.0, est.error_estimate, est.n_evals, "orthoscheme")
-        value = math.exp(math.lgamma(n + 2) + math.log(est.value))
-        err = value * (est.error_estimate / est.value) if math.isfinite(
-            est.error_estimate) else math.inf
-        return VolumeEstimate(value, err, est.n_evals, "orthoscheme")
-
     try:
         est = integrate_nested(limits, factors, cfg)
     except ConvergenceError as exc:
-        raise ConvergenceError(str(exc), estimate=scaled(exc.estimate)) from exc
-    return scaled(est)
+        raise ConvergenceError(
+            str(exc), estimate=replace(exc.estimate, method="orthoscheme")) from exc
+    return replace(est, method="orthoscheme")
 
 
 def volume_projective(params: SimplexParams, cfg: QuadratureConfig | None = None) -> VolumeEstimate:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from hypervol import cli
 from hypervol.cli import main
 
 
@@ -61,21 +62,21 @@ class TestVolume:
             main(["volume", "--n", "3", "--t", "0.8", "--seed", "5"])
         assert info.value.code == 1
 
-    def test_all_skips_orthoscheme_beyond_cap(self, capsys):
+    def test_all_runs_three_forms_beyond_twelve(self, capsys):
         code, out, err = run(capsys, "volume", "--n", "13", "--t", "0.5", "--method", "all")
         assert code == 0 and err == ""
         lines = out.splitlines()
         assert [line.split()[0] for line in lines[:3]] == [
             "method=projective", "method=orthoscheme", "method=halfspace"]
-        assert lines[1] == "method=orthoscheme skipped (dimension cap)"
+        assert out.count("value=") == 3
         assert lines[3].startswith("max_rel_diff=")
         assert float(lines[3].split("=")[1]) <= 1e-6
 
-    def test_orthoscheme_beyond_cap_rejected(self, capsys):
+    def test_orthoscheme_beyond_twelve(self, capsys):
         code, out, err = run(capsys, "volume", "--n", "13", "--t", "0.5",
                              "--method", "orthoscheme")
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and "exceeds the cap 12" in err
+        assert code == 0 and err == ""
+        assert out.startswith("method=orthoscheme value=")
 
     def test_bad_tol(self, capsys):
         code, _, err = run(capsys, "volume", "--n", "3", "--t", "0.8",
@@ -159,6 +160,16 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--n-list", "3", "--t-list", "1.8")
         assert code == 1
 
+    def test_out_checked_before_computing(self, capsys, tmp_path, monkeypatch):
+        def row(*_):
+            raise AssertionError("the sweep computed before opening --out")
+        monkeypatch.setattr(cli, "_sweep_row", row)
+        target = tmp_path / "missing" / "sweep.csv"
+        code, out, err = run(capsys, "sweep", "--n-list", "3", "--t-list", "0.5",
+                             "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot write") and str(target) in err
+
     @pytest.mark.parametrize("n_list, t_list", [("3,x", "0.5"), ("3", "0.5,abc")])
     def test_rejects_unparsable_list(self, capsys, n_list, t_list):
         code, out, err = run(capsys, "sweep", "--n-list", n_list, "--t-list", t_list)
@@ -188,10 +199,24 @@ class TestCheck:
         assert "FAIL" not in out
 
     def test_beyond_orthoscheme_cap(self, capsys):
-        # cross_model compares the two forms that run at n = 13
+        # n = 13 was past the old orthoscheme cap; cross_model now compares
+        # all three forms there
         code, out, err = run(capsys, "check", "--n", "13", "--t", "0.5")
         assert code == 0 and err == ""
         assert "PASS cross_model" in out and "FAIL" not in out
+
+    def test_near_ideal_triangle(self, capsys):
+        # pi/2 - t ~ 1e-6: the n = 2 orthoscheme used to miss the thin outer
+        # layer and fail cross_model at a residual of 1.1e-6
+        code, out, _ = run(capsys, "check", "--n", "2", "--t", "1.5707953")
+        assert code == 0 and "FAIL" not in out
+
+    def test_cross_model_residual_at_n12(self, capsys):
+        # the order^n tensor rule left the n = 12 orthoscheme 7.6% off
+        code, out, _ = run(capsys, "check", "--n", "12", "--t", "1.2")
+        assert code == 0
+        line = next(line for line in out.splitlines() if "cross_model" in line)
+        assert float(line.split("residual=")[1]) < 1e-9
 
     def test_audit_limits(self, capsys):
         code, out, _ = run(capsys, "check", "--n", "3", "--t", "0.8", "--audit-limits")

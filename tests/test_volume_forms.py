@@ -5,7 +5,6 @@ import pytest
 
 from hypervol import quadrature
 from hypervol import (
-    CapabilityError,
     ConvergenceError,
     DegenerateGeometryError,
     DomainError,
@@ -139,9 +138,21 @@ class TestOrthoscheme:
         ref = volume_projective(SimplexParams(3, 1.5707960))
         assert est.value == pytest.approx(ref.value, rel=1e-9)
 
-    def test_dimension_cap(self):
-        with pytest.raises(CapabilityError):
-            volume_orthoscheme(SimplexParams(13, 0.5))
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-6, 1e-7])
+    def test_near_ideal_triangle_gauss_bonnet(self, eps):
+        # the outer factor's layer at q ~ 1/sinh d_1 thins with eps; the
+        # circumradius atanh(cos eps) is taken as -log(tan(eps/2)), since
+        # atanh(sin t) loses digits there
+        est = volume_orthoscheme(SimplexParams(2, math.pi / 2 - eps))
+        gap = abs(est.value - gauss_bonnet_triangle_area(-math.log(math.tan(eps / 2))))
+        assert gap <= min(est.error_estimate, 1e-9)
+
+    def test_beyond_twelve_matches_projective(self):
+        # the level stack costs n series, not order^n points, so n = 13 runs
+        p = SimplexParams(13, 0.5)
+        est = volume_orthoscheme(p)
+        ref = volume_projective(p)
+        assert est.value == pytest.approx(ref.value, rel=1e-10)
 
 
 class TestProjective:
