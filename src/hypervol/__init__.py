@@ -18,11 +18,9 @@ from .geometry import (
     OrthoschemeLadder,
     SimplexParams,
     circumradius,
-    cross_ratio_distance,
     edge_length,
     halfspace_embedding,
     ladder,
-    simplex_vertices,
     unit_simplex_vertices,
 )
 from .quadrature import (
@@ -61,7 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SimplexParams", "OrthoschemeLadder", "HalfspaceEmbedding",
-    "cross_ratio_distance", "simplex_vertices", "unit_simplex_vertices",
+    "unit_simplex_vertices",
     "circumradius", "edge_length", "ladder", "halfspace_embedding",
     "QuadratureConfig", "VolumeEstimate", "integrate_adaptive",
     "integrate_nested", "integrate_simplex_radialpow",

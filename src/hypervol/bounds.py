@@ -12,6 +12,11 @@ The growth ratio of a regular hyperbolic n-simplex (n-volume over
   Q = n^2 (1-s)^2 (1+s) / ((n+s)^2 (1+s) - (n^2-1) s^2 (1-s)^2),
   which equals 1/(n-1) exactly at the ideal endpoint.
 
+The measured ratio comes from `growth_ratio_grid`, which evaluates a
+whole (n, t) grid on one shared lo/hi radial stack pair per (dim, p)
+of its projective volumes and facets; `growth_ratio_parts` and
+`growth_ratio` are its one-cell case.
+
 `hm_bounds` gives the classical ideal-case reference bracket
 ((n-2)/(n-1)^2, 1/(n-1)), and `euclidean_limit_ratio` the flat-space
 limit (n+1)/n^2 of ratio/atanh(sin t) as t -> 0.
@@ -32,8 +37,13 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import SimplexParams
-from .quadrature import QuadratureConfig, VolumeEstimate
-from .volume_forms import facet_volume_projective, volume_projective
+from .quadrature import QuadratureConfig, VolumeEstimate, shared_radial_stacks
+from .volume_forms import (
+    _facet_job,
+    _projective_job,
+    facet_volume_projective,
+    volume_projective,
+)
 
 __all__ = [
     "GrowthBounds",
@@ -42,6 +52,7 @@ __all__ = [
     "hm_bounds",
     "growth_bounds",
     "growth_ratio",
+    "growth_ratio_grid",
     "growth_ratio_parts",
     "euclidean_limit_ratio",
     "limit_audit",
@@ -123,29 +134,50 @@ def growth_bounds(params: SimplexParams) -> GrowthBounds:
     )
 
 
-def growth_ratio_parts(params: SimplexParams, cfg: QuadratureConfig | None = None):
-    """(ratio, volume, facet volume) of tau[n, t], n >= 3, t in (0, pi/2].
+def growth_ratio_grid(cells, cfg: QuadratureConfig | None = None) -> list[tuple]:
+    """(ratio, volume, facet volume) of each tau[n, t] in ``cells``, a
+    sequence of SimplexParams with n >= 3 and t in (0, pi/2].
 
-    Both volumes come from the projective form; the ratio's error is
-    first-order propagated from the two quadrature errors and its method
-    tag records the forms used.
+    Both volumes come from the projective form.  Every cell draws on one
+    lo/hi radial stack pair per (dim, p), built on the widest theta range
+    that any volume or facet of the grid needs (`shared_radial_stacks`);
+    the facet of n is the volume one dimension down, so n in {3, 4, 5}
+    shares four pairs.  Each cell pays its own top integrals and keeps
+    its own error bar and stall gate.  A pair built on a wider range has
+    more nodes, so a cell's values can differ from its grid of one within
+    the error bars (about 1e-14 relative on the criterion-04 grid).  The
+    ratio's error is first-order propagated from the two quadrature
+    errors and its method tag records the forms used.
     """
     cfg = cfg or QuadratureConfig()
-    if params.n < 3:
-        raise DomainError("growth ratio requires n >= 3")
-    if params.t <= 0.0:
-        raise DomainError("growth ratio is undefined at t = 0")
-    vol = volume_projective(params, cfg)
-    facet = facet_volume_projective(params, cfg)
-    ratio = vol.value / facet.value
-    err = ratio * (
-        vol.error_estimate / vol.value + facet.error_estimate / facet.value
-    )
-    est = VolumeEstimate(
-        ratio, err, vol.n_evals + facet.n_evals,
-        f"{vol.method}/{facet.method}",
-    )
-    return est, vol, facet
+    for params in cells:
+        if params.n < 3:
+            raise DomainError("growth ratio requires n >= 3")
+        if params.t <= 0.0:
+            raise DomainError("growth ratio is undefined at t = 0")
+    pool = shared_radial_stacks(
+        ((dim, p, w) for params in cells
+         for dim, p, _, w in (_projective_job(params), _facet_job(params))), cfg)
+    out = []
+    for params in cells:
+        vol = volume_projective(params, cfg, pool=pool)
+        facet = facet_volume_projective(params, cfg, pool=pool)
+        ratio = vol.value / facet.value
+        err = ratio * (
+            vol.error_estimate / vol.value + facet.error_estimate / facet.value
+        )
+        est = VolumeEstimate(
+            ratio, err, vol.n_evals + facet.n_evals,
+            f"{vol.method}/{facet.method}",
+        )
+        out.append((est, vol, facet))
+    return out
+
+
+def growth_ratio_parts(params: SimplexParams, cfg: QuadratureConfig | None = None):
+    """(ratio, volume, facet volume) of tau[n, t]: the one-cell
+    `growth_ratio_grid`."""
+    return growth_ratio_grid([params], cfg)[0]
 
 
 def growth_ratio(params: SimplexParams, cfg: QuadratureConfig | None = None) -> VolumeEstimate:

@@ -29,7 +29,7 @@ from .bounds import (
     default_audit_sequence,
     growth_bounds,
     growth_ratio,
-    growth_ratio_parts,
+    growth_ratio_grid,
     limit_audit,
 )
 from .errors import ConvergenceError, DegenerateGeometryError, DomainError, HypervolError
@@ -143,10 +143,8 @@ def cmd_ratio(args) -> int:
     return code
 
 
-def _sweep_row(n: int, t: float, cfg: QuadratureConfig) -> dict:
-    params = SimplexParams(n, t)
-    est, vol, facet = growth_ratio_parts(params, cfg)
-    b = growth_bounds(params)
+def _sweep_row(n: int, t: float, est, vol, facet) -> dict:
+    b = growth_bounds(SimplexParams(n, t))
     ok = (b.lower - est.error_estimate <= est.value <= b.upper + est.error_estimate)
     return {
         "n": n, "t": t, "ratio": est.value, "ratio_err": est.error_estimate,
@@ -188,7 +186,8 @@ def cmd_sweep(args) -> int:
     ns, ts = _parse_sweep_spec(args)
     cfg = _config(args)
     cells = [(n, t) for n in ns for t in ts]
-    rows = [_sweep_row(n, t, cfg) for n, t in cells]
+    grid = growth_ratio_grid([SimplexParams(n, t) for n, t in cells], cfg)
+    rows = [_sweep_row(n, t, *parts) for (n, t), parts in zip(cells, grid)]
     if args.format == "json":
         text = json.dumps(
             [{k: (_fmt(v) if isinstance(v, float) else v) for k, v in row.items()}
@@ -267,7 +266,7 @@ def _check_lines(params: SimplexParams, cfg: QuadratureConfig):
     else:
         vals = [e.value for e in ests]
         spread = (max(vals) - min(vals)) / max(max(vals), 1e-300)
-        budget = max(1e-6, sum(e.error_estimate for e in ests) / max(max(vals), 1e-300))
+        budget = cfg.rel_tol + sum(e.error_estimate for e in ests) / max(max(vals), 1e-300)
         yield "cross_model", spread <= budget, spread
 
 

@@ -9,8 +9,8 @@ infinity).
 Three coordinate pictures are provided:
 
 * projective (Cayley-Klein) unit-ball coordinates, where the simplex is
-  the Euclidean regular simplex of circumradius ``sin t`` and geodesics
-  are straight chords (`simplex_vertices`, `cross_ratio_distance`);
+  ``sin t`` times the regular simplex inscribed in the unit sphere
+  (`unit_simplex_vertices`) and geodesics are straight chords;
 * the chain of circumradii ``r_k`` and orthoscheme edges ``d_k`` of the
   barycentric subdivision (`circumradius`, `edge_length`, `ladder`);
 * upper half-space coordinates normalized so the projection of the
@@ -40,8 +40,6 @@ __all__ = [
     "SimplexParams",
     "OrthoschemeLadder",
     "HalfspaceEmbedding",
-    "cross_ratio_distance",
-    "simplex_vertices",
     "unit_simplex_vertices",
     "circumradius",
     "edge_length",
@@ -173,36 +171,6 @@ class OrthoschemeLadder:
         return res
 
 
-def cross_ratio_distance(a, b) -> float:
-    """Hyperbolic distance between two points of the open unit ball in the
-    projective model (the logarithm of the classical cross-ratio with the
-    chord endpoints, halved).
-
-    Evaluated through the equivalent sinh form
-
-        sinh d = sqrt(|a-b|^2 - (|a|^2 |b|^2 - <a,b>^2)) / sqrt((1-|a|^2)(1-|b|^2))
-
-    which is exact at coincident points and stable for small separations.
-
-    Raises DomainError if either point is on or outside the unit sphere.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DomainError("points must be 1-d arrays of equal length")
-    qa = 1.0 - float(a @ a)
-    qb = 1.0 - float(b @ b)
-    if qa <= 0.0 or qb <= 0.0:
-        raise DomainError("points must lie strictly inside the unit ball")
-    diff = a - b
-    dot = float(a @ b)
-    gram = float(a @ a) * float(b @ b) - dot * dot  # >= 0 by Cauchy-Schwarz
-    num = float(diff @ diff) - gram
-    if num < 0.0:  # round-off below the coincident-point floor
-        num = 0.0
-    return math.asinh(math.sqrt(num) / math.sqrt(qa * qb))
-
-
 def unit_simplex_vertices(k: int) -> np.ndarray:
     """Vertices of the regular k-simplex inscribed in the unit sphere of R^k.
 
@@ -226,15 +194,6 @@ def unit_simplex_vertices(k: int) -> np.ndarray:
         Vm[m, m - 1] = 1.0
         V = Vm
     return V
-
-
-def simplex_vertices(params: SimplexParams) -> np.ndarray:
-    """Projective-model coordinates of the n+1 vertices, as an (n+1, n) array.
-
-    All vertices have Euclidean norm sin t, pairwise Gram entries
-    -sin^2 t / n, and the last vertex lies on the positive last axis.
-    """
-    return params.sin_t * unit_simplex_vertices(params.n)
 
 
 def ladder(params: SimplexParams) -> OrthoschemeLadder:

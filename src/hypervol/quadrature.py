@@ -17,11 +17,20 @@ Three engines live here:
   toward the vertex end, so the vertex-touching case scale = 1 (ideal
   simplices) integrates its corner singularities properly.
 
+The radial engine holds its levels in a lo/hi pair of stacks whose
+gap is the error bar.  A pair depends on scale only through the range
+of log(1 - sigma^2) it covers, so `shared_radial_stacks` builds one
+pair per (dimension, power) on the widest range a set of integrals
+needs, and each integral then pays only its own top level.  A stack's
+evaluation count is fixed when it is built; a call counts the build
+plus its own top-level work.
+
 The nested and radial engines share one interpolation scheme,
 `_chebyshev_series`.  The only setting is the relative tolerance in
 `QuadratureConfig`; the absolute floor, the panel cap, the Gauss order
 and the nested degree ladder are module constants.
-All engines are pure functions of their inputs and reentrant.
+All engines are pure functions of their inputs and reentrant; a
+shared stack is only read after it is built.
 """
 
 from __future__ import annotations
@@ -378,40 +387,40 @@ class RadialPowerStack:
         self.p = p
         self.theta_min = theta_min
         self.settings = settings
-        self.n_evals = 0
         self._series: list[np.polynomial.Chebyshev | None] = [None] * (levels + 1)
         xi, om, w = _panels_toward_one(settings.depth, settings.order)
-        self._xi, self._w = xi, w
-        self._one_minus_xi2 = om * (2.0 - om)                  # 1 - xi^2, exact
+        self._nodes = (xi, w, om * (2.0 - om))                 # 1 - xi^2, exact
         for k in range(1, levels + 1):
             self._series[k] = _chebyshev_series(
                 lambda thetas: self._log_level(k, thetas), settings.ncheb, theta_min, 0.0)
+        # integrand evaluations of the build; fixed here, so a shared stack
+        # carries no count from one caller's top integrals into the next
+        self.n_evals = levels * (settings.ncheb + 1) * xi.size
 
     def _log_level(self, k, thetas):
         """log I_k at each theta, by direct quadrature in row blocks."""
         out = np.empty(thetas.size)
-        rows = max(1, _BLOCK_ENTRIES // self._xi.size)
+        rows = max(1, _BLOCK_ENTRIES // self._nodes[0].size)
         for i in range(0, thetas.size, rows):
             block = thetas[i:i + rows]
             out[i:i + rows] = np.log(
-                self._level_integral(k, np.exp(block), -np.expm1(block)))
+                self._level_integral(k, np.exp(block), -np.expm1(block), self._nodes))
         return out
 
-    def _level_integral(self, k, w, sigma2, eta_sub=False):
+    def _vertex_nodes(self):
+        """(xi, weights, 1 - xi^2) for xi = 1 - eta^2, which regularizes the
+        vertex endpoint when sigma = 1; eta is the 1 - x of panels toward
+        one, so it is refined toward 0."""
+        _, eta, weta = _panels_toward_one(self.settings.depth // 2 + 8, self.settings.order)
+        om = eta * eta
+        return 1.0 - om, 2.0 * eta * weta, om * (2.0 - om)
+
+    def _level_integral(self, k, w, sigma2, nodes):
         """Direct quadrature of level k at each row of the arrays
-        (w, sigma2) = (1 - sigma^2, sigma^2), given the level k-1 series."""
-        if eta_sub:
-            # xi = 1 - eta^2 regularizes the vertex endpoint when sigma = 1;
-            # eta is the 1 - x of panels toward one, so it is refined toward 0
-            _, eta, weta = _panels_toward_one(self.settings.depth // 2 + 8, self.settings.order)
-            om = eta * eta
-            xi = 1.0 - om
-            wq = 2.0 * eta * weta
-            one_m_xi2 = om * (2.0 - om)
-        else:
-            xi, wq, one_m_xi2 = self._xi, self._w, self._one_minus_xi2
+        (w, sigma2) = (1 - sigma^2, sigma^2) on the xi ``nodes``, given the
+        level k-1 series."""
+        xi, wq, one_m_xi2 = nodes
         num = w[:, None] + sigma2[:, None] * one_m_xi2          # 1 - sigma^2 xi^2
-        self.n_evals += num.size
         if k == 1:
             return 2.0 * (num ** (-self.p) @ wq)
         h2 = 1.0 / (k * k)
@@ -430,11 +439,12 @@ class RadialPowerStack:
         w = np.maximum(np.asarray(one_minus_sigma_sq, dtype=float), 1e-300)
         return np.exp(self._series[k](np.clip(np.log(w), self.theta_min, 0.0)))
 
-    def top_integral(self, k: int, w_top: float, sigma2_top: float) -> float:
-        """I_k evaluated directly at the target sigma (not interpolated)."""
-        row = self._level_integral(k, np.array([w_top]), np.array([sigma2_top]),
-                                   eta_sub=(w_top == 0.0))
-        return float(row[0])
+    def top_integral(self, k: int, w_top: float, sigma2_top: float) -> tuple[float, int]:
+        """I_k evaluated directly at the target sigma (not interpolated),
+        with the number of integrand evaluations it took."""
+        nodes = self._vertex_nodes() if w_top == 0.0 else self._nodes
+        row = self._level_integral(k, np.array([w_top]), np.array([sigma2_top]), nodes)
+        return float(row[0]), nodes[0].size
 
 
 def _radial_theta_min(w_top: float, depth: int) -> float:
@@ -446,7 +456,8 @@ def _radial_theta_min(w_top: float, depth: int) -> float:
 
 
 def build_radial_stacks(dim: int, p: float, w_top: float, cfg: QuadratureConfig):
-    """Low/high fidelity RadialPowerStack pair with levels 1..dim-1."""
+    """Low/high fidelity RadialPowerStack pair with levels 1..dim-1, which
+    serves every top integral at 1 - sigma^2 >= w_top."""
     lo_set, hi_set = _radial_settings(cfg, _radial_theta_min(w_top, 72))
     theta_lo = _radial_theta_min(w_top, lo_set.depth)
     theta_hi = _radial_theta_min(w_top, hi_set.depth)
@@ -456,15 +467,28 @@ def build_radial_stacks(dim: int, p: float, w_top: float, cfg: QuadratureConfig)
     )
 
 
-def _radial_estimate(dim: int, p: float, w_top: float, cfg: QuadratureConfig,
-                     value_of: Callable, method: str) -> VolumeEstimate:
+def shared_radial_stacks(jobs, cfg: QuadratureConfig) -> dict:
+    """One `build_radial_stacks` pair per (dim, p) among ``jobs``, an
+    iterable of (dim, p, w_top) triples, built on the smallest w_top
+    that (dim, p) needs.  A stack depends on w_top only through its
+    theta range, so the widest range serves every job of its (dim, p)."""
+    floors: dict = {}
+    for dim, p, w_top in jobs:
+        floors[dim, p] = min(w_top, floors.get((dim, p), math.inf))
+    return {(dim, p): build_radial_stacks(dim, p, w_top, cfg)
+            for (dim, p), w_top in floors.items()}
+
+
+def _radial_estimate(stacks, cfg: QuadratureConfig, value_of: Callable,
+                     method: str) -> VolumeEstimate:
     """``value_of(stack)`` on the high-fidelity stack of a `build_radial_stacks`
     pair; its error is the gap to the low-fidelity value plus _ABS_TOL.
-    ``value_of`` returns (value, evaluations beyond the stack's own).  A gap
-    above max(1e-3 |value|, 1e4 * tolerance) raises ConvergenceError."""
+    ``value_of`` returns (value, evaluations beyond the stack's build), so
+    the count is the pair's build plus this call's own work.  A gap above
+    max(1e-3 |value|, 1e4 * tolerance) raises ConvergenceError."""
     values = []
     evals = 0
-    for stack in build_radial_stacks(dim, p, w_top, cfg):
+    for stack in stacks:
         value, extra = value_of(stack)
         values.append(value)
         evals += stack.n_evals + extra
@@ -480,7 +504,8 @@ def _radial_estimate(dim: int, p: float, w_top: float, cfg: QuadratureConfig,
 
 def integrate_simplex_radialpow(n: int, scale: float, p: float,
                                 cfg: QuadratureConfig | None = None, *,
-                                one_minus_scale_sq: float | None = None) -> VolumeEstimate:
+                                one_minus_scale_sq: float | None = None,
+                                pool: dict | None = None) -> VolumeEstimate:
     """Integral of (1 - |x|^2)^(-p) over scale * S(n), where S(n) is the
     regular n-simplex inscribed in the unit sphere.
 
@@ -492,6 +517,9 @@ def integrate_simplex_radialpow(n: int, scale: float, p: float,
     ``one_minus_scale_sq`` may be supplied when the caller knows
     1 - scale^2 in a cancellation-free form (it dominates the integrand
     near the vertices).
+
+    ``pool`` is a `shared_radial_stacks` result whose jobs include this
+    one; without it the pair is built for this call alone.
     """
     cfg = cfg or QuadratureConfig()
     if n < 1:
@@ -509,7 +537,10 @@ def integrate_simplex_radialpow(n: int, scale: float, p: float,
         else (1.0 - scale) * (1.0 + scale)
     if w_top < 0.0:
         raise DomainError("one_minus_scale_sq must be nonnegative")
-    return _radial_estimate(
-        n, p, w_top, cfg,
-        lambda stack: (sigma2 ** (n / 2) * stack.top_integral(n, w_top, sigma2), 0),
-        "simplex-radial")
+    def value_of(stack):
+        value, evals = stack.top_integral(n, w_top, sigma2)
+        return sigma2 ** (n / 2) * value, evals
+
+    if pool is None:
+        pool = shared_radial_stacks([(n, p, w_top)], cfg)
+    return _radial_estimate(pool[n, p], cfg, value_of, "simplex-radial")

@@ -45,6 +45,7 @@ from .quadrature import (
     VolumeEstimate,
     _panels_toward_one,
     _radial_estimate,
+    build_radial_stacks,
     integrate_nested,
     integrate_simplex_radialpow,
 )
@@ -188,42 +189,55 @@ def volume_orthoscheme(params: SimplexParams, cfg: QuadratureConfig | None = Non
     return replace(est, method="orthoscheme")
 
 
-def volume_projective(params: SimplexParams, cfg: QuadratureConfig | None = None) -> VolumeEstimate:
+def _projective_job(params: SimplexParams):
+    """(dim, p, scale, 1 - scale^2) of the projective volume integral; t > 0."""
+    w = params.one_minus_sin_t * params.one_plus_sin_t   # cos^2 t, exact at ideal
+    return params.n, (params.n + 1) / 2, params.sin_t, w
+
+
+def _facet_job(params: SimplexParams):
+    """(dim, p, scale, 1 - scale^2) of the projective facet integral; n >= 3, t > 0."""
+    n, s = params.n, params.sin_t
+    scale = s * math.sqrt(n * n - 1.0) / math.sqrt(n * n - s * s)   # tanh r_{n-1}
+    w = n * n * params.one_minus_sin_t * params.one_plus_sin_t / (n * n - s * s)
+    return n - 1, n / 2.0, scale, w
+
+
+def volume_projective(params: SimplexParams, cfg: QuadratureConfig | None = None, *,
+                      pool: dict | None = None) -> VolumeEstimate:
     """Volume via the projective model: the radial-power integral
 
         sin^n t * integral over S(n) of (1 - sin^2 t r^2)^(-(n+1)/2).
 
     The ideal case (sin t = 1) is the vertex-touching scale-1 integral,
-    handled by the corner machinery of the radial engine.
+    handled by the corner machinery of the radial engine.  ``pool`` is
+    passed on to `integrate_simplex_radialpow`.
     """
     cfg = cfg or QuadratureConfig()
     if params.t <= 0.0:
         return VolumeEstimate(0.0, 0.0, 0, "projective")
-    w = params.one_minus_sin_t * params.one_plus_sin_t   # cos^2 t, exact at ideal
-    est = integrate_simplex_radialpow(
-        params.n, params.sin_t, (params.n + 1) / 2, cfg, one_minus_scale_sq=w
-    )
+    dim, p, scale, w = _projective_job(params)
+    est = integrate_simplex_radialpow(dim, scale, p, cfg, one_minus_scale_sq=w, pool=pool)
     return replace(est, method="projective")
 
 
-def facet_volume_projective(params: SimplexParams, cfg: QuadratureConfig | None = None) -> VolumeEstimate:
+def facet_volume_projective(params: SimplexParams, cfg: QuadratureConfig | None = None, *,
+                            pool: dict | None = None) -> VolumeEstimate:
     """(n-1)-volume of a facet, via the projective model one dimension down.
 
     The facet is the regular (n-1)-simplex of circumradius r_{n-1}; its
     projective picture has Euclidean circumradius tanh r_{n-1} and volume
     element exponent n/2.  Equivalently this is volume_projective of the
     (n-1)-simplex whose parameter t' satisfies sin t' = tanh r_{n-1}.
+    ``pool`` is passed on to `integrate_simplex_radialpow`.
     """
     cfg = cfg or QuadratureConfig()
-    n = params.n
-    if n < 3:
+    if params.n < 3:
         raise DomainError("facet volume needs n >= 3 (the facet must carry area)")
     if params.t <= 0.0:
         return VolumeEstimate(0.0, 0.0, 0, "facet-projective")
-    s = params.sin_t
-    scale = s * math.sqrt(n * n - 1.0) / math.sqrt(n * n - s * s)   # tanh r_{n-1}
-    w = n * n * params.one_minus_sin_t * params.one_plus_sin_t / (n * n - s * s)
-    est = integrate_simplex_radialpow(n - 1, scale, n / 2.0, cfg, one_minus_scale_sq=w)
+    dim, p, scale, w = _facet_job(params)
+    est = integrate_simplex_radialpow(dim, scale, p, cfg, one_minus_scale_sq=w, pool=pool)
     return replace(est, method="facet-projective")
 
 
@@ -286,7 +300,8 @@ def _halfspace_value(n: int, sigma: float, w_perp: float, slope: float,
     depth = int(min(64, max(18, math.log2(max(slope, 2.0)) + 14)))
 
     def value_of(stack):
-        t1 = sigma**dim * stack.top_integral(dim, w_perp, sigma * sigma)
+        top, evals = stack.top_integral(dim, w_perp, sigma * sigma)
+        t1 = sigma**dim * top
         a, one_m_a, wq = _panels_toward_one(depth, stack.settings.order)
         # C(a) = upper^2 at the slice's outermost radius, built from (1 - a)
         c_of_a = (1.0 - b_c * b_c) + slope * one_m_a + b_c * b_c * one_m_a * (2.0 - one_m_a)
@@ -297,9 +312,10 @@ def _halfspace_value(n: int, sigma: float, w_perp: float, slope: float,
         )
         if not t2 < t1:
             raise DomainError("half-space integrand ordering violated (degenerate input)")
-        return (t1 - t2) / (n - 1), a.size
+        return (t1 - t2) / (n - 1), evals + a.size
 
-    return _radial_estimate(dim, p, w_perp, cfg, value_of, "halfspace")
+    stacks = build_radial_stacks(dim, p, w_perp, cfg)
+    return _radial_estimate(stacks, cfg, value_of, "halfspace")
 
 
 def volume_halfspace(params: SimplexParams, cfg: QuadratureConfig | None = None) -> VolumeEstimate:

@@ -2,8 +2,9 @@
 
 Nothing here imports from hypervol's numerical engines: every value is
 produced by a different route (closed forms, classical identities,
-series, high-precision mpmath quadrature, or uniform sampling) so
-agreement is evidence, not circularity.
+series, high-precision mpmath quadrature, projective-model distances
+between explicit vertices, or uniform sampling) so agreement is
+evidence, not circularity.
 """
 
 import math
@@ -67,6 +68,49 @@ def mp_integral(f, a, b, dps: int = 50) -> float:
     """50-digit adaptive reference for a 1-d integral."""
     with mp.workdps(dps):
         return float(mp.quad(f, [a, b]))
+
+
+def simplex_vertices(params) -> np.ndarray:
+    """Projective-model coordinates of the n+1 vertices of the
+    SimplexParams ``params``, as an (n+1, n) array.
+
+    All vertices have Euclidean norm sin t, pairwise Gram entries
+    -sin^2 t / n, and the last vertex lies on the positive last axis.
+    """
+    # imported here: perfbench loads this module without hypervol on the path
+    from hypervol.geometry import unit_simplex_vertices
+
+    return params.sin_t * unit_simplex_vertices(params.n)
+
+
+def cross_ratio_distance(a, b) -> float:
+    """Hyperbolic distance between two points of the open unit ball in the
+    projective model (the logarithm of the classical cross-ratio with the
+    chord endpoints, halved).
+
+    Evaluated through the equivalent sinh form
+
+        sinh d = sqrt(|a-b|^2 - (|a|^2 |b|^2 - <a,b>^2)) / sqrt((1-|a|^2)(1-|b|^2))
+
+    which is exact at coincident points and stable for small separations.
+
+    Raises ValueError if either point is on or outside the unit sphere.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError("points must be 1-d arrays of equal length")
+    qa = 1.0 - float(a @ a)
+    qb = 1.0 - float(b @ b)
+    if qa <= 0.0 or qb <= 0.0:
+        raise ValueError("points must lie strictly inside the unit ball")
+    diff = a - b
+    dot = float(a @ b)
+    gram = float(a @ a) * float(b @ b) - dot * dot  # >= 0 by Cauchy-Schwarz
+    num = float(diff @ diff) - gram
+    if num < 0.0:  # round-off below the coincident-point floor
+        num = 0.0
+    return math.asinh(math.sqrt(num) / math.sqrt(qa * qb))
 
 
 def face_centroids(vertices: np.ndarray) -> list[np.ndarray]:

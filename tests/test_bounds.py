@@ -16,7 +16,7 @@ from hypervol import (
     lower_bound,
     upper_bound,
 )
-from hypervol.bounds import default_audit_sequence
+from hypervol.bounds import default_audit_sequence, growth_ratio_grid, growth_ratio_parts
 
 from oracles import IDEAL_TET
 
@@ -172,6 +172,23 @@ class TestGrowthRatio:
     def test_method_tag(self):
         est = growth_ratio(SimplexParams(3, 0.5))
         assert "projective" in est.method
+
+
+class TestGrowthRatioGrid:
+    def test_mixed_grid_within_standalone_bars(self):
+        # pairs built on the ideal floor serve every t of their (dim, p)
+        cells = [SimplexParams(n, t) for n in (3, 4, 5, 8)
+                 for t in (0.01, 0.3, 1.0, 1.5, math.pi / 2 - 1e-6, math.pi / 2)]
+        for cell, shared in zip(cells, growth_ratio_grid(cells)):
+            alone = growth_ratio_parts(cell)
+            for a, b in zip(shared, alone):
+                assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, cell
+
+    def test_rejects_any_bad_cell(self):
+        with pytest.raises(DomainError):
+            growth_ratio_grid([SimplexParams(3, 0.5), SimplexParams(3, 0.0)])
+        with pytest.raises(DomainError):
+            growth_ratio_grid([SimplexParams(4, 0.5), SimplexParams(2, 0.5)])
 
 
 class TestLimitAudit:

@@ -1,9 +1,12 @@
+import csv
+import dataclasses
 import json
 import math
 
 import pytest
 
-from hypervol import cli
+from hypervol import SimplexParams, cli, growth_bounds, quadrature
+from hypervol.bounds import growth_ratio_parts
 from hypervol.cli import main
 
 
@@ -161,9 +164,9 @@ class TestSweep:
         assert code == 1
 
     def test_out_checked_before_computing(self, capsys, tmp_path, monkeypatch):
-        def row(*_):
+        def grid(*_):
             raise AssertionError("the sweep computed before opening --out")
-        monkeypatch.setattr(cli, "_sweep_row", row)
+        monkeypatch.setattr(cli, "growth_ratio_grid", grid)
         target = tmp_path / "missing" / "sweep.csv"
         code, out, err = run(capsys, "sweep", "--n-list", "3", "--t-list", "0.5",
                              "--out", str(target))
@@ -175,6 +178,48 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", "--n-list", n_list, "--t-list", t_list)
         assert code == 1 and out == ""
         assert err.startswith("error: --")
+
+    def test_one_cell_row_equals_ratio(self, capsys):
+        # a single point is a grid of one: same stacks, same digits
+        _, table, _ = run(capsys, "sweep", "--n-list", "4", "--t-list", "0.8")
+        _, line, _ = run(capsys, "ratio", "--n", "4", "--t", "0.8")
+        row = next(csv.DictReader(table.splitlines()))
+        fields = dict(item.split("=") for item in line.split())
+        for key in ("ratio", "ratio_err", "lower", "upper", "hm_lower", "hm_upper"):
+            assert row[key] == fields[key], key
+        assert row["sandwich_flag"] == fields["SANDWICH"]
+
+
+# the criterion-04 grid: n = 3, 4, 5 at t = 0.05, 0.10, ..., 1.55
+GRID_TS = ",".join(repr(round(0.05 * k, 10)) for k in range(1, 32))
+
+
+class TestSweepGrid:
+    def test_builds_one_stack_pair_per_dim_and_power(self, capsys, monkeypatch):
+        built = []
+        init = quadrature.RadialPowerStack.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature.RadialPowerStack, "__init__", counted)
+        code, out, _ = run(capsys, "sweep", "--n-list", "3,4,5", "--t-list", GRID_TS)
+        assert code == 0 and len(out.splitlines()) == 94
+        # volumes of n and facets of n + 1 share (dim, p): 4 pairs for 93 cells
+        assert len(built) <= 8
+
+    def test_rows_match_standalone_volumes(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--n-list", "3,4,5", "--t-list", GRID_TS)
+        assert code == 0
+        for row in csv.DictReader(out.splitlines()):
+            params = SimplexParams(int(row["n"]), float(row["t"]))
+            est, vol, facet = growth_ratio_parts(params)
+            for key, ref in (("V_n", vol), ("V_facet", facet), ("ratio", est)):
+                assert float(row[key]) == pytest.approx(ref.value, rel=1e-12), (key, row)
+            b = growth_bounds(params)
+            ok = b.lower - est.error_estimate <= est.value <= b.upper + est.error_estimate
+            assert row["sandwich_flag"] == ("ok" if ok else "violation")
 
 
 class TestCheck:
@@ -217,6 +262,20 @@ class TestCheck:
         assert code == 0
         line = next(line for line in out.splitlines() if "cross_model" in line)
         assert float(line.split("residual=")[1]) < 1e-9
+
+    def test_cross_model_budget_follows_tolerance(self, capsys, monkeypatch):
+        # the bars here are ~1e-10 relative, so a form 1e-7 off must fail,
+        # not hide under a fixed 1e-6 floor
+        halfspace = cli.volume_halfspace
+
+        def skewed(params, cfg):
+            est = halfspace(params, cfg)
+            return dataclasses.replace(est, value=est.value * (1 + 1e-7))
+
+        monkeypatch.setattr(cli, "volume_halfspace", skewed)
+        code, out, _ = run(capsys, "check", "--n", "3", "--t", "0.8")
+        assert code == 3
+        assert "FAIL cross_model" in out
 
     def test_audit_limits(self, capsys):
         code, out, _ = run(capsys, "check", "--n", "3", "--t", "0.8", "--audit-limits")

@@ -225,9 +225,20 @@ class TestRadialPowerStack:
             for frac in (0.0, 0.1, 0.5, 0.9, 0.999, 1.0, 1.01):
                 theta = frac * stack.theta_min
                 at = max(theta, stack.theta_min)
-                ref = stack.top_integral(k, math.exp(at), -math.expm1(at))
+                ref, _ = stack.top_integral(k, math.exp(at), -math.expm1(at))
                 got = stack.level_value(k, np.array([math.exp(theta)]))[0]
                 assert got == pytest.approx(ref, rel=rel), (k, frac)
+
+
+    def test_build_count_fixed_at_construction(self):
+        # a shared stack must not carry one caller's top integrals into the next
+        stacks = build_radial_stacks(4, 2.5, 0.04, QuadratureConfig())
+        for stack in stacks:
+            built = stack.n_evals
+            _, first = stack.top_integral(4, 0.04, 0.96)
+            _, again = stack.top_integral(4, 0.04, 0.96)
+            assert first == again > 0
+            assert stack.n_evals == built > 0
 
 
 class TestMonteCarlo:

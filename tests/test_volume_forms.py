@@ -173,6 +173,30 @@ class TestProjective:
         assert est.value == pytest.approx(math.pi, abs=1e-8)
 
 
+    @pytest.mark.parametrize("form, n, t, evals", [
+        (volume_projective, 3, 0.8, 59_780),
+        (volume_projective, 5, 1.2, 119_168),
+        (facet_volume_projective, 4, 0.8, 59_780),
+        (volume_halfspace, 4, 1.0, 60_240),
+    ])
+    def test_n_evals_standalone(self, form, n, t, evals):
+        # the stack pair's build plus this call's own top-level work, the
+        # same on every call
+        p = SimplexParams(n, t)
+        assert form(p).n_evals == form(p).n_evals == evals
+
+    def test_n_evals_on_a_shared_pool(self):
+        # each cell counts the shared build plus its own top integrals
+        cells = [SimplexParams(3, t) for t in (0.4, 0.8, 1.2)]
+        w = [c.one_minus_sin_t * c.one_plus_sin_t for c in cells]
+        pool = quadrature.shared_radial_stacks([(3, 2.0, x) for x in w], QuadratureConfig())
+        build = sum(stack.n_evals for stack in pool[3, 2.0])
+        for cell, w_top in zip(cells, w):
+            own = sum(stack.top_integral(3, w_top, cell.sin_t**2)[1] for stack in pool[3, 2.0])
+            assert volume_projective(cell, pool=pool).n_evals == build + own
+            assert volume_projective(cell, pool=pool).n_evals == build + own
+
+
 class TestFacetProjective:
     def test_requires_n3(self):
         with pytest.raises(DomainError):
