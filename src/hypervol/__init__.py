@@ -17,8 +17,6 @@ from .geometry import (
     HalfspaceEmbedding,
     OrthoschemeLadder,
     SimplexParams,
-    circumradius,
-    edge_length,
     halfspace_embedding,
     ladder,
     unit_simplex_vertices,
@@ -60,7 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     "SimplexParams", "OrthoschemeLadder", "HalfspaceEmbedding",
     "unit_simplex_vertices",
-    "circumradius", "edge_length", "ladder", "halfspace_embedding",
+    "ladder", "halfspace_embedding",
     "QuadratureConfig", "VolumeEstimate", "integrate_adaptive",
     "integrate_nested", "integrate_simplex_radialpow",
     "AlphaChain", "QuasiRegularParams", "cosh_power_antiderivative",

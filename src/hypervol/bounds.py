@@ -7,15 +7,16 @@ The growth ratio of a regular hyperbolic n-simplex (n-volume over
 * `lower_bound` -- a product of ladder quantities times the orthoscheme
   edge d_1; equivalent closed form
   (n+1) 2^(1-n) sqrt(1 - s^2 m) / (sqrt(1 - m) sqrt(n^2 - s^2)) cos(t) d_1
-  with s = sin t, m = (n-1)/(2n), d_1 = atanh(s sqrt(1-m)/sqrt(1 - s^2 m));
+  with s = sin t, m = (n-1)/(2n), d_1 = atanh(s sqrt(1-m)/sqrt(1 - s^2 m))
+  = asinh(s sqrt(1-m)/cos t);
 * `upper_bound` -- (1 - Q^((n-1)/2))/(n-1) with
   Q = n^2 (1-s)^2 (1+s) / ((n+s)^2 (1+s) - (n^2-1) s^2 (1-s)^2),
   which equals 1/(n-1) exactly at the ideal endpoint.
 
 The measured ratio comes from `growth_ratio_grid`, which evaluates a
 whole (n, t) grid on one shared lo/hi radial stack pair per (dim, p)
-of its projective volumes and facets; `growth_ratio_parts` and
-`growth_ratio` are its one-cell case.
+of its projective volumes and facets; `growth_ratio` is its one-cell
+case.
 
 `hm_bounds` gives the classical ideal-case reference bracket
 ((n-2)/(n-1)^2, 1/(n-1)), and `euclidean_limit_ratio` the flat-space
@@ -53,7 +54,6 @@ __all__ = [
     "growth_bounds",
     "growth_ratio",
     "growth_ratio_grid",
-    "growth_ratio_parts",
     "euclidean_limit_ratio",
     "limit_audit",
     "LimitAudit",
@@ -63,11 +63,13 @@ __all__ = [
 def lower_bound(params: SimplexParams, *, lemma_form: bool = False) -> float:
     """Closed-form lower bound on the growth ratio; n >= 3.
 
-    The atanh argument carries the square-root denominator
+    d_1 is taken from its exact hyperbolic sine, asinh(s sqrt(1-m) / cos t),
+    which keeps its relative precision up to the ideal point.  As an atanh
+    its argument carries the square-root denominator
     sqrt(1 - sin^2 t (n-1)/(2n)), which is forced by
     tanh d_1 = sinh d_1 / cosh d_1; ``lemma_form=True`` evaluates the
-    variant without the square root (reproducing a common mis-statement)
-    and is not used anywhere else.
+    literal atanh without the square root (reproducing a common
+    mis-statement) and is not used anywhere else.
 
     At t = pi/2 the 0 * inf product is resolved by its analytic limit,
     which is 0 (see `limit_audit`).
@@ -82,9 +84,10 @@ def lower_bound(params: SimplexParams, *, lemma_form: bool = False) -> float:
     pref = (n + 1) * 0.5 ** (n - 1) * root * params.cos_t / (
         math.sqrt(1.0 - m) * math.sqrt(n * n - s * s)
     )
-    denom = (1.0 - s * s * m) if lemma_form else root
-    arg = s * math.sqrt(1.0 - m) / denom
-    return pref * math.atanh(min(arg, 1.0 - 1e-16))
+    if lemma_form:
+        arg = s * math.sqrt(1.0 - m) / (1.0 - s * s * m)
+        return pref * math.atanh(min(arg, 1.0 - 1e-16))
+    return pref * math.asinh(s * math.sqrt(1.0 - m) / params.cos_t)
 
 
 def upper_bound(params: SimplexParams) -> float:
@@ -174,16 +177,10 @@ def growth_ratio_grid(cells, cfg: QuadratureConfig | None = None) -> list[tuple]
     return out
 
 
-def growth_ratio_parts(params: SimplexParams, cfg: QuadratureConfig | None = None):
-    """(ratio, volume, facet volume) of tau[n, t]: the one-cell
-    `growth_ratio_grid`."""
-    return growth_ratio_grid([params], cfg)[0]
-
-
 def growth_ratio(params: SimplexParams, cfg: QuadratureConfig | None = None) -> VolumeEstimate:
     """Measured growth ratio V(tau[n,t]) / V(facet), n >= 3, t in (0, pi/2];
-    see `growth_ratio_parts`."""
-    return growth_ratio_parts(params, cfg)[0]
+    the ratio of the one-cell `growth_ratio_grid`."""
+    return growth_ratio_grid([params], cfg)[0][0]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ Three coordinate pictures are provided:
   ``sin t`` times the regular simplex inscribed in the unit sphere
   (`unit_simplex_vertices`) and geodesics are straight chords;
 * the chain of circumradii ``r_k`` and orthoscheme edges ``d_k`` of the
-  barycentric subdivision (`circumradius`, `edge_length`, `ladder`);
+  barycentric subdivision (`ladder`);
 * upper half-space coordinates normalized so the projection of the
   bottom-facet center onto the boundary hyperplane has height 1
   (`halfspace_embedding`).
@@ -41,8 +41,6 @@ __all__ = [
     "OrthoschemeLadder",
     "HalfspaceEmbedding",
     "unit_simplex_vertices",
-    "circumradius",
-    "edge_length",
     "ladder",
     "halfspace_embedding",
 ]
@@ -118,10 +116,6 @@ class SimplexParams:
         if self.t == 0.0:
             return 1.0
         return 2.0 * math.cos(math.pi / 4 - self.t / 2) ** 2
-
-
-def _atanh_or_inf(x: float) -> float:
-    return math.inf if x >= 1.0 else math.atanh(x)
 
 
 def _ratio_m(n: int, k: int) -> float:
@@ -204,8 +198,12 @@ def ladder(params: SimplexParams) -> OrthoschemeLadder:
         tanh r_{n-k} = s sqrt(1 - m_k) / sqrt(1 - s^2 m_k)            k = 0..n-1
         tanh d_{n-k} = s sqrt(1 - m_k) / ((n-k) sqrt(1 - s^2 m_k))    k = 0..n-1
 
-    (m_0 = 0, so r_n = atanh(s) and d_n = atanh(s/n)).  d_1 = r_1 holds
-    exactly; at t = pi/2 every r_k and d_1 are inf.
+    (m_0 = 0, so r_n = atanh(s) and d_n = atanh(s/n)).  Each length is
+    taken from its exact hyperbolic sine, r = asinh(tanh r cosh r) and
+    d = asinh(sinh d), with cosh r_{n-k} = sqrt(1 - s^2 m_k) / cos t, so it
+    keeps its relative precision up to the ideal point, where the tanh
+    values round toward 1.  cosh d_1 = cosh r_1, so d_1 = r_1 holds
+    bitwise; at t = pi/2 every r_k and d_1 are inf.
     """
     n, s = params.n, params.sin_t
     cos_t = params.cos_t
@@ -224,36 +222,19 @@ def ladder(params: SimplexParams) -> OrthoschemeLadder:
         tanh_r[j - 1] = s * math.sqrt(1.0 - m) / root
         tanh_d[j - 1] = tanh_r[j - 1] / j
         cosh_r[j - 1] = math.inf if params.is_ideal else root / cos_t
-        den = j * j * (1.0 - s * s * m) - s * s * (1.0 - m)
-        cosh_d[j - 1] = math.inf if den <= 0.0 else j * root / math.sqrt(den)
-    r = np.array([_atanh_or_inf(x) for x in tanh_r])
-    d = np.array([_atanh_or_inf(x) for x in tanh_d])
+        if j == 1:
+            # d_1 = r_1; the general form would reach cos^2 t by cancellation
+            cosh_d[0] = cosh_r[0]
+        else:
+            den = j * j * (1.0 - s * s * m) - s * s * (1.0 - m)   # >= (j^2-1)(1-m)
+            cosh_d[j - 1] = j * root / math.sqrt(den)
     sinh_d = tanh_d * cosh_d
+    r = np.arcsinh(tanh_r * cosh_r)
+    d = np.arcsinh(sinh_d)
     return OrthoschemeLadder(
         params=params, r=r, d=d, tanh_r=tanh_r, tanh_d=tanh_d,
         cosh_r=cosh_r, cosh_d=cosh_d, sinh_d=sinh_d,
     )
-
-
-def circumradius(params: SimplexParams, k: int) -> float:
-    """Hyperbolic circumradius r_k of the k-dimensional faces, k = 1..n.
-
-    Returns inf (the ideal value) when the tanh-space entry reaches 1.
-    """
-    n = params.n
-    if not 1 <= k <= n:
-        raise DomainError(f"face dimension k must lie in 1..{n}, got {k}")
-    return float(ladder(params).r[k - 1])
-
-
-def edge_length(params: SimplexParams, k: int) -> float:
-    """Orthoscheme edge d_k (distance between consecutive chain centers),
-    k = 1..n.  d_n = atanh(sin t / n); d_1 = r_1 (inf at the ideal point).
-    """
-    n = params.n
-    if not 1 <= k <= n:
-        raise DomainError(f"index k must lie in 1..{n}, got {k}")
-    return float(ladder(params).d[k - 1])
 
 
 @dataclass(frozen=True)

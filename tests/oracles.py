@@ -70,6 +70,35 @@ def mp_integral(f, a, b, dps: int = 50) -> float:
         return float(mp.quad(f, [a, b]))
 
 
+def mp_ladder(n: int, t: float, dps: int = 50) -> tuple[list, list]:
+    """50-digit orthoscheme ladder of tau[n, t] at the double t: the lists
+    (r_1..r_n, d_1..d_n), each length the atanh of its closed-form tanh
+
+        tanh r_{n-k} = s sqrt(1 - m_k) / sqrt(1 - s^2 m_k),
+        tanh d_{n-k} = tanh r_{n-k} / (n - k),   m_k = k / (n (n - k + 1)).
+    """
+    with mp.workdps(dps):
+        s = mp.sin(mp.mpf(t))
+        r, d = [0.0] * n, [0.0] * n
+        for k in range(n):
+            m = mp.mpf(k) / (n * (n - k + 1))
+            tanh_r = s * mp.sqrt(1 - m) / mp.sqrt(1 - s * s * m)
+            r[n - k - 1] = float(mp.atanh(tanh_r))
+            d[n - k - 1] = float(mp.atanh(tanh_r / (n - k)))
+        return r, d
+
+
+def mp_lower_bound(n: int, t: float, dps: int = 50) -> float:
+    """50-digit closed-form lower bound on the growth ratio of tau[n, t]."""
+    with mp.workdps(dps):
+        t = mp.mpf(t)
+        s = mp.sin(t)
+        m = mp.mpf(n - 1) / (2 * n)
+        pref = (n + 1) * mp.mpf(2) ** (1 - n) * mp.sqrt(1 - s * s * m) * mp.cos(t) / (
+            mp.sqrt(1 - m) * mp.sqrt(n * n - s * s))
+        return float(pref * mp.atanh(s * mp.sqrt(1 - m) / mp.sqrt(1 - s * s * m)))
+
+
 def simplex_vertices(params) -> np.ndarray:
     """Projective-model coordinates of the n+1 vertices of the
     SimplexParams ``params``, as an (n+1, n) array.

@@ -16,19 +16,9 @@ from hypervol import (
     lower_bound,
     upper_bound,
 )
-from hypervol.bounds import default_audit_sequence, growth_ratio_grid, growth_ratio_parts
+from hypervol.bounds import default_audit_sequence, growth_ratio_grid
 
-from oracles import IDEAL_TET
-
-
-def mp_lower_bound(n, t, dps=50):
-    with mp.workdps(dps):
-        t = mp.mpf(t)
-        s = mp.sin(t)
-        m = mp.mpf(n - 1) / (2 * n)
-        pref = (n + 1) * mp.mpf(2) ** (1 - n) * mp.sqrt(1 - s * s * m) * mp.cos(t) / (
-            mp.sqrt(1 - m) * mp.sqrt(n * n - s * s))
-        return float(pref * mp.atanh(s * mp.sqrt(1 - m) / mp.sqrt(1 - s * s * m)))
+from oracles import IDEAL_TET, mp_lower_bound
 
 
 def mp_upper_bound(n, t, dps=50):
@@ -180,7 +170,7 @@ class TestGrowthRatioGrid:
         cells = [SimplexParams(n, t) for n in (3, 4, 5, 8)
                  for t in (0.01, 0.3, 1.0, 1.5, math.pi / 2 - 1e-6, math.pi / 2)]
         for cell, shared in zip(cells, growth_ratio_grid(cells)):
-            alone = growth_ratio_parts(cell)
+            alone = growth_ratio_grid([cell])[0]
             for a, b in zip(shared, alone):
                 assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, cell
 

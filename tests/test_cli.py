@@ -6,7 +6,7 @@ import math
 import pytest
 
 from hypervol import SimplexParams, cli, growth_bounds, quadrature
-from hypervol.bounds import growth_ratio_parts
+from hypervol.bounds import growth_ratio_grid
 from hypervol.cli import main
 
 
@@ -214,7 +214,7 @@ class TestSweepGrid:
         assert code == 0
         for row in csv.DictReader(out.splitlines()):
             params = SimplexParams(int(row["n"]), float(row["t"]))
-            est, vol, facet = growth_ratio_parts(params)
+            est, vol, facet = growth_ratio_grid([params])[0]
             for key, ref in (("V_n", vol), ("V_facet", facet), ("ratio", est)):
                 assert float(row[key]) == pytest.approx(ref.value, rel=1e-12), (key, row)
             b = growth_bounds(params)

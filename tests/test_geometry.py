@@ -7,14 +7,19 @@ from hypervol import (
     DegenerateGeometryError,
     DomainError,
     SimplexParams,
-    circumradius,
-    edge_length,
     halfspace_embedding,
     ladder,
+    lower_bound,
     unit_simplex_vertices,
 )
 
-from oracles import cross_ratio_distance, face_centroids, simplex_vertices
+from oracles import (
+    cross_ratio_distance,
+    face_centroids,
+    mp_ladder,
+    mp_lower_bound,
+    simplex_vertices,
+)
 
 T35 = math.asin(0.6)   # sin t = 3/5
 
@@ -112,33 +117,25 @@ class TestVertices:
 
 class TestLadders:
     def test_zero_t(self):
-        p = SimplexParams(5, 0.0)
+        lad = ladder(SimplexParams(5, 0.0))
         for k in range(1, 6):
-            assert circumradius(p, k) == 0.0
-            assert edge_length(p, k) == 0.0
+            assert lad.r[k - 1] == 0.0
+            assert lad.d[k - 1] == 0.0
 
     def test_top_circumradius(self):
-        p = SimplexParams(3, math.pi / 4)
-        assert circumradius(p, 3) == pytest.approx(math.atanh(math.sqrt(2) / 2), rel=1e-15)
+        lad = ladder(SimplexParams(3, math.pi / 4))
+        assert lad.r[2] == pytest.approx(math.atanh(math.sqrt(2) / 2), rel=1e-15)
 
     def test_face_circumradius(self):
         # r_2 of tau[3, asin(3/5)] is atanh(1/sqrt(3))
-        p = SimplexParams.from_sin_t(3, 0.6)
-        assert circumradius(p, 2) == pytest.approx(math.atanh(1 / math.sqrt(3)), rel=1e-14)
+        lad = ladder(SimplexParams.from_sin_t(3, 0.6))
+        assert lad.r[1] == pytest.approx(math.atanh(1 / math.sqrt(3)), rel=1e-14)
 
     def test_edge_lengths_ideal(self):
-        p = SimplexParams(3, math.pi / 2)
-        assert edge_length(p, 3) == pytest.approx(0.34657359027997264, abs=1e-15)
-        assert edge_length(p, 2) == pytest.approx(math.atanh(0.5), rel=1e-15)
-        assert math.isinf(edge_length(p, 1))
-
-    def test_range_errors(self):
-        p = SimplexParams(3, 0.5)
-        for k in (0, 4):
-            with pytest.raises(DomainError):
-                circumradius(p, k)
-            with pytest.raises(DomainError):
-                edge_length(p, k)
+        lad = ladder(SimplexParams(3, math.pi / 2))
+        assert lad.d[2] == pytest.approx(0.34657359027997264, abs=1e-15)
+        assert lad.d[1] == pytest.approx(math.atanh(0.5), rel=1e-15)
+        assert math.isinf(lad.d[0])
 
     def test_ladder_35(self):
         lad = ladder(SimplexParams.from_sin_t(3, 0.6))
@@ -150,9 +147,25 @@ class TestLadders:
         assert lad.cosh_r[1] == pytest.approx(math.sqrt(1.5), rel=1e-15)
 
     def test_d1_equals_r1(self):
-        for t in (0.2, 0.9, 1.5):
+        for t in (0.2, 0.9, 1.5, math.pi / 2 - 1e-7, math.pi / 2):
             lad = ladder(SimplexParams(2, t))
             assert lad.r[0] == lad.d[0]
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("t", [1e-6, 0.05, 0.8, 1.4, math.pi / 2 - 1e-3,
+                                   math.pi / 2 - 1e-5, math.pi / 2 - 1e-7])
+    def test_lengths_match_50_digit_forms(self, n, t):
+        # toward the ideal point tanh r_k rounds toward 1, so a length taken
+        # back through atanh loses digits; the sinh route keeps them
+        p = SimplexParams(n, t)
+        lad = ladder(p)
+        r_ref, d_ref = mp_ladder(n, t)
+        for k in range(n):
+            assert abs(lad.r[k] - r_ref[k]) <= 1e-14 * r_ref[k], ("r", k + 1)
+            assert abs(lad.d[k] - d_ref[k]) <= 1e-14 * d_ref[k], ("d", k + 1)
+        if n >= 3:
+            ref = mp_lower_bound(n, t)
+            assert abs(lower_bound(p) - ref) <= 1e-14 * ref
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("t", [0.05, 0.4, 0.8, 1.2, 1.5, 1.55])

@@ -147,6 +147,16 @@ class TestOrthoscheme:
         gap = abs(est.value - gauss_bonnet_triangle_area(-math.log(math.tan(eps / 2))))
         assert gap <= min(est.error_estimate, 1e-9)
 
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7])
+    def test_near_ideal_triangle_exact(self, eps):
+        # d_1 = r_1 diverges here; taken from its sine it keeps its digits,
+        # so the value sits on Gauss-Bonnet at the eps the double t carries
+        t = math.pi / 2 - eps
+        eps = math.pi / 2 - t
+        est = volume_orthoscheme(SimplexParams(2, t))
+        ref = gauss_bonnet_triangle_area(-math.log(math.tan(eps / 2)))
+        assert abs(est.value - ref) <= 1e-13
+
     def test_beyond_twelve_matches_projective(self):
         # the level stack costs n series, not order^n points, so n = 13 runs
         p = SimplexParams(13, 0.5)
