@@ -29,9 +29,7 @@ from .quadrature import (
     integrate_simplex_radialpow,
 )
 from .volume_forms import (
-    AlphaChain,
     QuasiRegularParams,
-    alpha_chain,
     cosh_power_antiderivative,
     facet_volume_projective,
     richardson_limit,
@@ -61,8 +59,8 @@ __all__ = [
     "ladder", "halfspace_embedding",
     "QuadratureConfig", "VolumeEstimate", "integrate_adaptive",
     "integrate_nested", "integrate_simplex_radialpow",
-    "AlphaChain", "QuasiRegularParams", "cosh_power_antiderivative",
-    "alpha_chain", "volume_orthoscheme", "volume_projective",
+    "QuasiRegularParams", "cosh_power_antiderivative",
+    "volume_orthoscheme", "volume_projective",
     "facet_volume_projective", "zn_bounds", "volume_halfspace",
     "volume_halfspace_general", "richardson_limit",
     "GrowthBounds", "LimitAudit", "lower_bound", "upper_bound", "hm_bounds",

@@ -169,6 +169,8 @@ def _parse_sweep_spec(args) -> tuple[tuple, tuple]:
     else:
         if args.t_start is None or args.t_stop is None or args.t_step is None:
             raise DomainError("provide either --t-list or --t-start/--t-stop/--t-step")
+        if not all(map(math.isfinite, (args.t_start, args.t_stop, args.t_step))):
+            raise DomainError("t-start, t-stop and t-step must be finite")
         if args.t_step <= 0:
             raise DomainError("t-step must be positive")
         count = int(math.floor((args.t_stop - args.t_start) / args.t_step + 1e-9)) + 1

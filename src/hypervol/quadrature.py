@@ -225,10 +225,7 @@ def _level_series(limit, factor, inner, top: float, m: int) -> np.polynomial.Che
     def level(x):
         ub = limit(x)[:, None]
         y = ub * g
-        v = ub * w * inner(y)
-        if factor is not None:
-            v = v * factor(y)
-        return v.sum(axis=1)
+        return (ub * w * inner(y) * factor(y)).sum(axis=1)
 
     return _chebyshev_series(level, m, 0.0, top)
 
@@ -245,9 +242,7 @@ def _nested_pass(limits, factors, m: int):
     # carry a thin layer
     _, x, w = _panels_toward_one(52, m)
     x = tops[0] * x
-    w = tops[0] * w * inner(x)
-    if factors[0] is not None:
-        w = w * factors[0](x)
+    w = tops[0] * w * inner(x) * factors[0](x)
     return float(w.sum()), (len(limits) - 1) * (m + 1) * m + x.size
 
 
@@ -258,7 +253,7 @@ def integrate_nested(limits: Sequence, factors: Sequence,
     ``limits[0]`` is the outermost (constant) upper limit; ``limits[k]``
     for k >= 1 maps the previous level's variable to the next upper
     limit and must be nondecreasing.  ``factors[k]`` is the per-level
-    integrand factor (``None`` for 1); the integrand is the product of the
+    integrand factor, a callable; the integrand is the product of the
     factors.  All lower limits are 0.  Limits and factors must accept and
     return arrays.
 

@@ -7,9 +7,9 @@ each other:
 * `volume_projective` integrates the projective-model volume element
   (1 - r^2)^(-(n+1)/2) over the Euclidean simplex picture;
 * `volume_orthoscheme` integrates the orthogonal-coordinate volume form
-  over the fundamental orthoscheme (whose limits are the alpha-chain
-  built from the edge ladder) and multiplies by the (n+1)! congruent
-  copies tiling the simplex; the chain is the level stack of
+  over the fundamental orthoscheme, whose limits it reads straight off
+  the edge ladder, and multiplies by the (n+1)! congruent copies tiling
+  the simplex; the chain is the level stack of
   `quadrature.integrate_nested`, one Chebyshev series per level;
 * `volume_halfspace` integrates the half-space volume element z^(-n)
   vertically between the unit hemisphere below and the facet spheres
@@ -35,7 +35,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .geometry import (
     HalfspaceEmbedding,
-    OrthoschemeLadder,
     SimplexParams,
     halfspace_embedding,
     ladder,
@@ -51,10 +50,8 @@ from .quadrature import (
 )
 
 __all__ = [
-    "AlphaChain",
     "QuasiRegularParams",
     "cosh_power_antiderivative",
-    "alpha_chain",
     "volume_orthoscheme",
     "volume_projective",
     "facet_volume_projective",
@@ -95,59 +92,17 @@ def cosh_power_antiderivative(m: int, x):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class AlphaChain:
-    """Limit functions of the orthoscheme's orthogonal-coordinate integral.
-
-    Level k (1-based, k = 1..n-1) has the state-dependent upper limit
-
-        alpha_k(x) = atanh(c_k sinh x),   c_k = tanh d_{k+1} / sinh d_k,
-
-    where x is the previous level's variable; the outermost variable runs
-    over the constant interval [0, d_1].  In the ratio parametrization
-    q = sinh x / sinh d_1 in (0, 1] of the outer variable, the first
-    limit is alpha_1 = atanh(outer_ratio * q) with outer_ratio = tanh d_2;
-    this form survives the ideal simplex, where d_1 is infinite and c_1
-    degenerates to 0.
-    """
-
-    ladder: OrthoschemeLadder
-    coefficients: np.ndarray     # c_1..c_{n-1}; c_1 = 0 at the ideal point
-    outer_ratio: float           # tanh d_2: alpha_1 coefficient against q
-
-    @property
-    def depth(self) -> int:
-        return self.ladder.params.n
-
-    def alpha(self, k: int, x):
-        """alpha_k evaluated at x (array-friendly); k = 1..n-1."""
-        if not 1 <= k <= self.depth - 1:
-            raise DomainError(f"level k must lie in 1..{self.depth - 1}, got {k}")
-        arg = self.coefficients[k - 1] * np.sinh(np.asarray(x, dtype=float))
-        if np.any(arg > 1.0 + 1e-9):
-            raise DomainError(f"alpha_{k} argument left its domain (tanh argument > 1)")
-        return np.arctanh(np.minimum(arg, _CLIP))
-
-
-def alpha_chain(lad: OrthoschemeLadder) -> AlphaChain:
-    """Build the alpha-chain of a ladder.  Requires t > 0."""
-    params = lad.params
-    if params.t <= 0.0:
-        raise DomainError("alpha chain is undefined at t = 0")
-    n = params.n
-    coeff = np.empty(n - 1)
-    for k in range(1, n):
-        sinh_dk = lad.sinh_d[k - 1]
-        coeff[k - 1] = 0.0 if math.isinf(sinh_dk) else lad.tanh_d[k] / sinh_dk
-    return AlphaChain(ladder=lad, coefficients=coeff, outer_ratio=lad.tanh_d[1])
-
-
 def volume_orthoscheme(params: SimplexParams, cfg: QuadratureConfig | None = None) -> VolumeEstimate:
     """Volume via the orthoscheme dissection: (n+1)! times the iterated
     orthogonal-coordinate integral over the fundamental orthoscheme.
 
-    The chain has n levels; level k carries the weight cosh^k and the
-    alpha-chain limit.  The outermost variable (the only one whose range
+    The chain has n levels.  Level k = 1..n-1 carries the weight cosh^k;
+    for k >= 2 its upper limit is
+
+        alpha_k(x) = atanh(c_k sinh x),   c_k = tanh d_{k+1} / sinh d_k,
+
+    in the previous level's variable x; every argument stays below
+    tanh d_{k+1} < 1.  The outermost variable (the only one whose range
     d_1 is unbounded at the ideal point) is integrated in the sinh-ratio
     parametrization q = sinh(x)/sinh(d_1) in (0, 1], Jacobian
     1/sqrt(1/sinh^2 d_1 + q^2), against which the first limit is the
@@ -165,22 +120,14 @@ def volume_orthoscheme(params: SimplexParams, cfg: QuadratureConfig | None = Non
     if params.t <= 0.0:
         return VolumeEstimate(0.0, 0.0, 0, "orthoscheme")
     lad = ladder(params)
-    chain = alpha_chain(lad)
-
-    def limit_k(k):
-        return lambda x: chain.alpha(k, x)
-
-    def weight_k(k):
-        return lambda x: np.cosh(x) ** k
-
     beta = 0.0 if math.isinf(lad.sinh_d[0]) else 1.0 / lad.sinh_d[0]
-    ratio = chain.outer_ratio                           # tanh d_2
     copies = float(math.factorial(n + 1))
-    limits = [1.0, lambda q: np.arctanh(np.minimum(ratio * q, _CLIP))]
-    factors = [lambda q: copies / np.hypot(beta, q), weight_k(1)]
+    limits = [1.0, lambda q: np.arctanh(np.minimum(lad.tanh_d[1] * q, _CLIP))]
     for k in range(2, n):
-        limits.append(limit_k(k))
-        factors.append(weight_k(k))
+        c = lad.tanh_d[k] / lad.sinh_d[k - 1]         # finite, also at the ideal point
+        limits.append(lambda x, c=c: np.arctanh(np.minimum(c * np.sinh(x), _CLIP)))
+    factors = [lambda q: copies / np.hypot(beta, q)]
+    factors += [lambda x, k=k: np.cosh(x) ** k for k in range(1, n)]
     try:
         est = integrate_nested(limits, factors, cfg)
     except ConvergenceError as exc:

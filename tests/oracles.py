@@ -2,9 +2,9 @@
 
 Nothing here imports from hypervol's numerical engines: every value is
 produced by a different route (closed forms, classical identities,
-series, high-precision mpmath quadrature, projective-model distances
-between explicit vertices, or uniform sampling) so agreement is
-evidence, not circularity.
+series, the Schlafli differential, high-precision mpmath quadrature,
+projective-model distances between explicit vertices, or uniform
+sampling) so agreement is evidence, not circularity.
 """
 
 import math
@@ -39,6 +39,49 @@ def ideal_tetrahedron_volume() -> float:
 # frozen from the series oracle above (and confirmed against the Clausen
 # function); ideal_tetrahedron_volume() must reproduce it
 IDEAL_TET = 1.0149416064096536
+
+
+def schlafli_volume(n: int, t: float) -> float:
+    """Volume of tau[n, t] for n <= 5 by the Schlafli differential.
+
+    The dihedral angle alpha of tau[n, t] falls from its Euclidean value
+    alpha(0) as the simplex grows, and each of its C(n+1, 2) codimension-2
+    faces is a regular (n-2)-simplex with the same edge d, so
+
+        V_n = C(n+1, 2) / (n-1) int_{alpha(x)}^{alpha(0)} V_{n-2}(x''(alpha)) d alpha
+
+    with x = sin^2 t and cos alpha = (n + x) / (n^2 - x).  Along the path,
+    x(alpha) = (n^2 cos alpha - n) / (1 + cos alpha), the edge has
+    cosh d = (1 + x/n) / (1 - x), and the face has
+    x'' = (cosh d - 1) / (cosh d + 1/(n-2)).  V_0 = 1, and for n = 3 the
+    faces are the edges, V_1 = d.  Only closed forms and scipy's adaptive
+    quadrature are used.
+    """
+    from scipy.integrate import quad
+
+    def volume(n, x, epsabs=0.0):
+        cos_a = (n + x) / (n * n - x)
+        scale = math.comb(n + 1, 2) / (n - 1)
+        if n == 2:                               # V_0 = 1
+            return scale * (math.acos(1.0 / n) - math.acos(cos_a))
+
+        def face(alpha):
+            c = math.cos(alpha)
+            # rounding makes x slightly negative next to alpha(0)
+            x_a = max((n * n * c - n) / (1.0 + c), 0.0)
+            cosh_d = (1.0 + x_a / n) / (1.0 - x_a)
+            if n == 3:
+                return math.acosh(cosh_d)
+            # a face volume near alpha(0) is tiny and only needed absolutely
+            return volume(n - 2, (cosh_d - 1.0) / (cosh_d + 1.0 / (n - 2)), 1e-16)
+
+        val, _ = quad(face, math.acos(cos_a), math.acos(1.0 / n),
+                      epsabs=epsabs, epsrel=1e-13, limit=200)
+        return scale * val
+
+    if not 2 <= n <= 5:
+        raise ValueError("the Schlafli recursion is implemented for 2 <= n <= 5")
+    return volume(n, math.sin(t) ** 2)
 
 
 def regular_simplex_volume_by_edge(n: int) -> float:

@@ -173,6 +173,16 @@ class TestSweep:
         assert code == 1 and out == ""
         assert err.startswith("error: cannot write") and str(target) in err
 
+    @pytest.mark.parametrize("start, stop, step", [
+        ("nan", "1", "0.1"), ("0", "nan", "0.1"), ("0", "1", "nan"),
+        ("0", "inf", "0.1"), ("0", "1", "inf"), ("inf", "1", "0.1"),
+    ])
+    def test_rejects_non_finite_range(self, capsys, start, stop, step):
+        code, out, err = run(capsys, "sweep", "--n-list", "3", "--t-start", start,
+                             "--t-stop", stop, "--t-step", step)
+        assert code == 1 and out == ""
+        assert err.startswith("error: t-start, t-stop and t-step must be finite")
+
     @pytest.mark.parametrize("n_list, t_list", [("3,x", "0.5"), ("3", "0.5,abc")])
     def test_rejects_unparsable_list(self, capsys, n_list, t_list):
         code, out, err = run(capsys, "sweep", "--n-list", n_list, "--t-list", t_list)

@@ -97,7 +97,7 @@ def mp_cosh_sq(x):
 
 class TestNested:
     def test_triangle(self):
-        est = integrate_nested([1.0, lambda x: x], [None, None])
+        est = integrate_nested([1.0, lambda x: x], [np.ones_like, np.ones_like])
         assert est.value == pytest.approx(0.5, abs=1e-12)
 
     def test_against_dblquad(self):
@@ -120,7 +120,7 @@ class TestNested:
     def test_against_tplquad_depth3(self):
         """Depth-3 chain vs an independent 3-d adaptive cubature."""
         limits = [0.8, lambda x: x, lambda y: np.sinh(y)]
-        factors = [None, np.cosh, lambda z: np.cosh(z) ** 2]
+        factors = [np.ones_like, np.cosh, lambda z: np.cosh(z) ** 2]
         t = integrate_nested(limits, factors)
         ref, _ = scipy.integrate.tplquad(
             lambda z, y, x: math.cosh(y) * math.cosh(z) ** 2, 0.0, 0.8,
@@ -132,14 +132,14 @@ class TestNested:
         with pytest.raises(DomainError):
             integrate_nested([], [])
         with pytest.raises(DomainError):
-            integrate_nested([1.0], [None, None])
+            integrate_nested([1.0], [np.ones_like, np.ones_like])
 
     def test_tensor_exhaustion_carries_estimate(self):
         # the cusp at y = 0.31 defeats every degree and Gauss order of the
         # level-stack passes
         cfg = QuadratureConfig(rel_tol=1e-13)
         limits = [1.0, lambda x: x + 0.5, lambda y: y]
-        factors = [None, lambda y: 1.0 / np.sqrt(np.abs(y - 0.31) + 1e-13), None]
+        factors = [np.ones_like, lambda y: 1.0 / np.sqrt(np.abs(y - 0.31) + 1e-13), np.ones_like]
         with pytest.raises(ConvergenceError) as info:
             integrate_nested(limits, factors, cfg)
         assert info.value.estimate is not None

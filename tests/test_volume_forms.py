@@ -11,7 +11,6 @@ from hypervol import (
     QuadratureConfig,
     QuasiRegularParams,
     SimplexParams,
-    alpha_chain,
     cosh_power_antiderivative,
     facet_volume_projective,
     halfspace_embedding,
@@ -25,7 +24,12 @@ from hypervol import (
     zn_bounds,
 )
 
-from oracles import IDEAL_TET, gauss_bonnet_triangle_area, ideal_tetrahedron_volume
+from oracles import (
+    IDEAL_TET,
+    gauss_bonnet_triangle_area,
+    ideal_tetrahedron_volume,
+    schlafli_volume,
+)
 
 T35 = math.asin(0.6)
 FORMS = (volume_projective, volume_orthoscheme, volume_halfspace)
@@ -72,49 +76,22 @@ class TestAntiderivative:
 
 
 class TestAlphaChain:
-    def test_zero_at_zero(self):
-        chain = alpha_chain(ladder(SimplexParams(4, 0.9)))
-        for k in range(1, 4):
-            assert chain.alpha(k, 0.0) == 0.0
+    """Coefficients c_k = tanh d_{k+1} / sinh d_k of the orthoscheme limits
+    alpha_k(x) = atanh(c_k sinh x), read off the ladder as
+    `volume_orthoscheme` reads them (0-based: tanh_d[k] / sinh_d[k-1])."""
 
     def test_coefficient_value(self):
-        chain = alpha_chain(ladder(SimplexParams.from_sin_t(3, 0.6)))
+        lad = ladder(SimplexParams.from_sin_t(3, 0.6))
         # tanh d_3 / sinh d_2 = sqrt(11)/5, the closed-form rung ratio
-        assert chain.coefficients[1] == pytest.approx(math.sqrt(11) / 5, rel=1e-13)
-
-    def test_alpha_point_value(self):
-        chain = alpha_chain(ladder(SimplexParams.from_sin_t(3, 0.6)))
-        # atanh(sqrt(11)/5 * sinh(1/2)); frozen from a 30-digit evaluation
-        assert chain.alpha(2, 0.5) == pytest.approx(0.3605013059730841, rel=1e-13)
+        assert lad.tanh_d[2] / lad.sinh_d[1] == pytest.approx(math.sqrt(11) / 5, rel=1e-13)
 
     @pytest.mark.parametrize("n", range(3, 8))
     @pytest.mark.parametrize("t", [0.2, 0.8, 1.3, 1.55])
     def test_last_coefficient_closed_form(self, n, t):
         s = math.sin(t)
-        chain = alpha_chain(ladder(SimplexParams(n, t)))
+        lad = ladder(SimplexParams(n, t))
         expect = math.sqrt((n - 1) / (n + 1)) * math.sqrt(1 - 2 * s * s / (n * (n - 1)))
-        assert abs(chain.coefficients[n - 2] - expect) <= 1e-12
-
-    def test_monotone_increasing(self):
-        chain = alpha_chain(ladder(SimplexParams(3, 1.0)))
-        xs = np.linspace(0.0, 1.0, 7)
-        vals = chain.alpha(1, xs)
-        assert np.all(np.diff(vals) > 0)
-
-    def test_rejects_zero_t(self):
-        with pytest.raises(DomainError):
-            alpha_chain(ladder(SimplexParams(3, 0.0)))
-
-    def test_level_range(self):
-        chain = alpha_chain(ladder(SimplexParams(3, 1.0)))
-        with pytest.raises(DomainError):
-            chain.alpha(3, 0.1)
-
-    def test_argument_domain_guard(self):
-        # sinh grows past the admissible tanh argument far outside the chain
-        chain = alpha_chain(ladder(SimplexParams(3, 1.0)))
-        with pytest.raises(DomainError):
-            chain.alpha(1, 50.0)
+        assert abs(lad.tanh_d[n - 1] / lad.sinh_d[n - 2] - expect) <= 1e-12
 
 
 class TestOrthoscheme:
@@ -389,6 +366,29 @@ class TestCrossModel:
         ts = [0.2, 0.5, 0.9, 1.2, 1.45]
         vals = [form(SimplexParams(3, t)).value for t in ts]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+class TestSchlafli:
+    """The Schlafli-differential oracle: it integrates face volumes over the
+    dihedral angle, a route shared with none of the engines."""
+
+    @pytest.mark.parametrize("t", [0.3, 1.0, 1.5])
+    def test_oracle_triangle_gauss_bonnet(self, t):
+        ref = gauss_bonnet_triangle_area(math.atanh(math.sin(t)))
+        assert schlafli_volume(2, t) == pytest.approx(ref, rel=1e-13)
+
+    def test_oracle_ideal_tetrahedron(self):
+        assert schlafli_volume(3, math.pi / 2) == pytest.approx(IDEAL_TET, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("t", [0.3, 1.0, math.pi / 2])
+    def test_forms_within_their_bars(self, n, t):
+        ref = schlafli_volume(n, t)
+        for form in (volume_projective, volume_orthoscheme):
+            est = form(SimplexParams(n, t))
+            gap = abs(est.value - ref)
+            assert gap <= est.error_estimate, form.__name__
+            assert gap <= 1e-10 * ref, form.__name__
 
 
 def test_richardson_on_geometric_sequence():
