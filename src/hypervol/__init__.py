@@ -24,7 +24,6 @@ from .geometry import (
 from .quadrature import (
     QuadratureConfig,
     VolumeEstimate,
-    integrate_adaptive,
     integrate_nested,
     integrate_simplex_radialpow,
 )
@@ -57,7 +56,7 @@ __all__ = [
     "SimplexParams", "OrthoschemeLadder", "HalfspaceEmbedding",
     "unit_simplex_vertices",
     "ladder", "halfspace_embedding",
-    "QuadratureConfig", "VolumeEstimate", "integrate_adaptive",
+    "QuadratureConfig", "VolumeEstimate",
     "integrate_nested", "integrate_simplex_radialpow",
     "QuasiRegularParams", "cosh_power_antiderivative",
     "volume_orthoscheme", "volume_projective",

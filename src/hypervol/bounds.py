@@ -150,7 +150,8 @@ def growth_ratio_grid(cells, cfg: QuadratureConfig | None = None) -> list[tuple]
     more nodes, so a cell's values can differ from its grid of one within
     the error bars (about 1e-14 relative on the criterion-04 grid).  The
     ratio's error is first-order propagated from the two quadrature
-    errors and its method tag records the forms used.
+    errors and its method tag records the forms used.  A volume that
+    underflows to 0.0 (V_n is about t^n) raises DomainError.
     """
     cfg = cfg or QuadratureConfig()
     for params in cells:
@@ -165,6 +166,8 @@ def growth_ratio_grid(cells, cfg: QuadratureConfig | None = None) -> list[tuple]
     for params in cells:
         vol = volume_projective(params, cfg, pool=pool)
         facet = facet_volume_projective(params, cfg, pool=pool)
+        if vol.value == 0.0 or facet.value == 0.0:
+            raise DomainError(f"volume underflows to 0.0 at n = {params.n}, t = {params.t!r}")
         ratio = vol.value / facet.value
         err = ratio * (
             vol.error_estimate / vol.value + facet.error_estimate / facet.value

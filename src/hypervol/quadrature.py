@@ -1,13 +1,12 @@
-"""Adaptive and structured numerical integration engines.
+"""Structured numerical integration engines.
 
-Three engines live here:
+Two engines live here:
 
-* `integrate_adaptive` -- globally adaptive Gauss-Kronrod (7, 15) on an
-  interval, with an embedded-rule error estimate;
 * `integrate_nested` -- iterated integrals with state-dependent limits
   (each level's upper limit is a function of the previous variable),
   held as a stack of one-variable Chebyshev series, one per level, at
-  increasing degree until two passes agree;
+  increasing degree until two passes agree; the orthoscheme form runs
+  on it;
 * `integrate_simplex_radialpow` -- integrals of (1 - |x|^2)^(-p) over a
   scaled regular simplex, the volume element of the projective model.
   The simplex is collapsed to iterated cone (Duffy-type) coordinates; in
@@ -15,27 +14,28 @@ Three engines live here:
   integral one dimension down, which is held as a Chebyshev series in
   log(1 - sigma^2).  Panels are refined dyadically
   toward the vertex end, so the vertex-touching case scale = 1 (ideal
-  simplices) integrates its corner singularities properly.
+  simplices) integrates its corner singularities properly.  The
+  projective and half-space forms run on it.
 
 The radial engine holds its levels in a lo/hi pair of stacks whose
 gap is the error bar.  A pair depends on scale only through the range
-of log(1 - sigma^2) it covers, so `shared_radial_stacks` builds one
-pair per (dimension, power) on the widest range a set of integrals
-needs, and each integral then pays only its own top level.  A stack's
-evaluation count is fixed when it is built; a call counts the build
-plus its own top-level work.
+of log(1 - sigma^2) it covers, so `shared_radial_stacks`, the one place
+a pair is built, builds one pair per (dimension, power) on the widest
+range a set of integrals needs, and each integral then pays only its
+own top level.  A stack's evaluation count is fixed when it is built; a
+call counts the build plus its own top-level work.
 
-The nested and radial engines share one interpolation scheme,
+Both engines integrate on Gauss panels graded dyadically toward one
+end (`_panels_toward_one`) and share one interpolation scheme,
 `_chebyshev_series`.  The only setting is the relative tolerance in
-`QuadratureConfig`; the absolute floor, the panel cap, the Gauss order
-and the nested degree ladder are module constants.
-All engines are pure functions of their inputs and reentrant; a
+`QuadratureConfig`; the absolute floor, the Gauss order and the nested
+degree ladder are module constants.
+Both engines are pure functions of their inputs and reentrant; a
 shared stack is only read after it is built.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,7 +48,6 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "QuadratureConfig",
     "VolumeEstimate",
-    "integrate_adaptive",
     "integrate_nested",
     "integrate_simplex_radialpow",
 ]
@@ -56,14 +55,13 @@ __all__ = [
 _EPS = float(np.finfo(np.float64).eps)
 _ABS_TOL = 1e-12       # absolute floor of every tolerance and radial error bar
 _BASE_ORDER = 14       # Gauss points per panel in the radial engine
-_MAX_PANELS = 4000     # panel cap of the adaptive interval engine
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """The relative tolerance shared by the integration engines.  The
-    adaptive and radial engines target |error| <= max(_ABS_TOL,
-    rel_tol * |I|), the nested engine rel_tol * |I|."""
+    radial engine targets |error| <= max(_ABS_TOL, rel_tol * |I|), the
+    nested engine rel_tol * |I|."""
 
     rel_tol: float = 1e-8
 
@@ -79,9 +77,10 @@ class QuadratureConfig:
 class VolumeEstimate:
     """A computed integral with its error estimate and evaluation count.
 
-    The error estimate is the embedded-rule or refinement difference,
-    which in practice overestimates the true error.  Values produced by
-    the volume operations are nonnegative.
+    The error estimate is a refinement difference: the gap between the
+    lo/hi stack pair (radial engine) or between the last two level-stack
+    passes (nested engine), which in practice overestimates the true
+    error.  Values produced by the volume operations are nonnegative.
     """
 
     value: float
@@ -102,112 +101,6 @@ def _gauss01(order: int):
     """Gauss-Legendre nodes/weights mapped to (0, 1)."""
     x, w = np.polynomial.legendre.leggauss(order)
     return (x + 1.0) / 2, w / 2
-
-
-# Gauss-Kronrod (7, 15) nodes on [-1, 1] and both weight sets (QUADPACK values)
-_GK_NODES = np.array([
-    -0.991455371120812639206854697526329,
-    -0.949107912342758524526189684047851,
-    -0.864864423359769072789712788640926,
-    -0.741531185599394439863864773280788,
-    -0.586087235467691130294144838258730,
-    -0.405845151377397166906606412076961,
-    -0.207784955007898467600689403773245,
-    0.0,
-    0.207784955007898467600689403773245,
-    0.405845151377397166906606412076961,
-    0.586087235467691130294144838258730,
-    0.741531185599394439863864773280788,
-    0.864864423359769072789712788640926,
-    0.949107912342758524526189684047851,
-    0.991455371120812639206854697526329,
-])
-_GK_WK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-    0.204432940075298892414161999234649,
-    0.190350578064785409913256402421014,
-    0.169004726639267902826583426598550,
-    0.140653259715525918745189590510238,
-    0.104790010322250183839876322541518,
-    0.063092092629978553290700663189204,
-    0.022935322010529224963732008058970,
-])
-_GK_WG = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-    0.381830050505118944950369775488975,
-    0.279705391489276667901467771423780,
-    0.129484966168869693270611432679082,
-])
-
-
-def _gk_panel(f, a, b):
-    half = (b - a) / 2
-    x = (a + b) / 2 + half * _GK_NODES
-    fx = np.asarray(f(x), dtype=float)
-    if not np.all(np.isfinite(fx)):
-        raise DomainError(f"integrand is not finite inside [{a!r}, {b!r}]")
-    ik = half * float(fx @ _GK_WK)
-    ig = half * float(fx[1::2] @ _GK_WG)
-    # QUADPACK-style sharpened estimate of the K15-G7 gap
-    err = abs(ik - ig)
-    scale = float(np.abs(fx) @ _GK_WK) * abs(half)
-    if scale > 0 and err > 0:
-        err = scale * min(1.0, (200 * err / scale) ** 1.5)
-    return ik, err
-
-
-def integrate_adaptive(f, a: float, b: float, cfg: QuadratureConfig | None = None) -> VolumeEstimate:
-    """Adaptive Gauss-Kronrod integration of ``f`` on [a, b].
-
-    ``f`` must accept an ndarray of abscissae and return the integrand
-    values elementwise.
-    Endpoint behavior: nodes are strictly interior, so integrable endpoint
-    singularities are admissible.
-
-    Raises ConvergenceError (with the best estimate attached) if the
-    tolerance is not met within _MAX_PANELS panels.
-    """
-    cfg = cfg or QuadratureConfig()
-    if not a <= b:
-        raise DomainError(f"need a <= b, got ({a!r}, {b!r})")
-    if a == b:
-        return VolumeEstimate(0.0, 0.0, 0, "adaptive-gk15")
-    i0, e0 = _gk_panel(f, a, b)
-    heap = [(-e0, a, b, i0)]
-    total, err = i0, e0
-    evals = 15
-    panels = 1
-    while err > cfg.tolerance(total):
-        if panels >= _MAX_PANELS:
-            est = VolumeEstimate(total, err, evals, "adaptive-gk15")
-            raise ConvergenceError(
-                f"no convergence after {panels} panels (err {err:.3e})", estimate=est
-            )
-        neg_e, pa, pb, pi = heapq.heappop(heap)
-        mid = (pa + pb) / 2
-        il, el = _gk_panel(f, pa, mid)
-        ir, er = _gk_panel(f, mid, pb)
-        evals += 30
-        total += il + ir - pi
-        err += el + er - (-neg_e)
-        heapq.heappush(heap, (-el, pa, mid, il))
-        heapq.heappush(heap, (-er, mid, pb, ir))
-        panels += 1
-        if panels % 64 == 0:
-            # resum to shed accumulated cancellation in the running totals
-            total = sum(item[3] for item in heap)
-            err = sum(-item[0] for item in heap)
-    return VolumeEstimate(total, err, evals, "adaptive-gk15")
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +269,9 @@ class RadialPowerStack:
         sigma'^2 = sigma^2 xi^2 rho^2 / (1 - sigma^2 xi^2 h^2),
 
     with I_0 = 1 and I_1 = 2 int_0^1 (1 - sigma^2 x^2)^(-p) dx.
+
+    Stacks come in lo/hi fidelity pairs, built by `shared_radial_stacks`
+    and read by `_radial_estimate`.
     """
 
     def __init__(self, levels: int, p: float, theta_min: float, settings: _RadialSettings):
@@ -450,33 +346,27 @@ def _radial_theta_min(w_top: float, depth: int) -> float:
     return -(depth - 1) * math.log(2.0) - 1.0
 
 
-def build_radial_stacks(dim: int, p: float, w_top: float, cfg: QuadratureConfig):
-    """Low/high fidelity RadialPowerStack pair with levels 1..dim-1, which
-    serves every top integral at 1 - sigma^2 >= w_top."""
-    lo_set, hi_set = _radial_settings(cfg, _radial_theta_min(w_top, 72))
-    theta_lo = _radial_theta_min(w_top, lo_set.depth)
-    theta_hi = _radial_theta_min(w_top, hi_set.depth)
-    return (
-        RadialPowerStack(dim - 1, p, theta_lo, lo_set),
-        RadialPowerStack(dim - 1, p, theta_hi, hi_set),
-    )
-
-
 def shared_radial_stacks(jobs, cfg: QuadratureConfig) -> dict:
-    """One `build_radial_stacks` pair per (dim, p) among ``jobs``, an
-    iterable of (dim, p, w_top) triples, built on the smallest w_top
-    that (dim, p) needs.  A stack depends on w_top only through its
-    theta range, so the widest range serves every job of its (dim, p)."""
+    """Low/high fidelity RadialPowerStack pairs, one per (dim, p) among
+    ``jobs``, an iterable of (dim, p, w_top) triples.  Each pair has
+    levels 1..dim-1 and is built on the smallest w_top its (dim, p)
+    needs, so it serves every top integral at 1 - sigma^2 >= that w_top:
+    a stack depends on w_top only through its theta range."""
     floors: dict = {}
     for dim, p, w_top in jobs:
         floors[dim, p] = min(w_top, floors.get((dim, p), math.inf))
-    return {(dim, p): build_radial_stacks(dim, p, w_top, cfg)
-            for (dim, p), w_top in floors.items()}
+    pool = {}
+    for (dim, p), w_top in floors.items():
+        settings = _radial_settings(cfg, _radial_theta_min(w_top, 72))  # (lo, hi)
+        pool[dim, p] = tuple(
+            RadialPowerStack(dim - 1, p, _radial_theta_min(w_top, s.depth), s)
+            for s in settings)
+    return pool
 
 
 def _radial_estimate(stacks, cfg: QuadratureConfig, value_of: Callable,
                      method: str) -> VolumeEstimate:
-    """``value_of(stack)`` on the high-fidelity stack of a `build_radial_stacks`
+    """``value_of(stack)`` on the high-fidelity stack of a `shared_radial_stacks`
     pair; its error is the gap to the low-fidelity value plus _ABS_TOL.
     ``value_of`` returns (value, evaluations beyond the stack's build), so
     the count is the pair's build plus this call's own work.  A gap above

@@ -44,9 +44,9 @@ from .quadrature import (
     VolumeEstimate,
     _panels_toward_one,
     _radial_estimate,
-    build_radial_stacks,
     integrate_nested,
     integrate_simplex_radialpow,
+    shared_radial_stacks,
 )
 
 __all__ = [
@@ -261,7 +261,7 @@ def _halfspace_value(n: int, sigma: float, w_perp: float, slope: float,
             raise DomainError("half-space integrand ordering violated (degenerate input)")
         return (t1 - t2) / (n - 1), evals + a.size
 
-    stacks = build_radial_stacks(dim, p, w_perp, cfg)
+    stacks = shared_radial_stacks([(dim, p, w_perp)], cfg)[dim, p]
     return _radial_estimate(stacks, cfg, value_of, "halfspace")
 
 

@@ -42,7 +42,7 @@ IDEAL_TET = 1.0149416064096536
 
 
 def schlafli_volume(n: int, t: float) -> float:
-    """Volume of tau[n, t] for n <= 5 by the Schlafli differential.
+    """Volume of tau[n, t] for 2 <= n <= 6 by the Schlafli differential.
 
     The dihedral angle alpha of tau[n, t] falls from its Euclidean value
     alpha(0) as the simplex grows, and each of its C(n+1, 2) codimension-2
@@ -54,8 +54,9 @@ def schlafli_volume(n: int, t: float) -> float:
     x(alpha) = (n^2 cos alpha - n) / (1 + cos alpha), the edge has
     cosh d = (1 + x/n) / (1 - x), and the face has
     x'' = (cosh d - 1) / (cosh d + 1/(n-2)).  V_0 = 1, and for n = 3 the
-    faces are the edges, V_1 = d.  Only closed forms and scipy's adaptive
-    quadrature are used.
+    faces are the edges, V_1 = d.  The recursion steps n -> n-2, so n = 6
+    nests as deep as n = 5 (6 -> 4 -> 2).  Only closed forms and scipy's
+    adaptive quadrature are used.
     """
     from scipy.integrate import quad
 
@@ -79,8 +80,8 @@ def schlafli_volume(n: int, t: float) -> float:
                       epsabs=epsabs, epsrel=1e-13, limit=200)
         return scale * val
 
-    if not 2 <= n <= 5:
-        raise ValueError("the Schlafli recursion is implemented for 2 <= n <= 5")
+    if not 2 <= n <= 6:
+        raise ValueError("the Schlafli recursion is implemented for 2 <= n <= 6")
     return volume(n, math.sin(t) ** 2)
 
 

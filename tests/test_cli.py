@@ -16,6 +16,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def stalled(monkeypatch):
+    """A crude low-fidelity radial stack: its gap to the high-fidelity one
+    is above the stall gate, so every radial volume raises."""
+    settings = quadrature._radial_settings
+    monkeypatch.setattr(quadrature, "_radial_settings", lambda cfg, theta_min: (
+        quadrature._RadialSettings(2, 2, 2), settings(cfg, theta_min)[1]))
+
+
 class TestVolume:
     def test_zero_t(self, capsys):
         code, out, _ = run(capsys, "volume", "--n", "3", "--t", "0", "--method", "projective")
@@ -115,6 +124,23 @@ class TestRatio:
         lo = float(out.split("lower=")[1].split()[0])
         hi = float(out.split("upper=")[1].split()[0])
         assert lo <= ratio <= hi
+
+    def test_stall_reported_as_non_convergence(self, capsys, stalled):
+        # the stalled estimate is a volume, not a ratio; no ratio line is printed
+        code, out, err = run(capsys, "ratio", "--n", "3", "--t", "1.5")
+        assert code == 2 and out == ""
+        assert err.startswith("non-convergence:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("ratio", "--n", "12", "--t", "1e-27"),
+    ("sweep", "--n-list", "3", "--t-list", "1e-120"),
+])
+def test_underflowing_volume_rejected(capsys, argv):
+    # V_n ~ t^n rounds to 0.0, so the ratio has no value
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "underflows" in err
 
 
 class TestSweep:
@@ -286,6 +312,15 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--n", "3", "--t", "0.8")
         assert code == 3
         assert "FAIL cross_model" in out
+
+    def test_stall_keeps_structural_lines(self, capsys, stalled):
+        # the forms raise inside cross_model; the lines before it are kept
+        code, out, err = run(capsys, "check", "--n", "3", "--t", "1.5")
+        assert code == 2
+        assert "non-convergence:" in err
+        assert [line.split()[:2] for line in out.splitlines()] == [
+            ["PASS", label] for label in ("ladder_chain", "d1_equals_r1", "gram_closed_form",
+                                          "gamma_spheres", "sin_alpha_ladder", "zn_sandwich")]
 
     def test_audit_limits(self, capsys):
         code, out, _ = run(capsys, "check", "--n", "3", "--t", "0.8", "--audit-limits")

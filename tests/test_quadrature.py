@@ -12,19 +12,17 @@ from hypervol import (
     ConvergenceError,
     DomainError,
     QuadratureConfig,
-    integrate_adaptive,
     integrate_nested,
     integrate_simplex_radialpow,
 )
 
-from hypervol.quadrature import build_radial_stacks
+from hypervol.quadrature import shared_radial_stacks
 
 from oracles import (
     euclidean_simplex_volume,
     gauss_bonnet_triangle_area,
     klein_triangle_integral,
     monte_carlo_simplex,
-    mp_integral,
     regular_simplex_volume_by_edge,
 )
 
@@ -46,53 +44,6 @@ class TestConfig:
     def test_rejects(self, kw):
         with pytest.raises(DomainError):
             QuadratureConfig(**kw)
-
-
-class TestAdaptive:
-    def test_polynomial(self):
-        est = integrate_adaptive(lambda x: x * x, 0.0, 1.0)
-        assert est.value == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert est.error_estimate >= 0.0
-
-    def test_cosh_squared(self):
-        # closed form 1/2 + sinh(2)/4
-        est = integrate_adaptive(lambda x: np.cosh(x) ** 2, 0.0, 1.0)
-        assert est.value == pytest.approx(0.5 + math.sinh(2.0) / 4.0, rel=1e-13)
-
-    def test_near_singular(self):
-        est = integrate_adaptive(lambda x: 1.0 / (1.0 - x * x), 0.0, 0.999999)
-        assert est.value == pytest.approx(math.atanh(0.999999), rel=1e-9)
-
-    def test_empty_interval(self):
-        assert integrate_adaptive(np.cos, 1.0, 1.0).value == 0.0
-
-    def test_reversed_interval(self):
-        with pytest.raises(DomainError):
-            integrate_adaptive(np.cos, 1.0, 0.0)
-
-    def test_convergence_error_carries_estimate(self):
-        # the oscillations pile up toward x = 0 faster than 4000 panels resolve
-        cfg = QuadratureConfig(rel_tol=1e-13)
-        with pytest.raises(ConvergenceError) as info:
-            integrate_adaptive(lambda x: np.sin(1.0 / (x + 1e-6)), 0.0, 1.0, cfg)
-        assert info.value.estimate is not None
-        assert info.value.estimate.value > 0
-
-    def test_tolerance_scaling(self):
-        """Halving rel_tol never worsens the gap to a 50-digit reference."""
-        ref = mp_integral(lambda x: mp_cosh_sq(x), 0, 1)
-        gaps = []
-        for tol in (1e-4, 1e-6, 1e-8, 1e-10):
-            est = integrate_adaptive(lambda x: np.cosh(x) ** 2, 0.0, 1.0,
-                                     QuadratureConfig(rel_tol=tol))
-            gaps.append(abs(est.value - ref))
-        for a, b in zip(gaps, gaps[1:]):
-            assert b <= 1.1 * a + 5e-15 * abs(ref)
-
-
-def mp_cosh_sq(x):
-    import mpmath as mp
-    return mp.cosh(x) ** 2
 
 
 class TestNested:
@@ -218,7 +169,7 @@ class TestRadialPowerStack:
     def test_series_matches_direct_level_integral(self, w_top, rel):
         # level_value reads each level's Chebyshev series; top_integral
         # computes the same level by direct quadrature on the series one down
-        _, stack = build_radial_stacks(5, 3.0, w_top, QuadratureConfig())
+        _, stack = shared_radial_stacks([(5, 3.0, w_top)], QuadratureConfig())[5, 3.0]
         # theta = log(1 - sigma^2) from 0 to theta_min, then one point below
         # theta_min, where the series' argument is clipped to theta_min
         for k in range(1, 5):
@@ -232,7 +183,7 @@ class TestRadialPowerStack:
 
     def test_build_count_fixed_at_construction(self):
         # a shared stack must not carry one caller's top integrals into the next
-        stacks = build_radial_stacks(4, 2.5, 0.04, QuadratureConfig())
+        stacks = shared_radial_stacks([(4, 2.5, 0.04)], QuadratureConfig())[4, 2.5]
         for stack in stacks:
             built = stack.n_evals
             _, first = stack.top_integral(4, 0.04, 0.96)

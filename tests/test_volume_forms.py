@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,7 +15,6 @@ from hypervol import (
     cosh_power_antiderivative,
     facet_volume_projective,
     halfspace_embedding,
-    integrate_adaptive,
     ladder,
     richardson_limit,
     volume_halfspace,
@@ -28,6 +28,7 @@ from oracles import (
     IDEAL_TET,
     gauss_bonnet_triangle_area,
     ideal_tetrahedron_volume,
+    mp_integral,
     schlafli_volume,
 )
 
@@ -56,10 +57,9 @@ class TestAntiderivative:
 
     @pytest.mark.parametrize("m", range(13))
     def test_matches_quadrature(self, m):
-        ref = integrate_adaptive(lambda x: np.cosh(x) ** m, 0.0, 2.0,
-                                 QuadratureConfig(rel_tol=1e-13))
+        ref = mp_integral(lambda x: mp.cosh(x) ** m, 0, 2)
         val = cosh_power_antiderivative(m, 2.0)
-        assert abs(val - ref.value) <= 1e-10 * max(1.0, abs(val))
+        assert abs(val - ref) <= 1e-10 * max(1.0, abs(val))
 
     def test_derivative_property(self):
         # finite differences of F_m recover cosh^m
@@ -380,7 +380,7 @@ class TestSchlafli:
     def test_oracle_ideal_tetrahedron(self):
         assert schlafli_volume(3, math.pi / 2) == pytest.approx(IDEAL_TET, rel=1e-13)
 
-    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("n", [4, 5, 6])
     @pytest.mark.parametrize("t", [0.3, 1.0, math.pi / 2])
     def test_forms_within_their_bars(self, n, t):
         ref = schlafli_volume(n, t)
