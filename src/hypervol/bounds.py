@@ -94,13 +94,18 @@ def upper_bound(params: SimplexParams) -> float:
     """Closed-form upper bound on the growth ratio; n >= 2.
 
     Equals 1/(n-1) exactly at t = pi/2 (the inner ratio vanishes with
-    1 - sin t) and 0 at t = 0.
+    1 - sin t) and 0 at t = 0.  Where Q = num/den >= 1/2, 1 - Q^((n-1)/2)
+    is -expm1 of a log1p, with num - den written without cancellation as
+    s [(1+s)((n^2-1) s - 2n(n+1)) + (n^2-1) s (1-s)^2].
     """
     n, s = params.n, params.sin_t
     om, op = params.one_minus_sin_t, params.one_plus_sin_t
     num = n * n * om * om * op
     den = (n + s) ** 2 * op - (n * n - 1.0) * s * s * om * om
-    return (1.0 - (num / den) ** ((n - 1) / 2.0)) / (n - 1)
+    if num < den / 2:
+        return (1.0 - (num / den) ** ((n - 1) / 2.0)) / (n - 1)
+    diff = s * (op * ((n * n - 1.0) * s - 2.0 * n * (n + 1)) + (n * n - 1.0) * s * om * om)
+    return -math.expm1((n - 1) / 2.0 * math.log1p(diff / den)) / (n - 1)
 
 
 def hm_bounds(n: int) -> tuple[float, float]:

@@ -97,8 +97,8 @@ class SimplexParams:
 
     @cached_property
     def is_ideal(self) -> bool:
-        # sin rounds to 1.0 well before t reaches the float below pi/2
-        return math.sin(self.t) == 1.0
+        # pi/2 only: sin t is 1.0 from pi/2 - 1e-8 on, but cos t is not
+        return self.t == _HALF_PI
 
     @cached_property
     def one_minus_sin_t(self) -> float:

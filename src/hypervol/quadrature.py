@@ -12,7 +12,7 @@ Two engines live here:
   The simplex is collapsed to iterated cone (Duffy-type) coordinates; in
   these coordinates each level is a one-dimensional integral of the same
   integral one dimension down, which is held as a Chebyshev series in
-  log(1 - sigma^2).  Panels are refined dyadically
+  log(1 - sigma^2) of its own degree.  Panels are refined dyadically
   toward the vertex end, so the vertex-touching case scale = 1 (ideal
   simplices) integrates its corner singularities properly.  The
   projective and half-space forms run on it.
@@ -27,9 +27,12 @@ call counts the build plus its own top-level work.
 
 Both engines integrate on Gauss panels graded dyadically toward one
 end (`_panels_toward_one`) and share one interpolation scheme,
-`_chebyshev_series`.  The only setting is the relative tolerance in
-`QuadratureConfig`; the absolute floor, the Gauss order and the nested
-degree ladder are module constants.
+`_chebyshev_series` (second-kind points, coefficients by FFT): a radial
+level doubles its points until `_standard_chop` finds the plateau, a
+nested pass samples at its fixed degree.  The only setting is the
+relative tolerance in `QuadratureConfig`; the absolute floor, the Gauss
+order, the nested degrees, the radial cap and the chop tolerance are
+module constants.
 Both engines are pure functions of their inputs and reentrant; a
 shared stack is only read after it is built.
 """
@@ -55,6 +58,8 @@ __all__ = [
 _EPS = float(np.finfo(np.float64).eps)
 _ABS_TOL = 1e-12       # absolute floor of every tolerance and radial error bar
 _BASE_ORDER = 14       # Gauss points per panel in the radial engine
+_MAX_DEGREE = 512      # largest N a radial level's series may double to
+_CHOP_TOL = 4 * _EPS   # plateau of a chopped series; level values carry a few ulps
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,7 @@ def _level_series(limit, factor, inner, top: float, m: int) -> np.polynomial.Che
         y = ub * g
         return (ub * w * inner(y) * factor(y)).sum(axis=1)
 
-    return _chebyshev_series(level, m, 0.0, top)
+    return _chebyshev_series(level, 0.0, top, m)[0]
 
 
 def _nested_pass(limits, factors, m: int):
@@ -155,13 +160,13 @@ def integrate_nested(limits: Sequence, factors: Sequence,
 
         I_k(x) = int_0^{limits[k](x)} factors[k](y) I_{k+1}(y) dy   on [0, X_{k-1}],
 
-    with I_n = 1, built by a Gauss rule on each of its Chebyshev points.
-    The outer integral of factors[0] I_1 runs on Gauss panels graded
-    dyadically toward 0.  Pass m uses degree and Gauss order m over
-    _NESTED_ORDERS, until two successive values agree to rel_tol times
-    the value; their difference is the error estimate.  If the passes run
-    out first with the difference above 100 times that, the last pass is
-    attached to a ConvergenceError.
+    with I_n = 1, built by a Gauss rule on each of its Chebyshev points
+    (second kind).  The outer integral of factors[0] I_1 runs on Gauss
+    panels graded dyadically toward 0.  Pass m uses degree and Gauss
+    order m over _NESTED_ORDERS, until two successive values agree to
+    rel_tol times the value; their difference is the error estimate.  If
+    the passes run out first with the difference above 100 times that,
+    the last pass is attached to a ConvergenceError.
     """
     cfg = cfg or QuadratureConfig()
     depth = len(limits)
@@ -219,37 +224,82 @@ def _panels_toward_one(depth: int, order: int):
 _BLOCK_ENTRIES = 1 << 14
 
 
-def _chebyshev_series(f, degree: int, a: float, b: float) -> np.polynomial.Chebyshev:
-    """Chebyshev series interpolating f at the degree + 1 Chebyshev points
-    of the first kind on [a, b].
+def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
+    """Coefficients of the polynomial through ``values`` at the points
+    cos(pi j / N), j = 0..N: a DCT-I, as the FFT of the even extension."""
+    coef = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / (values.size - 1)
+    coef[[0, -1]] /= 2
+    return coef
 
-    The coefficients are cosine sums over the point angles.  numpy's
-    Chebyshev.interpolate builds T_k at the points by the three-term
-    recurrence, whose rounding grows like k^2 toward the interval ends; at
-    degree 420 that left a 2e-12 floor on the coefficients of log I_k.
+
+def _standard_chop(coef: np.ndarray) -> int:
+    """How many leading coefficients to keep, by the rule of Aurentz and
+    Trefethen, "Chopping a Chebyshev series" (ACM TOMS 43(4), 2017;
+    Chebfun's standardChop): scan the monotone envelope of |coef| for a
+    plateau, then cut where the envelope plus a slight upward tilt is
+    least.  Without a plateau every coefficient stays; all zeros keep one."""
+    n, tol = coef.size, _CHOP_TOL
+    env = np.maximum.accumulate(np.abs(coef)[::-1])[::-1]
+    if n < 17 or env[0] == 0.0:
+        return n if n < 17 else 1
+    env = env / env[0]
+    for j in range(2, n + 1):                    # 1-based, as in the paper
+        j2 = math.floor(1.25 * j + 5.5)
+        if j2 > n:
+            return n
+        e1 = env[j - 1]
+        if e1 == 0.0 or env[j2 - 1] / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
+            break
+    floor = tol ** (7 / 6)
+    j2 = min(j2, int(np.count_nonzero(env >= floor)) + 1)
+    tilted = np.log10(np.maximum(env[:j2], floor)) + np.linspace(0.0, -math.log10(tol) / 3, j2)
+    return max(int(np.argmin(tilted)), 1)
+
+
+def _chebyshev_series(f, a: float, b: float, degree: int, chop: bool = False):
+    """Chebyshev series of f on [a, b] from its values at the N + 1 points
+    b - (b - a) sin^2(pi j / 2N) (second kind, exact at both ends), with
+    the number of points sampled.
+
+    Without ``chop``, N is ``degree``.  With it, N doubles from 16 to at
+    most ``degree``, each doubling sampling only the N new points between
+    the old ones, until `_standard_chop` finds the coefficients' plateau;
+    the coefficients before it are kept (all of them at ``degree``).
+
+    The coefficients come from one FFT.  At degrees in the hundreds,
+    numpy's Chebyshev.interpolate (three-term recurrence) left a 2e-12
+    floor on those of log I_k, a cosine sum (cos(k angle) rounds at large
+    arguments) 1e-13 to 1e-15 of the largest; by FFT the radial levels
+    flatten out at 2e-18 to 3e-17 of it (N = 512, n = 3..8).
     """
-    angles = math.pi * (np.arange(degree + 1) + 0.5) / (degree + 1)
-    values = f(b - (b - a) / 2 * (1.0 - np.cos(angles)))
-    coef = np.cos(np.outer(np.arange(degree + 1), angles)) @ values * (2.0 / (degree + 1))
-    coef[0] /= 2
-    return np.polynomial.Chebyshev(coef, domain=(a, b))
+    def sample(n, j):
+        return f(b - (b - a) * np.sin(np.pi / (2 * n) * j) ** 2)
+
+    n = min(16, degree) if chop else degree
+    values = sample(n, np.arange(n + 1))
+    while True:
+        coef = _chebyshev_coefficients(values)
+        keep = _standard_chop(coef) if chop else coef.size
+        if keep < coef.size or 2 * n > degree:
+            return np.polynomial.Chebyshev(coef[:keep], domain=(a, b)), values.size
+        n *= 2
+        values = np.insert(values, np.arange(1, values.size), sample(n, np.arange(1, n, 2)))
 
 
 @dataclass(frozen=True)
 class _RadialSettings:
+    """``ncheb`` is the largest N a level may double to, not the degree it
+    ends at; it keeps its name because `perfbench/tracing.py` reads it."""
+
     ncheb: int
     depth: int
     order: int
 
 
-def _radial_settings(cfg: QuadratureConfig, theta_min: float):
-    digits = min(13.0, -math.log10(max(cfg.rel_tol, 1e-14)))
-    span = max(4.0, -theta_min)
-    ncheb = int(min(420, (26 + 7.5 * digits) * max(1.0, span / 9.0)))
-    depth = int(min(72, max(16, span / math.log(2) + 12)))
-    hi = _RadialSettings(ncheb, depth, _BASE_ORDER)
-    lo = _RadialSettings(max(24, int(0.6 * ncheb)), max(12, depth - 6), _BASE_ORDER - 5)
-    return lo, hi
+def _radial_settings(theta_min: float):
+    depth = int(min(72, max(16, max(4.0, -theta_min) / math.log(2) + 12)))
+    return (_RadialSettings(_MAX_DEGREE, max(12, depth - 6), _BASE_ORDER - 5),   # lo
+            _RadialSettings(_MAX_DEGREE, depth, _BASE_ORDER))                   # hi
 
 
 class RadialPowerStack:
@@ -258,9 +308,13 @@ class RadialPowerStack:
 
     Level k is held as a Chebyshev series in theta = log(1 - sigma^2)
     on [theta_min, 0], interpolating log I_k(p, sigma) at the Chebyshev
-    points of the first kind.  Each level's defining integral runs over
-    the cone parameter xi in (0, 1) on panels refined dyadically toward
-    xi = 1, where the integrand concentrates as sigma -> 1.
+    points of the second kind, doubled from N = 16 up to
+    ``settings.ncheb`` and chopped at the coefficients' rounding plateau
+    (`_chebyshev_series`); the ideal n = 5 levels stop at N = 128.
+    ``n_evals`` counts the points the levels sampled.  Each level's
+    defining integral runs over the cone parameter xi in (0, 1) on panels
+    refined dyadically toward xi = 1, where the integrand concentrates as
+    sigma -> 1.
 
     The reduction, with h = 1/k and rho^2 = 1 - h^2:
 
@@ -281,12 +335,13 @@ class RadialPowerStack:
         self._series: list[np.polynomial.Chebyshev | None] = [None] * (levels + 1)
         xi, om, w = _panels_toward_one(settings.depth, settings.order)
         self._nodes = (xi, w, om * (2.0 - om))                 # 1 - xi^2, exact
-        for k in range(1, levels + 1):
-            self._series[k] = _chebyshev_series(
-                lambda thetas: self._log_level(k, thetas), settings.ncheb, theta_min, 0.0)
         # integrand evaluations of the build; fixed here, so a shared stack
         # carries no count from one caller's top integrals into the next
-        self.n_evals = levels * (settings.ncheb + 1) * xi.size
+        self.n_evals = 0
+        for k in range(1, levels + 1):
+            self._series[k], points = _chebyshev_series(
+                lambda th: self._log_level(k, th), theta_min, 0.0, settings.ncheb, chop=True)
+            self.n_evals += points * xi.size
 
     def _log_level(self, k, thetas):
         """log I_k at each theta, by direct quadrature in row blocks."""
@@ -357,7 +412,7 @@ def shared_radial_stacks(jobs, cfg: QuadratureConfig) -> dict:
         floors[dim, p] = min(w_top, floors.get((dim, p), math.inf))
     pool = {}
     for (dim, p), w_top in floors.items():
-        settings = _radial_settings(cfg, _radial_theta_min(w_top, 72))  # (lo, hi)
+        settings = _radial_settings(_radial_theta_min(w_top, 72))  # (lo, hi)
         pool[dim, p] = tuple(
             RadialPowerStack(dim - 1, p, _radial_theta_min(w_top, s.depth), s)
             for s in settings)

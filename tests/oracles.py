@@ -8,6 +8,7 @@ sampling) so agreement is evidence, not circularity.
 """
 
 import math
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -41,8 +42,10 @@ def ideal_tetrahedron_volume() -> float:
 IDEAL_TET = 1.0149416064096536
 
 
-def schlafli_volume(n: int, t: float) -> float:
-    """Volume of tau[n, t] for 2 <= n <= 6 by the Schlafli differential.
+@lru_cache(maxsize=None)
+def schlafli_volume(n: int, t: float, dps: int = 30) -> float:
+    """Volume of tau[n, t] for 2 <= n <= 6 by the Schlafli differential,
+    to ``dps`` digits.
 
     The dihedral angle alpha of tau[n, t] falls from its Euclidean value
     alpha(0) as the simplex grows, and each of its C(n+1, 2) codimension-2
@@ -55,34 +58,32 @@ def schlafli_volume(n: int, t: float) -> float:
     cosh d = (1 + x/n) / (1 - x), and the face has
     x'' = (cosh d - 1) / (cosh d + 1/(n-2)).  V_0 = 1, and for n = 3 the
     faces are the edges, V_1 = d.  The recursion steps n -> n-2, so n = 6
-    nests as deep as n = 5 (6 -> 4 -> 2).  Only closed forms and scipy's
-    adaptive quadrature are used.
+    nests as deep as n = 5 (6 -> 4 -> 2).  Only closed forms and mpmath's
+    tanh-sinh quadrature are used.  A face at an end of its range can
+    round to a complex value with a tiny imaginary part (at the ideal
+    point of n = 5, 6); the real part is returned.
     """
-    from scipy.integrate import quad
-
-    def volume(n, x, epsabs=0.0):
-        cos_a = (n + x) / (n * n - x)
-        scale = math.comb(n + 1, 2) / (n - 1)
-        if n == 2:                               # V_0 = 1
-            return scale * (math.acos(1.0 / n) - math.acos(cos_a))
-
-        def face(alpha):
-            c = math.cos(alpha)
-            # rounding makes x slightly negative next to alpha(0)
-            x_a = max((n * n * c - n) / (1.0 + c), 0.0)
-            cosh_d = (1.0 + x_a / n) / (1.0 - x_a)
-            if n == 3:
-                return math.acosh(cosh_d)
-            # a face volume near alpha(0) is tiny and only needed absolutely
-            return volume(n - 2, (cosh_d - 1.0) / (cosh_d + 1.0 / (n - 2)), 1e-16)
-
-        val, _ = quad(face, math.acos(cos_a), math.acos(1.0 / n),
-                      epsabs=epsabs, epsrel=1e-13, limit=200)
-        return scale * val
-
     if not 2 <= n <= 6:
         raise ValueError("the Schlafli recursion is implemented for 2 <= n <= 6")
-    return volume(n, math.sin(t) ** 2)
+    with mp.workdps(dps):
+        def volume(n, x):
+            cos_a = (n + x) / (n * n - x)
+            alpha_0 = mp.acos(mp.mpf(1) / n)
+            scale = mp.mpf(math.comb(n + 1, 2)) / (n - 1)
+            if n == 2:                           # V_0 = 1
+                return scale * (alpha_0 - mp.acos(cos_a))
+
+            def face(alpha):
+                c = mp.cos(alpha)
+                x_a = (n * n * c - n) / (1 + c)
+                cosh_d = (1 + x_a / n) / (1 - x_a)
+                if n == 3:
+                    return mp.acosh(cosh_d)
+                return volume(n - 2, (cosh_d - 1) / (cosh_d + mp.mpf(1) / (n - 2)))
+
+            return scale * mp.quad(face, [mp.acos(cos_a), alpha_0])
+
+        return float(mp.re(volume(n, mp.sin(mp.mpf(t)) ** 2)))
 
 
 def regular_simplex_volume_by_edge(n: int) -> float:

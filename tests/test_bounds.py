@@ -90,6 +90,14 @@ class TestUpperBound:
         assert v == pytest.approx(58.0 / 143.0, rel=1e-14)
         assert v == pytest.approx(mp_upper_bound(3, math.asin(0.5)), rel=1e-13)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 24])
+    @pytest.mark.parametrize("t", [1e-8, 1e-12, 1e-16, 1e-50, 1e-300])
+    def test_small_t_keeps_its_digits(self, n, t):
+        # 1 - Q^((n-1)/2) with Q = 1 - O(t): the closed form cancels in
+        # mpmath too, so the reference carries 700 digits
+        ref = mp_upper_bound(n, t, dps=700)
+        assert abs(upper_bound(SimplexParams(n, t)) - ref) <= 1e-14 * ref
+
     @pytest.mark.parametrize("n", range(3, 9))
     def test_increasing_in_t(self, n):
         ts = np.linspace(0.0, math.pi / 2, 40)

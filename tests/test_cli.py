@@ -21,8 +21,8 @@ def stalled(monkeypatch):
     """A crude low-fidelity radial stack: its gap to the high-fidelity one
     is above the stall gate, so every radial volume raises."""
     settings = quadrature._radial_settings
-    monkeypatch.setattr(quadrature, "_radial_settings", lambda cfg, theta_min: (
-        quadrature._RadialSettings(2, 2, 2), settings(cfg, theta_min)[1]))
+    monkeypatch.setattr(quadrature, "_radial_settings", lambda theta_min: (
+        quadrature._RadialSettings(2, 2, 2), settings(theta_min)[1]))
 
 
 class TestVolume:

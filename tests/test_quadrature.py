@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypervol import (
     integrate_simplex_radialpow,
 )
 
-from hypervol.quadrature import shared_radial_stacks
+from hypervol.quadrature import RadialPowerStack, _standard_chop, shared_radial_stacks
 
 from oracles import (
     euclidean_simplex_volume,
@@ -190,6 +191,48 @@ class TestRadialPowerStack:
             _, again = stack.top_integral(4, 0.04, 0.96)
             assert first == again > 0
             assert stack.n_evals == built > 0
+
+
+class TestStandardChop:
+    @pytest.mark.parametrize("rate", [0.5, 0.7, 0.8])
+    def test_cuts_at_the_plateau_onset(self, rate):
+        # geometric decay onto a noise plateau at 1e-15
+        rng = np.random.default_rng(0)
+        coef = np.maximum(rate ** np.arange(400), 1e-15 * (1.0 + rng.random(400)))
+        onset = math.log(1e-15) / math.log(rate)
+        assert 0.9 * onset <= _standard_chop(coef) <= onset + 2
+
+    def test_no_plateau_keeps_every_coefficient(self):
+        assert _standard_chop(1.0 / (np.arange(100) + 1.0) ** 2) == 100
+
+    def test_zeros_keep_one(self):
+        assert _standard_chop(np.zeros(40)) == 1
+
+
+class TestChoppedLevels:
+    def test_linear_level_keeps_two_coefficients(self):
+        # level 1 of (dim, p) = (2, 3/2) is 2 / sqrt(1 - sigma^2): its log
+        # is log 2 - theta/2, exactly linear in theta
+        for stack in shared_radial_stacks([(2, 1.5, 0.3)], QuadratureConfig())[2, 1.5]:
+            assert stack._series[1].coef.size <= 2
+
+    def test_ideal_levels_stop_well_below_the_cap(self, monkeypatch):
+        # every level of the ideal n = 5 stacks finds its plateau by
+        # N = 128; a fixed high degree coming back would sample 513 points
+        sampled = Counter()
+        log_level = RadialPowerStack._log_level
+
+        def counted(self, k, thetas):
+            sampled[id(self), k] += thetas.size
+            return log_level(self, k, thetas)
+
+        monkeypatch.setattr(RadialPowerStack, "_log_level", counted)
+        for stack in shared_radial_stacks([(5, 3.0, 0.0)], QuadratureConfig())[5, 3.0]:
+            points = [sampled[id(stack), k] for k in range(1, 5)]
+            assert max(points) <= 129
+            assert max(stack._series[k].coef.size for k in range(1, 5)) <= 128
+            # the build counts the points it sampled
+            assert stack.n_evals == sum(points) * stack._nodes[0].size
 
 
 class TestMonteCarlo:

@@ -161,10 +161,10 @@ class TestProjective:
 
 
     @pytest.mark.parametrize("form, n, t, evals", [
-        (volume_projective, 3, 0.8, 59_780),
-        (volume_projective, 5, 1.2, 119_168),
-        (facet_volume_projective, 4, 0.8, 59_780),
-        (volume_halfspace, 4, 1.0, 60_240),
+        (volume_projective, 3, 0.8, 26_264),
+        (volume_projective, 5, 1.2, 52_136),
+        (facet_volume_projective, 4, 0.8, 26_264),
+        (volume_halfspace, 4, 1.0, 20_452),
     ])
     def test_n_evals_standalone(self, form, n, t, evals):
         # the stack pair's build plus this call's own top-level work, the
@@ -303,8 +303,8 @@ class TestHalfspace:
         # a crude low-fidelity stack leaves a fidelity gap above the stall
         # gate, which half-space shares with the projective form
         settings = quadrature._radial_settings
-        monkeypatch.setattr(quadrature, "_radial_settings", lambda cfg, theta_min: (
-            quadrature._RadialSettings(2, 2, 2), settings(cfg, theta_min)[1]))
+        monkeypatch.setattr(quadrature, "_radial_settings", lambda theta_min: (
+            quadrature._RadialSettings(2, 2, 2), settings(theta_min)[1]))
         with pytest.raises(ConvergenceError) as info:
             volume_halfspace(SimplexParams(4, 1.5))
         est = info.value.estimate
@@ -380,6 +380,12 @@ class TestSchlafli:
     def test_oracle_ideal_tetrahedron(self):
         assert schlafli_volume(3, math.pi / 2) == pytest.approx(IDEAL_TET, rel=1e-13)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_ideal_projective_to_2e_14(self, n):
+        ref = schlafli_volume(n, math.pi / 2)
+        est = volume_projective(SimplexParams(n, math.pi / 2))
+        assert abs(est.value - ref) <= 2e-14 * ref
+
     @pytest.mark.parametrize("n", [4, 5, 6])
     @pytest.mark.parametrize("t", [0.3, 1.0, math.pi / 2])
     def test_forms_within_their_bars(self, n, t):
@@ -389,6 +395,18 @@ class TestSchlafli:
             gap = abs(est.value - ref)
             assert gap <= est.error_estimate, form.__name__
             assert gap <= 1e-10 * ref, form.__name__
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-12, 1e-15])
+@pytest.mark.parametrize("form", [volume_projective, volume_orthoscheme])
+def test_near_ideal_triangle_is_not_snapped(form, eps):
+    # sin t rounds to 1.0 here, but the triangle is not ideal: each form
+    # sits on Gauss-Bonnet at the eps the double t carries, within its bar
+    t = math.pi / 2 - eps
+    eps = math.asin(math.cos(t))
+    est = form(SimplexParams(2, t))
+    ref = gauss_bonnet_triangle_area(-math.log(math.tan(eps / 2)))
+    assert abs(est.value - ref) <= est.error_estimate
 
 
 def test_richardson_on_geometric_sequence():
