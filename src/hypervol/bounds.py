@@ -14,9 +14,8 @@ The growth ratio of a regular hyperbolic n-simplex (n-volume over
   which equals 1/(n-1) exactly at the ideal endpoint.
 
 The measured ratio comes from `growth_ratio_grid`, which evaluates a
-whole (n, t) grid on one shared lo/hi radial stack pair per (dim, p)
-of its projective volumes and facets; `growth_ratio` is its one-cell
-case.
+whole (n, t) grid as one radial batch per (dim, p) of its projective
+volumes and facets; `growth_ratio` is its one-cell case.
 
 `hm_bounds` gives the classical ideal-case reference bracket
 ((n-2)/(n-1)^2, 1/(n-1)), and `euclidean_limit_ratio` the flat-space
@@ -32,19 +31,14 @@ limit next to the claimed value without asserting either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError
 from .geometry import SimplexParams
-from .quadrature import QuadratureConfig, VolumeEstimate, shared_radial_stacks
-from .volume_forms import (
-    _facet_job,
-    _projective_job,
-    facet_volume_projective,
-    volume_projective,
-)
+from .quadrature import QuadratureConfig, VolumeEstimate, _settled, integrate_simplex_radialpow
+from .volume_forms import _facet_job, _projective_job
 
 __all__ = [
     "GrowthBounds",
@@ -146,12 +140,12 @@ def growth_ratio_grid(cells, cfg: QuadratureConfig | None = None) -> list[tuple]
     """(ratio, volume, facet volume) of each tau[n, t] in ``cells``, a
     sequence of SimplexParams with n >= 3 and t in (0, pi/2].
 
-    Both volumes come from the projective form.  Every cell draws on one
-    lo/hi radial stack pair per (dim, p), built on the widest theta range
-    that any volume or facet of the grid needs (`shared_radial_stacks`);
-    the facet of n is the volume one dimension down, so n in {3, 4, 5}
-    shares four pairs.  Each cell pays its own top integrals and keeps
-    its own error bar and stall gate.  A pair built on a wider range has
+    Both volumes come from the projective form, as one batch of
+    `integrate_simplex_radialpow` per (dim, p); the facet of n is the
+    volume one dimension down, so n in {3, 4, 5} makes four batches.
+    Each volume keeps its own error bar and stall gate, and the first
+    stalled one in cell order raises, a cell's volume before its facet.
+    A batch's stacks are built on the widest theta range it needs, with
     more nodes, so a cell's values can differ from its grid of one within
     the error bars (about 1e-14 relative on the criterion-04 grid).  The
     ratio's error is first-order propagated from the two quadrature
@@ -164,13 +158,19 @@ def growth_ratio_grid(cells, cfg: QuadratureConfig | None = None) -> list[tuple]
             raise DomainError("growth ratio requires n >= 3")
         if params.t <= 0.0:
             raise DomainError("growth ratio is undefined at t = 0")
-    pool = shared_radial_stacks(
-        ((dim, p, w) for params in cells
-         for dim, p, _, w in (_projective_job(params), _facet_job(params))), cfg)
+    jobs = [job(params) for params in cells for job in (_projective_job, _facet_job)]
+    batches: dict = {}
+    for i, (dim, p, _, _) in enumerate(jobs):
+        batches.setdefault((dim, p), []).append(i)
+    rows = {}
+    for (dim, p), index in batches.items():
+        scale, w = zip(*(jobs[i][2:] for i in index))
+        rows.update(zip(index, integrate_simplex_radialpow(dim, scale, p, cfg,
+                                                           one_minus_scale_sq=w)))
     out = []
-    for params in cells:
-        vol = volume_projective(params, cfg, pool=pool)
-        facet = facet_volume_projective(params, cfg, pool=pool)
+    for k, params in enumerate(cells):
+        vol = replace(_settled(rows[2 * k]), method="projective")
+        facet = replace(_settled(rows[2 * k + 1]), method="facet-projective")
         if vol.value == 0.0 or facet.value == 0.0:
             raise DomainError(f"volume underflows to 0.0 at n = {params.n}, t = {params.t!r}")
         ratio = vol.value / facet.value

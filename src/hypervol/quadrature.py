@@ -19,11 +19,12 @@ Two engines live here:
 
 The radial engine holds its levels in a lo/hi pair of stacks whose
 gap is the error bar.  A pair depends on scale only through the range
-of log(1 - sigma^2) it covers, so `shared_radial_stacks`, the one place
-a pair is built, builds one pair per (dimension, power) on the widest
-range a set of integrals needs, and each integral then pays only its
-own top level.  A stack's evaluation count is fixed when it is built; a
-call counts the build plus its own top-level work.
+of log(1 - sigma^2) it covers, so `_radial_pair`, the one place a pair
+is built, builds it on the widest range a batch of integrals of one
+(dimension, power) needs, and each stack runs the batch's top levels in
+one pass; a standalone integral is a batch of one.  A stack's
+evaluation count is fixed when it is built; a row counts the build plus
+its own top-level work.
 
 Both engines integrate on Gauss panels graded dyadically toward one
 end (`_panels_toward_one`) and share one interpolation scheme,
@@ -195,11 +196,13 @@ def integrate_nested(limits: Sequence, factors: Sequence,
 # ---------------------------------------------------------------------------
 # Radial powers over the regular simplex
 
+@lru_cache(maxsize=None)
 def _panels_toward_one(depth: int, order: int):
     """Gauss panels on (0, 1), dyadically refined toward 1.
 
-    Returns (x, one_minus_x, weights); one_minus_x is carried exactly so
-    integrands can evaluate 1 - x without cancellation.
+    Returns (x, one_minus_x, weights), read-only because they are cached;
+    one_minus_x is carried exactly so integrands can evaluate 1 - x
+    without cancellation.
     """
     g, w = _gauss01(order)
     deltas = [(0.5, 1.0)]
@@ -214,7 +217,9 @@ def _panels_toward_one(depth: int, order: int):
         oms.append(om)
         xs.append(1.0 - om)
         ws.append((hi - lo) * w)
-    return np.concatenate(xs), np.concatenate(oms), np.concatenate(ws)
+    panels = np.array([np.concatenate(v) for v in (xs, oms, ws)])
+    panels.flags.writeable = False
+    return tuple(panels)
 
 
 # entries of each (theta rows x xi nodes) temporary when a level is
@@ -324,8 +329,8 @@ class RadialPowerStack:
 
     with I_0 = 1 and I_1 = 2 int_0^1 (1 - sigma^2 x^2)^(-p) dx.
 
-    Stacks come in lo/hi fidelity pairs, built by `shared_radial_stacks`
-    and read by `_radial_estimate`.
+    Stacks come in lo/hi fidelity pairs, built by `_radial_pair` and read
+    by `_radial_estimate`.
     """
 
     def __init__(self, levels: int, p: float, theta_min: float, settings: _RadialSettings):
@@ -344,13 +349,16 @@ class RadialPowerStack:
             self.n_evals += points * xi.size
 
     def _log_level(self, k, thetas):
-        """log I_k at each theta, by direct quadrature in row blocks."""
-        out = np.empty(thetas.size)
-        rows = max(1, _BLOCK_ENTRIES // self._nodes[0].size)
-        for i in range(0, thetas.size, rows):
-            block = thetas[i:i + rows]
-            out[i:i + rows] = np.log(
-                self._level_integral(k, np.exp(block), -np.expm1(block), self._nodes))
+        """log I_k at each theta, by direct quadrature."""
+        return np.log(self._integrals(k, np.exp(thetas), -np.expm1(thetas), self._nodes))
+
+    def _integrals(self, k, w, sigma2, nodes):
+        """`_level_integral` at each row of (w, sigma2), in blocks of at most
+        _BLOCK_ENTRIES entries (or one row)."""
+        out = np.empty(w.size)
+        rows = max(1, _BLOCK_ENTRIES // nodes[0].size)
+        for i in range(0, w.size, rows):
+            out[i:i + rows] = self._level_integral(k, w[i:i + rows], sigma2[i:i + rows], nodes)
         return out
 
     def _vertex_nodes(self):
@@ -385,12 +393,20 @@ class RadialPowerStack:
         w = np.maximum(np.asarray(one_minus_sigma_sq, dtype=float), 1e-300)
         return np.exp(self._series[k](np.clip(np.log(w), self.theta_min, 0.0)))
 
-    def top_integral(self, k: int, w_top: float, sigma2_top: float) -> tuple[float, int]:
-        """I_k evaluated directly at the target sigma (not interpolated),
-        with the number of integrand evaluations it took."""
-        nodes = self._vertex_nodes() if w_top == 0.0 else self._nodes
-        row = self._level_integral(k, np.array([w_top]), np.array([sigma2_top]), nodes)
-        return float(row[0]), nodes[0].size
+    def top_integral(self, k: int, w_top, sigma2_top) -> tuple[np.ndarray, np.ndarray]:
+        """I_k evaluated directly (not interpolated) at each row of the
+        arrays (w_top, sigma2_top) = (1 - sigma^2, sigma^2), with the number
+        of integrand evaluations each row took.  Rows at w_top = 0 run on
+        the vertex nodes, the rest on the stack's own: one pass per node set."""
+        w, sigma2 = np.atleast_1d(w_top, sigma2_top)
+        values, evals = np.empty(w.size), np.empty(w.size, dtype=int)
+        ideal = w == 0.0
+        for rows in (ideal, ~ideal):
+            if rows.any():
+                nodes = self._vertex_nodes() if rows is ideal else self._nodes
+                values[rows] = self._integrals(k, w[rows], sigma2[rows], nodes)
+                evals[rows] = nodes[0].size
+        return values, evals
 
 
 def _radial_theta_min(w_top: float, depth: int) -> float:
@@ -401,51 +417,47 @@ def _radial_theta_min(w_top: float, depth: int) -> float:
     return -(depth - 1) * math.log(2.0) - 1.0
 
 
-def shared_radial_stacks(jobs, cfg: QuadratureConfig) -> dict:
-    """Low/high fidelity RadialPowerStack pairs, one per (dim, p) among
-    ``jobs``, an iterable of (dim, p, w_top) triples.  Each pair has
-    levels 1..dim-1 and is built on the smallest w_top its (dim, p)
-    needs, so it serves every top integral at 1 - sigma^2 >= that w_top:
-    a stack depends on w_top only through its theta range."""
-    floors: dict = {}
-    for dim, p, w_top in jobs:
-        floors[dim, p] = min(w_top, floors.get((dim, p), math.inf))
-    pool = {}
-    for (dim, p), w_top in floors.items():
-        settings = _radial_settings(_radial_theta_min(w_top, 72))  # (lo, hi)
-        pool[dim, p] = tuple(
-            RadialPowerStack(dim - 1, p, _radial_theta_min(w_top, s.depth), s)
-            for s in settings)
-    return pool
+def _radial_pair(levels: int, p: float, w_floor: float) -> tuple:
+    """The low/high fidelity RadialPowerStack pair with levels 1..levels,
+    built on w_floor, so it serves every top integral at 1 - sigma^2 >=
+    w_floor: a stack depends on w_floor only through its theta range."""
+    settings = _radial_settings(_radial_theta_min(w_floor, 72))  # (lo, hi)
+    return tuple(RadialPowerStack(levels, p, _radial_theta_min(w_floor, s.depth), s)
+                 for s in settings)
 
 
-def _radial_estimate(stacks, cfg: QuadratureConfig, value_of: Callable,
-                     method: str) -> VolumeEstimate:
-    """``value_of(stack)`` on the high-fidelity stack of a `shared_radial_stacks`
-    pair; its error is the gap to the low-fidelity value plus _ABS_TOL.
-    ``value_of`` returns (value, evaluations beyond the stack's build), so
-    the count is the pair's build plus this call's own work.  A gap above
-    max(1e-3 |value|, 1e4 * tolerance) raises ConvergenceError."""
-    values = []
-    evals = 0
-    for stack in stacks:
-        value, extra = value_of(stack)
-        values.append(value)
-        evals += stack.n_evals + extra
-    lo, hi = values
-    err = abs(hi - lo) + _ABS_TOL
-    est = VolumeEstimate(hi, err, evals, method)
-    if err > max(1e-3 * abs(hi), 1e4 * cfg.tolerance(hi)):
-        raise ConvergenceError(
-            f"radial refinement stalled (err {err:.3e} on value {hi:.6e})", estimate=est
-        )
-    return est
+def _radial_estimate(stacks, cfg: QuadratureConfig, values_of: Callable,
+                     method: str) -> list:
+    """One estimate per row of ``values_of(stack)``, the rows' values and
+    evaluations beyond the build on each stack of a `_radial_pair`: the
+    high-fidelity value, the gap to the low-fidelity one plus _ABS_TOL, and
+    the pair's build plus the row's own work.  A row whose gap is above
+    max(1e-3 |value|, 1e4 * tolerance) is left as an unraised
+    ConvergenceError carrying its estimate (`_settled` raises it)."""
+    (lo, lo_evals), (hi, hi_evals) = (values_of(stack) for stack in stacks)
+    build = sum(stack.n_evals for stack in stacks)
+    out = []
+    for lo_v, hi_v, evals in zip(lo, hi, np.add(lo_evals, hi_evals).tolist()):
+        err = abs(hi_v - lo_v) + _ABS_TOL
+        est = VolumeEstimate(hi_v, err, build + evals, method)
+        if err > max(1e-3 * abs(hi_v), 1e4 * cfg.tolerance(hi_v)):
+            est = ConvergenceError(
+                f"radial refinement stalled (err {err:.3e} on value {hi_v:.6e})", estimate=est)
+        out.append(est)
+    return out
 
 
-def integrate_simplex_radialpow(n: int, scale: float, p: float,
+def _settled(row) -> VolumeEstimate:
+    """The estimate of a `_radial_estimate` row; a stalled row is raised."""
+    if isinstance(row, ConvergenceError):
+        raise row
+    return row
+
+
+def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float,
                                 cfg: QuadratureConfig | None = None, *,
-                                one_minus_scale_sq: float | None = None,
-                                pool: dict | None = None) -> VolumeEstimate:
+                                one_minus_scale_sq: float | Sequence[float] | None = None,
+                                ) -> VolumeEstimate | list:
     """Integral of (1 - |x|^2)^(-p) over scale * S(n), where S(n) is the
     regular n-simplex inscribed in the unit sphere.
 
@@ -458,29 +470,34 @@ def integrate_simplex_radialpow(n: int, scale: float, p: float,
     1 - scale^2 in a cancellation-free form (it dominates the integrand
     near the vertices).
 
-    ``pool`` is a `shared_radial_stacks` result whose jobs include this
-    one; without it the pair is built for this call alone.
+    A float ``scale`` gives one VolumeEstimate, raising ConvergenceError if
+    it stalls.  Sequences of scales and of ``one_minus_scale_sq`` are a
+    batch on one stack pair, built on their smallest 1 - scale^2: a list
+    with one estimate per row, a stalled row as its unraised ConvergenceError.
     """
     cfg = cfg or QuadratureConfig()
     if n < 1:
         raise DomainError("dimension must be >= 1")
-    if not 0.0 <= scale <= 1.0:
+    rows = np.asarray(scale, dtype=float).reshape(-1)
+    if not np.all((rows >= 0.0) & (rows <= 1.0)):
         raise DomainError(f"scale must lie in [0, 1], got {scale!r}")
-    if scale == 1.0 and (p > (n + 1) / 2 or (n == 1 and p >= 1.0)):
+    if np.any(rows == 1.0) and (p > (n + 1) / 2 or (n == 1 and p >= 1.0)):
         raise DomainError(
             f"(1 - |x|^2)^(-p) is not integrable over S({n}) for p = {p}"
         )
-    if scale == 0.0:
+    if np.ndim(scale) == 0 and scale == 0.0:
         return VolumeEstimate(0.0, 0.0, 0, "simplex-radial")
-    sigma2 = scale * scale
-    w_top = one_minus_scale_sq if one_minus_scale_sq is not None \
-        else (1.0 - scale) * (1.0 + scale)
-    if w_top < 0.0:
-        raise DomainError("one_minus_scale_sq must be nonnegative")
-    def value_of(stack):
-        value, evals = stack.top_integral(n, w_top, sigma2)
-        return sigma2 ** (n / 2) * value, evals
+    sigma2 = rows * rows
+    w_top = np.asarray(one_minus_scale_sq, dtype=float).reshape(-1) \
+        if one_minus_scale_sq is not None else (1.0 - rows) * (1.0 + rows)
+    if w_top.shape != rows.shape or np.any(w_top < 0.0):
+        raise DomainError("one_minus_scale_sq must be one nonnegative value per scale")
+    powers = [s ** (n / 2) for s in sigma2.tolist()]
 
-    if pool is None:
-        pool = shared_radial_stacks([(n, p, w_top)], cfg)
-    return _radial_estimate(pool[n, p], cfg, value_of, "simplex-radial")
+    def values_of(stack):
+        top, evals = stack.top_integral(n, w_top, sigma2)
+        return [c * v for c, v in zip(powers, top.tolist())], evals
+
+    stacks = _radial_pair(n - 1, p, float(w_top.min()))
+    out = _radial_estimate(stacks, cfg, values_of, "simplex-radial")
+    return out if np.ndim(scale) else _settled(out[0])

@@ -44,9 +44,10 @@ from .quadrature import (
     VolumeEstimate,
     _panels_toward_one,
     _radial_estimate,
+    _radial_pair,
+    _settled,
     integrate_nested,
     integrate_simplex_radialpow,
-    shared_radial_stacks,
 )
 
 __all__ = [
@@ -150,33 +151,30 @@ def _facet_job(params: SimplexParams):
     return n - 1, n / 2.0, scale, w
 
 
-def volume_projective(params: SimplexParams, cfg: QuadratureConfig | None = None, *,
-                      pool: dict | None = None) -> VolumeEstimate:
+def volume_projective(params: SimplexParams, cfg: QuadratureConfig | None = None) -> VolumeEstimate:
     """Volume via the projective model: the radial-power integral
 
         sin^n t * integral over S(n) of (1 - sin^2 t r^2)^(-(n+1)/2).
 
     The ideal case (sin t = 1) is the vertex-touching scale-1 integral,
-    handled by the corner machinery of the radial engine.  ``pool`` is
-    passed on to `integrate_simplex_radialpow`.
+    handled by the corner machinery of the radial engine.
     """
     cfg = cfg or QuadratureConfig()
     if params.t <= 0.0:
         return VolumeEstimate(0.0, 0.0, 0, "projective")
     dim, p, scale, w = _projective_job(params)
-    est = integrate_simplex_radialpow(dim, scale, p, cfg, one_minus_scale_sq=w, pool=pool)
+    est = integrate_simplex_radialpow(dim, scale, p, cfg, one_minus_scale_sq=w)
     return replace(est, method="projective")
 
 
-def facet_volume_projective(params: SimplexParams, cfg: QuadratureConfig | None = None, *,
-                            pool: dict | None = None) -> VolumeEstimate:
+def facet_volume_projective(params: SimplexParams,
+                            cfg: QuadratureConfig | None = None) -> VolumeEstimate:
     """(n-1)-volume of a facet, via the projective model one dimension down.
 
     The facet is the regular (n-1)-simplex of circumradius r_{n-1}; its
     projective picture has Euclidean circumradius tanh r_{n-1} and volume
     element exponent n/2.  Equivalently this is volume_projective of the
     (n-1)-simplex whose parameter t' satisfies sin t' = tanh r_{n-1}.
-    ``pool`` is passed on to `integrate_simplex_radialpow`.
     """
     cfg = cfg or QuadratureConfig()
     if params.n < 3:
@@ -184,7 +182,7 @@ def facet_volume_projective(params: SimplexParams, cfg: QuadratureConfig | None 
     if params.t <= 0.0:
         return VolumeEstimate(0.0, 0.0, 0, "facet-projective")
     dim, p, scale, w = _facet_job(params)
-    est = integrate_simplex_radialpow(dim, scale, p, cfg, one_minus_scale_sq=w, pool=pool)
+    est = integrate_simplex_radialpow(dim, scale, p, cfg, one_minus_scale_sq=w)
     return replace(est, method="facet-projective")
 
 
@@ -246,8 +244,8 @@ def _halfspace_value(n: int, sigma: float, w_perp: float, slope: float,
     rho_f_sq = sigma * sigma * n * (n - 2) / (n - 1) ** 2
     depth = int(min(64, max(18, math.log2(max(slope, 2.0)) + 14)))
 
-    def value_of(stack):
-        top, evals = stack.top_integral(dim, w_perp, sigma * sigma)
+    def values_of(stack):
+        (top,), (evals,) = stack.top_integral(dim, w_perp, sigma * sigma)
         t1 = sigma**dim * top
         a, one_m_a, wq = _panels_toward_one(depth, stack.settings.order)
         # C(a) = upper^2 at the slice's outermost radius, built from (1 - a)
@@ -259,10 +257,10 @@ def _halfspace_value(n: int, sigma: float, w_perp: float, slope: float,
         )
         if not t2 < t1:
             raise DomainError("half-space integrand ordering violated (degenerate input)")
-        return (t1 - t2) / (n - 1), evals + a.size
+        return [float(t1 - t2) / (n - 1)], [evals + a.size]
 
-    stacks = shared_radial_stacks([(dim, p, w_perp)], cfg)[dim, p]
-    return _radial_estimate(stacks, cfg, value_of, "halfspace")
+    stacks = _radial_pair(dim - 1, p, w_perp)
+    return _settled(_radial_estimate(stacks, cfg, values_of, "halfspace")[0])
 
 
 def volume_halfspace(params: SimplexParams, cfg: QuadratureConfig | None = None) -> VolumeEstimate:

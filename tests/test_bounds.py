@@ -8,6 +8,7 @@ from hypervol import (
     DomainError,
     SimplexParams,
     euclidean_limit_ratio,
+    facet_volume_projective,
     growth_bounds,
     growth_ratio,
     hm_bounds,
@@ -15,6 +16,7 @@ from hypervol import (
     limit_audit,
     lower_bound,
     upper_bound,
+    volume_projective,
 )
 from hypervol.bounds import default_audit_sequence, growth_ratio_grid
 
@@ -181,6 +183,16 @@ class TestGrowthRatioGrid:
             alone = growth_ratio_grid([cell])[0]
             for a, b in zip(shared, alone):
                 assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, cell
+
+    def test_batch_mixing_ideal_and_finite_matches_standalone(self):
+        # a batch of one (dim, p) runs its ideal rows on the vertex nodes and
+        # the rest on the stack's own nodes, in one pass per node set
+        cells = [SimplexParams(n, t) for n in (3, 4)
+                 for t in (0.3, 1.0, math.pi / 2 - 1e-6, math.pi / 2)]
+        for cell, (_, vol, facet) in zip(cells, growth_ratio_grid(cells)):
+            for shared, alone in ((vol, volume_projective(cell)),
+                                  (facet, facet_volume_projective(cell))):
+                assert shared.value == pytest.approx(alone.value, rel=1e-14, abs=0), cell
 
     def test_rejects_any_bad_cell(self):
         with pytest.raises(DomainError):

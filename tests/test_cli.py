@@ -5,7 +5,14 @@ import math
 
 import pytest
 
-from hypervol import SimplexParams, cli, growth_bounds, quadrature
+from hypervol import (
+    ConvergenceError,
+    SimplexParams,
+    cli,
+    growth_bounds,
+    quadrature,
+    volume_projective,
+)
 from hypervol.bounds import growth_ratio_grid
 from hypervol.cli import main
 
@@ -245,6 +252,31 @@ class TestSweepGrid:
         # volumes of n and facets of n + 1 share (dim, p): 4 pairs for 93 cells
         assert len(built) <= 8
 
+    def test_one_top_integral_call_per_stack(self, capsys, monkeypatch):
+        calls = []
+        top = quadrature.RadialPowerStack.top_integral
+
+        def counted(self, *args):
+            calls.append(args)
+            return top(self, *args)
+
+        monkeypatch.setattr(quadrature.RadialPowerStack, "top_integral", counted)
+        code, out, _ = run(capsys, "sweep", "--n-list", "3,4,5", "--t-list", GRID_TS)
+        assert code == 0 and len(out.splitlines()) == 94
+        # each stack runs all of its rows' top integrals in one call
+        assert len(calls) <= 8
+
+    def test_stall_reported_as_non_convergence(self, capsys, stalled):
+        # the first stalled volume in cell order is reported: the first
+        # cell's volume, not its facet nor a row of another batch
+        with pytest.raises(ConvergenceError) as info:
+            volume_projective(SimplexParams(4, 1.0))
+        code, out, err = run(capsys, "sweep", "--n-list", "4,3,5", "--t-list", "1.0")
+        assert code == 2 and out == ""
+        assert err.startswith("non-convergence:")
+        best = float(err.split("best estimate ")[1].split()[0])
+        assert best == pytest.approx(info.value.estimate.value, rel=1e-12)
+
     def test_rows_match_standalone_volumes(self, capsys):
         code, out, _ = run(capsys, "sweep", "--n-list", "3,4,5", "--t-list", GRID_TS)
         assert code == 0
@@ -252,7 +284,7 @@ class TestSweepGrid:
             params = SimplexParams(int(row["n"]), float(row["t"]))
             est, vol, facet = growth_ratio_grid([params])[0]
             for key, ref in (("V_n", vol), ("V_facet", facet), ("ratio", est)):
-                assert float(row[key]) == pytest.approx(ref.value, rel=1e-12), (key, row)
+                assert float(row[key]) == pytest.approx(ref.value, rel=1e-12, abs=0), (key, row)
             b = growth_bounds(params)
             ok = b.lower - est.error_estimate <= est.value <= b.upper + est.error_estimate
             assert row["sandwich_flag"] == ("ok" if ok else "violation")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -49,10 +50,15 @@ class TestParams:
             SimplexParams.from_sin_t(3, 1.2)
 
     def test_stable_one_minus_sin(self):
-        p = SimplexParams(4, math.pi / 2 - 1e-4)
-        # 1 - cos(1e-4) = 2 sin^2(5e-5)
-        assert p.one_minus_sin_t == pytest.approx(2 * math.sin(5e-5) ** 2, rel=1e-14)
+        # against 50-digit 1 - sin t at the same float t, down to a few ulps
+        # below pi/2
+        for eps in (0.5, 1e-1, 1e-4, 1e-8, 1e-12, 1e-15):
+            p = SimplexParams(4, math.pi / 2 - eps)
+            with mp.workdps(50):
+                ref = float(1 - mp.sin(mp.mpf(p.t)))
+            assert p.one_minus_sin_t == pytest.approx(ref, rel=1e-15, abs=0), eps
         assert SimplexParams(4, math.pi / 2).one_minus_sin_t == 0.0
+        assert SimplexParams(4, 0.0).one_minus_sin_t == 1.0
 
 
 class TestCrossRatioDistance:

@@ -17,7 +17,7 @@ from hypervol import (
     integrate_simplex_radialpow,
 )
 
-from hypervol.quadrature import RadialPowerStack, _standard_chop, shared_radial_stacks
+from hypervol.quadrature import RadialPowerStack, _radial_pair, _standard_chop
 
 from oracles import (
     euclidean_simplex_volume,
@@ -102,6 +102,10 @@ class TestSimplexRadialPow:
     def test_zero_scale(self):
         assert integrate_simplex_radialpow(4, 0.0, 2.0).value == 0.0
 
+    def test_batch_needs_one_floor_per_scale(self):
+        with pytest.raises(DomainError):
+            integrate_simplex_radialpow(3, [0.5, 0.6], 2.0, one_minus_scale_sq=[0.75])
+
     def test_euclidean_triangle_area(self):
         est = integrate_simplex_radialpow(2, 1.0, 0.0)
         assert est.value == pytest.approx(3.0 * math.sqrt(3.0) / 4.0, rel=1e-13)
@@ -170,25 +174,24 @@ class TestRadialPowerStack:
     def test_series_matches_direct_level_integral(self, w_top, rel):
         # level_value reads each level's Chebyshev series; top_integral
         # computes the same level by direct quadrature on the series one down
-        _, stack = shared_radial_stacks([(5, 3.0, w_top)], QuadratureConfig())[5, 3.0]
+        _, stack = _radial_pair(4, 3.0, w_top)
         # theta = log(1 - sigma^2) from 0 to theta_min, then one point below
         # theta_min, where the series' argument is clipped to theta_min
         for k in range(1, 5):
             for frac in (0.0, 0.1, 0.5, 0.9, 0.999, 1.0, 1.01):
                 theta = frac * stack.theta_min
                 at = max(theta, stack.theta_min)
-                ref, _ = stack.top_integral(k, math.exp(at), -math.expm1(at))
+                (ref,), _ = stack.top_integral(k, [math.exp(at)], [-math.expm1(at)])
                 got = stack.level_value(k, np.array([math.exp(theta)]))[0]
                 assert got == pytest.approx(ref, rel=rel), (k, frac)
 
 
     def test_build_count_fixed_at_construction(self):
         # a shared stack must not carry one caller's top integrals into the next
-        stacks = shared_radial_stacks([(4, 2.5, 0.04)], QuadratureConfig())[4, 2.5]
-        for stack in stacks:
+        for stack in _radial_pair(3, 2.5, 0.04):
             built = stack.n_evals
-            _, first = stack.top_integral(4, 0.04, 0.96)
-            _, again = stack.top_integral(4, 0.04, 0.96)
+            _, (first,) = stack.top_integral(4, [0.04], [0.96])
+            _, (again,) = stack.top_integral(4, [0.04], [0.96])
             assert first == again > 0
             assert stack.n_evals == built > 0
 
@@ -213,7 +216,7 @@ class TestChoppedLevels:
     def test_linear_level_keeps_two_coefficients(self):
         # level 1 of (dim, p) = (2, 3/2) is 2 / sqrt(1 - sigma^2): its log
         # is log 2 - theta/2, exactly linear in theta
-        for stack in shared_radial_stacks([(2, 1.5, 0.3)], QuadratureConfig())[2, 1.5]:
+        for stack in _radial_pair(1, 1.5, 0.3):
             assert stack._series[1].coef.size <= 2
 
     def test_ideal_levels_stop_well_below_the_cap(self, monkeypatch):
@@ -227,7 +230,7 @@ class TestChoppedLevels:
             return log_level(self, k, thetas)
 
         monkeypatch.setattr(RadialPowerStack, "_log_level", counted)
-        for stack in shared_radial_stacks([(5, 3.0, 0.0)], QuadratureConfig())[5, 3.0]:
+        for stack in _radial_pair(4, 3.0, 0.0):
             points = [sampled[id(stack), k] for k in range(1, 5)]
             assert max(points) <= 129
             assert max(stack._series[k].coef.size for k in range(1, 5)) <= 128

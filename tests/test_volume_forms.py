@@ -4,7 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from hypervol import quadrature
+from hypervol import integrate_simplex_radialpow, quadrature
+from hypervol.volume_forms import _projective_job
 from hypervol import (
     ConvergenceError,
     DegenerateGeometryError,
@@ -173,15 +174,19 @@ class TestProjective:
         assert form(p).n_evals == form(p).n_evals == evals
 
     def test_n_evals_on_a_shared_pool(self):
-        # each cell counts the shared build plus its own top integrals
-        cells = [SimplexParams(3, t) for t in (0.4, 0.8, 1.2)]
-        w = [c.one_minus_sin_t * c.one_plus_sin_t for c in cells]
-        pool = quadrature.shared_radial_stacks([(3, 2.0, x) for x in w], QuadratureConfig())
-        build = sum(stack.n_evals for stack in pool[3, 2.0])
-        for cell, w_top in zip(cells, w):
-            own = sum(stack.top_integral(3, w_top, cell.sin_t**2)[1] for stack in pool[3, 2.0])
-            assert volume_projective(cell, pool=pool).n_evals == build + own
-            assert volume_projective(cell, pool=pool).n_evals == build + own
+        # each row of a batch counts the shared pair's build plus its own
+        # top nodes: the vertex nodes at the ideal point, the stack's own
+        # elsewhere
+        cells = [SimplexParams(3, t) for t in (0.4, 0.8, 1.2, math.pi / 2)]
+        _, p, scale, w = zip(*map(_projective_job, cells))
+        pair = quadrature._radial_pair(2, 2.0, 0.0)
+        build = sum(stack.n_evals for stack in pair)
+        for _ in range(2):
+            rows = integrate_simplex_radialpow(3, scale, 2.0, one_minus_scale_sq=w)
+            for row, s, w_top in zip(rows, scale, w):
+                own = sum(stack.top_integral(3, [w_top], [s * s])[1][0] for stack in pair)
+                assert row.n_evals == build + own
+        assert rows[0].n_evals == rows[2].n_evals != rows[3].n_evals
 
 
 class TestFacetProjective:
