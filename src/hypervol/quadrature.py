@@ -498,6 +498,6 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
         top, evals = stack.top_integral(n, w_top, sigma2)
         return [c * v for c, v in zip(powers, top.tolist())], evals
 
-    stacks = _radial_pair(n - 1, p, float(w_top.min()))
+    stacks = _radial_pair(n - 1, p, float(w_top.min(initial=1.0)))
     out = _radial_estimate(stacks, cfg, values_of, "simplex-radial")
     return out if np.ndim(scale) else _settled(out[0])

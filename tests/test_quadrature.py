@@ -105,6 +105,7 @@ class TestSimplexRadialPow:
     def test_batch_needs_one_floor_per_scale(self):
         with pytest.raises(DomainError):
             integrate_simplex_radialpow(3, [0.5, 0.6], 2.0, one_minus_scale_sq=[0.75])
+        assert integrate_simplex_radialpow(3, [], 2.0) == []
 
     def test_euclidean_triangle_area(self):
         est = integrate_simplex_radialpow(2, 1.0, 0.0)

@@ -178,7 +178,7 @@ class TestProjective:
         # top nodes: the vertex nodes at the ideal point, the stack's own
         # elsewhere
         cells = [SimplexParams(3, t) for t in (0.4, 0.8, 1.2, math.pi / 2)]
-        _, p, scale, w = zip(*map(_projective_job, cells))
+        _, _, scale, w = zip(*map(_projective_job, cells))
         pair = quadrature._radial_pair(2, 2.0, 0.0)
         build = sum(stack.n_evals for stack in pair)
         for _ in range(2):
