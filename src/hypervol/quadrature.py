@@ -10,12 +10,21 @@ Two engines live here:
 * `integrate_simplex_radialpow` -- integrals of (1 - |x|^2)^(-p) over a
   scaled regular simplex, the volume element of the projective model.
   The simplex is collapsed to iterated cone (Duffy-type) coordinates; in
-  these coordinates each level is a one-dimensional integral of the same
-  integral one dimension down, which is held as a Chebyshev series in
-  log(1 - sigma^2) of its own degree.  Panels are refined dyadically
-  toward the vertex end, so the vertex-touching case scale = 1 (ideal
-  simplices) integrates its corner singularities properly.  The
-  projective and half-space forms run on it.
+  these coordinates each level I_k is a one-dimensional integral of the
+  level one dimension down, which is held as a Chebyshev series in
+  log(1 - sigma^2) of its own degree.  With v = 1 - sigma^2 xi^2,
+  den(v) = v/k^2 + rho^2, rho^2 = 1 - 1/k^2 and c_k = (k+1)/k rho^(k-1),
+
+      sigma^k I_k(sigma) = (c_k/2) int_{1-sigma^2}^1
+          (1 - v)^((k-2)/2) den(v)^(-p) I_{k-1}(v / den(v)) dv
+
+  (c_1 = 2, and den = v at k = 1, I_0 = 1).  The integrand does not
+  depend on sigma, so a level is one cumulative integral over one set of
+  Gauss panels in y = sqrt(-log v) (`RadialPowerStack`).  The top level
+  is integrated directly in the cone parameter on panels refined
+  dyadically toward the vertex end, so the vertex-touching case
+  scale = 1 (ideal simplices) integrates its corner singularities
+  properly.  The projective and half-space forms run on it.
 
 The radial engine holds its levels in a lo/hi pair of stacks whose
 gap is the error bar.  A pair depends on scale only through the range
@@ -26,8 +35,9 @@ one pass; a standalone integral is a batch of one.  A stack's
 evaluation count is fixed when it is built; a row counts the build plus
 its own top-level work.
 
-Both engines integrate on Gauss panels graded dyadically toward one
-end (`_panels_toward_one`) and share one interpolation scheme,
+The nested engine's outer integral and the radial top integrals run on
+Gauss panels graded dyadically toward one end (`_panels_toward_one`).
+Both engines share one interpolation scheme,
 `_chebyshev_series` (second-kind points, coefficients by FFT): a radial
 level doubles its points until `_standard_chop` finds the plateau, a
 nested pass samples at its fixed degree.  The only setting is the
@@ -222,10 +232,9 @@ def _panels_toward_one(depth: int, order: int):
     return tuple(panels)
 
 
-# entries of each (theta rows x xi nodes) temporary when a level is
-# evaluated on its Chebyshev points.  At 128 KiB of float64 the series'
-# temporaries are reused from the heap; 530 KiB blocks were mapped and
-# faulted in afresh, 28,000 page faults per ideal n = 5 volume
+# entries of each (rows x xi nodes) temporary of a batch of top
+# integrals, 128 KiB of float64; the level series are built on far
+# smaller (points x Gauss order) blocks
 _BLOCK_ENTRIES = 1 << 14
 
 
@@ -307,27 +316,48 @@ def _radial_settings(theta_min: float):
             _RadialSettings(_MAX_DEGREE, depth, _BASE_ORDER))                   # hi
 
 
+def _cone_factor(k: int) -> float:
+    """c_k = (k+1)/k * rho^(k-1), rho^2 = 1 - 1/k^2, of level k's reduction."""
+    return (k + 1) / k * (1.0 - 1.0 / (k * k)) ** ((k - 1) / 2)
+
+
 class RadialPowerStack:
     """Chebyshev series for the levels of the iterated-cone reduction of
     integral over S(k) of (1 - sigma^2 |x|^2)^(-p) dx.
 
-    Level k is held as a Chebyshev series in theta = log(1 - sigma^2)
-    on [theta_min, 0], interpolating log I_k(p, sigma) at the Chebyshev
-    points of the second kind, doubled from N = 16 up to
-    ``settings.ncheb`` and chopped at the coefficients' rounding plateau
-    (`_chebyshev_series`); the ideal n = 5 levels stop at N = 128.
-    ``n_evals`` counts the points the levels sampled.  Each level's
-    defining integral runs over the cone parameter xi in (0, 1) on panels
-    refined dyadically toward xi = 1, where the integrand concentrates as
-    sigma -> 1.
+    The reduction, with h = 1/k, rho^2 = 1 - h^2 and
+    c_k = (k+1)/k * rho^(k-1) (so c_1 = 2):
 
-    The reduction, with h = 1/k and rho^2 = 1 - h^2:
-
-        I_k(p, sigma) = (k+1)/k * rho^(k-1) *
-            int_0^1 xi^(k-1) (1 - sigma^2 xi^2 h^2)^(-p) I_{k-1}(p, sigma') dxi,
+        I_k(p, sigma) = c_k int_0^1 xi^(k-1) (1 - sigma^2 xi^2 h^2)^(-p) I_{k-1}(p, sigma') dxi,
         sigma'^2 = sigma^2 xi^2 rho^2 / (1 - sigma^2 xi^2 h^2),
 
-    with I_0 = 1 and I_1 = 2 int_0^1 (1 - sigma^2 x^2)^(-p) dx.
+    with I_0 = 1.  Level k is held as a Chebyshev series in
+    theta = log(1 - sigma^2) on [theta_min, 0], interpolating log I_k at
+    the Chebyshev points of the second kind, doubled from N = 16 up to
+    ``settings.ncheb`` and chopped at the coefficients' rounding plateau
+    (`_chebyshev_series`); the ideal n = 5 levels stop at N = 128.
+
+    The series is built from one cumulative integral.  With
+    v = 1 - sigma^2 xi^2 and den(v) = v h^2 + rho^2 = 1 - sigma^2 xi^2 h^2,
+
+        sigma^k I_k(sigma) = c_k / 2 * int_{1 - sigma^2}^1
+            (1 - v)^((k-2)/2) den(v)^(-p) I_{k-1}(p, v / den(v)) dv,
+
+    where 1 - sigma'^2 = v / den(v) (for k = 1, den = v).  The integrand
+    does not depend on sigma, so in y = sqrt(-log v), where the branch
+    point at v = 1 becomes y^(k-2) times an analytic factor, the build
+    sums ``settings.depth`` uniform panels of ``settings.order`` Gauss
+    points on [0, sqrt(-theta_min)] cumulatively from y = 0, and each
+    Chebyshev point theta adds only its own partial panel up to
+    y = sqrt(-theta).  At theta = 0 the identity is 0/0; there
+    I_k(0) = c_k I_{k-1}(0) / k.  ``n_evals`` counts the panel nodes plus
+    ``settings.order`` per sampled point, per level.  The panels live only
+    for the build; a built stack is only read.
+
+    `top_integral` evaluates the defining xi integral directly instead, on
+    panels refined dyadically toward xi = 1, where the integrand
+    concentrates as sigma -> 1; so each top value checks the series one
+    level down by an independent route.
 
     Stacks come in lo/hi fidelity pairs, built by `_radial_pair` and read
     by `_radial_estimate`.
@@ -343,14 +373,43 @@ class RadialPowerStack:
         # integrand evaluations of the build; fixed here, so a shared stack
         # carries no count from one caller's top integrals into the next
         self.n_evals = 0
+        at_zero = 1.0                                           # I_k(p, 0)
         for k in range(1, levels + 1):
-            self._series[k], points = _chebyshev_series(
-                lambda th: self._log_level(k, th), theta_min, 0.0, settings.ncheb, chop=True)
-            self.n_evals += points * xi.size
+            at_zero *= _cone_factor(k) / k
+            self._series[k], points = self._build_level(k, at_zero)
+            self.n_evals += (settings.depth + points) * settings.order
 
-    def _log_level(self, k, thetas):
-        """log I_k at each theta, by direct quadrature."""
-        return np.log(self._integrals(k, np.exp(thetas), -np.expm1(thetas), self._nodes))
+    def _build_level(self, k, at_zero):
+        """Level k's series and the number of points it sampled, from the
+        cumulative integral in y (class docstring), given level k - 1."""
+        depth = self.settings.depth
+        g, wg = _gauss01(self.settings.order)
+        width = math.sqrt(-self.theta_min) / depth
+        edges = width * np.arange(depth + 1)
+        panels = self._density(k, edges[:-1, None] + width * g) @ (width * wg)
+        below = np.concatenate(([0.0], np.cumsum(panels)))     # integral up to each edge
+
+        def log_level(thetas):
+            out = np.full(thetas.size, math.log(at_zero))
+            inside = thetas < 0.0
+            y = np.sqrt(-thetas[inside])
+            m = np.minimum((y / width).astype(int), depth - 1)  # the panel holding y
+            part = y - edges[m]
+            tail = self._density(k, edges[m, None] + part[:, None] * g) @ wg * part
+            out[inside] = np.log(below[m] + tail) - k / 2 * np.log(-np.expm1(thetas[inside]))
+            return out
+
+        return _chebyshev_series(log_level, self.theta_min, 0.0, self.settings.ncheb, chop=True)
+
+    def _density(self, k, y):
+        """The integrand of the v identity (class docstring) times
+        |dv/dy| = 2 y v, at y = sqrt(-log v)."""
+        y2 = y * y
+        v = np.exp(-y2)
+        h2 = 1.0 / (k * k)
+        den = h2 * v + (1.0 - h2)
+        return (_cone_factor(k) * y * v * (-np.expm1(-y2)) ** ((k - 2) / 2) * den ** (-self.p)
+                * self.level_value(k - 1, v / den))
 
     def _integrals(self, k, w, sigma2, nodes):
         """`_level_integral` at each row of (w, sigma2), in blocks of at most
@@ -375,14 +434,10 @@ class RadialPowerStack:
         level k-1 series."""
         xi, wq, one_m_xi2 = nodes
         num = w[:, None] + sigma2[:, None] * one_m_xi2          # 1 - sigma^2 xi^2
-        if k == 1:
-            return 2.0 * (num ** (-self.p) @ wq)
         h2 = 1.0 / (k * k)
-        rho2 = 1.0 - h2
-        den = h2 * num + rho2                                   # 1 - sigma^2 xi^2 h^2
+        den = h2 * num + (1.0 - h2)                             # 1 - sigma^2 xi^2 h^2
         inner = self.level_value(k - 1, num / den)
-        coef = (k + 1) / k * rho2 ** ((k - 1) / 2)
-        return coef * ((xi ** (k - 1) * den ** (-self.p) * inner) @ wq)
+        return _cone_factor(k) * ((xi ** (k - 1) * den ** (-self.p) * inner) @ wq)
 
     # -- public surface ------------------------------------------------------
 

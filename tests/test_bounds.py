@@ -16,6 +16,7 @@ from hypervol import (
     limit_audit,
     lower_bound,
     upper_bound,
+    volume_orthoscheme,
     volume_projective,
 )
 from hypervol.bounds import default_audit_sequence, growth_ratio_grid
@@ -193,6 +194,19 @@ class TestGrowthRatioGrid:
             for shared, alone in ((vol, volume_projective(cell)),
                                   (facet, facet_volume_projective(cell))):
                 assert shared.value == pytest.approx(alone.value, rel=1e-14, abs=0), cell
+
+    def test_ideal_ratio_in_both_brackets(self):
+        # at the ideal point the projective ratio lies between the paper's
+        # bounds and in the Haagerup-Munkholm bracket, and it matches the
+        # orthoscheme ratio of the ideal n- and (n-1)-simplices
+        cells = [SimplexParams(n, math.pi / 2) for n in range(3, 13)]
+        ideal = {n: volume_orthoscheme(SimplexParams(n, math.pi / 2)).value
+                 for n in range(2, 13)}
+        for cell, (ratio, _, _) in zip(cells, growth_ratio_grid(cells)):
+            n, b, err = cell.n, growth_bounds(cell), ratio.error_estimate
+            assert b.lower - err <= ratio.value <= b.upper + err, n
+            assert (n - 2) / (n - 1) ** 2 <= ratio.value <= 1 / (n - 1), n
+            assert ratio.value == pytest.approx(ideal[n] / ideal[n - 1], rel=1e-10, abs=0), n
 
     def test_rejects_any_bad_cell(self):
         with pytest.raises(DomainError):

@@ -29,7 +29,7 @@ def stalled(monkeypatch):
     is above the stall gate, so every radial volume raises."""
     settings = quadrature._radial_settings
     monkeypatch.setattr(quadrature, "_radial_settings", lambda theta_min: (
-        quadrature._RadialSettings(2, 2, 2), settings(theta_min)[1]))
+        quadrature._RadialSettings(2, 1, 1), settings(theta_min)[1]))
 
 
 class TestVolume:

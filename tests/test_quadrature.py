@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +14,10 @@ from hypervol import (
     QuadratureConfig,
     integrate_nested,
     integrate_simplex_radialpow,
+    quadrature,
 )
 
-from hypervol.quadrature import RadialPowerStack, _radial_pair, _standard_chop
+from hypervol.quadrature import _cone_factor, _radial_pair, _standard_chop
 
 from oracles import (
     euclidean_simplex_volume,
@@ -173,19 +173,23 @@ class TestSimplexRadialPow:
 class TestRadialPowerStack:
     @pytest.mark.parametrize("w_top, rel", [(0.36, 1e-12), (1e-6, 1e-12), (0.0, 1e-9)])
     def test_series_matches_direct_level_integral(self, w_top, rel):
-        # level_value reads each level's Chebyshev series; top_integral
-        # computes the same level by direct quadrature on the series one down
-        _, stack = _radial_pair(4, 3.0, w_top)
-        # theta = log(1 - sigma^2) from 0 to theta_min, then one point below
-        # theta_min, where the series' argument is clipped to theta_min
-        for k in range(1, 5):
-            for frac in (0.0, 0.1, 0.5, 0.9, 0.999, 1.0, 1.01):
-                theta = frac * stack.theta_min
-                at = max(theta, stack.theta_min)
-                (ref,), _ = stack.top_integral(k, [math.exp(at)], [-math.expm1(at)])
-                got = stack.level_value(k, np.array([math.exp(theta)]))[0]
-                assert got == pytest.approx(ref, rel=rel), (k, frac)
-
+        # level_value reads each level's Chebyshev series, built from the
+        # cumulative integral in y; top_integral computes the same level by
+        # direct xi quadrature on the series one down
+        for n in (3, 5, 8):
+            _, stack = _radial_pair(n - 1, (n + 1) / 2, w_top)
+            # theta = log(1 - sigma^2) from 0 to theta_min, then one point
+            # below theta_min, where the series' argument is clipped to theta_min
+            for k in range(1, n):
+                for frac in (0.0, 0.1, 0.5, 0.9, 0.999, 1.0, 1.01):
+                    theta = frac * stack.theta_min
+                    at = max(theta, stack.theta_min)
+                    (ref,), _ = stack.top_integral(k, [math.exp(at)], [-math.expm1(at)])
+                    got = stack.level_value(k, np.array([math.exp(theta)]))[0]
+                    assert got == pytest.approx(ref, rel=rel, abs=0), (n, k, frac)
+                # theta = 0 is the identity's 0/0: I_k(0) = c_k I_{k-1}(0) / k
+                (at_zero,), (below,) = (stack.level_value(j, np.ones(1)) for j in (k, k - 1))
+                assert at_zero == pytest.approx(_cone_factor(k) / k * below, rel=1e-12, abs=0), (n, k)
 
     def test_build_count_fixed_at_construction(self):
         # a shared stack must not carry one caller's top integrals into the next
@@ -223,20 +227,24 @@ class TestChoppedLevels:
     def test_ideal_levels_stop_well_below_the_cap(self, monkeypatch):
         # every level of the ideal n = 5 stacks finds its plateau by
         # N = 128; a fixed high degree coming back would sample 513 points
-        sampled = Counter()
-        log_level = RadialPowerStack._log_level
+        sampled = []
+        chebyshev_series = quadrature._chebyshev_series
 
-        def counted(self, k, thetas):
-            sampled[id(self), k] += thetas.size
-            return log_level(self, k, thetas)
+        def counted(f, a, b, degree, chop=False):
+            points = []
+            series = chebyshev_series(lambda th: points.append(th.size) or f(th), a, b, degree, chop)
+            sampled.append(sum(points))
+            return series
 
-        monkeypatch.setattr(RadialPowerStack, "_log_level", counted)
+        monkeypatch.setattr(quadrature, "_chebyshev_series", counted)
         for stack in _radial_pair(4, 3.0, 0.0):
-            points = [sampled[id(stack), k] for k in range(1, 5)]
+            points, sampled[:4] = sampled[:4], []
             assert max(points) <= 129
             assert max(stack._series[k].coef.size for k in range(1, 5)) <= 128
-            # the build counts the points it sampled
-            assert stack.n_evals == sum(points) * stack._nodes[0].size
+            # the build counts the points it sampled: per level, the
+            # cumulative panels plus one partial panel per point
+            settings = stack.settings
+            assert stack.n_evals == (4 * settings.depth + sum(points)) * settings.order
 
 
 class TestMonteCarlo:
