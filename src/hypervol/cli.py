@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -309,7 +310,11 @@ def cmd_ladder(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: its ``prog`` is
+    fixed and ``parse_args`` returns a fresh namespace on every call.  Each
+    subcommand's ``cmd_*`` function is bound when it is first built."""
     parser = _Parser(prog="hypervol", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -38,12 +38,15 @@ its own top-level work.
 The nested engine's outer integral and the radial top integrals run on
 Gauss panels graded dyadically toward one end (`_panels_toward_one`).
 Both engines share one interpolation scheme,
-`_chebyshev_series` (second-kind points, coefficients by FFT): a radial
-level doubles its points until `_standard_chop` finds the plateau, a
-nested pass samples at its fixed degree.  The only setting is the
-relative tolerance in `QuadratureConfig`; the absolute floor, the Gauss
-order, the nested degrees, the radial cap and the chop tolerance are
-module constants.
+`_chebyshev_series` (second-kind points, coefficients by FFT), and one
+evaluator, `_chebval`: a radial level doubles its points, from the N
+where the level below stopped, until `_standard_chop` finds the plateau,
+a nested pass samples at its fixed degree.  A pass over a series costs
+about one fixed step per coefficient whatever the number of points, so
+a build costs passes times degree: each round of a level is one pass
+over the level below.  The only setting is the relative tolerance in
+`QuadratureConfig`; the absolute floor, the Gauss order, the nested
+degrees, the radial cap and the chop tolerance are module constants.
 Both engines are pure functions of their inputs and reentrant; a
 shared stack is only read after it is built.
 """
@@ -126,9 +129,10 @@ def _gauss01(order: int):
 _NESTED_ORDERS = (8, 12, 18, 27, 40, 60, 90)
 
 
-def _level_series(limit, factor, inner, top: float, m: int) -> np.polynomial.Chebyshev:
-    """Degree-m Chebyshev series on [0, top] of
-    x -> int_0^{limit(x)} factor(y) inner(y) dy, by an m-point Gauss rule."""
+def _level_series(limit, factor, inner, top: float, m: int) -> Callable:
+    """The degree-m Chebyshev series on [0, top] of
+    x -> int_0^{limit(x)} factor(y) inner(y) dy, by an m-point Gauss rule,
+    as a function of x."""
     g, w = _gauss01(m)
 
     def level(x):
@@ -136,7 +140,8 @@ def _level_series(limit, factor, inner, top: float, m: int) -> np.polynomial.Che
         y = ub * g
         return (ub * w * inner(y) * factor(y)).sum(axis=1)
 
-    return _chebyshev_series(level, 0.0, top, m)[0]
+    series = _chebyshev_series(level, 0.0, top, m)[0]
+    return lambda x: _chebval(series, x)
 
 
 def _nested_pass(limits, factors, m: int):
@@ -233,9 +238,9 @@ def _panels_toward_one(depth: int, order: int):
 
 
 # entries of each (rows x xi nodes) temporary of a batch of top
-# integrals, 128 KiB of float64; the level series are built on far
-# smaller (points x Gauss order) blocks
-_BLOCK_ENTRIES = 1 << 14
+# integrals: 32 KiB of float64, below glibc's 128 KiB mmap threshold, so
+# each block reuses heap pages instead of faulting in a fresh mapping
+_BLOCK_ENTRIES = 1 << 12
 
 
 def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
@@ -251,34 +256,42 @@ def _standard_chop(coef: np.ndarray) -> int:
     Trefethen, "Chopping a Chebyshev series" (ACM TOMS 43(4), 2017;
     Chebfun's standardChop): scan the monotone envelope of |coef| for a
     plateau, then cut where the envelope plus a slight upward tilt is
-    least.  Without a plateau every coefficient stays; all zeros keep one."""
+    least.  Without a plateau every coefficient stays; all zeros keep one.
+    The scan tests every j at once and takes the first plateau, which is
+    where the paper's loop stops."""
     n, tol = coef.size, _CHOP_TOL
     env = np.maximum.accumulate(np.abs(coef)[::-1])[::-1]
     if n < 17 or env[0] == 0.0:
         return n if n < 17 else 1
     env = env / env[0]
-    for j in range(2, n + 1):                    # 1-based, as in the paper
-        j2 = math.floor(1.25 * j + 5.5)
-        if j2 > n:
-            return n
-        e1 = env[j - 1]
-        if e1 == 0.0 or env[j2 - 1] / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
-            break
+    j = np.arange(2, n + 1)                      # 1-based, as in the paper
+    j2 = np.floor(1.25 * j + 5.5).astype(int)
+    j, j2 = j[j2 <= n], j2[j2 <= n]
+    e1 = env[j - 1]
+    # past the envelope's last nonzero entry e1 = 0 is a plateau; the
+    # 0/0 and log(0) there are masked by it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plateau = (e1 == 0.0) | (env[j2 - 1] / e1 > 3.0 * (1.0 - np.log(e1) / math.log(tol)))
+    if not plateau.any():
+        return n
     floor = tol ** (7 / 6)
-    j2 = min(j2, int(np.count_nonzero(env >= floor)) + 1)
+    j2 = min(int(j2[plateau.argmax()]), int(np.count_nonzero(env >= floor)) + 1)
     tilted = np.log10(np.maximum(env[:j2], floor)) + np.linspace(0.0, -math.log10(tol) / 3, j2)
     return max(int(np.argmin(tilted)), 1)
 
 
-def _chebyshev_series(f, a: float, b: float, degree: int, chop: bool = False):
+def _chebyshev_series(f, a: float, b: float, degree: int, start: int | None = None):
     """Chebyshev series of f on [a, b] from its values at the N + 1 points
     b - (b - a) sin^2(pi j / 2N) (second kind, exact at both ends), with
     the number of points sampled.
 
-    Without ``chop``, N is ``degree``.  With it, N doubles from 16 to at
-    most ``degree``, each doubling sampling only the N new points between
-    the old ones, until `_standard_chop` finds the coefficients' plateau;
-    the coefficients before it are kept (all of them at ``degree``).
+    Without ``start``, N is ``degree``.  With it, N doubles from ``start``
+    to at most ``degree``, each doubling sampling only the N new points
+    between the old ones, until `_standard_chop` finds the coefficients'
+    plateau; the coefficients before it are kept (all of them at
+    ``degree``).  A caller whose f reads other series starts near the
+    plateau, since each round costs a pass over them: a series first
+    sampled past its plateau is still cut there, from finer samples.
 
     The coefficients come from one FFT.  At degrees in the hundreds,
     numpy's Chebyshev.interpolate (three-term recurrence) left a 2e-12
@@ -289,15 +302,39 @@ def _chebyshev_series(f, a: float, b: float, degree: int, chop: bool = False):
     def sample(n, j):
         return f(b - (b - a) * np.sin(np.pi / (2 * n) * j) ** 2)
 
-    n = min(16, degree) if chop else degree
+    n = degree if start is None else min(start, degree)
     values = sample(n, np.arange(n + 1))
     while True:
         coef = _chebyshev_coefficients(values)
-        keep = _standard_chop(coef) if chop else coef.size
+        keep = coef.size if start is None else _standard_chop(coef)
         if keep < coef.size or 2 * n > degree:
             return np.polynomial.Chebyshev(coef[:keep], domain=(a, b)), values.size
         n *= 2
         values = np.insert(values, np.arange(1, values.size), sample(n, np.arange(1, n, 2)))
+
+
+def _chebval(series: np.polynomial.Chebyshev, x: np.ndarray) -> np.ndarray:
+    """``series(x)``, bitwise: x mapped by ``series.mapparms()``, then
+    numpy's Clenshaw recurrence (chebval) on three reused buffers where
+    numpy allocates three arrays per coefficient.  At the few hundred to
+    few thousand points of a pass, each step costs about the same whatever
+    the number of points."""
+    off, scl = series.mapparms()
+    x = off + scl * x
+    c = series.coef
+    if c.size < 3:
+        return c[0] + (c[1] if c.size == 2 else 0) * x
+    x2 = 2 * x
+    c0, c1, t = np.full_like(x, c[-2]), np.full_like(x, c[-1]), np.empty_like(x)
+    for ck in c[-3::-1]:
+        # c0, c1 = ck - c1, c0 + c1 * x2, with t free for the product
+        np.multiply(c1, x2, out=t)
+        np.subtract(ck, c1, out=c1)
+        t += c0
+        c0, c1, t = c1, t, c0
+    np.multiply(c1, x, out=t)
+    t += c0
+    return t
 
 
 @dataclass(frozen=True)
@@ -333,9 +370,12 @@ class RadialPowerStack:
 
     with I_0 = 1.  Level k is held as a Chebyshev series in
     theta = log(1 - sigma^2) on [theta_min, 0], interpolating log I_k at
-    the Chebyshev points of the second kind, doubled from N = 16 up to
+    the Chebyshev points of the second kind, doubled up to
     ``settings.ncheb`` and chopped at the coefficients' rounding plateau
-    (`_chebyshev_series`); the ideal n = 5 levels stop at N = 128.
+    (`_chebyshev_series`).  Level 1 starts at N = 16 and reads no series
+    (I_0 = 1); each level above starts at the N where the one below
+    stopped, so it usually samples in one round.  The ideal n = 5 levels
+    stop at N = 128.
 
     The series is built from one cumulative integral.  With
     v = 1 - sigma^2 xi^2 and den(v) = v h^2 + rho^2 = 1 - sigma^2 xi^2 h^2,
@@ -349,10 +389,11 @@ class RadialPowerStack:
     sums ``settings.depth`` uniform panels of ``settings.order`` Gauss
     points on [0, sqrt(-theta_min)] cumulatively from y = 0, and each
     Chebyshev point theta adds only its own partial panel up to
-    y = sqrt(-theta).  At theta = 0 the identity is 0/0; there
-    I_k(0) = c_k I_{k-1}(0) / k.  ``n_evals`` counts the panel nodes plus
-    ``settings.order`` per sampled point, per level.  The panels live only
-    for the build; a built stack is only read.
+    y = sqrt(-theta); the first round's partial panels are evaluated
+    with the whole ones, in one pass over level k - 1.  At theta = 0 the
+    identity is 0/0; there I_k(0) = c_k I_{k-1}(0) / k.  ``n_evals``
+    counts the panel nodes plus ``settings.order`` per sampled point, per
+    level.  The panels live only for the build; a built stack is only read.
 
     `top_integral` evaluates the defining xi integral directly instead, on
     panels refined dyadically toward xi = 1, where the integrand
@@ -373,33 +414,44 @@ class RadialPowerStack:
         # integrand evaluations of the build; fixed here, so a shared stack
         # carries no count from one caller's top integrals into the next
         self.n_evals = 0
-        at_zero = 1.0                                           # I_k(p, 0)
+        at_zero, start = 1.0, 16                                # I_k(p, 0), first N
         for k in range(1, levels + 1):
             at_zero *= _cone_factor(k) / k
-            self._series[k], points = self._build_level(k, at_zero)
+            self._series[k], points = self._build_level(k, at_zero, start)
             self.n_evals += (settings.depth + points) * settings.order
+            start = points - 1
 
-    def _build_level(self, k, at_zero):
-        """Level k's series and the number of points it sampled, from the
-        cumulative integral in y (class docstring), given level k - 1."""
+    def _build_level(self, k, at_zero, start):
+        """Level k's series and the number of points it sampled, from N =
+        ``start`` up, by the cumulative integral in y (class docstring),
+        given level k - 1."""
         depth = self.settings.depth
         g, wg = _gauss01(self.settings.order)
         width = math.sqrt(-self.theta_min) / depth
         edges = width * np.arange(depth + 1)
-        panels = self._density(k, edges[:-1, None] + width * g) @ (width * wg)
-        below = np.concatenate(([0.0], np.cumsum(panels)))     # integral up to each edge
+        below = None                                            # integral up to each edge
 
         def log_level(thetas):
+            nonlocal below
             out = np.full(thetas.size, math.log(at_zero))
             inside = thetas < 0.0
             y = np.sqrt(-thetas[inside])
             m = np.minimum((y / width).astype(int), depth - 1)  # the panel holding y
             part = y - edges[m]
-            tail = self._density(k, edges[m, None] + part[:, None] * g) @ wg * part
+            nodes = edges[m, None] + part[:, None] * g
+            if below is None:
+                # the first round's partial panels ride with the whole
+                # panels, in one pass over the level below
+                density = self._density(k, np.concatenate((edges[:-1, None] + width * g, nodes)))
+                below = np.concatenate(([0.0], np.cumsum(density[:depth] @ (width * wg))))
+                density = density[depth:]
+            else:
+                density = self._density(k, nodes)
+            tail = density @ wg * part
             out[inside] = np.log(below[m] + tail) - k / 2 * np.log(-np.expm1(thetas[inside]))
             return out
 
-        return _chebyshev_series(log_level, self.theta_min, 0.0, self.settings.ncheb, chop=True)
+        return _chebyshev_series(log_level, self.theta_min, 0.0, self.settings.ncheb, start)
 
     def _density(self, k, y):
         """The integrand of the v identity (class docstring) times
@@ -446,7 +498,7 @@ class RadialPowerStack:
         if k == 0:
             return np.ones_like(np.asarray(one_minus_sigma_sq, dtype=float))
         w = np.maximum(np.asarray(one_minus_sigma_sq, dtype=float), 1e-300)
-        return np.exp(self._series[k](np.clip(np.log(w), self.theta_min, 0.0)))
+        return np.exp(_chebval(self._series[k], np.clip(np.log(w), self.theta_min, 0.0)))
 
     def top_integral(self, k: int, w_top, sigma2_top) -> tuple[np.ndarray, np.ndarray]:
         """I_k evaluated directly (not interpolated) at each row of the

@@ -407,3 +407,26 @@ class TestLadder:
                              "--out", str(target))
         assert code == 1 and out == ""
         assert err.startswith("error: cannot write") and str(target) in err
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("argv", [
+        ("volume", "--n", "3", "--t", "0.8", "--method", "all"),
+        ("sweep", "--n-list", "3,4", "--t-list", "0.5,1.2", "--format", "json"),
+        ("ladder", "--n", "4", "--t", "1.0"),
+    ])
+    def test_shared_parser_keeps_no_state(self, capsys, argv):
+        # a fresh parser gives the reference; the shared one must print the
+        # same after an argument error and after another subcommand
+        cli.build_parser.cache_clear()
+        alone = run(capsys, *argv)
+        with pytest.raises(SystemExit) as info:
+            main(["volume", "--n", "3", "--t", "0.5", "--sin-t", "0.5"])
+        assert info.value.code == 1
+        capsys.readouterr()
+        assert run(capsys, "ratio", "--n", "5", "--t", "1.2", "--tol", "1e-6")[0] == 0
+        assert run(capsys, *argv) == alone
+        assert alone[0] == 0 and alone[1]

@@ -17,7 +17,7 @@ from hypervol import (
     quadrature,
 )
 
-from hypervol.quadrature import _cone_factor, _radial_pair, _standard_chop
+from hypervol.quadrature import _chebval, _cone_factor, _radial_pair, _standard_chop
 
 from oracles import (
     euclidean_simplex_volume,
@@ -201,6 +201,43 @@ class TestRadialPowerStack:
             assert stack.n_evals == built > 0
 
 
+class TestChebval:
+    @pytest.mark.parametrize("size", [1, 2, 3, 17, 140])
+    @pytest.mark.parametrize("domain", [(-50.2, 0.0), (0.0, 1.3)])
+    def test_bitwise_equal_to_numpy(self, size, domain):
+        rng = np.random.default_rng(size)
+        series = np.polynomial.Chebyshev(rng.standard_normal(size) * 0.7 ** np.arange(size),
+                                         domain=domain)
+        x = np.concatenate((domain, [0.0], rng.uniform(*domain, 200)))
+        kept = x.copy()
+        for points in (x, x[:1], x.reshape(-1, 7)):
+            got, want = _chebval(series, points), series(points)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert x.tobytes() == kept.tobytes()
+
+
+def _chop_loop(coef):
+    """The plateau scan of `_standard_chop` as the paper's loop, the
+    reference for the vectorized scan."""
+    n, tol = coef.size, quadrature._CHOP_TOL
+    env = np.maximum.accumulate(np.abs(coef)[::-1])[::-1]
+    if n < 17 or env[0] == 0.0:
+        return n if n < 17 else 1
+    env = env / env[0]
+    for j in range(2, n + 1):                    # 1-based, as in the paper
+        j2 = math.floor(1.25 * j + 5.5)
+        if j2 > n:
+            return n
+        e1 = env[j - 1]
+        if e1 == 0.0 or env[j2 - 1] / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
+            break
+    floor = tol ** (7 / 6)
+    j2 = min(j2, int(np.count_nonzero(env >= floor)) + 1)
+    tilted = np.log10(np.maximum(env[:j2], floor)) + np.linspace(0.0, -math.log10(tol) / 3, j2)
+    return max(int(np.argmin(tilted)), 1)
+
+
 class TestStandardChop:
     @pytest.mark.parametrize("rate", [0.5, 0.7, 0.8])
     def test_cuts_at_the_plateau_onset(self, rate):
@@ -216,6 +253,24 @@ class TestStandardChop:
     def test_zeros_keep_one(self):
         assert _standard_chop(np.zeros(40)) == 1
 
+    def test_vectorized_scan_matches_the_loop(self):
+        rng = np.random.default_rng(14)
+        kinds = ("plateau", "zero tail", "zeros", "no plateau")
+        for i in range(2400):
+            kind, n = kinds[i % 4], int(rng.integers(2, 300))
+            rate = rng.uniform(0.3, 0.98)
+            decay = rate ** np.arange(n) * rng.choice([-1.0, 1.0], n)
+            if kind == "plateau":
+                noise = 10.0 ** rng.uniform(-18, -9)
+                coef = decay + noise * rng.standard_normal(n)
+            elif kind == "zero tail":
+                coef = np.where(np.arange(n) < rng.integers(0, n + 1), decay, 0.0)
+            elif kind == "zeros":
+                coef = np.zeros(n)
+            else:
+                coef = rng.standard_normal(n) / (np.arange(n) + 1.0) ** rng.uniform(0, 3)
+            assert _standard_chop(coef) == _chop_loop(coef), (i, kind, n)
+
 
 class TestChoppedLevels:
     def test_linear_level_keeps_two_coefficients(self):
@@ -227,24 +282,35 @@ class TestChoppedLevels:
     def test_ideal_levels_stop_well_below_the_cap(self, monkeypatch):
         # every level of the ideal n = 5 stacks finds its plateau by
         # N = 128; a fixed high degree coming back would sample 513 points
-        sampled = []
+        sampled, densities = [], []
         chebyshev_series = quadrature._chebyshev_series
+        density = quadrature.RadialPowerStack._density
 
-        def counted(f, a, b, degree, chop=False):
-            points = []
-            series = chebyshev_series(lambda th: points.append(th.size) or f(th), a, b, degree, chop)
-            sampled.append(sum(points))
+        def counted(f, a, b, degree, start=None):
+            rounds = []
+            series = chebyshev_series(lambda th: rounds.append(th.size) or f(th), a, b, degree, start)
+            sampled.append(rounds)
             return series
 
+        def counted_density(self, k, y):
+            densities.append(self)
+            return density(self, k, y)
+
         monkeypatch.setattr(quadrature, "_chebyshev_series", counted)
+        monkeypatch.setattr(quadrature.RadialPowerStack, "_density", counted_density)
         for stack in _radial_pair(4, 3.0, 0.0):
-            points, sampled[:4] = sampled[:4], []
+            rounds, sampled[:4] = sampled[:4], []
+            points = [sum(r) for r in rounds]
             assert max(points) <= 129
             assert max(stack._series[k].coef.size for k in range(1, 5)) <= 128
             # the build counts the points it sampled: per level, the
             # cumulative panels plus one partial panel per point
             settings = stack.settings
             assert stack.n_evals == (4 * settings.depth + sum(points)) * settings.order
+            # levels 2..4 start where the level below stopped and find the
+            # plateau there; the panels ride with the first round
+            assert [len(r) for r in rounds[1:]] == [1, 1, 1]
+            assert sum(d is stack for d in densities) == sum(len(r) for r in rounds)
 
 
 class TestMonteCarlo:
