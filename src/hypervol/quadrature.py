@@ -20,11 +20,10 @@ Two engines live here:
 
   (c_1 = 2, and den = v at k = 1, I_0 = 1).  The integrand does not
   depend on sigma, so a level is one cumulative integral over one set of
-  Gauss panels in y = sqrt(-log v) (`RadialPowerStack`).  The top level
-  is integrated directly in the cone parameter on panels refined
-  dyadically toward the vertex end, so the vertex-touching case
-  scale = 1 (ideal simplices) integrates its corner singularities
-  properly.  The projective and half-space forms run on it.
+  Gauss panels in y = sqrt(-log v) (`RadialPowerStack`), and the top
+  level is the same integral read at each row's sigma; the
+  vertex-touching case scale = 1 (ideal simplices) runs it to the
+  stack's theta_min.  The projective and half-space forms run on it.
 
 The radial engine holds its levels in a lo/hi pair of stacks whose
 gap is the error bar.  A pair depends on scale only through the range
@@ -35,8 +34,9 @@ one pass; a standalone integral is a batch of one.  A stack's
 evaluation count is fixed when it is built; a row counts the build plus
 its own top-level work.
 
-The nested engine's outer integral and the radial top integrals run on
-Gauss panels graded dyadically toward one end (`_panels_toward_one`).
+The nested engine's outer integral and the half-space form's sliced
+facet integral run on Gauss panels graded dyadically toward one end
+(`_panels_toward_one`).
 Both engines share one interpolation scheme,
 `_chebyshev_series` (second-kind points, coefficients by FFT), and one
 evaluator, `_chebval`: a radial level doubles its points, from the N
@@ -237,12 +237,6 @@ def _panels_toward_one(depth: int, order: int):
     return tuple(panels)
 
 
-# entries of each (rows x xi nodes) temporary of a batch of top
-# integrals: 32 KiB of float64, below glibc's 128 KiB mmap threshold, so
-# each block reuses heap pages instead of faulting in a fresh mapping
-_BLOCK_ENTRIES = 1 << 12
-
-
 def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     """Coefficients of the polynomial through ``values`` at the points
     cos(pi j / N), j = 0..N: a DCT-I, as the FFT of the even extension."""
@@ -395,10 +389,8 @@ class RadialPowerStack:
     counts the panel nodes plus ``settings.order`` per sampled point, per
     level.  The panels live only for the build; a built stack is only read.
 
-    `top_integral` evaluates the defining xi integral directly instead, on
-    panels refined dyadically toward xi = 1, where the integrand
-    concentrates as sigma -> 1; so each top value checks the series one
-    level down by an independent route.
+    `top_integral` runs the same sum (`_integral_to`) for the level above
+    the stack at each row's sigma and returns sigma^k I_k.
 
     Stacks come in lo/hi fidelity pairs, built by `_radial_pair` and read
     by `_radial_estimate`.
@@ -409,8 +401,6 @@ class RadialPowerStack:
         self.theta_min = theta_min
         self.settings = settings
         self._series: list[np.polynomial.Chebyshev | None] = [None] * (levels + 1)
-        xi, om, w = _panels_toward_one(settings.depth, settings.order)
-        self._nodes = (xi, w, om * (2.0 - om))                 # 1 - xi^2, exact
         # integrand evaluations of the build; fixed here, so a shared stack
         # carries no count from one caller's top integrals into the next
         self.n_evals = 0
@@ -425,33 +415,40 @@ class RadialPowerStack:
         """Level k's series and the number of points it sampled, from N =
         ``start`` up, by the cumulative integral in y (class docstring),
         given level k - 1."""
-        depth = self.settings.depth
-        g, wg = _gauss01(self.settings.order)
-        width = math.sqrt(-self.theta_min) / depth
-        edges = width * np.arange(depth + 1)
         below = None                                            # integral up to each edge
 
         def log_level(thetas):
             nonlocal below
             out = np.full(thetas.size, math.log(at_zero))
             inside = thetas < 0.0
-            y = np.sqrt(-thetas[inside])
-            m = np.minimum((y / width).astype(int), depth - 1)  # the panel holding y
-            part = y - edges[m]
-            nodes = edges[m, None] + part[:, None] * g
-            if below is None:
-                # the first round's partial panels ride with the whole
-                # panels, in one pass over the level below
-                density = self._density(k, np.concatenate((edges[:-1, None] + width * g, nodes)))
-                below = np.concatenate(([0.0], np.cumsum(density[:depth] @ (width * wg))))
-                density = density[depth:]
-            else:
-                density = self._density(k, nodes)
-            tail = density @ wg * part
-            out[inside] = np.log(below[m] + tail) - k / 2 * np.log(-np.expm1(thetas[inside]))
+            # the first round's partial panels ride with the whole panels,
+            # in one pass over the level below
+            value, below = self._integral_to(k, np.sqrt(-thetas[inside]), below)
+            out[inside] = np.log(value) - k / 2 * np.log(-np.expm1(thetas[inside]))
             return out
 
         return _chebyshev_series(log_level, self.theta_min, 0.0, self.settings.ncheb, start)
+
+    def _integral_to(self, k, y, below=None):
+        """sigma^k I_k at each upper limit y = sqrt(-log(1 - sigma^2)) in
+        (0, sqrt(-theta_min)], given level k - 1, with the integral up to
+        each panel edge: the whole panels below y, cumulatively, plus y's
+        own partial panel.  Without ``below`` the whole panels are summed
+        in the same pass over level k - 1 as the partial ones."""
+        depth = self.settings.depth
+        g, wg = _gauss01(self.settings.order)
+        width = math.sqrt(-self.theta_min) / depth
+        edges = width * np.arange(depth + 1)
+        m = np.minimum((y / width).astype(int), depth - 1)      # the panel holding y
+        part = y - edges[m]
+        nodes = edges[m, None] + part[:, None] * g
+        if below is None:
+            density = self._density(k, np.concatenate((edges[:-1, None] + width * g, nodes)))
+            below = np.concatenate(([0.0], np.cumsum(density[:depth] @ (width * wg))))
+            density = density[depth:]
+        else:
+            density = self._density(k, nodes)
+        return below[m] + density @ wg * part, below
 
     def _density(self, k, y):
         """The integrand of the v identity (class docstring) times
@@ -463,34 +460,6 @@ class RadialPowerStack:
         return (_cone_factor(k) * y * v * (-np.expm1(-y2)) ** ((k - 2) / 2) * den ** (-self.p)
                 * self.level_value(k - 1, v / den))
 
-    def _integrals(self, k, w, sigma2, nodes):
-        """`_level_integral` at each row of (w, sigma2), in blocks of at most
-        _BLOCK_ENTRIES entries (or one row)."""
-        out = np.empty(w.size)
-        rows = max(1, _BLOCK_ENTRIES // nodes[0].size)
-        for i in range(0, w.size, rows):
-            out[i:i + rows] = self._level_integral(k, w[i:i + rows], sigma2[i:i + rows], nodes)
-        return out
-
-    def _vertex_nodes(self):
-        """(xi, weights, 1 - xi^2) for xi = 1 - eta^2, which regularizes the
-        vertex endpoint when sigma = 1; eta is the 1 - x of panels toward
-        one, so it is refined toward 0."""
-        _, eta, weta = _panels_toward_one(self.settings.depth // 2 + 8, self.settings.order)
-        om = eta * eta
-        return 1.0 - om, 2.0 * eta * weta, om * (2.0 - om)
-
-    def _level_integral(self, k, w, sigma2, nodes):
-        """Direct quadrature of level k at each row of the arrays
-        (w, sigma2) = (1 - sigma^2, sigma^2) on the xi ``nodes``, given the
-        level k-1 series."""
-        xi, wq, one_m_xi2 = nodes
-        num = w[:, None] + sigma2[:, None] * one_m_xi2          # 1 - sigma^2 xi^2
-        h2 = 1.0 / (k * k)
-        den = h2 * num + (1.0 - h2)                             # 1 - sigma^2 xi^2 h^2
-        inner = self.level_value(k - 1, num / den)
-        return _cone_factor(k) * ((xi ** (k - 1) * den ** (-self.p) * inner) @ wq)
-
     # -- public surface ------------------------------------------------------
 
     def level_value(self, k: int, one_minus_sigma_sq):
@@ -501,19 +470,24 @@ class RadialPowerStack:
         return np.exp(_chebval(self._series[k], np.clip(np.log(w), self.theta_min, 0.0)))
 
     def top_integral(self, k: int, w_top, sigma2_top) -> tuple[np.ndarray, np.ndarray]:
-        """I_k evaluated directly (not interpolated) at each row of the
-        arrays (w_top, sigma2_top) = (1 - sigma^2, sigma^2), with the number
-        of integrand evaluations each row took.  Rows at w_top = 0 run on
-        the vertex nodes, the rest on the stack's own: one pass per node set."""
+        """sigma^k I_k at each row of the arrays (w_top, sigma2_top) =
+        (1 - sigma^2, sigma^2), by the cumulative integral in y, with the
+        number of integrand evaluations each row took: the whole panels,
+        in the one pass the rows share, plus its own partial panel.  A
+        row's upper limit is y = sqrt(-log(1 - sigma^2)), the log taken of
+        w_top below 1/2 and as log1p(-sigma^2) above, where w_top may
+        round to 1; it is clipped to sqrt(-theta_min), which drops the
+        tail of an ideal row (w_top = 0).  Rows at sigma = 0 are 0 and
+        take no evaluations: the density is 0/0 at y = 0."""
         w, sigma2 = np.atleast_1d(w_top, sigma2_top)
-        values, evals = np.empty(w.size), np.empty(w.size, dtype=int)
-        ideal = w == 0.0
-        for rows in (ideal, ~ideal):
-            if rows.any():
-                nodes = self._vertex_nodes() if rows is ideal else self._nodes
-                values[rows] = self._integrals(k, w[rows], sigma2[rows], nodes)
-                evals[rows] = nodes[0].size
-        return values, evals
+        values = np.zeros(w.size)
+        live = sigma2 > 0.0
+        if live.any():
+            w, sigma2 = w[live], sigma2[live]
+            with np.errstate(divide="ignore"):                  # log 0 on ideal rows
+                theta = np.where(w < 0.5, np.log(w), np.log1p(-sigma2))
+            values[live] = self._integral_to(k, np.sqrt(np.minimum(-theta, -self.theta_min)))[0]
+        return values, np.where(live, (self.settings.depth + 1) * self.settings.order, 0)
 
 
 def _radial_theta_min(w_top: float, depth: int) -> float:
@@ -569,9 +543,9 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
     regular n-simplex inscribed in the unit sphere.
 
     scale = 1 touches the sphere at the n+1 vertices; the integral then
-    exists iff p <= (n+1)/2 (and p < 1 when n = 1) and the corner
-    singularities are handled by the dyadic panels plus a radial
-    square-root substitution at the outermost level.
+    exists iff p <= (n+1)/2 (and p < 1 when n = 1), and the top level's
+    y integral stops at sqrt(-theta_min) of an ideal stack pair, whose
+    lo/hi gap covers the tail it drops.
 
     ``one_minus_scale_sq`` may be supplied when the caller knows
     1 - scale^2 in a cancellation-free form (it dominates the integrand
@@ -599,11 +573,10 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
         if one_minus_scale_sq is not None else (1.0 - rows) * (1.0 + rows)
     if w_top.shape != rows.shape or np.any(w_top < 0.0):
         raise DomainError("one_minus_scale_sq must be one nonnegative value per scale")
-    powers = [s ** (n / 2) for s in sigma2.tolist()]
 
     def values_of(stack):
         top, evals = stack.top_integral(n, w_top, sigma2)
-        return [c * v for c, v in zip(powers, top.tolist())], evals
+        return top.tolist(), evals
 
     stacks = _radial_pair(n - 1, p, float(w_top.min(initial=1.0)))
     out = _radial_estimate(stacks, cfg, values_of, "simplex-radial")

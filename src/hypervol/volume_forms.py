@@ -245,8 +245,7 @@ def _halfspace_value(n: int, sigma: float, w_perp: float, slope: float,
     depth = int(min(64, max(18, math.log2(max(slope, 2.0)) + 14)))
 
     def values_of(stack):
-        (top,), (evals,) = stack.top_integral(dim, w_perp, sigma * sigma)
-        t1 = sigma**dim * top
+        (t1,), (evals,) = stack.top_integral(dim, w_perp, sigma * sigma)
         a, one_m_a, wq = _panels_toward_one(depth, stack.settings.order)
         # C(a) = upper^2 at the slice's outermost radius, built from (1 - a)
         c_of_a = (1.0 - b_c * b_c) + slope * one_m_a + b_c * b_c * one_m_a * (2.0 - one_m_a)

@@ -109,6 +109,37 @@ def klein_triangle_integral(sigma, p, dps: int = 50) -> float:
         return float(val)
 
 
+def cone_level_integral(k: int, p: float, w: float, sigma2: float, inner,
+                        depth: int, order: int) -> float:
+    """Level k of the iterated-cone reduction of the integral over the
+    regular k-simplex of (1 - sigma^2 |x|^2)^(-p), at one
+    (w, sigma2) = (1 - sigma^2, sigma^2), by its defining integral in the
+    cone parameter xi, given ``inner``, level k - 1 as a function of
+    1 - sigma'^2 (arrays in and out).  With h = 1/k:
+
+        I_k = c_k int_0^1 xi^(k-1) den^(-p) I_{k-1}(num / den) dxi,
+        num = 1 - sigma^2 xi^2,  den = h^2 num + 1 - h^2,
+        c_k = (k+1)/k (1 - h^2)^((k-1)/2).
+
+    Gauss panels of ``order`` points are refined ``depth`` times
+    dyadically toward xi = 1, where the integrand concentrates as
+    sigma -> 1, with 1 - xi carried exactly.  This is a different route
+    from the engine's cumulative integral in y = sqrt(-log num), which
+    has no xi rule.
+    """
+    x, wx = np.polynomial.legendre.leggauss(order)
+    g, wg = (x + 1.0) / 2, wx / 2
+    hi = 0.5 ** np.arange(depth + 2)            # 1 - xi at each panel's upper end
+    lo = np.append(hi[1:], 0.0)
+    om = (hi[:, None] - (hi - lo)[:, None] * g).ravel()
+    wq = ((hi - lo)[:, None] * wg).ravel()
+    num = w + sigma2 * om * (2.0 - om)
+    h2 = 1.0 / (k * k)
+    den = h2 * num + (1.0 - h2)
+    c_k = (k + 1) / k * (1.0 - h2) ** ((k - 1) / 2)
+    return c_k * float(((1.0 - om) ** (k - 1) * den ** (-p) * inner(num / den)) @ wq)
+
+
 def mp_integral(f, a, b, dps: int = 50) -> float:
     """50-digit adaptive reference for a 1-d integral."""
     with mp.workdps(dps):

@@ -73,6 +73,14 @@ class TestLowerBound:
         assert lower_bound(SimplexParams(n, t)) == pytest.approx(
             mp_lower_bound(n, t), rel=1e-13)
 
+    @pytest.mark.parametrize("n, peak", [(3, 0.2133), (4, 0.0972), (8, 0.0053)])
+    def test_stays_below_the_hm_lower_value(self, n, peak):
+        # a finding, not a claim of the paper: on a t grid of step 1e-3 the
+        # bound peaks near t = 0.95-0.98, below (n-2)/(n-1)^2
+        bound = max(lower_bound(SimplexParams(n, t)) for t in np.arange(1, 1571) * 1e-3)
+        assert bound == pytest.approx(peak, abs=5e-5)
+        assert bound < hm_bounds(n)[0]
+
 
 class TestUpperBound:
     def test_zero_t(self):
@@ -156,6 +164,13 @@ class TestGrowthRatio:
             scaled = est.value / math.atanh(math.sin(0.01))
             assert abs(scaled / euclidean_limit_ratio(n) - 1.0) <= 0.01
 
+    @pytest.mark.parametrize("n, t", [(3, 1e-12), (5, 1e-12), (8, 1e-12), (3, 1e-50), (5, 1e-50)])
+    def test_tiny_t_keeps_the_euclidean_limit(self, n, t):
+        # 1 - sin^2 t rounds to 1 here; the top integral's upper limit
+        # must come from log1p(-sin^2 t), or the volumes read 0
+        scaled = growth_ratio(SimplexParams(n, t)).value / math.atanh(math.sin(t))
+        assert scaled == pytest.approx(euclidean_limit_ratio(n), rel=1e-13, abs=0)
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("t", [0.2, 0.7, 1.2, 1.5])
     def test_sandwich(self, n, t):
@@ -186,8 +201,8 @@ class TestGrowthRatioGrid:
                 assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, cell
 
     def test_batch_mixing_ideal_and_finite_matches_standalone(self):
-        # a batch of one (dim, p) runs its ideal rows on the vertex nodes and
-        # the rest on the stack's own nodes, in one pass per node set
+        # a batch of one (dim, p) runs its ideal rows and the rest in one
+        # pass over the shared y panels
         cells = [SimplexParams(n, t) for n in (3, 4)
                  for t in (0.3, 1.0, math.pi / 2 - 1e-6, math.pi / 2)]
         for cell, (_, vol, facet) in zip(cells, growth_ratio_grid(cells)):

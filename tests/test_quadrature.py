@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from hypervol import (
 from hypervol.quadrature import _chebval, _cone_factor, _radial_pair, _standard_chop
 
 from oracles import (
+    cone_level_integral,
     euclidean_simplex_volume,
     gauss_bonnet_triangle_area,
     klein_triangle_integral,
@@ -107,6 +110,19 @@ class TestSimplexRadialPow:
             integrate_simplex_radialpow(3, [0.5, 0.6], 2.0, one_minus_scale_sq=[0.75])
         assert integrate_simplex_radialpow(3, [], 2.0) == []
 
+    @pytest.mark.parametrize("n, p, ref", [
+        (1, 0.5, math.pi / 3),                                 # 2 asin(1/2)
+        (2, 1.5, 0.25 * klein_triangle_integral(0.5, 1.5)),
+    ], ids=["segment", "triangle"])
+    def test_zero_row_in_a_batch(self, n, p, ref):
+        # the y density is 0/0 at sigma = 0 when n = 1, so such a row
+        # takes no panel
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = integrate_simplex_radialpow(n, [0.0, 0.5], p)
+        assert rows[0].value == 0.0
+        assert rows[1].value == pytest.approx(ref, rel=1e-12, abs=0)
+
     def test_euclidean_triangle_area(self):
         est = integrate_simplex_radialpow(2, 1.0, 0.0)
         assert est.value == pytest.approx(3.0 * math.sqrt(3.0) / 4.0, rel=1e-13)
@@ -173,23 +189,35 @@ class TestSimplexRadialPow:
 class TestRadialPowerStack:
     @pytest.mark.parametrize("w_top, rel", [(0.36, 1e-12), (1e-6, 1e-12), (0.0, 1e-9)])
     def test_series_matches_direct_level_integral(self, w_top, rel):
-        # level_value reads each level's Chebyshev series, built from the
-        # cumulative integral in y; top_integral computes the same level by
-        # direct xi quadrature on the series one down
+        # level_value reads each level's Chebyshev series and top_integral
+        # returns sigma^k I_k, both from the cumulative integral in y; the
+        # oracle integrates the same level by a direct xi rule on the
+        # series one down
         for n in (3, 5, 8):
             _, stack = _radial_pair(n - 1, (n + 1) / 2, w_top)
+            settings = stack.settings
             # theta = log(1 - sigma^2) from 0 to theta_min, then one point
             # below theta_min, where the series' argument is clipped to theta_min
-            for k in range(1, n):
+            for k in range(1, n + 1):
+                inner = partial(stack.level_value, k - 1)
                 for frac in (0.0, 0.1, 0.5, 0.9, 0.999, 1.0, 1.01):
                     theta = frac * stack.theta_min
                     at = max(theta, stack.theta_min)
-                    (ref,), _ = stack.top_integral(k, [math.exp(at)], [-math.expm1(at)])
-                    got = stack.level_value(k, np.array([math.exp(theta)]))[0]
-                    assert got == pytest.approx(ref, rel=rel, abs=0), (n, k, frac)
-                # theta = 0 is the identity's 0/0: I_k(0) = c_k I_{k-1}(0) / k
-                (at_zero,), (below,) = (stack.level_value(j, np.ones(1)) for j in (k, k - 1))
-                assert at_zero == pytest.approx(_cone_factor(k) / k * below, rel=1e-12, abs=0), (n, k)
+                    w, sigma2 = math.exp(at), -math.expm1(at)
+                    ref = cone_level_integral(k, stack.p, w, sigma2, inner,
+                                              settings.depth, settings.order)
+                    if k < n:
+                        got = stack.level_value(k, np.array([math.exp(theta)]))[0]
+                        assert got == pytest.approx(ref, rel=rel, abs=0), (n, k, frac)
+                    if sigma2 > 0.0:
+                        (top,), _ = stack.top_integral(k, [w], [sigma2])
+                        assert top / sigma2 ** (k / 2) == pytest.approx(ref, rel=rel, abs=0), \
+                            (n, k, frac)
+                if k < n:
+                    # theta = 0 is the identity's 0/0: I_k(0) = c_k I_{k-1}(0) / k
+                    (at_zero,), (below,) = (stack.level_value(j, np.ones(1)) for j in (k, k - 1))
+                    assert at_zero == pytest.approx(_cone_factor(k) / k * below,
+                                                    rel=1e-12, abs=0), (n, k)
 
     def test_build_count_fixed_at_construction(self):
         # a shared stack must not carry one caller's top integrals into the next

@@ -162,21 +162,20 @@ class TestProjective:
 
 
     @pytest.mark.parametrize("form, n, t, evals", [
-        (volume_projective, 3, 0.8, 2_602),
-        (volume_projective, 5, 1.2, 4_812),
-        (facet_volume_projective, 4, 0.8, 2_602),
-        (volume_halfspace, 4, 1.0, 2_694),
+        (volume_projective, 3, 0.8, 2_579),
+        (volume_projective, 5, 1.2, 4_789),
+        (facet_volume_projective, 4, 0.8, 2_579),
+        (volume_halfspace, 4, 1.0, 2_671),
     ])
     def test_n_evals_standalone(self, form, n, t, evals):
-        # the stack pair's build plus this call's own top-level work, the
-        # same on every call
+        # the stack pair's build plus this call's own top-level work,
+        # (depth + 1) x order per stack, the same on every call
         p = SimplexParams(n, t)
         assert form(p).n_evals == form(p).n_evals == evals
 
     def test_n_evals_on_a_shared_pool(self):
         # each row of a batch counts the shared pair's build plus its own
-        # top nodes: the vertex nodes at the ideal point, the stack's own
-        # elsewhere
+        # top-level work: the whole y panels and its partial panel
         cells = [SimplexParams(3, t) for t in (0.4, 0.8, 1.2, math.pi / 2)]
         _, _, scale, w = zip(*map(_projective_job, cells))
         pair = quadrature._radial_pair(2, 2.0, 0.0)
@@ -186,7 +185,7 @@ class TestProjective:
             for row, s, w_top in zip(rows, scale, w):
                 own = sum(stack.top_integral(3, [w_top], [s * s])[1][0] for stack in pair)
                 assert row.n_evals == build + own
-        assert rows[0].n_evals == rows[2].n_evals != rows[3].n_evals
+        assert rows[0].n_evals == rows[2].n_evals
 
 
 class TestFacetProjective:
