@@ -4,9 +4,8 @@ Two engines live here:
 
 * `integrate_nested` -- iterated integrals with state-dependent limits
   (each level's upper limit is a function of the previous variable),
-  held as a stack of one-variable Chebyshev series, one per level, at
-  increasing degree until two passes agree; the orthoscheme form runs
-  on it;
+  built once as a stack of one-variable Chebyshev antiderivatives, one
+  per level; the orthoscheme form runs on it;
 * `integrate_simplex_radialpow` -- integrals of (1 - |x|^2)^(-p) over a
   scaled regular simplex, the volume element of the projective model.
   The simplex is collapsed to iterated cone (Duffy-type) coordinates; in
@@ -23,7 +22,8 @@ Two engines live here:
   Gauss panels in y = sqrt(-log v) (`RadialPowerStack`), and the top
   level is the same integral read at each row's sigma; the
   vertex-touching case scale = 1 (ideal simplices) runs it to the
-  stack's theta_min.  The projective and half-space forms run on it.
+  stack's theta_min and adds the leading term of the tail beyond.  The
+  projective and half-space forms run on it.
 
 The radial engine holds its levels in a lo/hi pair of stacks whose
 gap is the error bar.  A pair depends on scale only through the range
@@ -39,14 +39,14 @@ facet integral run on Gauss panels graded dyadically toward one end
 (`_panels_toward_one`).
 Both engines share one interpolation scheme,
 `_chebyshev_series` (second-kind points, coefficients by FFT), and one
-evaluator, `_chebval`: a radial level doubles its points, from the N
-where the level below stopped, until `_standard_chop` finds the plateau,
-a nested pass samples at its fixed degree.  A pass over a series costs
-about one fixed step per coefficient whatever the number of points, so
-a build costs passes times degree: each round of a level is one pass
-over the level below.  The only setting is the relative tolerance in
-`QuadratureConfig`; the absolute floor, the Gauss order, the nested
-degrees, the radial cap and the chop tolerance are module constants.
+evaluator, `_chebval`: a level of either engine doubles its points
+until `_standard_chop` finds the plateau, a radial level from the N
+where the level below stopped, a nested level from N = 32.  A pass over
+a series costs about one fixed step per coefficient whatever the number
+of points, so a build costs passes times degree: each round of a level
+is one pass over the level below.  The only setting is the relative
+tolerance in `QuadratureConfig`; the absolute floor, the Gauss order,
+the degree cap and the chop tolerance are module constants.
 Both engines are pure functions of their inputs and reentrant; a
 shared stack is only read after it is built.
 """
@@ -71,16 +71,17 @@ __all__ = [
 
 _EPS = float(np.finfo(np.float64).eps)
 _ABS_TOL = 1e-12       # absolute floor of every tolerance and radial error bar
-_BASE_ORDER = 14       # Gauss points per panel in the radial engine
-_MAX_DEGREE = 512      # largest N a radial level's series may double to
+_BASE_ORDER = 14       # Gauss points per panel of the radial and outer nested integrals
+_MAX_DEGREE = 512      # largest N a level's series may double to
 _CHOP_TOL = 4 * _EPS   # plateau of a chopped series; level values carry a few ulps
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """The relative tolerance shared by the integration engines.  The
-    radial engine targets |error| <= max(_ABS_TOL, rel_tol * |I|), the
-    nested engine rel_tol * |I|."""
+    radial engine targets |error| <= max(_ABS_TOL, rel_tol * |I|); the
+    nested engine raises ConvergenceError when its estimate is above
+    rel_tol * |I|."""
 
     rel_tol: float = 1e-8
 
@@ -97,9 +98,9 @@ class VolumeEstimate:
     """A computed integral with its error estimate and evaluation count.
 
     The error estimate is a refinement difference: the gap between the
-    lo/hi stack pair (radial engine) or between the last two level-stack
-    passes (nested engine), which in practice overestimates the true
-    error.  Values produced by the volume operations are nonnegative.
+    lo/hi stack pair plus _ABS_TOL (radial engine), or between two outer
+    panel sets plus a rounding term at the chop's plateau (nested
+    engine).  Values produced by the volume operations are nonnegative.
     """
 
     value: float
@@ -125,41 +126,6 @@ def _gauss01(order: int):
 # ---------------------------------------------------------------------------
 # Nested iterated integrals
 
-# Chebyshev degree and Gauss order of the successive level-stack passes
-_NESTED_ORDERS = (8, 12, 18, 27, 40, 60, 90)
-
-
-def _level_series(limit, factor, inner, top: float, m: int) -> Callable:
-    """The degree-m Chebyshev series on [0, top] of
-    x -> int_0^{limit(x)} factor(y) inner(y) dy, by an m-point Gauss rule,
-    as a function of x."""
-    g, w = _gauss01(m)
-
-    def level(x):
-        ub = limit(x)[:, None]
-        y = ub * g
-        return (ub * w * inner(y) * factor(y)).sum(axis=1)
-
-    series = _chebyshev_series(level, 0.0, top, m)[0]
-    return lambda x: _chebval(series, x)
-
-
-def _nested_pass(limits, factors, m: int):
-    """One level-stack pass at Chebyshev degree and Gauss order m."""
-    tops = [float(limits[0])]               # X_k, the range of level k's variable
-    for limit in limits[1:-1]:
-        tops.append(float(limit(np.array([tops[-1]]))[0]))
-    inner = np.ones_like
-    for k in range(len(limits) - 1, 0, -1):
-        inner = _level_series(limits[k], factors[k], inner, tops[k - 1], m)
-    # the outer panels are graded toward 0, where the first factor may
-    # carry a thin layer
-    _, x, w = _panels_toward_one(52, m)
-    x = tops[0] * x
-    w = tops[0] * w * inner(x) * factors[0](x)
-    return float(w.sum()), (len(limits) - 1) * (m + 1) * m + x.size
-
-
 def integrate_nested(limits: Sequence, factors: Sequence,
                      cfg: QuadratureConfig | None = None) -> VolumeEstimate:
     """Iterated integral with state-dependent limits.
@@ -171,18 +137,25 @@ def integrate_nested(limits: Sequence, factors: Sequence,
     factors.  All lower limits are 0.  Limits and factors must accept and
     return arrays.
 
-    The chain is held one level at a time.  With X_0 = limits[0] and
-    X_k = limits[k](X_{k-1}), level k = n-1 .. 1 is one Chebyshev series
+    The chain is built once, one level at a time.  With n = len(limits),
+    X_0 = limits[0] and X_k = limits[k](X_{k-1}), level k = n-1 .. 1 is
+    the antiderivative
 
-        I_k(x) = int_0^{limits[k](x)} factors[k](y) I_{k+1}(y) dy   on [0, X_{k-1}],
+        F_k(u) = int_0^u factors[k](y) F_{k+1}(limits[k+1](y)) dy   on [0, X_k],
 
-    with I_n = 1, built by a Gauss rule on each of its Chebyshev points
-    (second kind).  The outer integral of factors[0] I_1 runs on Gauss
-    panels graded dyadically toward 0.  Pass m uses degree and Gauss
-    order m over _NESTED_ORDERS, until two successive values agree to
-    rel_tol times the value; their difference is the error estimate.  If
-    the passes run out first with the difference above 100 times that,
-    the last pass is attached to a ConvergenceError.
+    with F_n = 1.  Its integrand does not depend on the outer variables,
+    so it is one chopped Chebyshev series (`_chebyshev_series` from
+    N = 32), integrated exactly.  The outer integral of
+    factors[0] F_1(limits[1]) runs on Gauss panels graded dyadically
+    toward 0, where the first factor may carry a thin layer, at two panel
+    depths; the deeper one is the value.  The error estimate is their
+    gap plus the chop's plateau, relative once per level and absolute on
+    F_1 under the outer weights w f_0:
+
+        |hi - lo| + _CHOP_TOL (n |hi| + sum |w f_0| |F_1(X_1)|).
+
+    A level with no plateau by _MAX_DEGREE, or an estimate above rel_tol
+    times the value, raises ConvergenceError carrying the estimate.
     """
     cfg = cfg or QuadratureConfig()
     depth = len(limits)
@@ -190,21 +163,32 @@ def integrate_nested(limits: Sequence, factors: Sequence,
         raise DomainError("chain depth must be >= 1")
     if len(factors) != depth:
         raise DomainError("need one factor entry per level")
-    prev = None
-    total_evals = 0
-    for m in _NESTED_ORDERS:
-        val, ev = _nested_pass(limits, factors, m)
-        total_evals += ev
-        if prev is not None:
-            err = abs(val - prev)
-            if err <= cfg.rel_tol * abs(val):
-                return VolumeEstimate(val, err, total_evals, "nested-chebyshev")
-        prev = val
-    est = VolumeEstimate(val, err, total_evals, "nested-chebyshev")
-    if err > 100 * cfg.rel_tol * abs(val):
-        raise ConvergenceError(
-            f"level-stack refinement exhausted at depth {depth} (err {err:.3e})", estimate=est
-        )
+    tops = [float(limits[0])]                   # X_k, the range of level k's variable
+    for limit in limits[1:]:
+        tops.append(float(limit(np.array([tops[-1]]))[0]))
+    inner, top_value, n_evals, stalled = np.ones_like, 1.0, 0, False
+    for k in range(depth - 1, 0, -1):
+        series, points = _chebyshev_series(
+            lambda y, k=k, inner=inner: factors[k](y) * inner(y), 0.0, tops[k], _MAX_DEGREE, 32)
+        n_evals += points
+        stalled |= series.coef.size == points
+        antiderivative = series.integ(lbnd=0.0)
+        top_value = float(antiderivative.coef.sum())   # F_k(X_k): every T_j is 1 there
+        inner = lambda y, k=k, f=antiderivative: _chebval(f, limits[k](y))
+
+    def outer(panels):
+        _, x, w = _panels_toward_one(panels, _BASE_ORDER)
+        x = tops[0] * x
+        w = tops[0] * w * factors[0](x)
+        return float(w @ inner(x)), float(np.abs(w).sum()), x.size
+
+    (value, weight, hi_evals), (lo, _, lo_evals) = outer(52), outer(46)
+    n_evals += hi_evals + lo_evals
+    err = abs(value - lo) + _CHOP_TOL * (depth * abs(value) + weight * abs(top_value))
+    est = VolumeEstimate(value, err, n_evals, "nested-chebyshev")
+    if stalled or err > cfg.rel_tol * abs(value):
+        why = f"a level has no plateau by N = {_MAX_DEGREE}" if stalled else f"err {err:.3e}"
+        raise ConvergenceError(f"nested chain unresolved at depth {depth} ({why})", estimate=est)
     return est
 
 
@@ -390,7 +374,8 @@ class RadialPowerStack:
     level.  The panels live only for the build; a built stack is only read.
 
     `top_integral` runs the same sum (`_integral_to`) for the level above
-    the stack at each row's sigma and returns sigma^k I_k.
+    the stack at each row's sigma and returns sigma^k I_k, an ideal row's
+    with the leading term of its tail beyond theta_min.
 
     Stacks come in lo/hi fidelity pairs, built by `_radial_pair` and read
     by `_radial_estimate`.
@@ -423,18 +408,19 @@ class RadialPowerStack:
             inside = thetas < 0.0
             # the first round's partial panels ride with the whole panels,
             # in one pass over the level below
-            value, below = self._integral_to(k, np.sqrt(-thetas[inside]), below)
+            value, below, _ = self._integral_to(k, np.sqrt(-thetas[inside]), below)
             out[inside] = np.log(value) - k / 2 * np.log(-np.expm1(thetas[inside]))
             return out
 
         return _chebyshev_series(log_level, self.theta_min, 0.0, self.settings.ncheb, start)
 
-    def _integral_to(self, k, y, below=None):
+    def _integral_to(self, k, y, below=None, at=()):
         """sigma^k I_k at each upper limit y = sqrt(-log(1 - sigma^2)) in
         (0, sqrt(-theta_min)], given level k - 1, with the integral up to
-        each panel edge: the whole panels below y, cumulatively, plus y's
-        own partial panel.  Without ``below`` the whole panels are summed
-        in the same pass over level k - 1 as the partial ones."""
+        each panel edge and the density at the points ``at``: the whole
+        panels below y, cumulatively, plus y's own partial panel.  Without
+        ``below`` the whole panels are summed in the same pass over level
+        k - 1 as the partial ones; ``at`` rides in that pass too."""
         depth = self.settings.depth
         g, wg = _gauss01(self.settings.order)
         width = math.sqrt(-self.theta_min) / depth
@@ -442,13 +428,13 @@ class RadialPowerStack:
         m = np.minimum((y / width).astype(int), depth - 1)      # the panel holding y
         part = y - edges[m]
         nodes = edges[m, None] + part[:, None] * g
+        whole = edges[:-1, None] + width * g if below is None else np.empty((0, g.size))
+        density = self._density(k, np.concatenate((whole.ravel(), nodes.ravel(), at)))
         if below is None:
-            density = self._density(k, np.concatenate((edges[:-1, None] + width * g, nodes)))
-            below = np.concatenate(([0.0], np.cumsum(density[:depth] @ (width * wg))))
-            density = density[depth:]
-        else:
-            density = self._density(k, nodes)
-        return below[m] + density @ wg * part, below
+            below = np.concatenate(([0.0], np.cumsum(density[:whole.size].reshape(whole.shape)
+                                                     @ (width * wg))))
+        partial = density[whole.size:whole.size + nodes.size].reshape(nodes.shape) @ wg * part
+        return below[m] + partial, below, density[whole.size + nodes.size:]
 
     def _density(self, k, y):
         """The integrand of the v identity (class docstring) times
@@ -476,18 +462,23 @@ class RadialPowerStack:
         in the one pass the rows share, plus its own partial panel.  A
         row's upper limit is y = sqrt(-log(1 - sigma^2)), the log taken of
         w_top below 1/2 and as log1p(-sigma^2) above, where w_top may
-        round to 1; it is clipped to sqrt(-theta_min), which drops the
-        tail of an ideal row (w_top = 0).  Rows at sigma = 0 are 0 and
-        take no evaluations: the density is 0/0 at y = 0."""
+        round to 1.  An ideal row (w_top = 0) stops at y_max =
+        sqrt(-theta_min) and adds the leading term of the tail beyond,
+        density(y_max) / y_max, exact for a density falling as
+        y exp(-y^2 / 2) (the ideal triangle's); y_max rides in the shared
+        pass and counts as one more evaluation.  Rows at sigma = 0 are 0
+        and take no evaluations: the density is 0/0 at y = 0."""
         w, sigma2 = np.atleast_1d(w_top, sigma2_top)
         values = np.zeros(w.size)
-        live = sigma2 > 0.0
+        live, ideal = sigma2 > 0.0, w == 0.0
         if live.any():
-            w, sigma2 = w[live], sigma2[live]
             with np.errstate(divide="ignore"):                  # log 0 on ideal rows
                 theta = np.where(w < 0.5, np.log(w), np.log1p(-sigma2))
-            values[live] = self._integral_to(k, np.sqrt(np.minimum(-theta, -self.theta_min)))[0]
-        return values, np.where(live, (self.settings.depth + 1) * self.settings.order, 0)
+            y = np.sqrt(-np.where(ideal, self.theta_min, theta)[live])
+            y_max = math.sqrt(-self.theta_min)
+            values[live], _, tail = self._integral_to(k, y, at=[y_max] if ideal.any() else [])
+            values[ideal] += tail / y_max
+        return values, np.where(live, (self.settings.depth + 1) * self.settings.order, 0) + ideal
 
 
 def _radial_theta_min(w_top: float, depth: int) -> float:
@@ -544,8 +535,8 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
 
     scale = 1 touches the sphere at the n+1 vertices; the integral then
     exists iff p <= (n+1)/2 (and p < 1 when n = 1), and the top level's
-    y integral stops at sqrt(-theta_min) of an ideal stack pair, whose
-    lo/hi gap covers the tail it drops.
+    y integral runs to sqrt(-theta_min) of an ideal stack pair plus the
+    leading term of the tail beyond (`RadialPowerStack.top_integral`).
 
     ``one_minus_scale_sq`` may be supplied when the caller knows
     1 - scale^2 in a cancellation-free form (it dominates the integrand

@@ -10,7 +10,8 @@ each other:
   over the fundamental orthoscheme, whose limits it reads straight off
   the edge ladder, and multiplies by the (n+1)! congruent copies tiling
   the simplex; the chain is the level stack of
-  `quadrature.integrate_nested`, one Chebyshev series per level;
+  `quadrature.integrate_nested`, one chopped Chebyshev antiderivative
+  per level, built once;
 * `volume_halfspace` integrates the half-space volume element z^(-n)
   vertically between the unit hemisphere below and the facet spheres
   above, reducing to two integrals over the projected bottom facet.

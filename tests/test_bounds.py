@@ -221,7 +221,7 @@ class TestGrowthRatioGrid:
             n, b, err = cell.n, growth_bounds(cell), ratio.error_estimate
             assert b.lower - err <= ratio.value <= b.upper + err, n
             assert (n - 2) / (n - 1) ** 2 <= ratio.value <= 1 / (n - 1), n
-            assert ratio.value == pytest.approx(ideal[n] / ideal[n - 1], rel=1e-10, abs=0), n
+            assert ratio.value == pytest.approx(ideal[n] / ideal[n - 1], rel=1e-12, abs=0), n
 
     def test_rejects_any_bad_cell(self):
         with pytest.raises(DomainError):

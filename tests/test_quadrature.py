@@ -90,8 +90,8 @@ class TestNested:
             integrate_nested([1.0], [np.ones_like, np.ones_like])
 
     def test_tensor_exhaustion_carries_estimate(self):
-        # the cusp at y = 0.31 defeats every degree and Gauss order of the
-        # level-stack passes
+        # the cusp at y = 0.31 leaves level 1's Chebyshev series without a
+        # plateau at _MAX_DEGREE, so the chop never settles
         cfg = QuadratureConfig(rel_tol=1e-13)
         limits = [1.0, lambda x: x + 0.5, lambda y: y]
         factors = [np.ones_like, lambda y: 1.0 / np.sqrt(np.abs(y - 0.31) + 1e-13), np.ones_like]

@@ -157,8 +157,9 @@ class TestProjective:
         assert est.value == pytest.approx(IDEAL_TET, abs=1e-10)
 
     def test_ideal_triangle(self):
+        # the top integral adds the leading term of the tail beyond theta_min
         est = volume_projective(SimplexParams(2, math.pi / 2))
-        assert est.value == pytest.approx(math.pi, abs=1e-8)
+        assert est.value == pytest.approx(math.pi, rel=1e-14, abs=0)
 
 
     @pytest.mark.parametrize("form, n, t, evals", [
@@ -166,10 +167,14 @@ class TestProjective:
         (volume_projective, 5, 1.2, 4_789),
         (facet_volume_projective, 4, 0.8, 2_579),
         (volume_halfspace, 4, 1.0, 2_671),
+        (volume_orthoscheme, 3, 0.8, 1_494),
+        (volume_orthoscheme, 5, 1.2, 1_560),
     ])
     def test_n_evals_standalone(self, form, n, t, evals):
-        # the stack pair's build plus this call's own top-level work,
-        # (depth + 1) x order per stack, the same on every call
+        # radial forms: the stack pair's build plus this call's own
+        # top-level work, (depth + 1) x order per stack; orthoscheme: the
+        # points each level sampled plus both outer panel sets.  The same
+        # on every call
         p = SimplexParams(n, t)
         assert form(p).n_evals == form(p).n_evals == evals
 
@@ -390,8 +395,18 @@ class TestSchlafli:
         est = volume_projective(SimplexParams(n, math.pi / 2))
         assert abs(est.value - ref) <= 2e-14 * ref
 
-    @pytest.mark.parametrize("n", [4, 5, 6])
-    @pytest.mark.parametrize("t", [0.3, 1.0, math.pi / 2])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("t", [0.02, 0.05, 0.1])
+    def test_small_t_radial_forms(self, n, t):
+        # a finite row's y limit is its own log(1 - sigma^2), not the
+        # batch's theta_min, whose rounding would cut the integral short
+        ref = schlafli_volume(n, t)
+        p = SimplexParams(n, t)
+        assert abs(volume_projective(p).value - ref) <= 1e-14 * ref
+        assert abs(volume_halfspace(p).value - ref) <= 5e-14 * ref
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("t", [0.05, 0.3, 1.0, math.pi / 2])
     def test_forms_within_their_bars(self, n, t):
         ref = schlafli_volume(n, t)
         for form in (volume_projective, volume_orthoscheme):
