@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import SimplexParams
-from .quadrature import QuadratureConfig, VolumeEstimate, _settled, integrate_simplex_radialpow
+from .quadrature import QuadratureConfig, VolumeEstimate, integrate_simplex_radialpow
 from .volume_forms import _facet_job, _projective_job
 
 __all__ = [
@@ -143,8 +143,10 @@ def growth_ratio_grid(cells, cfg: QuadratureConfig | None = None) -> list[tuple]
     Both volumes come from the projective form, as one batch of
     `integrate_simplex_radialpow` per (dim, p); the facet of n is the
     volume one dimension down, so n in {3, 4, 5} makes four batches.
-    Each volume keeps its own error bar and stall gate, and the first
-    stalled one in cell order raises, a cell's volume before its facet.
+    Each volume keeps its own error bar and stall gate.  Batches run in
+    the order of their first cell, a cell's volume before its facet, and
+    the first batch that stalls raises its first stalled row
+    (`integrate_simplex_radialpow`).
     A batch's stacks are built on the widest theta range it needs, with
     more nodes, so a cell's values can differ from its grid of one within
     the error bars (about 1e-14 relative on the criterion-04 grid).  The
@@ -169,8 +171,8 @@ def growth_ratio_grid(cells, cfg: QuadratureConfig | None = None) -> list[tuple]
                                                            one_minus_scale_sq=w)))
     out = []
     for k, params in enumerate(cells):
-        vol = replace(_settled(rows[2 * k]), method="projective")
-        facet = replace(_settled(rows[2 * k + 1]), method="facet-projective")
+        vol = replace(rows[2 * k], method="projective")
+        facet = replace(rows[2 * k + 1], method="facet-projective")
         if vol.value == 0.0 or facet.value == 0.0:
             raise DomainError(f"volume underflows to 0.0 at n = {params.n}, t = {params.t!r}")
         ratio = vol.value / facet.value
@@ -211,15 +213,12 @@ class LimitAudit:
         return abs(self.fitted_limit - self.claimed_limit) < 1e-2
 
 
-def _endpoint_product(t: float) -> float:
-    """cos(t) atanh(sin t), stable against cancellation near t = pi/2."""
-    eps = math.pi / 2 - t
-    if eps <= 0.0:
+def _endpoint_product(params: SimplexParams) -> float:
+    """cos(t) atanh(sin t) = cos t log((1 + sin t) / (1 - sin t)) / 2, from
+    the cancellation-free 1 +- sin t of `SimplexParams`."""
+    if params.is_ideal:
         raise DomainError("audit products need t < pi/2")
-    cos_t = math.sin(eps)
-    one_minus_s = 2.0 * math.sin(eps / 2) ** 2
-    one_plus_s = 2.0 * math.cos(eps / 2) ** 2
-    return cos_t * 0.5 * math.log(one_plus_s / one_minus_s)
+    return params.cos_t * 0.5 * math.log(params.one_plus_sin_t / params.one_minus_sin_t)
 
 
 def limit_audit(n: int, t_sequence) -> LimitAudit:
@@ -238,7 +237,7 @@ def limit_audit(n: int, t_sequence) -> LimitAudit:
     rows = []
     for t in ts:
         eps = math.pi / 2 - float(t)
-        rows.append((float(t), eps, _endpoint_product(float(t))))
+        rows.append((float(t), eps, _endpoint_product(SimplexParams(n, float(t)))))
     eps = np.array([r[1] for r in rows])
     prod = np.array([r[2] for r in rows])
     shape = eps * np.log(2.0 / eps)

@@ -138,11 +138,13 @@ def cmd_ratio(args) -> int:
     return 0 if ok else 3
 
 
-def _sweep_row(n: int, t: float, est, vol, facet) -> dict:
-    b = growth_bounds(SimplexParams(n, t))
+def _sweep_row(params: SimplexParams, t: float, est, vol, facet) -> dict:
+    """One sweep row; ``t`` is the value as given, which ``params`` may
+    have clamped to pi/2."""
+    b = growth_bounds(params)
     ok = (b.lower - est.error_estimate <= est.value <= b.upper + est.error_estimate)
     return {
-        "n": n, "t": t, "ratio": est.value, "ratio_err": est.error_estimate,
+        "n": params.n, "t": t, "ratio": est.value, "ratio_err": est.error_estimate,
         "lower": b.lower, "upper": b.upper,
         "hm_lower": b.hm_lower, "hm_upper": b.hm_upper,
         "V_n": vol.value, "V_facet": facet.value,
@@ -182,9 +184,9 @@ def _parse_sweep_spec(args) -> tuple[tuple, tuple]:
 def cmd_sweep(args) -> int:
     ns, ts = _parse_sweep_spec(args)
     cfg = _config(args)
-    cells = [(n, t) for n in ns for t in ts]
-    grid = growth_ratio_grid([SimplexParams(n, t) for n, t in cells], cfg)
-    rows = [_sweep_row(n, t, *parts) for (n, t), parts in zip(cells, grid)]
+    cells = [(SimplexParams(n, t), t) for n in ns for t in ts]
+    grid = growth_ratio_grid([params for params, _ in cells], cfg)
+    rows = [_sweep_row(params, t, *parts) for (params, t), parts in zip(cells, grid)]
     if args.format == "json":
         text = json.dumps(
             [{k: (_fmt(v) if isinstance(v, float) else v) for k, v in row.items()}

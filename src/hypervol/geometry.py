@@ -105,15 +105,12 @@ class SimplexParams:
         """1 - sin t as cos^2 t / (1 + sin t), within a few ulps of it at the
         float t up to the ideal point; 2 sin^2(pi/4 - t/2) would carry the
         rounding of pi/4, 1.2e-4 relative at pi/2 - t = 1e-12."""
-        return self.cos_t ** 2 / (1.0 + self.sin_t)
+        return self.cos_t ** 2 / self.one_plus_sin_t
 
     @cached_property
     def one_plus_sin_t(self) -> float:
-        if self.is_ideal:
-            return 2.0
-        if self.t == 0.0:
-            return 1.0
-        return 2.0 * math.cos(math.pi / 4 - self.t / 2) ** 2
+        """1 + sin t, within about one rounding of it: the sum does not cancel."""
+        return 1.0 + self.sin_t
 
 
 def _ratio_m(n: int, k: int) -> float:

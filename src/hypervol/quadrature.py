@@ -44,7 +44,11 @@ until `_standard_chop` finds the plateau, a radial level from the N
 where the level below stopped, a nested level from N = 32.  A pass over
 a series costs about one fixed step per coefficient whatever the number
 of points, so a build costs passes times degree: each round of a level
-is one pass over the level below.  The only setting is the relative
+is one pass over the level below.  Both engines stop on one rule: a
+level with no plateau by its cap leaves the result unresolved, and the
+engine raises ConvergenceError carrying its estimate.  The radial engine
+also raises a row whose lo/hi gap stalls; `_radial_estimate` is the one
+place its verdict is formed.  The only setting is the relative
 tolerance in `QuadratureConfig`; the absolute floor, the Gauss order,
 the degree cap and the chop tolerance are module constants.
 Both engines are pure functions of their inputs and reentrant; a
@@ -79,9 +83,10 @@ _CHOP_TOL = 4 * _EPS   # plateau of a chopped series; level values carry a few u
 @dataclass(frozen=True)
 class QuadratureConfig:
     """The relative tolerance shared by the integration engines.  The
-    radial engine targets |error| <= max(_ABS_TOL, rel_tol * |I|); the
     nested engine raises ConvergenceError when its estimate is above
-    rel_tol * |I|."""
+    rel_tol * |I|.  The radial engine does not target it: its bar is the
+    lo/hi gap plus _ABS_TOL, and it raises only when that gap is above
+    max(1e-3 |I|, 1e4 * tolerance(I))."""
 
     rel_tol: float = 1e-8
 
@@ -258,18 +263,19 @@ def _standard_chop(coef: np.ndarray) -> int:
     return max(int(np.argmin(tilted)), 1)
 
 
-def _chebyshev_series(f, a: float, b: float, degree: int, start: int | None = None):
+def _chebyshev_series(f, a: float, b: float, degree: int, start: int):
     """Chebyshev series of f on [a, b] from its values at the N + 1 points
     b - (b - a) sin^2(pi j / 2N) (second kind, exact at both ends), with
     the number of points sampled.
 
-    Without ``start``, N is ``degree``.  With it, N doubles from ``start``
-    to at most ``degree``, each doubling sampling only the N new points
-    between the old ones, until `_standard_chop` finds the coefficients'
-    plateau; the coefficients before it are kept (all of them at
-    ``degree``).  A caller whose f reads other series starts near the
-    plateau, since each round costs a pass over them: a series first
-    sampled past its plateau is still cut there, from finer samples.
+    N doubles from ``start`` to at most ``degree``, each doubling sampling
+    only the N new points between the old ones, until `_standard_chop`
+    finds the coefficients' plateau; the coefficients before it are kept.
+    A series with no plateau by ``degree`` keeps every coefficient, as
+    many as its points, which is how both engines tell an unresolved
+    level.  A caller whose f reads other series starts near the plateau,
+    since each round costs a pass over them: a series first sampled past
+    its plateau is still cut there, from finer samples.
 
     The coefficients come from one FFT.  At degrees in the hundreds,
     numpy's Chebyshev.interpolate (three-term recurrence) left a 2e-12
@@ -280,11 +286,11 @@ def _chebyshev_series(f, a: float, b: float, degree: int, start: int | None = No
     def sample(n, j):
         return f(b - (b - a) * np.sin(np.pi / (2 * n) * j) ** 2)
 
-    n = degree if start is None else min(start, degree)
+    n = min(start, degree)
     values = sample(n, np.arange(n + 1))
     while True:
         coef = _chebyshev_coefficients(values)
-        keep = coef.size if start is None else _standard_chop(coef)
+        keep = _standard_chop(coef)
         if keep < coef.size or 2 * n > degree:
             return np.polynomial.Chebyshev(coef[:keep], domain=(a, b)), values.size
         n *= 2
@@ -353,7 +359,9 @@ class RadialPowerStack:
     (`_chebyshev_series`).  Level 1 starts at N = 16 and reads no series
     (I_0 = 1); each level above starts at the N where the one below
     stopped, so it usually samples in one round.  The ideal n = 5 levels
-    stop at N = 128.
+    stop at N = 128.  ``unresolved`` is the first level with no plateau
+    by ``settings.ncheb`` (0 when every level found one); every row read
+    from such a stack stalls (`_radial_estimate`).
 
     The series is built from one cumulative integral.  With
     v = 1 - sigma^2 xi^2 and den(v) = v h^2 + rho^2 = 1 - sigma^2 xi^2 h^2,
@@ -389,11 +397,14 @@ class RadialPowerStack:
         # integrand evaluations of the build; fixed here, so a shared stack
         # carries no count from one caller's top integrals into the next
         self.n_evals = 0
+        self.unresolved = 0
         at_zero, start = 1.0, 16                                # I_k(p, 0), first N
         for k in range(1, levels + 1):
             at_zero *= _cone_factor(k) / k
             self._series[k], points = self._build_level(k, at_zero, start)
             self.n_evals += (settings.depth + points) * settings.order
+            if not self.unresolved and self._series[k].coef.size == points:
+                self.unresolved = k
             start = points - 1
 
     def _build_level(self, k, at_zero, start):
@@ -499,37 +510,35 @@ def _radial_pair(levels: int, p: float, w_floor: float) -> tuple:
 
 
 def _radial_estimate(stacks, cfg: QuadratureConfig, values_of: Callable,
-                     method: str) -> list:
+                     method: str) -> list[VolumeEstimate]:
     """One estimate per row of ``values_of(stack)``, the rows' values and
     evaluations beyond the build on each stack of a `_radial_pair`: the
     high-fidelity value, the gap to the low-fidelity one plus _ABS_TOL, and
-    the pair's build plus the row's own work.  A row whose gap is above
-    max(1e-3 |value|, 1e4 * tolerance) is left as an unraised
-    ConvergenceError carrying its estimate (`_settled` raises it)."""
+    the pair's build plus the row's own work.
+
+    The first row that stalls raises ConvergenceError carrying its
+    estimate.  Every row stalls when a level of either stack has no
+    plateau by its cap, as in `integrate_nested`; otherwise a row stalls
+    when its gap is above max(1e-3 |value|, 1e4 * tolerance)."""
     (lo, lo_evals), (hi, hi_evals) = (values_of(stack) for stack in stacks)
     build = sum(stack.n_evals for stack in stacks)
+    unresolved = [f"level {stack.unresolved} has no plateau by N = {stack.settings.ncheb}"
+                  for stack in stacks if stack.unresolved]
     out = []
     for lo_v, hi_v, evals in zip(lo, hi, np.add(lo_evals, hi_evals).tolist()):
         err = abs(hi_v - lo_v) + _ABS_TOL
         est = VolumeEstimate(hi_v, err, build + evals, method)
-        if err > max(1e-3 * abs(hi_v), 1e4 * cfg.tolerance(hi_v)):
-            est = ConvergenceError(
-                f"radial refinement stalled (err {err:.3e} on value {hi_v:.6e})", estimate=est)
+        if unresolved or err > max(1e-3 * abs(hi_v), 1e4 * cfg.tolerance(hi_v)):
+            why = unresolved[0] if unresolved else f"err {err:.3e} on value {hi_v:.6e}"
+            raise ConvergenceError(f"radial refinement stalled ({why})", estimate=est)
         out.append(est)
     return out
-
-
-def _settled(row) -> VolumeEstimate:
-    """The estimate of a `_radial_estimate` row; a stalled row is raised."""
-    if isinstance(row, ConvergenceError):
-        raise row
-    return row
 
 
 def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float,
                                 cfg: QuadratureConfig | None = None, *,
                                 one_minus_scale_sq: float | Sequence[float] | None = None,
-                                ) -> VolumeEstimate | list:
+                                ) -> VolumeEstimate | list[VolumeEstimate]:
     """Integral of (1 - |x|^2)^(-p) over scale * S(n), where S(n) is the
     regular n-simplex inscribed in the unit sphere.
 
@@ -542,10 +551,11 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
     1 - scale^2 in a cancellation-free form (it dominates the integrand
     near the vertices).
 
-    A float ``scale`` gives one VolumeEstimate, raising ConvergenceError if
-    it stalls.  Sequences of scales and of ``one_minus_scale_sq`` are a
-    batch on one stack pair, built on their smallest 1 - scale^2: a list
-    with one estimate per row, a stalled row as its unraised ConvergenceError.
+    A float ``scale`` gives one VolumeEstimate.  Sequences of scales and
+    of ``one_minus_scale_sq`` are a batch on one stack pair, built on
+    their smallest 1 - scale^2, and give a list with one estimate per row.
+    Either way the first row that stalls raises ConvergenceError carrying
+    its estimate (`_radial_estimate`), so a batch returns only settled rows.
     """
     cfg = cfg or QuadratureConfig()
     if n < 1:
@@ -571,4 +581,4 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
 
     stacks = _radial_pair(n - 1, p, float(w_top.min(initial=1.0)))
     out = _radial_estimate(stacks, cfg, values_of, "simplex-radial")
-    return out if np.ndim(scale) else _settled(out[0])
+    return out if np.ndim(scale) else out[0]

@@ -46,7 +46,6 @@ from .quadrature import (
     _panels_toward_one,
     _radial_estimate,
     _radial_pair,
-    _settled,
     integrate_nested,
     integrate_simplex_radialpow,
 )
@@ -139,16 +138,16 @@ def volume_orthoscheme(params: SimplexParams, cfg: QuadratureConfig | None = Non
 
 
 def _projective_job(params: SimplexParams):
-    """(dim, p, scale, 1 - scale^2) of the projective volume integral; t > 0."""
-    w = params.one_minus_sin_t * params.one_plus_sin_t   # cos^2 t, exact at ideal
-    return params.n, (params.n + 1) / 2, params.sin_t, w
+    """(dim, p, scale, 1 - scale^2) of the projective volume integral; t > 0.
+    1 - sin^2 t is cos^2 t, exactly 0 at the ideal point."""
+    return params.n, (params.n + 1) / 2, params.sin_t, params.cos_t ** 2
 
 
 def _facet_job(params: SimplexParams):
     """(dim, p, scale, 1 - scale^2) of the projective facet integral; n >= 3, t > 0."""
     n, s = params.n, params.sin_t
     scale = s * math.sqrt(n * n - 1.0) / math.sqrt(n * n - s * s)   # tanh r_{n-1}
-    w = n * n * params.one_minus_sin_t * params.one_plus_sin_t / (n * n - s * s)
+    w = n * n * params.cos_t ** 2 / (n * n - s * s)
     return n - 1, n / 2.0, scale, w
 
 
@@ -260,7 +259,7 @@ def _halfspace_value(n: int, sigma: float, w_perp: float, slope: float,
         return [float(t1 - t2) / (n - 1)], [evals + a.size]
 
     stacks = _radial_pair(dim - 1, p, w_perp)
-    return _settled(_radial_estimate(stacks, cfg, values_of, "halfspace")[0])
+    return _radial_estimate(stacks, cfg, values_of, "halfspace")[0]
 
 
 def volume_halfspace(params: SimplexParams, cfg: QuadratureConfig | None = None) -> VolumeEstimate:

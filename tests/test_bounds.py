@@ -7,6 +7,7 @@ import pytest
 from hypervol import (
     DomainError,
     SimplexParams,
+    VolumeEstimate,
     euclidean_limit_ratio,
     facet_volume_projective,
     growth_bounds,
@@ -205,7 +206,9 @@ class TestGrowthRatioGrid:
         # pass over the shared y panels
         cells = [SimplexParams(n, t) for n in (3, 4)
                  for t in (0.3, 1.0, math.pi / 2 - 1e-6, math.pi / 2)]
-        for cell, (_, vol, facet) in zip(cells, growth_ratio_grid(cells)):
+        for cell, row in zip(cells, growth_ratio_grid(cells)):
+            assert all(isinstance(part, VolumeEstimate) for part in row), cell
+            _, vol, facet = row
             for shared, alone in ((vol, volume_projective(cell)),
                                   (facet, facet_volume_projective(cell))):
                 assert shared.value == pytest.approx(alone.value, rel=1e-14, abs=0), cell
@@ -244,6 +247,14 @@ class TestLimitAudit:
         assert abs(audit.fitted_limit) < 1e-2
         assert audit.claimed_limit == 1.0
         assert not audit.agrees_with_claim
+
+    def test_products_match_50_digit_values(self):
+        # cos t atanh(sin t) at the float t, down to a few ulps below pi/2
+        ts = list(default_audit_sequence()) + [math.pi / 2 - e for e in (1e-9, 1e-12, 1e-15)]
+        for t, _, prod in limit_audit(3, ts).rows:
+            with mp.workdps(50):
+                ref = float(mp.cos(mp.mpf(t)) * mp.atanh(mp.sin(mp.mpf(t))))
+            assert prod == pytest.approx(ref, rel=1e-14, abs=0), t
 
     def test_asymptotic_shape(self):
         # the product behaves like eps ln(2/eps)

@@ -59,6 +59,16 @@ class TestParams:
             assert p.one_minus_sin_t == pytest.approx(ref, rel=1e-15, abs=0), eps
         assert SimplexParams(4, math.pi / 2).one_minus_sin_t == 0.0
         assert SimplexParams(4, 0.0).one_minus_sin_t == 1.0
+        # 1 + sin t to about one rounding, against 50-digit 1 + sin t at the
+        # float t (the reference is not rounded to a double: two roundings
+        # of one value can be an ulp, 2.2e-16, apart)
+        for t in np.random.default_rng(0).uniform(0.0, math.pi / 2, 2000).tolist():
+            with mp.workdps(50):
+                ref = 1 + mp.sin(mp.mpf(t))
+                miss = abs(SimplexParams(4, t).one_plus_sin_t - ref) / ref
+            assert miss <= 2e-16, t
+        assert SimplexParams(4, math.pi / 2).one_plus_sin_t == 2.0
+        assert SimplexParams(4, 0.0).one_plus_sin_t == 1.0
 
 
 class TestCrossRatioDistance:

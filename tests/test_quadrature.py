@@ -110,6 +110,19 @@ class TestSimplexRadialPow:
             integrate_simplex_radialpow(3, [0.5, 0.6], 2.0, one_minus_scale_sq=[0.75])
         assert integrate_simplex_radialpow(3, [], 2.0) == []
 
+    def test_stalled_batch_raises_its_first_row(self, monkeypatch):
+        # a batch returns only settled rows: under a crude low-fidelity
+        # stack the first row raises, carrying its own estimate
+        first = integrate_simplex_radialpow(3, 0.5, 2.0).value
+        settings = quadrature._radial_settings
+        monkeypatch.setattr(quadrature, "_radial_settings", lambda theta_min: (
+            quadrature._RadialSettings(2, 1, 1), settings(theta_min)[1]))
+        with pytest.raises(ConvergenceError) as info:
+            integrate_simplex_radialpow(3, [0.5, 0.9], 2.0)
+        est = info.value.estimate
+        assert est.method == "simplex-radial"
+        assert est.value == pytest.approx(first, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("n, p, ref", [
         (1, 0.5, math.pi / 3),                                 # 2 asin(1/2)
         (2, 1.5, 0.25 * klein_triangle_integral(0.5, 1.5)),
@@ -314,7 +327,7 @@ class TestChoppedLevels:
         chebyshev_series = quadrature._chebyshev_series
         density = quadrature.RadialPowerStack._density
 
-        def counted(f, a, b, degree, start=None):
+        def counted(f, a, b, degree, start):
             rounds = []
             series = chebyshev_series(lambda th: rounds.append(th.size) or f(th), a, b, degree, start)
             sampled.append(rounds)

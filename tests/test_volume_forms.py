@@ -320,6 +320,22 @@ class TestHalfspace:
         assert est.method == "halfspace"
         assert est.error_estimate > 1e-3 * est.value > 0.0
 
+    def test_unresolved_level_raises(self, monkeypatch):
+        # a radial level with no plateau by its cap stalls every row read
+        # from its stack, as an unresolved nested level does; capped at
+        # N = 32 the ideal n = 5 lo/hi gap alone looks settled while the
+        # value is 8e-7 off
+        params = SimplexParams(5, math.pi / 2)
+        settled = volume_projective(params).value
+        settings = quadrature._radial_settings
+        monkeypatch.setattr(quadrature, "_radial_settings", lambda theta_min: tuple(
+            quadrature._RadialSettings(32, s.depth, s.order) for s in settings(theta_min)))
+        with pytest.raises(ConvergenceError, match="no plateau by N = 32") as info:
+            volume_projective(params)
+        est = info.value.estimate
+        assert est.value == pytest.approx(settled, rel=1e-5, abs=0)
+        assert abs(est.value - settled) > est.error_estimate
+
 
 class TestHalfspaceGeneral:
     @pytest.mark.parametrize("n,t", [(2, 0.9), (3, T35), (3, 1.0), (4, 0.8), (5, 1.2)])
