@@ -41,10 +41,16 @@ Both engines share one interpolation scheme,
 `_chebyshev_series` (second-kind points, coefficients by FFT), and one
 evaluator, `_chebval`: a level of either engine doubles its points
 until `_standard_chop` finds the plateau, a radial level from the N
-where the level below stopped, a nested level from N = 32.  A pass over
-a series costs about one fixed step per coefficient whatever the number
-of points, so a build costs passes times degree: each round of a level
-is one pass over the level below.  Both engines stop on one rule: a
+where the level below stopped, a nested level from N = 32.  Each round
+of a level is one pass over the level below, a Clenshaw step per
+coefficient.  A step costs a fixed 2-3 us plus 1-2 ns per point (a
+shared 2-vCPU Xeon VM, Python 3.11, numpy 2.4), so at the few hundred
+to few thousand points of a round the fixed part dominates, and a
+build costs about passes times degree.  What a round costs besides its
+pass does not depend on the level: the chop's index pairs are cached by
+size, a radial stack builds each round's sample geometry once for all
+its levels, and a nested level's antiderivative is a few vector
+operations.  Both engines stop on one rule: a
 level with no plateau by its cap leaves the result unresolved, and the
 engine raises ConvergenceError carrying its estimate.  The radial engine
 also raises a row whose lo/hi gap stalls; `_radial_estimate` is the one
@@ -60,7 +66,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -177,7 +183,7 @@ def integrate_nested(limits: Sequence, factors: Sequence,
             lambda y, k=k, inner=inner: factors[k](y) * inner(y), 0.0, tops[k], _MAX_DEGREE, 32)
         n_evals += points
         stalled |= series.coef.size == points
-        antiderivative = series.integ(lbnd=0.0)
+        antiderivative = _antiderivative(series)
         top_value = float(antiderivative.coef.sum())   # F_k(X_k): every T_j is 1 there
         inner = lambda y, k=k, f=antiderivative: _chebval(f, limits[k](y))
 
@@ -230,8 +236,35 @@ def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     """Coefficients of the polynomial through ``values`` at the points
     cos(pi j / N), j = 0..N: a DCT-I, as the FFT of the even extension."""
     coef = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / (values.size - 1)
-    coef[[0, -1]] /= 2
+    coef[0] /= 2
+    coef[-1] /= 2
     return coef
+
+
+_LOG_CHOP_TOL = math.log(_CHOP_TOL)
+_CHOP_FLOOR = _CHOP_TOL ** (7 / 6)     # envelope floor of the tilted cut
+_CHOP_TILT = -math.log10(_CHOP_TOL) / 3
+
+
+@lru_cache(maxsize=None)
+def _chop_plan(n: int):
+    """The 0-based pairs (j - 1, j2 - 1), j2 = floor(1.25 j + 5.5) <= n,
+    that `_standard_chop` scans on n coefficients; read-only because they
+    are cached."""
+    j = np.arange(2, n + 1)                      # 1-based, as in the paper
+    j2 = np.floor(1.25 * j + 5.5).astype(int)
+    plan = np.array([j[j2 <= n] - 1, j2[j2 <= n] - 1])
+    plan.flags.writeable = False
+    return tuple(plan)
+
+
+@lru_cache(maxsize=None)
+def _chop_tilt(size: int) -> np.ndarray:
+    """The upward tilt added to log10 of the first ``size`` envelope
+    entries; read-only because it is cached."""
+    tilt = np.linspace(0.0, _CHOP_TILT, size)
+    tilt.flags.writeable = False
+    return tilt
 
 
 def _standard_chop(coef: np.ndarray) -> int:
@@ -241,25 +274,23 @@ def _standard_chop(coef: np.ndarray) -> int:
     plateau, then cut where the envelope plus a slight upward tilt is
     least.  Without a plateau every coefficient stays; all zeros keep one.
     The scan tests every j at once and takes the first plateau, which is
-    where the paper's loop stops."""
-    n, tol = coef.size, _CHOP_TOL
+    where the paper's loop stops; its index pairs and the tilt are cached
+    by size (`_chop_plan`, `_chop_tilt`)."""
+    n = coef.size
     env = np.maximum.accumulate(np.abs(coef)[::-1])[::-1]
     if n < 17 or env[0] == 0.0:
         return n if n < 17 else 1
     env = env / env[0]
-    j = np.arange(2, n + 1)                      # 1-based, as in the paper
-    j2 = np.floor(1.25 * j + 5.5).astype(int)
-    j, j2 = j[j2 <= n], j2[j2 <= n]
-    e1 = env[j - 1]
+    i1, i2 = _chop_plan(n)
+    e1 = env[i1]
     # past the envelope's last nonzero entry e1 = 0 is a plateau; the
     # 0/0 and log(0) there are masked by it
     with np.errstate(divide="ignore", invalid="ignore"):
-        plateau = (e1 == 0.0) | (env[j2 - 1] / e1 > 3.0 * (1.0 - np.log(e1) / math.log(tol)))
+        plateau = (e1 == 0.0) | (env[i2] / e1 > 3.0 * (1.0 - np.log(e1) / _LOG_CHOP_TOL))
     if not plateau.any():
         return n
-    floor = tol ** (7 / 6)
-    j2 = min(int(j2[plateau.argmax()]), int(np.count_nonzero(env >= floor)) + 1)
-    tilted = np.log10(np.maximum(env[:j2], floor)) + np.linspace(0.0, -math.log10(tol) / 3, j2)
+    j2 = min(int(i2[plateau.argmax()]) + 1, int(np.count_nonzero(env >= _CHOP_FLOOR)) + 1)
+    tilted = np.log10(np.maximum(env[:j2], _CHOP_FLOOR)) + _chop_tilt(j2)
     return max(int(np.argmin(tilted)), 1)
 
 
@@ -294,27 +325,56 @@ def _chebyshev_series(f, a: float, b: float, degree: int, start: int):
         if keep < coef.size or 2 * n > degree:
             return np.polynomial.Chebyshev(coef[:keep], domain=(a, b)), values.size
         n *= 2
-        values = np.insert(values, np.arange(1, values.size), sample(n, np.arange(1, n, 2)))
+        old, values = values, np.empty(n + 1)
+        values[::2] = old
+        values[1::2] = sample(n, np.arange(1, n, 2))
+
+
+def _antiderivative(series: np.polynomial.Chebyshev) -> np.polynomial.Chebyshev:
+    """``series.integ(lbnd=0)``, bitwise, where numpy's chebint loops in
+    Python over the coefficients: with c the coefficients times 1/scl,
+    c_0 becomes the one of T_1 and each c_j (j >= 1) adds c_j / 2(j+1) to
+    T_(j+1) and takes c_j / 2(j-1) from T_(j-1), in numpy's operations;
+    the constant is then minus the result's value at the lower bound, by
+    the same Clenshaw steps as numpy's chebval.  A zero constant series
+    (numpy keeps one coefficient) becomes two zeros."""
+    off, scl = series.mapparms()
+    c = series.coef * (1.0 / scl)
+    n = c.size
+    out = np.empty(n + 1)
+    out[0] = c[0] * 0
+    out[1] = c[0]
+    out[2:] = c[1:] / (2 * np.arange(2, n + 1))
+    out[1:n - 1] -= c[2:] / (2 * np.arange(1, n - 1))
+    x = float(off + scl * 0.0)                   # the lower bound 0, mapped
+    x2, coef = 2 * x, out.tolist()
+    c0, c1 = coef[-2], coef[-1]
+    for ck in coef[-3::-1]:
+        c0, c1 = ck - c1, c0 + c1 * x2
+    out[0] += 0 - (c0 + c1 * x)
+    return np.polynomial.Chebyshev(out, series.domain)
 
 
 def _chebval(series: np.polynomial.Chebyshev, x: np.ndarray) -> np.ndarray:
     """``series(x)``, bitwise: x mapped by ``series.mapparms()``, then
     numpy's Clenshaw recurrence (chebval) on three reused buffers where
-    numpy allocates three arrays per coefficient.  At the few hundred to
-    few thousand points of a pass, each step costs about the same whatever
-    the number of points."""
+    numpy allocates three arrays per coefficient.  A step is three ufunc
+    calls, whose fixed cost dominates at the few hundred to few thousand
+    points of a pass, so the coefficients are read as Python floats and
+    the outputs passed by position."""
     off, scl = series.mapparms()
     x = off + scl * x
-    c = series.coef
-    if c.size < 3:
-        return c[0] + (c[1] if c.size == 2 else 0) * x
+    c = series.coef.tolist()
+    if len(c) < 3:
+        return c[0] + (c[1] if len(c) == 2 else 0) * x
     x2 = 2 * x
     c0, c1, t = np.full_like(x, c[-2]), np.full_like(x, c[-1]), np.empty_like(x)
+    multiply, subtract, add = np.multiply, np.subtract, np.add
     for ck in c[-3::-1]:
         # c0, c1 = ck - c1, c0 + c1 * x2, with t free for the product
-        np.multiply(c1, x2, out=t)
-        np.subtract(ck, c1, out=c1)
-        t += c0
+        multiply(c1, x2, t)
+        subtract(ck, c1, c1)
+        add(t, c0, t)
         c0, c1, t = c1, t, c0
     np.multiply(c1, x, out=t)
     t += c0
@@ -340,6 +400,20 @@ def _radial_settings(theta_min: float):
 def _cone_factor(k: int) -> float:
     """c_k = (k+1)/k * rho^(k-1), rho^2 = 1 - 1/k^2, of level k's reduction."""
     return (k + 1) / k * (1.0 - 1.0 / (k * k)) ** ((k - 1) / 2)
+
+
+class _Nodes(NamedTuple):
+    """Where a stack's sums in y are evaluated (`RadialPowerStack._nodes`):
+    the panel ``m`` holding each upper limit and the width ``part`` of its
+    partial panel, the first ``whole`` points being the whole panels'
+    nodes, and at every point y, v = exp(-y^2) and 1 - v = -expm1(-y^2)."""
+
+    m: np.ndarray
+    part: np.ndarray
+    whole: int
+    y: np.ndarray
+    v: np.ndarray
+    one_minus_v: np.ndarray
 
 
 class RadialPowerStack:
@@ -379,7 +453,19 @@ class RadialPowerStack:
     with the whole ones, in one pass over level k - 1.  At theta = 0 the
     identity is 0/0; there I_k(0) = c_k I_{k-1}(0) / k.  ``n_evals``
     counts the panel nodes plus ``settings.order`` per sampled point, per
-    level.  The panels live only for the build; a built stack is only read.
+    level.
+
+    Every level samples the same theta range, so a round's points depend
+    only on N and on whether the round is a level's first (N + 1 points,
+    with the whole panels) or a doubling (the N/2 new points, reading the
+    level's panel sums).  The build keys each round's geometry by that
+    pair, not by its points, and keeps it from the first level that
+    samples it: log sigma^2 at each theta < 0, and the `_Nodes`, the
+    panel and partial width of each theta with the Gauss nodes y,
+    v = exp(-y^2) and 1 - v = -expm1(-y^2).  So a level pays only for
+    what depends on k: the density and its pass over level k - 1.  The
+    geometry and the panels live only for the build; a built stack is
+    only read.
 
     `top_integral` runs the same sum (`_integral_to`) for the level above
     the stack at each row's sigma and returns sigma^k I_k, an ideal row's
@@ -399,63 +485,81 @@ class RadialPowerStack:
         self.n_evals = 0
         self.unresolved = 0
         at_zero, start = 1.0, 16                                # I_k(p, 0), first N
+        rounds = {}                                             # sampling rounds' nodes
         for k in range(1, levels + 1):
             at_zero *= _cone_factor(k) / k
-            self._series[k], points = self._build_level(k, at_zero, start)
+            self._series[k], points = self._build_level(k, at_zero, start, rounds)
             self.n_evals += (settings.depth + points) * settings.order
             if not self.unresolved and self._series[k].coef.size == points:
                 self.unresolved = k
             start = points - 1
 
-    def _build_level(self, k, at_zero, start):
+    def _build_level(self, k, at_zero, start, rounds):
         """Level k's series and the number of points it sampled, from N =
         ``start`` up, by the cumulative integral in y (class docstring),
-        given level k - 1."""
+        given level k - 1.  ``rounds`` holds the sample geometry that every
+        level of the stack shares, by round."""
         below = None                                            # integral up to each edge
 
         def log_level(thetas):
             nonlocal below
+            # a round's points depend only on their number and on whether
+            # it is the level's first round, whose partial panels ride with
+            # the whole panels, in one pass over the level below
+            key = (below is None, thetas.size)
+            if key not in rounds:
+                inside = thetas < 0.0
+                rounds[key] = (inside, self._nodes(np.sqrt(-thetas[inside]), below is None),
+                               np.log(-np.expm1(thetas[inside])))
+            inside, nodes, log_sigma2 = rounds[key]
+            value, below, _ = self._integral_to(k, nodes, below)
             out = np.full(thetas.size, math.log(at_zero))
-            inside = thetas < 0.0
-            # the first round's partial panels ride with the whole panels,
-            # in one pass over the level below
-            value, below, _ = self._integral_to(k, np.sqrt(-thetas[inside]), below)
-            out[inside] = np.log(value) - k / 2 * np.log(-np.expm1(thetas[inside]))
+            out[inside] = np.log(value) - k / 2 * log_sigma2
             return out
 
         return _chebyshev_series(log_level, self.theta_min, 0.0, self.settings.ncheb, start)
 
-    def _integral_to(self, k, y, below=None, at=()):
-        """sigma^k I_k at each upper limit y = sqrt(-log(1 - sigma^2)) in
-        (0, sqrt(-theta_min)], given level k - 1, with the integral up to
-        each panel edge and the density at the points ``at``: the whole
-        panels below y, cumulatively, plus y's own partial panel.  Without
-        ``below`` the whole panels are summed in the same pass over level
-        k - 1 as the partial ones; ``at`` rides in that pass too."""
+    def _nodes(self, y, whole, at=()):
+        """The points of the sums in y up to each upper limit y in
+        (0, sqrt(-theta_min)]: the whole panels' nodes if ``whole``, then
+        each y's partial panel, then the points ``at``."""
         depth = self.settings.depth
-        g, wg = _gauss01(self.settings.order)
+        g, _ = _gauss01(self.settings.order)
         width = math.sqrt(-self.theta_min) / depth
         edges = width * np.arange(depth + 1)
         m = np.minimum((y / width).astype(int), depth - 1)      # the panel holding y
         part = y - edges[m]
-        nodes = edges[m, None] + part[:, None] * g
-        whole = edges[:-1, None] + width * g if below is None else np.empty((0, g.size))
-        density = self._density(k, np.concatenate((whole.ravel(), nodes.ravel(), at)))
-        if below is None:
-            below = np.concatenate(([0.0], np.cumsum(density[:whole.size].reshape(whole.shape)
-                                                     @ (width * wg))))
-        partial = density[whole.size:whole.size + nodes.size].reshape(nodes.shape) @ wg * part
-        return below[m] + partial, below, density[whole.size + nodes.size:]
+        panels = edges[:-1, None] + width * g if whole else np.empty((0, g.size))
+        points = np.concatenate((panels.ravel(), (edges[m, None] + part[:, None] * g).ravel(), at))
+        y2 = points * points
+        return _Nodes(m, part, panels.size, points, np.exp(-y2), -np.expm1(-y2))
 
-    def _density(self, k, y):
+    def _integral_to(self, k, nodes, below=None):
+        """sigma^k I_k at each upper limit of ``nodes`` (`_nodes`), given
+        level k - 1, with the integral up to each panel edge and the
+        density at the nodes' points ``at``: the whole panels below the
+        limit, cumulatively, plus its own partial panel.  Nodes that carry
+        the whole panels sum them in the same pass over level k - 1 as the
+        partial ones; others read their sums from ``below``."""
+        order = self.settings.order
+        _, wg = _gauss01(order)
+        density = self._density(k, nodes)
+        if nodes.whole:
+            width = math.sqrt(-self.theta_min) / self.settings.depth
+            below = np.concatenate(([0.0], np.cumsum(density[:nodes.whole].reshape(-1, order)
+                                                     @ (width * wg))))
+        end = nodes.whole + nodes.part.size * order
+        partial = density[nodes.whole:end].reshape(-1, order) @ wg * nodes.part
+        return below[nodes.m] + partial, below, density[end:]
+
+    def _density(self, k, nodes):
         """The integrand of the v identity (class docstring) times
-        |dv/dy| = 2 y v, at y = sqrt(-log v)."""
-        y2 = y * y
-        v = np.exp(-y2)
+        |dv/dy| = 2 y v, at the points y = sqrt(-log v) of ``nodes``."""
+        v = nodes.v
         h2 = 1.0 / (k * k)
         den = h2 * v + (1.0 - h2)
-        return (_cone_factor(k) * y * v * (-np.expm1(-y2)) ** ((k - 2) / 2) * den ** (-self.p)
-                * self.level_value(k - 1, v / den))
+        return (_cone_factor(k) * nodes.y * v * nodes.one_minus_v ** ((k - 2) / 2)
+                * den ** (-self.p) * self.level_value(k - 1, v / den))
 
     # -- public surface ------------------------------------------------------
 
@@ -464,7 +568,8 @@ class RadialPowerStack:
         if k == 0:
             return np.ones_like(np.asarray(one_minus_sigma_sq, dtype=float))
         w = np.maximum(np.asarray(one_minus_sigma_sq, dtype=float), 1e-300)
-        return np.exp(_chebval(self._series[k], np.clip(np.log(w), self.theta_min, 0.0)))
+        theta = np.minimum(np.maximum(np.log(w), self.theta_min), 0.0)
+        return np.exp(_chebval(self._series[k], theta))
 
     def top_integral(self, k: int, w_top, sigma2_top) -> tuple[np.ndarray, np.ndarray]:
         """sigma^k I_k at each row of the arrays (w_top, sigma2_top) =
@@ -487,7 +592,8 @@ class RadialPowerStack:
                 theta = np.where(w < 0.5, np.log(w), np.log1p(-sigma2))
             y = np.sqrt(-np.where(ideal, self.theta_min, theta)[live])
             y_max = math.sqrt(-self.theta_min)
-            values[live], _, tail = self._integral_to(k, y, at=[y_max] if ideal.any() else [])
+            nodes = self._nodes(y, True, [y_max] if ideal.any() else [])
+            values[live], _, tail = self._integral_to(k, nodes)
             values[ideal] += tail / y_max
         return values, np.where(live, (self.settings.depth + 1) * self.settings.order, 0) + ideal
 

@@ -93,6 +93,17 @@ def cosh_power_antiderivative(m: int, x):
     return out if out.ndim else float(out)
 
 
+def _tagged(method: str, integrate, *args, **kwargs) -> VolumeEstimate:
+    """``integrate(*args, **kwargs)`` with its estimate's method set to
+    ``method``, on the ConvergenceError of a stall as on success."""
+    try:
+        est = integrate(*args, **kwargs)
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            str(exc), estimate=replace(exc.estimate, method=method)) from exc
+    return replace(est, method=method)
+
+
 def volume_orthoscheme(params: SimplexParams, cfg: QuadratureConfig | None = None) -> VolumeEstimate:
     """Volume via the orthoscheme dissection: (n+1)! times the iterated
     orthogonal-coordinate integral over the fundamental orthoscheme.
@@ -129,12 +140,7 @@ def volume_orthoscheme(params: SimplexParams, cfg: QuadratureConfig | None = Non
         limits.append(lambda x, c=c: np.arctanh(np.minimum(c * np.sinh(x), _CLIP)))
     factors = [lambda q: copies / np.hypot(beta, q)]
     factors += [lambda x, k=k: np.cosh(x) ** k for k in range(1, n)]
-    try:
-        est = integrate_nested(limits, factors, cfg)
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            str(exc), estimate=replace(exc.estimate, method="orthoscheme")) from exc
-    return replace(est, method="orthoscheme")
+    return _tagged("orthoscheme", integrate_nested, limits, factors, cfg)
 
 
 def _projective_job(params: SimplexParams):
@@ -163,8 +169,8 @@ def volume_projective(params: SimplexParams, cfg: QuadratureConfig | None = None
     if params.t <= 0.0:
         return VolumeEstimate(0.0, 0.0, 0, "projective")
     dim, p, scale, w = _projective_job(params)
-    est = integrate_simplex_radialpow(dim, scale, p, cfg, one_minus_scale_sq=w)
-    return replace(est, method="projective")
+    return _tagged("projective", integrate_simplex_radialpow, dim, scale, p, cfg,
+                   one_minus_scale_sq=w)
 
 
 def facet_volume_projective(params: SimplexParams,
@@ -182,8 +188,8 @@ def facet_volume_projective(params: SimplexParams,
     if params.t <= 0.0:
         return VolumeEstimate(0.0, 0.0, 0, "facet-projective")
     dim, p, scale, w = _facet_job(params)
-    est = integrate_simplex_radialpow(dim, scale, p, cfg, one_minus_scale_sq=w)
-    return replace(est, method="facet-projective")
+    return _tagged("facet-projective", integrate_simplex_radialpow, dim, scale, p, cfg,
+                   one_minus_scale_sq=w)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +334,7 @@ def volume_halfspace_general(q: QuasiRegularParams, cfg: QuadratureConfig | None
         slope = math.exp(q.r + q.d) * (math.exp(q.r + q.d) + 2.0)
     else:
         slope = math.expm1(2.0 * (q.r + q.d))           # T - 1, exact for small r+d
-    est = _halfspace_value(q.n, sigma, w_perp, slope, cfg)
-    return replace(est, method="halfspace-general")
+    return _tagged("halfspace-general", _halfspace_value, q.n, sigma, w_perp, slope, cfg)
 
 
 def richardson_limit(eps: np.ndarray, values: np.ndarray) -> tuple[float, float]:

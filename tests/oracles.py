@@ -284,3 +284,38 @@ def monte_carlo_simplex(n: int, scale: float, integrand, samples: int,
     mean = s1 / samples
     var = max(s2 / samples - mean * mean, 0.0)
     return vol * mean, vol * math.sqrt(var / samples)
+
+
+def standard_chop(coef, tol: float) -> int:
+    """How many leading Chebyshev coefficients to keep, by the scalar loop
+    of Aurentz and Trefethen, "Chopping a Chebyshev series" (ACM TOMS
+    43(4), 2017), as Chebfun's standardChop writes it: fewer than 17
+    coefficients all stay; otherwise build the monotone envelope of |coef|
+    from the end, scan j = 2, 3, ... for the first plateau, and cut where
+    log10 of the envelope plus a linear tilt is least.  MATLAB's
+    round(1.25 j + 5) is floor(1.25 j + 5.5) for positive j.  Step 3's
+    branch for a zero envelope at the plateau point is left out: the
+    first plateau follows a nonzero entry, since the envelope starts at 1.
+    """
+    n = len(coef)
+    if n < 17:
+        return n
+    envelope = [abs(float(c)) for c in coef]
+    for j in range(n - 2, -1, -1):
+        envelope[j] = max(envelope[j], envelope[j + 1])
+    if envelope[0] == 0.0:
+        return 1
+    envelope = np.array(envelope) / envelope[0]
+    for j in range(2, n + 1):                    # 1-based, as in the paper
+        j2 = math.floor(1.25 * j + 5.5)
+        if j2 > n:
+            return n                             # no plateau
+        e1, e2 = envelope[j - 1], envelope[j2 - 1]
+        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
+            break
+    j3 = int(np.sum(envelope >= tol ** (7 / 6)))
+    if j3 < j2:
+        j2 = j3 + 1
+        envelope[j2 - 1] = tol ** (7 / 6)
+    tilted = np.log10(envelope[:j2]) + np.linspace(0.0, -math.log10(tol) / 3, j2)
+    return max(int(np.argmin(tilted)), 1)        # MATLAB's max(d - 1, 1), d 1-based

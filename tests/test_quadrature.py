@@ -19,7 +19,13 @@ from hypervol import (
     quadrature,
 )
 
-from hypervol.quadrature import _chebval, _cone_factor, _radial_pair, _standard_chop
+from hypervol.quadrature import (
+    _antiderivative,
+    _chebval,
+    _cone_factor,
+    _radial_pair,
+    _standard_chop,
+)
 
 from oracles import (
     cone_level_integral,
@@ -28,6 +34,7 @@ from oracles import (
     klein_triangle_integral,
     monte_carlo_simplex,
     regular_simplex_volume_by_edge,
+    standard_chop,
 )
 
 
@@ -242,6 +249,25 @@ class TestRadialPowerStack:
             assert stack.n_evals == built > 0
 
 
+class TestLevelValue:
+    def test_float_list_and_array_agree(self):
+        # level_value is public: a float, a list and an array of 1 - sigma^2
+        # give the same bits, inside [theta_min, 0] and clipped outside it
+        for stack in _radial_pair(3, 2.0, 0.04):
+            ws = [0.3, 1.0, 0.04, 1e-3, 0.0, 1.0 + 1e-15]
+            for k in range(4):
+                as_list = stack.level_value(k, ws)
+                as_array = stack.level_value(k, np.array(ws).reshape(1, -1))
+                assert as_list.shape == (len(ws),) and as_array.shape == (1, len(ws))
+                assert as_list.tobytes() == as_array.tobytes()
+                for i, w in enumerate(ws):
+                    one = stack.level_value(k, w)
+                    assert np.ndim(one) == 0
+                    assert np.float64(one).tobytes() == as_list[i].tobytes(), (k, w)
+                # theta clips to 0 above w = 1 and to theta_min = log 0.04 below it
+                assert as_list[-1] == as_list[1] and as_list[-2] == as_list[3]
+
+
 class TestChebval:
     @pytest.mark.parametrize("size", [1, 2, 3, 17, 140])
     @pytest.mark.parametrize("domain", [(-50.2, 0.0), (0.0, 1.3)])
@@ -258,25 +284,24 @@ class TestChebval:
         assert x.tobytes() == kept.tobytes()
 
 
-def _chop_loop(coef):
-    """The plateau scan of `_standard_chop` as the paper's loop, the
-    reference for the vectorized scan."""
-    n, tol = coef.size, quadrature._CHOP_TOL
-    env = np.maximum.accumulate(np.abs(coef)[::-1])[::-1]
-    if n < 17 or env[0] == 0.0:
-        return n if n < 17 else 1
-    env = env / env[0]
-    for j in range(2, n + 1):                    # 1-based, as in the paper
-        j2 = math.floor(1.25 * j + 5.5)
-        if j2 > n:
-            return n
-        e1 = env[j - 1]
-        if e1 == 0.0 or env[j2 - 1] / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
-            break
-    floor = tol ** (7 / 6)
-    j2 = min(j2, int(np.count_nonzero(env >= floor)) + 1)
-    tilted = np.log10(np.maximum(env[:j2], floor)) + np.linspace(0.0, -math.log10(tol) / 3, j2)
-    return max(int(np.argmin(tilted)), 1)
+class TestAntiderivative:
+    @pytest.mark.parametrize("size", [*range(1, 41), 100, 513])
+    @pytest.mark.parametrize("domain", [(0.0, 1.3), (0.0, 47.5), (0.0, 3e-4)])
+    def test_bitwise_equal_to_numpy(self, size, domain):
+        rng = np.random.default_rng(size)
+        series = np.polynomial.Chebyshev(
+            rng.standard_normal(size) * 0.8 ** np.arange(size) * 10.0 ** rng.uniform(-6, 6),
+            domain=domain)
+        kept = series.coef.copy()
+        got, want = _antiderivative(series), series.integ(lbnd=0)
+        assert got.coef.tobytes() == want.coef.tobytes()
+        assert np.array_equal(got.domain, want.domain)
+        assert np.array_equal(got.window, want.window)
+        assert series.coef.tobytes() == kept.tobytes()
+
+
+def chop_oracle(coef):
+    return standard_chop(coef, quadrature._CHOP_TOL)
 
 
 class TestStandardChop:
@@ -310,7 +335,23 @@ class TestStandardChop:
                 coef = np.zeros(n)
             else:
                 coef = rng.standard_normal(n) / (np.arange(n) + 1.0) ** rng.uniform(0, 3)
-            assert _standard_chop(coef) == _chop_loop(coef), (i, kind, n)
+            assert _standard_chop(coef) == chop_oracle(coef), (i, kind, n)
+
+    @pytest.mark.parametrize("coef, keep", [
+        (np.ones(1), 1),
+        (np.zeros(5), 5),                                   # n < 17 keeps all
+        (0.1 ** np.arange(16), 16),
+        (np.zeros(17), 1),                                  # all zeros keep one
+        (np.zeros(513), 1),
+        (np.where(np.arange(60) < 9, 0.5 ** np.arange(60), 0.0), 9),   # zero tail
+        (np.where(np.arange(17) < 1, 1.0, 0.0), 1),
+        (np.where(np.arange(513) < 400, 0.9 ** np.arange(513), 0.0), None),
+        (1.0 / (np.arange(100) + 1.0) ** 2, 100),           # no plateau
+        (1.0 / (np.arange(513) + 1.0), 513),
+    ])
+    def test_edge_cases_match_the_loop(self, coef, keep):
+        assert _standard_chop(coef) == chop_oracle(coef)
+        assert keep is None or _standard_chop(coef) == keep
 
 
 class TestChoppedLevels:

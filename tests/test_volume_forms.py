@@ -393,6 +393,28 @@ class TestCrossModel:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
+def _halfspace_general_of(params):
+    lad, n = ladder(params), params.n
+    return volume_halfspace_general(QuasiRegularParams(
+        n=n, r=float(lad.r[n - 1]), d=float(lad.d[n - 1]), facet_circumradius=float(lad.r[n - 2])))
+
+
+@pytest.mark.parametrize("form, params, method", [
+    (volume_projective, SimplexParams(5, math.pi / 2), "projective"),
+    (facet_volume_projective, SimplexParams(6, math.pi / 2), "facet-projective"),
+    (volume_orthoscheme, SimplexParams(5, 1.5), "orthoscheme"),
+    (volume_halfspace, SimplexParams(5, 1.5), "halfspace"),
+    (_halfspace_general_of, SimplexParams(5, 1.5), "halfspace-general"),
+], ids=["projective", "facet", "orthoscheme", "halfspace", "halfspace-general"])
+def test_stall_carries_the_form_method(monkeypatch, form, params, method):
+    # capped at N = 32 a level of each engine has no plateau; the estimate
+    # a stall raises names the form, as a settled one does
+    monkeypatch.setattr(quadrature, "_MAX_DEGREE", 32)
+    with pytest.raises(ConvergenceError, match="no plateau by N = 32") as info:
+        form(params)
+    assert info.value.estimate.method == method
+
+
 class TestSchlafli:
     """The Schlafli-differential oracle: it integrates face volumes over the
     dihedral angle, a route shared with none of the engines."""
