@@ -154,7 +154,6 @@ def growth_ratio_grid(cells, cfg: QuadratureConfig | None = None) -> list[tuple]
     errors and its method tag records the forms used.  A volume that
     underflows to 0.0 (V_n is about t^n) raises DomainError.
     """
-    cfg = cfg or QuadratureConfig()
     for params in cells:
         if params.n < 3:
             raise DomainError("growth ratio requires n >= 3")
@@ -227,10 +226,9 @@ def limit_audit(n: int, t_sequence) -> LimitAudit:
     claimed value.
 
     The dimension n is accepted for report symmetry with the bound
-    evaluators; the product itself is dimension-free.
+    evaluators and checked by each row's SimplexParams; the product
+    itself is dimension-free.
     """
-    if n < 2:
-        raise DomainError("limit_audit requires n >= 2")
     ts = np.asarray(list(t_sequence), dtype=float)
     if ts.size < 2 or np.any(np.diff(ts) <= 0):
         raise DomainError("t_sequence must be increasing with at least 2 entries")

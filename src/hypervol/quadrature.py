@@ -391,12 +391,6 @@ class _RadialSettings:
     order: int
 
 
-def _radial_settings(theta_min: float):
-    depth = int(min(72, max(16, max(4.0, -theta_min) / math.log(2) + 12)))
-    return (_RadialSettings(_MAX_DEGREE, max(12, depth - 6), _BASE_ORDER - 5),   # lo
-            _RadialSettings(_MAX_DEGREE, depth, _BASE_ORDER))                   # hi
-
-
 def _cone_factor(k: int) -> float:
     """c_k = (k+1)/k * rho^(k-1), rho^2 = 1 - 1/k^2, of level k's reduction."""
     return (k + 1) / k * (1.0 - 1.0 / (k * k)) ** ((k - 1) / 2)
@@ -598,24 +592,32 @@ class RadialPowerStack:
         return values, np.where(live, (self.settings.depth + 1) * self.settings.order, 0) + ideal
 
 
-def _radial_theta_min(w_top: float, depth: int) -> float:
-    if w_top > 0.0:
-        # keep the interpolation interval nondegenerate even when
-        # 1 - scale^2 rounds to 1 (scale ~ 1e-9)
-        return min(math.log(w_top), -1e-9)
-    return -(depth - 1) * math.log(2.0) - 1.0
-
-
 def _radial_pair(levels: int, p: float, w_floor: float) -> tuple:
     """The low/high fidelity RadialPowerStack pair with levels 1..levels,
     built on w_floor, so it serves every top integral at 1 - sigma^2 >=
-    w_floor: a stack depends on w_floor only through its theta range."""
-    settings = _radial_settings(_radial_theta_min(w_floor, 72))  # (lo, hi)
-    return tuple(RadialPowerStack(levels, p, _radial_theta_min(w_floor, s.depth), s)
+    w_floor: a stack depends on w_floor only through its theta range.
+
+    This is the whole lo/hi recipe.  A finite floor gives
+    theta = min(log w_floor, -1e-9), which keeps the interval
+    nondegenerate when 1 - scale^2 rounds to 1 (scale ~ 1e-9); the ideal
+    floor gives theta = -71 ln 2 - 1.  With
+    depth = int(min(72, max(16, max(4, -theta) / ln 2 + 12))), the lo
+    stack sums max(12, depth - 6) panels of _BASE_ORDER - 5 points and
+    the hi stack depth panels of _BASE_ORDER points, both doubling to
+    N = _MAX_DEGREE.  At a finite floor both run from theta_min = theta;
+    an ideal stack of d panels runs from theta_min = -(d - 1) ln 2 - 1
+    (-46.1 lo, -50.2 hi)."""
+    ln2 = math.log(2.0)
+    finite = w_floor > 0.0
+    theta = min(math.log(w_floor), -1e-9) if finite else -71 * ln2 - 1.0
+    depth = int(min(72, max(16, max(4.0, -theta) / ln2 + 12)))
+    settings = (_RadialSettings(_MAX_DEGREE, max(12, depth - 6), _BASE_ORDER - 5),   # lo
+                _RadialSettings(_MAX_DEGREE, depth, _BASE_ORDER))                   # hi
+    return tuple(RadialPowerStack(levels, p, theta if finite else -(s.depth - 1) * ln2 - 1.0, s)
                  for s in settings)
 
 
-def _radial_estimate(stacks, cfg: QuadratureConfig, values_of: Callable,
+def _radial_estimate(stacks, cfg: QuadratureConfig | None, values_of: Callable,
                      method: str) -> list[VolumeEstimate]:
     """One estimate per row of ``values_of(stack)``, the rows' values and
     evaluations beyond the build on each stack of a `_radial_pair`: the
@@ -625,7 +627,9 @@ def _radial_estimate(stacks, cfg: QuadratureConfig, values_of: Callable,
     The first row that stalls raises ConvergenceError carrying its
     estimate.  Every row stalls when a level of either stack has no
     plateau by its cap, as in `integrate_nested`; otherwise a row stalls
-    when its gap is above max(1e-3 |value|, 1e4 * tolerance)."""
+    when its gap is above max(1e-3 |value|, 1e4 * tolerance), with the
+    default QuadratureConfig when ``cfg`` is None."""
+    cfg = cfg or QuadratureConfig()
     (lo, lo_evals), (hi, hi_evals) = (values_of(stack) for stack in stacks)
     build = sum(stack.n_evals for stack in stacks)
     unresolved = [f"level {stack.unresolved} has no plateau by N = {stack.settings.ncheb}"
@@ -657,13 +661,12 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
     1 - scale^2 in a cancellation-free form (it dominates the integrand
     near the vertices).
 
-    A float ``scale`` gives one VolumeEstimate.  Sequences of scales and
-    of ``one_minus_scale_sq`` are a batch on one stack pair, built on
-    their smallest 1 - scale^2, and give a list with one estimate per row.
-    Either way the first row that stalls raises ConvergenceError carrying
+    A float ``scale`` gives one VolumeEstimate, (0, 0, 0) at scale = 0.
+    Sequences of scales and of ``one_minus_scale_sq`` are a batch on one
+    stack pair, built on their smallest 1 - scale^2, and give a list with
+    one estimate per row; an empty batch builds nothing.  Either way the first row that stalls raises ConvergenceError carrying
     its estimate (`_radial_estimate`), so a batch returns only settled rows.
     """
-    cfg = cfg or QuadratureConfig()
     if n < 1:
         raise DomainError("dimension must be >= 1")
     rows = np.asarray(scale, dtype=float).reshape(-1)
@@ -680,11 +683,13 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
         if one_minus_scale_sq is not None else (1.0 - rows) * (1.0 + rows)
     if w_top.shape != rows.shape or np.any(w_top < 0.0):
         raise DomainError("one_minus_scale_sq must be one nonnegative value per scale")
+    if not rows.size:
+        return []
 
     def values_of(stack):
         top, evals = stack.top_integral(n, w_top, sigma2)
         return top.tolist(), evals
 
-    stacks = _radial_pair(n - 1, p, float(w_top.min(initial=1.0)))
+    stacks = _radial_pair(n - 1, p, float(w_top.min()))
     out = _radial_estimate(stacks, cfg, values_of, "simplex-radial")
     return out if np.ndim(scale) else out[0]

@@ -127,7 +127,6 @@ def volume_orthoscheme(params: SimplexParams, cfg: QuadratureConfig | None = Non
     The (n+1)! copies are folded into the outer factor, so the tolerance
     applies to the returned volume.
     """
-    cfg = cfg or QuadratureConfig()
     n = params.n
     if params.t <= 0.0:
         return VolumeEstimate(0.0, 0.0, 0, "orthoscheme")
@@ -144,13 +143,13 @@ def volume_orthoscheme(params: SimplexParams, cfg: QuadratureConfig | None = Non
 
 
 def _projective_job(params: SimplexParams):
-    """(dim, p, scale, 1 - scale^2) of the projective volume integral; t > 0.
+    """(dim, p, scale, 1 - scale^2) of the projective volume integral.
     1 - sin^2 t is cos^2 t, exactly 0 at the ideal point."""
     return params.n, (params.n + 1) / 2, params.sin_t, params.cos_t ** 2
 
 
 def _facet_job(params: SimplexParams):
-    """(dim, p, scale, 1 - scale^2) of the projective facet integral; n >= 3, t > 0."""
+    """(dim, p, scale, 1 - scale^2) of the projective facet integral; n >= 3."""
     n, s = params.n, params.sin_t
     scale = s * math.sqrt(n * n - 1.0) / math.sqrt(n * n - s * s)   # tanh r_{n-1}
     w = n * n * params.cos_t ** 2 / (n * n - s * s)
@@ -163,11 +162,9 @@ def volume_projective(params: SimplexParams, cfg: QuadratureConfig | None = None
         sin^n t * integral over S(n) of (1 - sin^2 t r^2)^(-(n+1)/2).
 
     The ideal case (sin t = 1) is the vertex-touching scale-1 integral,
-    handled by the corner machinery of the radial engine.
+    handled by the corner machinery of the radial engine; at t = 0 the
+    engine returns the zero volume of scale 0.
     """
-    cfg = cfg or QuadratureConfig()
-    if params.t <= 0.0:
-        return VolumeEstimate(0.0, 0.0, 0, "projective")
     dim, p, scale, w = _projective_job(params)
     return _tagged("projective", integrate_simplex_radialpow, dim, scale, p, cfg,
                    one_minus_scale_sq=w)
@@ -182,11 +179,8 @@ def facet_volume_projective(params: SimplexParams,
     element exponent n/2.  Equivalently this is volume_projective of the
     (n-1)-simplex whose parameter t' satisfies sin t' = tanh r_{n-1}.
     """
-    cfg = cfg or QuadratureConfig()
     if params.n < 3:
         raise DomainError("facet volume needs n >= 3 (the facet must carry area)")
-    if params.t <= 0.0:
-        return VolumeEstimate(0.0, 0.0, 0, "facet-projective")
     dim, p, scale, w = _facet_job(params)
     return _tagged("facet-projective", integrate_simplex_radialpow, dim, scale, p, cfg,
                    one_minus_scale_sq=w)
@@ -231,7 +225,7 @@ def zn_bounds(emb: HalfspaceEmbedding, v) -> tuple[float, float]:
 
 
 def _halfspace_value(n: int, sigma: float, w_perp: float, slope: float,
-                     cfg: QuadratureConfig) -> VolumeEstimate:
+                     cfg: QuadratureConfig | None) -> VolumeEstimate:
     """Shared core of the regular and quasi-regular half-space volumes.
 
     sigma   circumradius of the projected facet (tanh of the hyperbolic one)
@@ -276,12 +270,8 @@ def volume_halfspace(params: SimplexParams, cfg: QuadratureConfig | None = None)
     Defined for 0 < t < pi/2 only; near the ideal point callers should
     evaluate at t <= pi/2 - 1e-6 and extrapolate (see `richardson_limit`).
     """
-    cfg = cfg or QuadratureConfig()
     emb = halfspace_embedding(params)
-    est = _halfspace_value(
-        params.n, emb.sin_alpha, emb.cos_alpha**2, emb.height_sq_slope, cfg
-    )
-    return est
+    return _halfspace_value(params.n, emb.sin_alpha, emb.cos_alpha**2, emb.height_sq_slope, cfg)
 
 
 @dataclass(frozen=True)
@@ -325,7 +315,6 @@ def volume_halfspace_general(q: QuasiRegularParams, cfg: QuadratureConfig | None
     Reduces to `volume_halfspace` when (r, d, facet_circumradius) are the
     regular values (r_n, d_n, r_{n-1}).
     """
-    cfg = cfg or QuadratureConfig()
     if q.facet_circumradius == 0.0:
         return VolumeEstimate(0.0, 0.0, 0, "halfspace-general")
     sigma = math.tanh(q.facet_circumradius)

@@ -267,6 +267,8 @@ class TestLimitAudit:
             limit_audit(3, [1.0])
         with pytest.raises(DomainError):
             limit_audit(3, [1.0, 0.5])
+        with pytest.raises(DomainError):
+            limit_audit(1, default_audit_sequence())
 
 
 def test_bounds_bundle():

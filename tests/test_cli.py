@@ -23,15 +23,6 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.fixture
-def stalled(monkeypatch):
-    """A crude low-fidelity radial stack: its gap to the high-fidelity one
-    is above the stall gate, so every radial volume raises."""
-    settings = quadrature._radial_settings
-    monkeypatch.setattr(quadrature, "_radial_settings", lambda theta_min: (
-        quadrature._RadialSettings(2, 1, 1), settings(theta_min)[1]))
-
-
 class TestVolume:
     def test_zero_t(self, capsys):
         code, out, _ = run(capsys, "volume", "--n", "3", "--t", "0", "--method", "projective")
@@ -90,6 +81,34 @@ class TestVolume:
         assert out.count("value=") == 3
         assert lines[3].startswith("max_rel_diff=")
         assert float(lines[3].split("=")[1]) <= 1e-6
+
+    def test_all_skips_halfspace_at_ideal(self, capsys):
+        code, out, err = run(capsys, "volume", "--n", "3", "--t", "1.5707963",
+                             "--method", "all")
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert [line.split()[0] for line in lines[:2]] == [
+            "method=projective", "method=orthoscheme"]
+        assert lines[2] == "method=halfspace skipped (degenerate t)"
+        assert lines[3].startswith("max_rel_diff=")
+
+    def test_all_prints_stalled_estimates(self, capsys, stalled):
+        # the stalled radial forms print their best estimates beside the
+        # settled orthoscheme, and the command exits 2
+        params = SimplexParams(4, 1.0)
+        expected = {}
+        for name in ("projective", "halfspace"):
+            with pytest.raises(ConvergenceError) as info:
+                cli._FORMS[name](params)
+            est = info.value.estimate
+            expected[name] = (f"method={name} value={cli._fmt(est.value)} "
+                              f"error={cli._fmt(est.error_estimate)} n_evals={est.n_evals}")
+        code, out, err = run(capsys, "volume", "--n", "4", "--t", "1.0", "--method", "all")
+        assert code == 2 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == expected["projective"] and lines[2] == expected["halfspace"]
+        assert lines[1].startswith("method=orthoscheme value=")
+        assert lines[3].startswith("max_rel_diff=")
 
     def test_orthoscheme_beyond_twelve(self, capsys):
         code, out, err = run(capsys, "volume", "--n", "13", "--t", "0.5",
@@ -193,8 +212,30 @@ class TestSweep:
         assert a == b
 
     def test_rejects_t_outside_range(self, capsys):
-        code, _, err = run(capsys, "sweep", "--n-list", "3", "--t-list", "1.8")
-        assert code == 1
+        # each cell's SimplexParams checks its t before anything computes
+        for t in ("1.8", "-0.1", "nan"):
+            code, out, err = run(capsys, "sweep", "--n-list", "3", "--t-list", f"0.5,{t}")
+            assert code == 1 and out == "", t
+            assert err.startswith("error: t must satisfy 0 <= t <= pi/2"), t
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--t-start", "0.1"), "provide either --t-list or --t-start/--t-stop/--t-step"),
+        (("--t-start", "0", "--t-stop", "1", "--t-step", "0"), "t-step must be positive"),
+    ], ids=["start-only", "zero-step"])
+    def test_rejects_incomplete_range(self, capsys, argv, message):
+        code, out, err = run(capsys, "sweep", "--n-list", "3", *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_violation_exits_3(self, capsys, monkeypatch):
+        # a bracket that excludes the ratio flags every row and exits 3
+        bounds = cli.growth_bounds
+        monkeypatch.setattr(cli, "growth_bounds",
+                            lambda params: dataclasses.replace(bounds(params), upper=0.0))
+        code, out, err = run(capsys, "sweep", "--n-list", "3", "--t-list", "0.5,0.9")
+        assert code == 3 and err == ""
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 2 and all(row.endswith(",violation") for row in rows)
 
     def test_out_checked_before_computing(self, capsys, tmp_path, monkeypatch):
         def grid(*_):

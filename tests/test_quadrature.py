@@ -112,18 +112,26 @@ class TestSimplexRadialPow:
     def test_zero_scale(self):
         assert integrate_simplex_radialpow(4, 0.0, 2.0).value == 0.0
 
-    def test_batch_needs_one_floor_per_scale(self):
+    def test_batch_needs_one_floor_per_scale(self, monkeypatch):
         with pytest.raises(DomainError):
             integrate_simplex_radialpow(3, [0.5, 0.6], 2.0, one_minus_scale_sq=[0.75])
-        assert integrate_simplex_radialpow(3, [], 2.0) == []
+        built = []
+        init = quadrature.RadialPowerStack.__init__
 
-    def test_stalled_batch_raises_its_first_row(self, monkeypatch):
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        # an empty batch returns before it builds a stack pair
+        monkeypatch.setattr(quadrature.RadialPowerStack, "__init__", counted)
+        assert integrate_simplex_radialpow(3, [], 2.0) == []
+        assert built == []
+
+    def test_stalled_batch_raises_its_first_row(self, request):
         # a batch returns only settled rows: under a crude low-fidelity
         # stack the first row raises, carrying its own estimate
         first = integrate_simplex_radialpow(3, 0.5, 2.0).value
-        settings = quadrature._radial_settings
-        monkeypatch.setattr(quadrature, "_radial_settings", lambda theta_min: (
-            quadrature._RadialSettings(2, 1, 1), settings(theta_min)[1]))
+        request.getfixturevalue("stalled")
         with pytest.raises(ConvergenceError) as info:
             integrate_simplex_radialpow(3, [0.5, 0.9], 2.0)
         est = info.value.estimate

@@ -145,7 +145,10 @@ class TestOrthoscheme:
 
 class TestProjective:
     def test_zero_t(self):
-        assert volume_projective(SimplexParams(3, 0.0)).value == 0.0
+        # the radial engine returns the zero volume of scale 0
+        est = volume_projective(SimplexParams(3, 0.0))
+        assert (est.value, est.error_estimate, est.n_evals, est.method) == (
+            0.0, 0.0, 0, "projective")
 
     def test_triangle_gauss_bonnet(self):
         est = volume_projective(SimplexParams(2, T35))
@@ -199,7 +202,9 @@ class TestFacetProjective:
             facet_volume_projective(SimplexParams(2, 0.5))
 
     def test_zero_t(self):
-        assert facet_volume_projective(SimplexParams(3, 0.0)).value == 0.0
+        est = facet_volume_projective(SimplexParams(3, 0.0))
+        assert (est.value, est.error_estimate, est.n_evals, est.method) == (
+            0.0, 0.0, 0, "facet-projective")
 
     def test_ideal_facet_is_ideal_triangle(self):
         est = facet_volume_projective(SimplexParams(3, math.pi / 2))
@@ -308,12 +313,9 @@ class TestHalfspace:
         limit, _ = richardson_limit(eps, vals)
         assert limit == pytest.approx(IDEAL_TET, abs=1e-4)
 
-    def test_stalled_refinement_raises(self, monkeypatch):
+    def test_stalled_refinement_raises(self, stalled):
         # a crude low-fidelity stack leaves a fidelity gap above the stall
         # gate, which half-space shares with the projective form
-        settings = quadrature._radial_settings
-        monkeypatch.setattr(quadrature, "_radial_settings", lambda theta_min: (
-            quadrature._RadialSettings(2, 2, 2), settings(theta_min)[1]))
         with pytest.raises(ConvergenceError) as info:
             volume_halfspace(SimplexParams(4, 1.5))
         est = info.value.estimate
@@ -327,9 +329,7 @@ class TestHalfspace:
         # value is 8e-7 off
         params = SimplexParams(5, math.pi / 2)
         settled = volume_projective(params).value
-        settings = quadrature._radial_settings
-        monkeypatch.setattr(quadrature, "_radial_settings", lambda theta_min: tuple(
-            quadrature._RadialSettings(32, s.depth, s.order) for s in settings(theta_min)))
+        monkeypatch.setattr(quadrature, "_MAX_DEGREE", 32)
         with pytest.raises(ConvergenceError, match="no plateau by N = 32") as info:
             volume_projective(params)
         est = info.value.estimate
