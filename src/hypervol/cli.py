@@ -207,7 +207,7 @@ def _check_lines(params: SimplexParams, cfg: QuadratureConfig):
     lad = ladder(params)
     chain = float(lad.chain_residuals().max())
     yield "ladder_chain", chain <= 1e-12, chain
-    d1 = 0.0 if lad.tanh_r[0] == lad.tanh_d[0] else abs(lad.tanh_r[0] - lad.tanh_d[0])
+    d1 = abs(lad.tanh_r[0] - lad.tanh_d[0])
     yield "d1_equals_r1", d1 <= 1e-15, d1
 
     try:

@@ -41,7 +41,13 @@ Both engines share one interpolation scheme,
 `_chebyshev_series` (second-kind points, coefficients by FFT), and one
 evaluator, `_chebval`: a level of either engine doubles its points
 until `_standard_chop` finds the plateau, a radial level from the N
-where the level below stopped, a nested level from N = 32.  Each round
+where the level below stopped, a nested level from N = 32.  A level is
+its coefficients on [-1, 1], and each engine maps its variable there by
+constants its interval fixes: a radial stack on [theta_min, 0] reads
+1 + (2 / -theta_min) theta, a nested level on [0, X_k] reads
+-1 + (2 / X_k) u.  They are the offset and scale numpy's Chebyshev
+class derives for those domains (the offset is exactly 1 or -1), so a
+level's values equal numpy's bit for bit.  Each round
 of a level is one pass over the level below, a Clenshaw step per
 coefficient.  A step costs a fixed 2-3 us plus 1-2 ns per point (a
 shared 2-vCPU Xeon VM, Python 3.11, numpy 2.4), so at the few hundred
@@ -179,13 +185,14 @@ def integrate_nested(limits: Sequence, factors: Sequence,
         tops.append(float(limit(np.array([tops[-1]]))[0]))
     inner, top_value, n_evals, stalled = np.ones_like, 1.0, 0, False
     for k in range(depth - 1, 0, -1):
-        series, points = _chebyshev_series(
+        coef, points = _chebyshev_series(
             lambda y, k=k, inner=inner: factors[k](y) * inner(y), 0.0, tops[k], _MAX_DEGREE, 32)
         n_evals += points
-        stalled |= series.coef.size == points
-        antiderivative = _antiderivative(series)
-        top_value = float(antiderivative.coef.sum())   # F_k(X_k): every T_j is 1 there
-        inner = lambda y, k=k, f=antiderivative: _chebval(f, limits[k](y))
+        stalled |= coef.size == points
+        scl = 2 / tops[k]                               # [0, X_k] -> [-1, 1]
+        level = _antiderivative(coef, scl)              # F_k
+        top_value = float(level.sum())                  # F_k(X_k): every T_j is 1 there
+        inner = lambda y, k=k, c=level.tolist(), s=scl: _chebval(c, -1.0 + s * limits[k](y))
 
     def outer(panels):
         _, x, w = _panels_toward_one(panels, _BASE_ORDER)
@@ -295,7 +302,8 @@ def _standard_chop(coef: np.ndarray) -> int:
 
 
 def _chebyshev_series(f, a: float, b: float, degree: int, start: int):
-    """Chebyshev series of f on [a, b] from its values at the N + 1 points
+    """The coefficients of the Chebyshev series of f on [a, b], in the
+    variable mapped to [-1, 1], from its values at the N + 1 points
     b - (b - a) sin^2(pi j / 2N) (second kind, exact at both ends), with
     the number of points sampled.
 
@@ -323,48 +331,47 @@ def _chebyshev_series(f, a: float, b: float, degree: int, start: int):
         coef = _chebyshev_coefficients(values)
         keep = _standard_chop(coef)
         if keep < coef.size or 2 * n > degree:
-            return np.polynomial.Chebyshev(coef[:keep], domain=(a, b)), values.size
+            return coef[:keep], values.size
         n *= 2
         old, values = values, np.empty(n + 1)
         values[::2] = old
         values[1::2] = sample(n, np.arange(1, n, 2))
 
 
-def _antiderivative(series: np.polynomial.Chebyshev) -> np.polynomial.Chebyshev:
-    """``series.integ(lbnd=0)``, bitwise, where numpy's chebint loops in
-    Python over the coefficients: with c the coefficients times 1/scl,
-    c_0 becomes the one of T_1 and each c_j (j >= 1) adds c_j / 2(j+1) to
-    T_(j+1) and takes c_j / 2(j-1) from T_(j-1), in numpy's operations;
-    the constant is then minus the result's value at the lower bound, by
-    the same Clenshaw steps as numpy's chebval.  A zero constant series
-    (numpy keeps one coefficient) becomes two zeros."""
-    off, scl = series.mapparms()
-    c = series.coef * (1.0 / scl)
+def _antiderivative(coef: np.ndarray, scl: float) -> np.ndarray:
+    """The coefficients of the antiderivative, zero at u = 0, of the series
+    ``coef`` of a level on [0, X] with ``scl`` = 2 / X: numpy's
+    ``Chebyshev(coef, domain=(0, X)).integ(lbnd=0).coef``, bitwise, where
+    numpy's chebint loops in Python over the coefficients.  With c the
+    coefficients times 1/scl, c_0 becomes the one of T_1 and each c_j
+    (j >= 1) adds c_j / 2(j+1) to T_(j+1) and takes c_j / 2(j-1) from
+    T_(j-1), in numpy's operations; the constant is then minus the
+    result's value at u = 0, which maps to -1, by the same Clenshaw steps
+    as numpy's chebval.  A zero constant series (numpy keeps one
+    coefficient) becomes two zeros."""
+    c = coef * (1.0 / scl)
     n = c.size
     out = np.empty(n + 1)
     out[0] = c[0] * 0
     out[1] = c[0]
     out[2:] = c[1:] / (2 * np.arange(2, n + 1))
     out[1:n - 1] -= c[2:] / (2 * np.arange(1, n - 1))
-    x = float(off + scl * 0.0)                   # the lower bound 0, mapped
-    x2, coef = 2 * x, out.tolist()
-    c0, c1 = coef[-2], coef[-1]
-    for ck in coef[-3::-1]:
+    x = -1.0                                     # u = 0, mapped
+    x2, terms = 2 * x, out.tolist()
+    c0, c1 = terms[-2], terms[-1]
+    for ck in terms[-3::-1]:
         c0, c1 = ck - c1, c0 + c1 * x2
     out[0] += 0 - (c0 + c1 * x)
-    return np.polynomial.Chebyshev(out, series.domain)
+    return out
 
 
-def _chebval(series: np.polynomial.Chebyshev, x: np.ndarray) -> np.ndarray:
-    """``series(x)``, bitwise: x mapped by ``series.mapparms()``, then
-    numpy's Clenshaw recurrence (chebval) on three reused buffers where
-    numpy allocates three arrays per coefficient.  A step is three ufunc
-    calls, whose fixed cost dominates at the few hundred to few thousand
-    points of a pass, so the coefficients are read as Python floats and
-    the outputs passed by position."""
-    off, scl = series.mapparms()
-    x = off + scl * x
-    c = series.coef.tolist()
+def _chebval(c: list, x: np.ndarray) -> np.ndarray:
+    """numpy's chebval(x, c), bitwise, for points x already on [-1, 1]
+    and coefficients c as Python floats: the Clenshaw recurrence on three
+    reused buffers where numpy allocates three arrays per coefficient.  A
+    step is three ufunc calls, whose fixed cost dominates at the few
+    hundred to few thousand points of a pass, so the caller converts a
+    level's coefficients once and the outputs are passed by position."""
     if len(c) < 3:
         return c[0] + (c[1] if len(c) == 2 else 0) * x
     x2 = 2 * x
@@ -421,8 +428,9 @@ class RadialPowerStack:
         sigma'^2 = sigma^2 xi^2 rho^2 / (1 - sigma^2 xi^2 h^2),
 
     with I_0 = 1.  Level k is held as a Chebyshev series in
-    theta = log(1 - sigma^2) on [theta_min, 0], interpolating log I_k at
-    the Chebyshev points of the second kind, doubled up to
+    theta = log(1 - sigma^2) on [theta_min, 0], its coefficients a list
+    of floats read at 1 + scl theta, scl = 2 / -theta_min, interpolating
+    log I_k at the Chebyshev points of the second kind, doubled up to
     ``settings.ncheb`` and chopped at the coefficients' rounding plateau
     (`_chebyshev_series`).  Level 1 starts at N = 16 and reads no series
     (I_0 = 1); each level above starts at the N where the one below
@@ -466,14 +474,15 @@ class RadialPowerStack:
     with the leading term of its tail beyond theta_min.
 
     Stacks come in lo/hi fidelity pairs, built by `_radial_pair` and read
-    by `_radial_estimate`.
+    by `_radial_estimate`, which builds the pair and judges each row.
     """
 
     def __init__(self, levels: int, p: float, theta_min: float, settings: _RadialSettings):
         self.p = p
         self.theta_min = theta_min
         self.settings = settings
-        self._series: list[np.polynomial.Chebyshev | None] = [None] * (levels + 1)
+        self.scl = 2 / -theta_min                               # [theta_min, 0] -> [-1, 1]
+        self._series: list[list[float] | None] = [None] * (levels + 1)
         # integrand evaluations of the build; fixed here, so a shared stack
         # carries no count from one caller's top integrals into the next
         self.n_evals = 0
@@ -482,15 +491,16 @@ class RadialPowerStack:
         rounds = {}                                             # sampling rounds' nodes
         for k in range(1, levels + 1):
             at_zero *= _cone_factor(k) / k
-            self._series[k], points = self._build_level(k, at_zero, start, rounds)
+            coef, points = self._build_level(k, at_zero, start, rounds)
+            self._series[k] = coef.tolist()
             self.n_evals += (settings.depth + points) * settings.order
-            if not self.unresolved and self._series[k].coef.size == points:
+            if not self.unresolved and coef.size == points:
                 self.unresolved = k
             start = points - 1
 
     def _build_level(self, k, at_zero, start, rounds):
-        """Level k's series and the number of points it sampled, from N =
-        ``start`` up, by the cumulative integral in y (class docstring),
+        """Level k's coefficients and the number of points it sampled, from
+        N = ``start`` up, by the cumulative integral in y (class docstring),
         given level k - 1.  ``rounds`` holds the sample geometry that every
         level of the stack shares, by round."""
         below = None                                            # integral up to each edge
@@ -563,7 +573,7 @@ class RadialPowerStack:
             return np.ones_like(np.asarray(one_minus_sigma_sq, dtype=float))
         w = np.maximum(np.asarray(one_minus_sigma_sq, dtype=float), 1e-300)
         theta = np.minimum(np.maximum(np.log(w), self.theta_min), 0.0)
-        return np.exp(_chebval(self._series[k], theta))
+        return np.exp(_chebval(self._series[k], 1 + self.scl * theta))
 
     def top_integral(self, k: int, w_top, sigma2_top) -> tuple[np.ndarray, np.ndarray]:
         """sigma^k I_k at each row of the arrays (w_top, sigma2_top) =
@@ -601,7 +611,7 @@ def _radial_pair(levels: int, p: float, w_floor: float) -> tuple:
     theta = min(log w_floor, -1e-9), which keeps the interval
     nondegenerate when 1 - scale^2 rounds to 1 (scale ~ 1e-9); the ideal
     floor gives theta = -71 ln 2 - 1.  With
-    depth = int(min(72, max(16, max(4, -theta) / ln 2 + 12))), the lo
+    depth = int(min(72, max(4, -theta) / ln 2 + 12)), at least 17, the lo
     stack sums max(12, depth - 6) panels of _BASE_ORDER - 5 points and
     the hi stack depth panels of _BASE_ORDER points, both doubling to
     N = _MAX_DEGREE.  At a finite floor both run from theta_min = theta;
@@ -610,19 +620,20 @@ def _radial_pair(levels: int, p: float, w_floor: float) -> tuple:
     ln2 = math.log(2.0)
     finite = w_floor > 0.0
     theta = min(math.log(w_floor), -1e-9) if finite else -71 * ln2 - 1.0
-    depth = int(min(72, max(16, max(4.0, -theta) / ln2 + 12)))
+    depth = int(min(72, max(4.0, -theta) / ln2 + 12))
     settings = (_RadialSettings(_MAX_DEGREE, max(12, depth - 6), _BASE_ORDER - 5),   # lo
                 _RadialSettings(_MAX_DEGREE, depth, _BASE_ORDER))                   # hi
     return tuple(RadialPowerStack(levels, p, theta if finite else -(s.depth - 1) * ln2 - 1.0, s)
                  for s in settings)
 
 
-def _radial_estimate(stacks, cfg: QuadratureConfig | None, values_of: Callable,
-                     method: str) -> list[VolumeEstimate]:
+def _radial_estimate(levels: int, p: float, w_floor: float, cfg: QuadratureConfig | None,
+                     values_of: Callable, method: str) -> list[VolumeEstimate]:
     """One estimate per row of ``values_of(stack)``, the rows' values and
-    evaluations beyond the build on each stack of a `_radial_pair`: the
-    high-fidelity value, the gap to the low-fidelity one plus _ABS_TOL, and
-    the pair's build plus the row's own work.
+    evaluations beyond the build on each stack of the `_radial_pair`
+    (levels, p, w_floor): the high-fidelity value, the gap to the
+    low-fidelity one plus _ABS_TOL, and the pair's build plus the row's
+    own work.
 
     The first row that stalls raises ConvergenceError carrying its
     estimate.  Every row stalls when a level of either stack has no
@@ -630,6 +641,7 @@ def _radial_estimate(stacks, cfg: QuadratureConfig | None, values_of: Callable,
     when its gap is above max(1e-3 |value|, 1e4 * tolerance), with the
     default QuadratureConfig when ``cfg`` is None."""
     cfg = cfg or QuadratureConfig()
+    stacks = _radial_pair(levels, p, w_floor)
     (lo, lo_evals), (hi, hi_evals) = (values_of(stack) for stack in stacks)
     build = sum(stack.n_evals for stack in stacks)
     unresolved = [f"level {stack.unresolved} has no plateau by N = {stack.settings.ncheb}"
@@ -664,8 +676,9 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
     A float ``scale`` gives one VolumeEstimate, (0, 0, 0) at scale = 0.
     Sequences of scales and of ``one_minus_scale_sq`` are a batch on one
     stack pair, built on their smallest 1 - scale^2, and give a list with
-    one estimate per row; an empty batch builds nothing.  Either way the first row that stalls raises ConvergenceError carrying
-    its estimate (`_radial_estimate`), so a batch returns only settled rows.
+    one estimate per row; an empty batch builds nothing.  Either way the
+    first row that stalls raises ConvergenceError carrying its estimate
+    (`_radial_estimate`), so a batch returns only settled rows.
     """
     if n < 1:
         raise DomainError("dimension must be >= 1")
@@ -690,6 +703,5 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
         top, evals = stack.top_integral(n, w_top, sigma2)
         return top.tolist(), evals
 
-    stacks = _radial_pair(n - 1, p, float(w_top.min()))
-    out = _radial_estimate(stacks, cfg, values_of, "simplex-radial")
+    out = _radial_estimate(n - 1, p, float(w_top.min()), cfg, values_of, "simplex-radial")
     return out if np.ndim(scale) else out[0]

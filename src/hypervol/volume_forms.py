@@ -45,7 +45,6 @@ from .quadrature import (
     VolumeEstimate,
     _panels_toward_one,
     _radial_estimate,
-    _radial_pair,
     integrate_nested,
     integrate_simplex_radialpow,
 )
@@ -131,7 +130,7 @@ def volume_orthoscheme(params: SimplexParams, cfg: QuadratureConfig | None = Non
     if params.t <= 0.0:
         return VolumeEstimate(0.0, 0.0, 0, "orthoscheme")
     lad = ladder(params)
-    beta = 0.0 if math.isinf(lad.sinh_d[0]) else 1.0 / lad.sinh_d[0]
+    beta = 1.0 / lad.sinh_d[0]                    # 0 at the ideal point
     copies = float(math.factorial(n + 1))
     limits = [1.0, lambda q: np.arctanh(np.minimum(lad.tanh_d[1] * q, _CLIP))]
     for k in range(2, n):
@@ -258,8 +257,7 @@ def _halfspace_value(n: int, sigma: float, w_perp: float, slope: float,
             raise DomainError("half-space integrand ordering violated (degenerate input)")
         return [float(t1 - t2) / (n - 1)], [evals + a.size]
 
-    stacks = _radial_pair(dim - 1, p, w_perp)
-    return _radial_estimate(stacks, cfg, values_of, "halfspace")[0]
+    return _radial_estimate(dim - 1, p, w_perp, cfg, values_of, "halfspace")[0]
 
 
 def volume_halfspace(params: SimplexParams, cfg: QuadratureConfig | None = None) -> VolumeEstimate:

@@ -5,15 +5,14 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from hypervol import quadrature, volume_forms  # noqa: E402
+from hypervol import quadrature  # noqa: E402
 
 
 @pytest.fixture
 def stalled(monkeypatch):
     """A crude low-fidelity radial stack, one Gauss point on one panel, on
     the pair's own theta range: its gap to the high-fidelity stack is above
-    the stall gate, so every radial volume raises.  `volume_forms` imports
-    `_radial_pair` by name, so both modules are patched."""
+    the stall gate, so every radial volume raises."""
     pair = quadrature._radial_pair
 
     def crude(levels, p, w_floor):
@@ -22,4 +21,3 @@ def stalled(monkeypatch):
         return quadrature.RadialPowerStack(levels, p, lo.theta_min, settings), hi
 
     monkeypatch.setattr(quadrature, "_radial_pair", crude)
-    monkeypatch.setattr(volume_forms, "_radial_pair", crude)

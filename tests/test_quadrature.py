@@ -14,9 +14,14 @@ from hypervol import (
     ConvergenceError,
     DomainError,
     QuadratureConfig,
+    SimplexParams,
+    growth_ratio,
     integrate_nested,
     integrate_simplex_radialpow,
     quadrature,
+    volume_halfspace,
+    volume_orthoscheme,
+    volume_projective,
 )
 
 from hypervol.quadrature import (
@@ -283,13 +288,15 @@ class TestChebval:
         rng = np.random.default_rng(size)
         series = np.polynomial.Chebyshev(rng.standard_normal(size) * 0.7 ** np.arange(size),
                                          domain=domain)
+        off, scl = series.mapparms()
         x = np.concatenate((domain, [0.0], rng.uniform(*domain, 200)))
-        kept = x.copy()
         for points in (x, x[:1], x.reshape(-1, 7)):
-            got, want = _chebval(series, points), series(points)
+            mapped = off + scl * points
+            kept = mapped.copy()
+            got, want = _chebval(series.coef.tolist(), mapped), series(points)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
-        assert x.tobytes() == kept.tobytes()
+            assert mapped.tobytes() == kept.tobytes()
 
 
 class TestAntiderivative:
@@ -301,11 +308,59 @@ class TestAntiderivative:
             rng.standard_normal(size) * 0.8 ** np.arange(size) * 10.0 ** rng.uniform(-6, 6),
             domain=domain)
         kept = series.coef.copy()
-        got, want = _antiderivative(series), series.integ(lbnd=0)
-        assert got.coef.tobytes() == want.coef.tobytes()
-        assert np.array_equal(got.domain, want.domain)
-        assert np.array_equal(got.window, want.window)
+        got, want = _antiderivative(series.coef, 2 / domain[1]), series.integ(lbnd=0)
+        assert got.tobytes() == want.coef.tobytes()
         assert series.coef.tobytes() == kept.tobytes()
+
+
+class TestEngineMaps:
+    """Each engine maps its variable to [-1, 1] by constants its interval
+    fixes, where numpy's Chebyshev derives them with mapparms; the values
+    stay bitwise equal only while the two maps are."""
+
+    @staticmethod
+    def numpy_map(domain, x):
+        off, scl = np.polynomial.Chebyshev([1.0], domain=domain).mapparms()
+        return off + scl * x
+
+    @pytest.mark.parametrize("w_floor", [0.0, 1e-30, 1e-6, 0.04, 0.36, 0.9, 1.0 - 1e-18])
+    def test_radial_stack_reads_its_levels_as_numpy(self, w_floor):
+        rng = np.random.default_rng(5)
+        for stack in _radial_pair(3, 2.0, w_floor):
+            domain = (stack.theta_min, 0.0)
+            theta = np.concatenate((domain, rng.uniform(*domain, 200)))
+            assert (1 + stack.scl * theta).tobytes() == self.numpy_map(domain, theta).tobytes()
+            w = np.exp(theta)
+            clipped = np.minimum(np.maximum(np.log(w), stack.theta_min), 0.0)
+            for k in range(1, 4):
+                want = np.exp(np.polynomial.Chebyshev(stack._series[k], domain=domain)(clipped))
+                assert stack.level_value(k, w).tobytes() == want.tobytes(), (w_floor, k)
+
+    def test_radial_map_at_random_theta_min(self):
+        rng = np.random.default_rng(6)
+        for theta_min in [-50.2, -46.1, -1e-9, *-10.0 ** rng.uniform(-9, 2, 2000)]:
+            theta = rng.uniform(theta_min, 0.0, 20)
+            got = 1 + (2 / -theta_min) * theta
+            assert got.tobytes() == self.numpy_map((theta_min, 0.0), theta).tobytes(), theta_min
+
+    def test_nested_map_at_random_tops(self):
+        rng = np.random.default_rng(7)
+        for top in 10.0 ** rng.uniform(-6, 2, 2000):
+            u = np.concatenate(([0.0, top], rng.uniform(0.0, top, 20)))
+            got = -1.0 + (2 / top) * u
+            assert got.tobytes() == self.numpy_map((0.0, top), u).tobytes(), top
+
+    def test_no_numpy_chebyshev_is_built(self, monkeypatch):
+        # a level is its coefficient list: no volume route builds numpy's
+        # Chebyshev wrapper, on either engine
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a numpy Chebyshev was built")
+
+        monkeypatch.setattr(np.polynomial.Chebyshev, "__init__", refuse)
+        params = SimplexParams(4, 0.9)
+        for volume in (volume_projective, volume_orthoscheme, volume_halfspace):
+            assert volume(params).value > 0.0
+        assert growth_ratio(SimplexParams(5, 1.1)).value > 0.0
 
 
 def chop_oracle(coef):
@@ -367,7 +422,7 @@ class TestChoppedLevels:
         # level 1 of (dim, p) = (2, 3/2) is 2 / sqrt(1 - sigma^2): its log
         # is log 2 - theta/2, exactly linear in theta
         for stack in _radial_pair(1, 1.5, 0.3):
-            assert stack._series[1].coef.size <= 2
+            assert len(stack._series[1]) <= 2
 
     def test_ideal_levels_stop_well_below_the_cap(self, monkeypatch):
         # every level of the ideal n = 5 stacks finds its plateau by
@@ -392,7 +447,7 @@ class TestChoppedLevels:
             rounds, sampled[:4] = sampled[:4], []
             points = [sum(r) for r in rounds]
             assert max(points) <= 129
-            assert max(stack._series[k].coef.size for k in range(1, 5)) <= 128
+            assert max(len(stack._series[k]) for k in range(1, 5)) <= 128
             # the build counts the points it sampled: per level, the
             # cumulative panels plus one partial panel per point
             settings = stack.settings
