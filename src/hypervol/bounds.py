@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .geometry import SimplexParams
 from .quadrature import QuadratureConfig, VolumeEstimate, integrate_simplex_radialpow
 from .volume_forms import _facet_job, _projective_job
@@ -146,7 +146,9 @@ def growth_ratio_grid(cells, cfg: QuadratureConfig | None = None) -> list[tuple]
     Each volume keeps its own error bar and stall gate.  Batches run in
     the order of their first cell, a cell's volume before its facet, and
     the first batch that stalls raises its first stalled row
-    (`integrate_simplex_radialpow`).
+    (`integrate_simplex_radialpow`) as a ConvergenceError whose estimate
+    is tagged with the form, projective or facet-projective, whose
+    message names the cell and whose ``row`` is the cell's index.
     A batch's stacks are built on the widest theta range it needs, with
     more nodes, so a cell's values can differ from its grid of one within
     the error bars (about 1e-14 relative on the criterion-04 grid).  The
@@ -166,8 +168,15 @@ def growth_ratio_grid(cells, cfg: QuadratureConfig | None = None) -> list[tuple]
     rows = {}
     for (dim, p), index in batches.items():
         scale, w = zip(*(jobs[i][2:] for i in index))
-        rows.update(zip(index, integrate_simplex_radialpow(dim, scale, p, cfg,
-                                                           one_minus_scale_sq=w)))
+        try:
+            rows.update(zip(index, integrate_simplex_radialpow(dim, scale, p, cfg,
+                                                               one_minus_scale_sq=w)))
+        except ConvergenceError as exc:
+            k, facet = divmod(index[exc.row], 2)             # jobs alternate volume, facet
+            method = "facet-projective" if facet else "projective"
+            raise ConvergenceError(
+                f"{method} volume of cell {k} (n = {cells[k].n}, t = {cells[k].t!r}): {exc}",
+                estimate=replace(exc.estimate, method=method), row=k) from exc
     out = []
     for k, params in enumerate(cells):
         vol = replace(rows[2 * k], method="projective")

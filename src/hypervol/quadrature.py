@@ -10,8 +10,9 @@ Two engines live here:
   scaled regular simplex, the volume element of the projective model.
   The simplex is collapsed to iterated cone (Duffy-type) coordinates; in
   these coordinates each level I_k is a one-dimensional integral of the
-  level one dimension down, which is held as a Chebyshev series in
-  log(1 - sigma^2) of its own degree.  With v = 1 - sigma^2 xi^2,
+  level one dimension down, which is held as a Chebyshev series of its
+  own degree in a variable u that stretches log(1 - sigma^2) near 0
+  (`RadialPowerStack`).  With v = 1 - sigma^2 xi^2,
   den(v) = v/k^2 + rho^2, rho^2 = 1 - 1/k^2 and c_k = (k+1)/k rho^(k-1),
 
       sigma^k I_k(sigma) = (c_k/2) int_{1-sigma^2}^1
@@ -43,16 +44,18 @@ evaluator, `_chebval`: a level of either engine doubles its points
 until `_standard_chop` finds the plateau, a radial level from the N
 where the level below stopped, a nested level from N = 32.  A level is
 its coefficients on [-1, 1], and each engine maps its variable there by
-constants its interval fixes: a radial stack on [theta_min, 0] reads
-1 + (2 / -theta_min) theta, a nested level on [0, X_k] reads
--1 + (2 / X_k) u.  They are the offset and scale numpy's Chebyshev
-class derives for those domains (the offset is exactly 1 or -1), so a
-level's values equal numpy's bit for bit.  Each round
+constants its interval fixes.  A nested level on [0, X_k] reads
+-1 + (2 / X_k) u, the offset and scale numpy's Chebyshev class derives
+for that domain, so its values equal numpy's bit for bit.  A radial
+level on theta in [theta_min, 0] reads 1 - 2 u(theta), where
+u = log1p(-theta / c) / log1p(-theta_min / c) is exactly 0 at theta = 0
+and 1 at theta_min, and c = _STRETCH (`RadialPowerStack`).  Each round
 of a level is one pass over the level below, a Clenshaw step per
-coefficient.  A step costs a fixed 2-3 us plus 1-2 ns per point (a
-shared 2-vCPU Xeon VM, Python 3.11, numpy 2.4), so at the few hundred
-to few thousand points of a round the fixed part dominates, and a
-build costs about passes times degree.  What a round costs besides its
+coefficient.  A step costs a fixed 1-1.5 us plus about 1.4 ns per
+point (a shared 2-vCPU Xeon VM, Python 3.11, numpy 2.4: a pass over 100
+coefficients took 150 us at 300 points and 490 us at 2,800), so the
+fixed part dominates below about a thousand points, and a build costs
+about passes times degree.  What a round costs besides its
 pass does not depend on the level: the chop's index pairs are cached by
 size, a radial stack builds each round's sample geometry once for all
 its levels, and a nested level's antiderivative is a few vector
@@ -90,6 +93,8 @@ _ABS_TOL = 1e-12       # absolute floor of every tolerance and radial error bar
 _BASE_ORDER = 14       # Gauss points per panel of the radial and outer nested integrals
 _MAX_DEGREE = 512      # largest N a level's series may double to
 _CHOP_TOL = 4 * _EPS   # plateau of a chopped series; level values carry a few ulps
+_LOG_MAX = math.log(np.finfo(np.float64).max)   # 709.78
+_STRETCH = 8.0         # c of the radial levels' variable u (RadialPowerStack)
 
 
 @dataclass(frozen=True)
@@ -305,7 +310,8 @@ def _chebyshev_series(f, a: float, b: float, degree: int, start: int):
     """The coefficients of the Chebyshev series of f on [a, b], in the
     variable mapped to [-1, 1], from its values at the N + 1 points
     b - (b - a) sin^2(pi j / 2N) (second kind, exact at both ends), with
-    the number of points sampled.
+    the number of points sampled.  b maps to 1 and a to -1, so a > b
+    reverses the map: the radial levels sample u with a = 1, b = 0.
 
     N doubles from ``start`` to at most ``degree``, each doubling sampling
     only the N new points between the old ones, until `_standard_chop`
@@ -427,12 +433,26 @@ class RadialPowerStack:
         I_k(p, sigma) = c_k int_0^1 xi^(k-1) (1 - sigma^2 xi^2 h^2)^(-p) I_{k-1}(p, sigma') dxi,
         sigma'^2 = sigma^2 xi^2 rho^2 / (1 - sigma^2 xi^2 h^2),
 
-    with I_0 = 1.  Level k is held as a Chebyshev series in
-    theta = log(1 - sigma^2) on [theta_min, 0], its coefficients a list
-    of floats read at 1 + scl theta, scl = 2 / -theta_min, interpolating
-    log I_k at the Chebyshev points of the second kind, doubled up to
+    with I_0 = 1.  Level k is held as a Chebyshev series in u on [0, 1],
+    where theta = log(1 - sigma^2) on [theta_min, 0] is
+
+        theta(u) = -c expm1(u L),   L = log1p(-theta_min / c),   c = _STRETCH,
+
+    its coefficients a list of floats interpolating log I_k at the
+    Chebyshev points of the second kind in x = 1 - 2u, doubled up to
     ``settings.ncheb`` and chopped at the coefficients' rounding plateau
-    (`_chebyshev_series`).  Level 1 starts at N = 16 and reads no series
+    (`_chebyshev_series`).  log I_k changes near theta = 0 and is almost
+    linear far out; u is close to -theta / (c L) for |theta| << c and to
+    log(-theta) / L beyond, so it spends the points near 0.  c = 8 is
+    measured: the hi stacks of n = 3..12 keep 4,468 coefficients in all at
+    the ideal floor (6,828 in theta) and 4,906 at t in {0.05, 0.3, 0.8,
+    1.2, 1.5} (5,013).  c = 4 keeps fewer ideal ones, but a finite n = 4
+    volume read from a stack shared with an ideal row then fell 1.0e-14
+    off its standalone value.  `level_value` reads theta at
+    x = 1 - 2 (log1p(-theta / c) / L), so theta = 0 reads x = 1 and
+    theta_min x = -1 exactly (c is a power of 2, so -theta / c is exact),
+    and a sample point maps back to within a few ulps of its
+    cos(pi j / N).  Level 1 starts at N = 16 and reads no series
     (I_0 = 1); each level above starts at the N where the one below
     stopped, so it usually samples in one round.  The ideal n = 5 levels
     stop at N = 128.  ``unresolved`` is the first level with no plateau
@@ -462,7 +482,8 @@ class RadialPowerStack:
     with the whole panels) or a doubling (the N/2 new points, reading the
     level's panel sums).  The build keys each round's geometry by that
     pair, not by its points, and keeps it from the first level that
-    samples it: log sigma^2 at each theta < 0, and the `_Nodes`, the
+    samples it: theta(u), clipped to theta_min against the last ulp,
+    log sigma^2 at each theta < 0, and the `_Nodes`, the
     panel and partial width of each theta with the Gauss nodes y,
     v = exp(-y^2) and 1 - v = -expm1(-y^2).  So a level pays only for
     what depends on k: the density and its pass over level k - 1.  The
@@ -481,7 +502,9 @@ class RadialPowerStack:
         self.p = p
         self.theta_min = theta_min
         self.settings = settings
-        self.scl = 2 / -theta_min                               # [theta_min, 0] -> [-1, 1]
+        # L, by numpy's log1p as `level_value` takes it (math.log1p can
+        # differ in the last bit), so theta_min reads u = 1 exactly
+        self._span = float(np.log1p(theta_min / -_STRETCH))
         self._series: list[list[float] | None] = [None] * (levels + 1)
         # integrand evaluations of the build; fixed here, so a shared stack
         # carries no count from one caller's top integrals into the next
@@ -505,23 +528,25 @@ class RadialPowerStack:
         level of the stack shares, by round."""
         below = None                                            # integral up to each edge
 
-        def log_level(thetas):
+        def log_level(u):
             nonlocal below
             # a round's points depend only on their number and on whether
             # it is the level's first round, whose partial panels ride with
             # the whole panels, in one pass over the level below
-            key = (below is None, thetas.size)
+            key = (below is None, u.size)
             if key not in rounds:
-                inside = thetas < 0.0
-                rounds[key] = (inside, self._nodes(np.sqrt(-thetas[inside]), below is None),
-                               np.log(-np.expm1(thetas[inside])))
+                theta = np.maximum(-_STRETCH * np.expm1(self._span * u), self.theta_min)
+                inside = theta < 0.0
+                rounds[key] = (inside, self._nodes(np.sqrt(-theta[inside]), below is None),
+                               np.log(-np.expm1(theta[inside])))
             inside, nodes, log_sigma2 = rounds[key]
             value, below, _ = self._integral_to(k, nodes, below)
-            out = np.full(thetas.size, math.log(at_zero))
+            out = np.full(u.size, math.log(at_zero))
             out[inside] = np.log(value) - k / 2 * log_sigma2
             return out
 
-        return _chebyshev_series(log_level, self.theta_min, 0.0, self.settings.ncheb, start)
+        # x = 1 - 2u: u = 0 (theta = 0) is x = 1, u = 1 (theta_min) is x = -1
+        return _chebyshev_series(log_level, 1.0, 0.0, self.settings.ncheb, start)
 
     def _nodes(self, y, whole, at=()):
         """The points of the sums in y up to each upper limit y in
@@ -558,12 +583,16 @@ class RadialPowerStack:
 
     def _density(self, k, nodes):
         """The integrand of the v identity (class docstring) times
-        |dv/dy| = 2 y v, at the points y = sqrt(-log v) of ``nodes``."""
+        |dv/dy| = 2 y v, at the points y = sqrt(-log v) of ``nodes``.
+        v den^(-p) is formed as (v / den) den^(1 - p): at level 1, where
+        den = v, den^(-p) alone overflows once -log v passes 709.8 / p,
+        and v / den is the 1 - sigma'^2 that level k - 1 is read at."""
         v = nodes.v
         h2 = 1.0 / (k * k)
         den = h2 * v + (1.0 - h2)
-        return (_cone_factor(k) * nodes.y * v * nodes.one_minus_v ** ((k - 2) / 2)
-                * den ** (-self.p) * self.level_value(k - 1, v / den))
+        ratio = v / den                                         # 1 - sigma'^2
+        return (_cone_factor(k) * nodes.y * ratio * nodes.one_minus_v ** ((k - 2) / 2)
+                * den ** (1.0 - self.p) * self.level_value(k - 1, ratio))
 
     # -- public surface ------------------------------------------------------
 
@@ -573,7 +602,8 @@ class RadialPowerStack:
             return np.ones_like(np.asarray(one_minus_sigma_sq, dtype=float))
         w = np.maximum(np.asarray(one_minus_sigma_sq, dtype=float), 1e-300)
         theta = np.minimum(np.maximum(np.log(w), self.theta_min), 0.0)
-        return np.exp(_chebval(self._series[k], 1 + self.scl * theta))
+        u = np.log1p(theta / -_STRETCH) / self._span
+        return np.exp(_chebval(self._series[k], 1 - 2 * u))
 
     def top_integral(self, k: int, w_top, sigma2_top) -> tuple[np.ndarray, np.ndarray]:
         """sigma^k I_k at each row of the arrays (w_top, sigma2_top) =
@@ -616,10 +646,21 @@ def _radial_pair(levels: int, p: float, w_floor: float) -> tuple:
     the hi stack depth panels of _BASE_ORDER points, both doubling to
     N = _MAX_DEGREE.  At a finite floor both run from theta_min = theta;
     an ideal stack of d panels runs from theta_min = -(d - 1) ln 2 - 1
-    (-46.1 lo, -50.2 hi)."""
+    (-46.1 lo, -50.2 hi).  Each stack reads its levels in the u its own
+    theta_min fixes (`RadialPowerStack`).
+
+    A finite floor with (p - 1)(-theta) above log(float64 max) - 10 =
+    699.8 raises DomainError: level 1's density is v^(1 - p) times
+    factors whose product, with the sum over y, stays below e^10 (y < 28,
+    c_1 = 2, (1 - v)^(-1/2) < 1.3 beyond y = 1), so it would overflow.  A floor short of that can still stall: at p = 2.5
+    the floor 1e-200 leaves level 1 without a plateau, its panels too
+    wide for the density's growth."""
     ln2 = math.log(2.0)
     finite = w_floor > 0.0
     theta = min(math.log(w_floor), -1e-9) if finite else -71 * ln2 - 1.0
+    if (p - 1.0) * -theta > _LOG_MAX - 10.0:
+        raise DomainError(f"1 - scale^2 = {w_floor:.3e} is too small for p = {p:g}: the radial "
+                          "density v^(1 - p) overflows float64")
     depth = int(min(72, max(4.0, -theta) / ln2 + 12))
     settings = (_RadialSettings(_MAX_DEGREE, max(12, depth - 6), _BASE_ORDER - 5),   # lo
                 _RadialSettings(_MAX_DEGREE, depth, _BASE_ORDER))                   # hi
@@ -636,10 +677,11 @@ def _radial_estimate(levels: int, p: float, w_floor: float, cfg: QuadratureConfi
     own work.
 
     The first row that stalls raises ConvergenceError carrying its
-    estimate.  Every row stalls when a level of either stack has no
-    plateau by its cap, as in `integrate_nested`; otherwise a row stalls
-    when its gap is above max(1e-3 |value|, 1e4 * tolerance), with the
-    default QuadratureConfig when ``cfg`` is None."""
+    estimate and its index as ``row``.  Every row stalls when a level of
+    either stack has no plateau by its cap, as in `integrate_nested`;
+    otherwise a row stalls when its gap is above
+    max(1e-3 |value|, 1e4 * tolerance), with the default QuadratureConfig
+    when ``cfg`` is None."""
     cfg = cfg or QuadratureConfig()
     stacks = _radial_pair(levels, p, w_floor)
     (lo, lo_evals), (hi, hi_evals) = (values_of(stack) for stack in stacks)
@@ -647,12 +689,12 @@ def _radial_estimate(levels: int, p: float, w_floor: float, cfg: QuadratureConfi
     unresolved = [f"level {stack.unresolved} has no plateau by N = {stack.settings.ncheb}"
                   for stack in stacks if stack.unresolved]
     out = []
-    for lo_v, hi_v, evals in zip(lo, hi, np.add(lo_evals, hi_evals).tolist()):
+    for row, (lo_v, hi_v, evals) in enumerate(zip(lo, hi, np.add(lo_evals, hi_evals).tolist())):
         err = abs(hi_v - lo_v) + _ABS_TOL
         est = VolumeEstimate(hi_v, err, build + evals, method)
         if unresolved or err > max(1e-3 * abs(hi_v), 1e4 * cfg.tolerance(hi_v)):
             why = unresolved[0] if unresolved else f"err {err:.3e} on value {hi_v:.6e}"
-            raise ConvergenceError(f"radial refinement stalled ({why})", estimate=est)
+            raise ConvergenceError(f"radial refinement stalled ({why})", estimate=est, row=row)
         out.append(est)
     return out
 

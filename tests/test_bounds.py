@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hypervol import (
+    ConvergenceError,
     DomainError,
     SimplexParams,
     VolumeEstimate,
@@ -16,6 +17,7 @@ from hypervol import (
     ladder,
     limit_audit,
     lower_bound,
+    quadrature,
     upper_bound,
     volume_orthoscheme,
     volume_projective,
@@ -225,6 +227,19 @@ class TestGrowthRatioGrid:
             assert b.lower - err <= ratio.value <= b.upper + err, n
             assert (n - 2) / (n - 1) ** 2 <= ratio.value <= 1 / (n - 1), n
             assert ratio.value == pytest.approx(ideal[n] / ideal[n - 1], rel=1e-12, abs=0), n
+
+    def test_stall_names_its_cell_and_form(self, monkeypatch):
+        # capped at N = 32 an ideal level has no plateau; the stall raises
+        # the stalled volume tagged with its form, and names its cell
+        monkeypatch.setattr(quadrature, "_MAX_DEGREE", 32)
+        with pytest.raises(ConvergenceError, match=r"^projective volume of cell 0 \(n = 5") as info:
+            growth_ratio(SimplexParams(5, math.pi / 2))
+        assert info.value.estimate.method == "projective" and info.value.row == 0
+        # the (5, 3) batch holds cell 0's facet and cell 1's ideal volume,
+        # so its first row, the facet, stalls
+        with pytest.raises(ConvergenceError, match=r"^facet-projective volume of cell 0 ") as info:
+            growth_ratio_grid([SimplexParams(6, 0.3), SimplexParams(5, math.pi / 2)])
+        assert info.value.estimate.method == "facet-projective" and info.value.row == 0
 
     def test_rejects_any_bad_cell(self):
         with pytest.raises(DomainError):

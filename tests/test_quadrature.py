@@ -156,6 +156,18 @@ class TestSimplexRadialPow:
         assert rows[0].value == 0.0
         assert rows[1].value == pytest.approx(ref, rel=1e-12, abs=0)
 
+    def test_deep_finite_floors(self):
+        # (v / den) den^(1 - p) stays finite where den^(-p) overflowed at
+        # level 1 (-log w past 709.8 / p): the 1e-200 floor is formed, and
+        # stalls for want of a plateau on its wide panels; at 1e-300,
+        # v^(1 - p) itself is beyond float64 and the pair refuses it by name
+        with pytest.raises(ConvergenceError, match="no plateau") as info:
+            integrate_simplex_radialpow(4, 1.0, 2.5, one_minus_scale_sq=1e-200)
+        ideal = integrate_simplex_radialpow(4, 1.0, 2.5)
+        assert info.value.estimate.value == pytest.approx(ideal.value, rel=1e-12, abs=0)
+        with pytest.raises(DomainError, match="overflows"):
+            integrate_simplex_radialpow(4, 1.0, 2.5, one_minus_scale_sq=1e-300)
+
     def test_euclidean_triangle_area(self):
         est = integrate_simplex_radialpow(2, 1.0, 0.0)
         assert est.value == pytest.approx(3.0 * math.sqrt(3.0) / 4.0, rel=1e-13)
@@ -262,6 +274,88 @@ class TestRadialPowerStack:
             assert stack.n_evals == built > 0
 
 
+class TestSchlafliSlope:
+    """Schlafli's differential read off one radial level at every n up to 24.
+
+    With x = sin^2 t and v = 1 - x, the level identity gives the volume's
+    slope as one read of level n - 1: dV_n/dx = (c_n/2) g(v), where
+    g(v) = x^((n-2)/2) den^(-p) I_{n-1}(v / den), den = v/n^2 + 1 - 1/n^2
+    and p = (n+1)/2.  Schlafli's differential gives it from the
+    C(n+1, 2) codimension-2 faces, regular (n-2)-simplices with
+    x'' = x (n+1)/n / s and 1 - x'' = v (n-1)/(n-2) / s,
+    s = 1 + x/n + v/(n-2):
+
+        dV_n/dx = C(n+1, 2)/(n-1) V_{n-2}(x'') n(n+1) / ((n^2 - x)^2 sin alpha),
+
+    cos alpha = (n + x)/(n^2 - x), so (n^2 - x) sin alpha is
+    sqrt((n^2 - n - 2x)(n^2 + n)).  At n = 3 the faces are edges,
+    V_1 = d = acosh(1 + x (n+1)/n / v).  V_{n-2} comes from the
+    orthoscheme chain up to n - 2 = 12 and from a radial pair beyond,
+    where the chain drifts past its bar."""
+
+    TS = np.array([0.05, 0.3, 0.8, 1.2, 1.5, math.pi / 2 - 1e-3])
+
+    @staticmethod
+    def chop_bar(stack, levels):
+        # each level's log carries its chop plateau, _CHOP_TOL times its
+        # largest coefficient, and a relative error in I_{k-1} reaches I_k
+        # at most unchanged (positive weights), so the top level carries
+        # at most their sum, relative
+        return quadrature._CHOP_TOL * sum(max(map(abs, stack._series[k]))
+                                          for k in range(1, levels + 1))
+
+    def sides(self, n):
+        """For the hi stacks, then the lo ones: the slope read off level
+        n - 1 and Schlafli's side, each with its bar short of the lo/hi gap."""
+        x, v = np.sin(self.TS) ** 2, np.cos(self.TS) ** 2
+        p, m = (n + 1) / 2, n - 2
+        den = v / n**2 + 1 - 1 / n**2
+        lo, hi = _radial_pair(n - 1, p, float(v.min()))
+        if n == 3:
+            cosh_m1 = x * (n + 1) / n / v
+            faces = [(np.log1p(cosh_m1 + np.sqrt(cosh_m1 * (cosh_m1 + 2))), 0.0)] * 2
+        else:
+            s = 1 + x / n + v / m
+            x2, v2 = x * (n + 1) / n / s, v * (n - 1) / m / s
+            if m <= 12:
+                ests = [volume_orthoscheme(SimplexParams(m, float(t)))
+                        for t in np.arctan2(np.sqrt(x2), np.sqrt(v2))]
+                faces = [(np.array([e.value for e in ests]),
+                          np.array([e.error_estimate for e in ests]))] * 2
+            else:
+                faces = []
+                for stack in _radial_pair(m - 1, (m + 1) / 2, float(v2.min()))[::-1]:
+                    face, _ = stack.top_integral(m, v2, x2)
+                    faces.append((face, self.chop_bar(stack, m - 1) * face))
+        pre = _cone_factor(n) / 2 * x ** (m / 2) * den ** -p
+        factor = math.comb(n + 1, 2) / (n - 1) * n * (n + 1) / (
+            (n * n - x) * np.sqrt((n * n - n - 2 * x) * (n * n + n)))
+        out = []
+        for stack, (face, face_bar) in zip((hi, lo), faces):
+            slope = pre * stack.level_value(n - 1, v / den)
+            out.append([slope, self.chop_bar(stack, n - 1) * slope,
+                        factor * face, factor * face_bar])
+        return out
+
+    def test_level_slope_matches_the_faces(self):
+        # the bound is both sides' bars: each radial side's lo/hi gap plus
+        # its chop term, the orthoscheme face's own error estimate, and 16
+        # ulps for the closed-form factors (powers up to p = 12.5).  With
+        # the lo settings in place of the hi ones the gaps read 0, and the
+        # lo levels' under-resolution shows from n = 17 on
+        misses = []
+        for n in range(3, 25):
+            # rows: the hi stacks, then the lo ones
+            slope, slope_bar, face, face_bar = np.swapaxes(self.sides(n), 0, 1)
+            off = np.abs(slope - face)
+            bar = slope_bar + face_bar + 16 * quadrature._EPS * face
+            gaps = np.abs(slope[0] - slope[1]) + np.abs(face[0] - face[1])
+            assert np.all(off[0] <= gaps + bar[0]), (n, off[0] / (gaps + bar[0]))
+            if np.any(off[1] > bar[1]):
+                misses.append(n)
+        assert misses and min(misses) >= 17 and max(misses) == 24
+
+
 class TestLevelValue:
     def test_float_list_and_array_agree(self):
         # level_value is public: a float, a list and an array of 1 - sigma^2
@@ -315,33 +409,77 @@ class TestAntiderivative:
 
 class TestEngineMaps:
     """Each engine maps its variable to [-1, 1] by constants its interval
-    fixes, where numpy's Chebyshev derives them with mapparms; the values
-    stay bitwise equal only while the two maps are."""
+    fixes.  A nested level reads -1 + (2 / X) u, where numpy's Chebyshev
+    derives the same constants with mapparms, so its values stay bitwise
+    equal to numpy's.  A radial level reads 1 - 2 u(theta) with
+    u = log1p(-theta / c) / log1p(-theta_min / c), exact at both ends, and
+    `_chebval` stays bitwise equal to numpy's chebval at the mapped points."""
 
     @staticmethod
     def numpy_map(domain, x):
         off, scl = np.polynomial.Chebyshev([1.0], domain=domain).mapparms()
         return off + scl * x
 
-    @pytest.mark.parametrize("w_floor", [0.0, 1e-30, 1e-6, 0.04, 0.36, 0.9, 1.0 - 1e-18])
-    def test_radial_stack_reads_its_levels_as_numpy(self, w_floor):
-        rng = np.random.default_rng(5)
-        for stack in _radial_pair(3, 2.0, w_floor):
-            domain = (stack.theta_min, 0.0)
-            theta = np.concatenate((domain, rng.uniform(*domain, 200)))
-            assert (1 + stack.scl * theta).tobytes() == self.numpy_map(domain, theta).tobytes()
-            w = np.exp(theta)
-            clipped = np.minimum(np.maximum(np.log(w), stack.theta_min), 0.0)
-            for k in range(1, 4):
-                want = np.exp(np.polynomial.Chebyshev(stack._series[k], domain=domain)(clipped))
-                assert stack.level_value(k, w).tobytes() == want.tobytes(), (w_floor, k)
+    @staticmethod
+    def mapped_reads(monkeypatch):
+        """Record the points and values of every `_chebval` call, each value
+        checked bitwise against numpy's chebval at the same points."""
+        reads = []
 
-    def test_radial_map_at_random_theta_min(self):
+        def recorded(c, x):
+            got = _chebval(c, x)
+            want = np.polynomial.chebyshev.chebval(x, c)
+            assert got.tobytes() == want.tobytes()
+            reads.append((x.copy(), got))
+            return got
+
+        monkeypatch.setattr(quadrature, "_chebval", recorded)
+        return reads
+
+    @pytest.mark.parametrize("w_floor", [0.0, 1e-30, 1e-6, 0.04, 0.36, 0.9, 1.0 - 1e-18])
+    def test_radial_stack_reads_its_levels_as_numpy(self, w_floor, monkeypatch):
+        stacks = _radial_pair(3, 2.0, w_floor)
+        reads = self.mapped_reads(monkeypatch)
+        for stack in stacks:
+            # u(0) = 0 and u(theta_min) = 1 exactly: w = 1 reads x = 1, and
+            # w = 0 clips to theta_min, which reads x = -1
+            for k in range(1, 4):
+                del reads[:]
+                values = stack.level_value(k, np.array([1.0, 0.0]))
+                (x, got), = reads
+                assert x.tolist() == [1.0, -1.0]
+                assert values.tobytes() == np.exp(got).tobytes()
+            # the build samples theta(u_j) = -c expm1(u_j log1p(-theta_min / c))
+            # at u_j = sin^2(pi j / 2N), clipped to theta_min; level_value
+            # maps those thetas back to within a few ulps of cos(pi j / N),
+            # beyond what the round trip w = exp(theta), log w moves them
+            # (dx/dtheta = 2 / ((c - theta) L))
+            c = quadrature._STRETCH
+            span = math.log1p(-stack.theta_min / c)
+            for size in (17, 129, 513):
+                j = np.arange(size)
+                u = np.sin(np.pi / (2 * (size - 1)) * j) ** 2
+                theta = np.maximum(-c * np.expm1(u * span), stack.theta_min)
+                moved = np.abs(np.log(np.exp(theta)) - theta) * 2 / ((c - theta) * span)
+                del reads[:]
+                stack.level_value(3, np.exp(theta))
+                (x, _), = reads
+                off = np.abs(x - np.cos(np.pi / (size - 1) * j)) - moved
+                assert off.max() <= 8 * quadrature._EPS, (w_floor, size)
+
+    def test_radial_map_at_random_theta_min(self, monkeypatch):
+        # the ends of the u map are exact wherever theta_min falls: a
+        # one-level stack reads w = 1 at x = 1 and its floor at x = -1
         rng = np.random.default_rng(6)
-        for theta_min in [-50.2, -46.1, -1e-9, *-10.0 ** rng.uniform(-9, 2, 2000)]:
-            theta = rng.uniform(theta_min, 0.0, 20)
-            got = 1 + (2 / -theta_min) * theta
-            assert got.tobytes() == self.numpy_map((theta_min, 0.0), theta).tobytes(), theta_min
+        settings = quadrature._RadialSettings(16, 1, 1)
+        floors = [-50.2, -46.1, -1e-9, *-10.0 ** rng.uniform(-9, 2.5, 200)]
+        stacks = [quadrature.RadialPowerStack(1, 1.5, theta_min, settings) for theta_min in floors]
+        reads = self.mapped_reads(monkeypatch)
+        for stack in stacks:
+            del reads[:]
+            stack.level_value(1, np.array([1.0, 0.0]))
+            (x, _), = reads
+            assert x.tolist() == [1.0, -1.0], stack.theta_min
 
     def test_nested_map_at_random_tops(self):
         rng = np.random.default_rng(7)
@@ -418,11 +556,26 @@ class TestStandardChop:
 
 
 class TestChoppedLevels:
-    def test_linear_level_keeps_two_coefficients(self):
-        # level 1 of (dim, p) = (2, 3/2) is 2 / sqrt(1 - sigma^2): its log
-        # is log 2 - theta/2, exactly linear in theta
+    def test_level_one_reads_its_closed_form(self):
+        # level 1 of (dim, p) = (2, 3/2) is 2 / sqrt(1 - sigma^2); its log,
+        # log 2 - theta/2, is linear in theta but not in u
         for stack in _radial_pair(1, 1.5, 0.3):
-            assert len(stack._series[1]) <= 2
+            w = np.exp(np.linspace(stack.theta_min, 0.0, 1001))
+            got = stack.level_value(1, w)
+            assert np.abs(got * np.sqrt(w) / 2 - 1).max() <= 4 * quadrature._EPS
+
+    def test_u_map_keeps_fewer_ideal_coefficients(self):
+        # the hi stacks of n = 3..12 kept 6,828 coefficients in all at the
+        # ideal floor and 5,013 at five finite t when their levels were
+        # series in theta; in u the ideal sum falls by at least 30% and
+        # the finite one rises by at most 5%
+        def kept(w_floor):
+            his = (_radial_pair(n - 1, (n + 1) / 2, w_floor)[1] for n in range(3, 13))
+            return sum(len(level) for hi in his for level in hi._series[1:])
+
+        assert kept(0.0) <= 0.7 * 6828
+        finite = sum(kept(math.cos(t) ** 2) for t in (0.05, 0.3, 0.8, 1.2, 1.5))
+        assert finite <= 1.05 * 5013
 
     def test_ideal_levels_stop_well_below_the_cap(self, monkeypatch):
         # every level of the ideal n = 5 stacks finds its plateau by

@@ -355,6 +355,14 @@ class TestHalfspaceGeneral:
             QuasiRegularParams(3, r, d, rf)).value for r in (0.8, 1.1, 1.5)]
         assert vols[0] < vols[1] < vols[2]
 
+    def test_deep_facet_circumradius(self):
+        # w_perp = 1/cosh^2 R falls to 1e-295 at R = 340; the radial density
+        # stays finite there, and the volume is R = 200's within the bars
+        ref = volume_halfspace_general(QuasiRegularParams(4, 201.0, 0.5, 200.0))
+        for radius in (240.0, 300.0, 340.0):
+            est = volume_halfspace_general(QuasiRegularParams(4, radius + 1.0, 0.5, radius))
+            assert abs(est.value - ref.value) <= est.error_estimate + ref.error_estimate, radius
+
     def test_degenerate_facet(self):
         q = QuasiRegularParams(3, 1.0, 0.5, 0.0)
         assert volume_halfspace_general(q).value == 0.0
