@@ -37,7 +37,9 @@ its own top-level work.
 
 The nested engine's outer integral and the half-space form's sliced
 facet integral run on Gauss panels graded dyadically toward one end
-(`_panels_toward_one`).
+(`_panels_toward_one`).  Every Gauss panel reads one rule, `_gauss01`:
+numpy's Gauss-Legendre algorithm reproduced bit for bit (`_leggauss`),
+so no volume imports numpy.polynomial.
 Both engines share one interpolation scheme,
 `_chebyshev_series` (second-kind points, coefficients by FFT), and one
 evaluator, `_chebval`: a level of either engine doubles its points
@@ -138,10 +140,48 @@ class VolumeEstimate:
 # ---------------------------------------------------------------------------
 # Gauss nodes
 
+def _legval(x: np.ndarray, c: list) -> np.ndarray:
+    """numpy's `legval` Clenshaw loop for one coefficient list."""
+    c0, c1 = (c[0], 0.0) if len(c) == 1 else (c[-2], c[-1])
+    nd = len(c)
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _leggauss(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], by numpy's `leggauss`
+    algorithm step for step, so they equal numpy's bit for bit: the
+    eigenvalues of the symmetric Legendre companion matrix of P_order, one
+    Newton step, weights from P_order' P_(order-1) scaled to their
+    largest magnitudes, symmetrised, then normalised to sum to 2.
+    numpy.linalg loads with numpy; numpy.polynomial would cost a fresh
+    process about 6 ms to import."""
+    scl = 1.0 / np.sqrt(2 * np.arange(order) + 1)
+    off = np.arange(1, order) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    c = [0.0] * order + [1.0]
+    # legder(P_order), whose loop gives exact small integers
+    der = [(2.0 * k + 1.0) if (order - 1 - k) % 2 == 0 else 0.0 for k in range(order)]
+    df = _legval(x, der)
+    x = x - _legval(x, c) / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 @lru_cache(maxsize=None)
 def _gauss01(order: int):
-    """Gauss-Legendre nodes/weights mapped to (0, 1)."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    """Gauss-Legendre nodes/weights mapped to (0, 1), from `_leggauss`:
+    numpy's rule reproduced bit for bit, so no volume imports
+    numpy.polynomial."""
+    x, w = _leggauss(order)
     return (x + 1.0) / 2, w / 2
 
 

@@ -41,6 +41,7 @@ from .geometry import (
     ladder,
 )
 from .quadrature import (
+    _LOG_MAX,
     QuadratureConfig,
     VolumeEstimate,
     _panels_toward_one,
@@ -311,12 +312,17 @@ def volume_halfspace_general(q: QuasiRegularParams, cfg: QuadratureConfig | None
     case; it is provided for comparison only.
 
     Reduces to `volume_halfspace` when (r, d, facet_circumradius) are the
-    regular values (r_n, d_n, r_{n-1}).
+    regular values (r_n, d_n, r_{n-1}).  Raises DomainError when r + d is
+    above about 354.9, where either form of the slope overflows float64.
     """
     if q.facet_circumradius == 0.0:
         return VolumeEstimate(0.0, 0.0, 0, "halfspace-general")
+    if 2.0 * (q.r + q.d) > _LOG_MAX:
+        raise DomainError(f"r + d = {q.r + q.d:.10g} is above {_LOG_MAX / 2:.10g}: the height "
+                          "constant e^(2(r+d)) overflows float64")
     sigma = math.tanh(q.facet_circumradius)
-    w_perp = 1.0 / math.cosh(q.facet_circumradius) ** 2
+    e = math.exp(-q.facet_circumradius)
+    w_perp = (2.0 * e / (1.0 + e * e)) ** 2             # sech^2 R; 0 (ideal) once it underflows
     if literal_height_constant:
         slope = math.exp(q.r + q.d) * (math.exp(q.r + q.d) + 2.0)
     else:

@@ -407,6 +407,28 @@ class TestAntiderivative:
         assert series.coef.tobytes() == kept.tobytes()
 
 
+class TestGaussRule:
+    def test_bitwise_equal_to_numpy(self):
+        for order in range(1, 65):
+            got, want = quadrature._leggauss(order), np.polynomial.legendre.leggauss(order)
+            assert got[0].tobytes() == want[0].tobytes(), order
+            assert got[1].tobytes() == want[1].tobytes(), order
+
+    def test_volume_paths_leave_numpy_polynomial_unloaded(self):
+        # importing numpy.polynomial costs a fresh process about 6 ms
+        script = "\n".join([
+            "import math, sys",
+            "from hypervol import SimplexParams, cli, volume_projective",
+            "volume_projective(SimplexParams(3, math.pi / 2))",
+            "cli.main(['volume', '--n', '4', '--t', '1.0', '--method', 'all'])",
+            "cli.main(['sweep', '--n-list', '3', '--t-list', '0.5'])",
+            "assert 'numpy.polynomial' not in sys.modules",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+
+
 class TestEngineMaps:
     """Each engine maps its variable to [-1, 1] by constants its interval
     fixes.  A nested level reads -1 + (2 / X) u, where numpy's Chebyshev

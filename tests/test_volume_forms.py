@@ -356,12 +356,22 @@ class TestHalfspaceGeneral:
         assert vols[0] < vols[1] < vols[2]
 
     def test_deep_facet_circumradius(self):
-        # w_perp = 1/cosh^2 R falls to 1e-295 at R = 340; the radial density
-        # stays finite there, and the volume is R = 200's within the bars
+        # w_perp = sech^2 R falls to 1e-295 at R = 340; the radial density
+        # stays finite there, and the volume is R = 200's within the bars.
+        # At R = 400 cosh R overflows float64 and sech^2 R underflows to the
+        # ideal floor 0; r + d = 354.5 is just below the slope's overflow.
         ref = volume_halfspace_general(QuasiRegularParams(4, 201.0, 0.5, 200.0))
-        for radius in (240.0, 300.0, 340.0):
-            est = volume_halfspace_general(QuasiRegularParams(4, radius + 1.0, 0.5, radius))
+        for r, radius in ((241.0, 240.0), (301.0, 300.0), (341.0, 340.0),
+                          (300.0, 400.0), (354.0, 400.0)):
+            est = volume_halfspace_general(QuasiRegularParams(4, r, 0.5, radius))
             assert abs(est.value - ref.value) <= est.error_estimate + ref.error_estimate, radius
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_overflowing_height_constant_rejected(self, literal):
+        # r + d = 401.5: e^(2(r+d)) is beyond float64 in either form of the slope
+        with pytest.raises(DomainError, match="overflows"):
+            volume_halfspace_general(QuasiRegularParams(4, 401.0, 0.5, 300.0),
+                                     literal_height_constant=literal)
 
     def test_degenerate_facet(self):
         q = QuasiRegularParams(3, 1.0, 0.5, 0.0)
