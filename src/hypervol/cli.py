@@ -43,6 +43,8 @@ from .volume_forms import (
     zn_bounds,
 )
 
+_MAX_SWEEP_CELLS = 10**6      # largest (n, t) grid a sweep accepts
+
 _SWEEP_COLUMNS = [
     "n", "t", "ratio", "ratio_err", "lower", "upper",
     "hm_lower", "hm_upper", "V_n", "V_facet", "sandwich_flag",
@@ -161,9 +163,12 @@ def _split(text: str, kind, flag: str) -> tuple:
 
 def _parse_sweep_spec(args) -> tuple[tuple, tuple]:
     """The (dimensions, t values) grid of a sweep request; `cmd_sweep`
-    checks each cell by building its SimplexParams before computing."""
+    checks each cell by building its SimplexParams before computing.  A
+    grid of more than _MAX_SWEEP_CELLS cells is refused before any t value
+    of a range is formed."""
     if args.t_list:
         ts = _split(args.t_list, float, "--t-list")
+        count = len(ts)
     else:
         if args.t_start is None or args.t_stop is None or args.t_step is None:
             raise DomainError("provide either --t-list or --t-start/--t-stop/--t-step")
@@ -171,11 +176,17 @@ def _parse_sweep_spec(args) -> tuple[tuple, tuple]:
             raise DomainError("t-start, t-stop and t-step must be finite")
         if args.t_step <= 0:
             raise DomainError("t-step must be positive")
-        count = int(math.floor((args.t_stop - args.t_start) / args.t_step + 1e-9)) + 1
-        ts = tuple(args.t_start + k * args.t_step for k in range(max(count, 0)))
+        steps = (args.t_stop - args.t_start) / args.t_step       # may be inf
+        # past the cap the count stays a float: it is only reported
+        count = int(math.floor(steps + 1e-9)) + 1 if steps < _MAX_SWEEP_CELLS else steps + 1
     ns = _split(args.n_list, int, "--n-list")
-    if not ns or not ts:
+    if len(ns) * count > _MAX_SWEEP_CELLS:
+        raise DomainError(f"sweep grid has {len(ns) * count:.7g} cells, more than "
+                          f"{_MAX_SWEEP_CELLS:,}")
+    if not ns or count < 1:
         raise DomainError("sweep grid is empty")
+    if not args.t_list:
+        ts = tuple(args.t_start + k * args.t_step for k in range(count))
     return ns, ts
 
 
@@ -342,7 +353,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n-list", type=str, required=True, help="comma-separated dimensions")
     p.add_argument("--t-start", type=float)
     p.add_argument("--t-stop", type=float)
-    p.add_argument("--t-step", type=float)
+    p.add_argument("--t-step", type=float,
+                   help=f"t spacing; the grid may hold at most {_MAX_SWEEP_CELLS:,} cells")
     p.add_argument("--t-list", type=str, help="comma-separated t values (overrides start/stop/step)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_sweep)

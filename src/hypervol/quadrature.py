@@ -19,12 +19,13 @@ Two engines live here:
           (1 - v)^((k-2)/2) den(v)^(-p) I_{k-1}(v / den(v)) dv
 
   (c_1 = 2, and den = v at k = 1, I_0 = 1).  The integrand does not
-  depend on sigma, so a level is one cumulative integral over one set of
-  Gauss panels in y = sqrt(-log v) (`RadialPowerStack`), and the top
-  level is the same integral read at each row's sigma; the
-  vertex-touching case scale = 1 (ideal simplices) runs it to the
-  stack's theta_min and adds the leading term of the tail beyond.  The
-  projective and half-space forms run on it.
+  depend on sigma, so a level is one cumulative integral in
+  y = sqrt(-log v) over Gauss panels between its own sample points
+  (`RadialPowerStack`), and the top level is the same integral over
+  uniform panels, read at each row's sigma; the vertex-touching case
+  scale = 1 (ideal simplices) runs it to the stack's theta_min and adds
+  the leading term of the tail beyond.  The projective and half-space
+  forms run on it.
 
 The radial engine holds its levels in a lo/hi pair of stacks whose
 gap is the error bar.  A pair depends on scale only through the range
@@ -44,23 +45,25 @@ Both engines share one interpolation scheme,
 `_chebyshev_series` (second-kind points, coefficients by FFT), and one
 evaluator, `_chebval`: a level of either engine doubles its points
 until `_standard_chop` finds the plateau, a radial level from the N
-where the level below stopped, a nested level from N = 32.  A level is
-its coefficients on [-1, 1], and each engine maps its variable there by
-constants its interval fixes.  A nested level on [0, X_k] reads
--1 + (2 / X_k) u, the offset and scale numpy's Chebyshev class derives
-for that domain, so its values equal numpy's bit for bit.  A radial
+where the level below stopped, a nested level from N = 32.  A nested
+doubling keeps the old values and samples only the new points; a radial
+one samples its whole grid again, since its panels end at its points.
+A level is its coefficients on [-1, 1], and each engine maps its
+variable there by constants its interval fixes.  A nested level on
+[0, X_k] reads -1 + (2 / X_k) u, the offset and scale numpy's Chebyshev
+class derives for that domain, so its values equal numpy's bit for bit.  A radial
 level on theta in [theta_min, 0] reads 1 - 2 u(theta), where
 u = log1p(-theta / c) / log1p(-theta_min / c) is exactly 0 at theta = 0
 and 1 at theta_min, and c = _STRETCH (`RadialPowerStack`).  Each round
 of a level is one pass over the level below, a Clenshaw step per
 coefficient.  A step costs a fixed 1-1.5 us plus about 1.4 ns per
 point (a shared 2-vCPU Xeon VM, Python 3.11, numpy 2.4: a pass over 100
-coefficients took 150 us at 300 points and 490 us at 2,800), so the
-fixed part dominates below about a thousand points, and a build costs
-about passes times degree.  What a round costs besides its
+coefficients took 150 us at 300 points and 490 us at 2,800), so a
+radial pass, at the 1,000-2,000 Gauss nodes of its panels, pays for its
+points as much as for its degree.  What a round costs besides its
 pass does not depend on the level: the chop's index pairs are cached by
-size, a radial stack builds each round's sample geometry once for all
-its levels, and a nested level's antiderivative is a few vector
+size, a radial stack builds each N's panel grid once for all its
+levels, and a nested level's antiderivative is a few vector
 operations.  Both engines stop on one rule: a
 level with no plateau by its cap leaves the result unresolved, and the
 engine raises ConvergenceError carrying its estimate.  The radial engine
@@ -230,8 +233,18 @@ def integrate_nested(limits: Sequence, factors: Sequence,
         tops.append(float(limit(np.array([tops[-1]]))[0]))
     inner, top_value, n_evals, stalled = np.ones_like, 1.0, 0, False
     for k in range(depth - 1, 0, -1):
-        coef, points = _chebyshev_series(
-            lambda y, k=k, inner=inner: factors[k](y) * inner(y), 0.0, tops[k], _MAX_DEGREE, 32)
+        def sample(n, old, k=k, inner=inner):
+            # a doubling keeps the old values and samples the N/2 new points
+            j = np.arange(n + 1) if old is None else np.arange(1, n, 2)
+            y = _second_kind(0.0, tops[k], n, j)
+            new = factors[k](y) * inner(y)
+            if old is None:
+                return new
+            values = np.empty(n + 1)
+            values[::2], values[1::2] = old, new
+            return values
+
+        coef, points = _chebyshev_series(sample, _MAX_DEGREE, 32)
         n_evals += points
         stalled |= coef.size == points
         scl = 2 / tops[k]                               # [0, X_k] -> [-1, 1]
@@ -346,21 +359,24 @@ def _standard_chop(coef: np.ndarray) -> int:
     return max(int(np.argmin(tilted)), 1)
 
 
-def _chebyshev_series(f, a: float, b: float, degree: int, start: int):
-    """The coefficients of the Chebyshev series of f on [a, b], in the
-    variable mapped to [-1, 1], from its values at the N + 1 points
-    b - (b - a) sin^2(pi j / 2N) (second kind, exact at both ends), with
-    the number of points sampled.  b maps to 1 and a to -1, so a > b
-    reverses the map: the radial levels sample u with a = 1, b = 0.
+def _chebyshev_series(sample, degree: int, start: int):
+    """The coefficients of a Chebyshev series on [-1, 1] from its values at
+    the N + 1 points cos(pi j / N), j = 0..N, with the number of points of
+    the last round.  ``sample(n, old)`` returns the values for N = n, given
+    ``old``, those for N = n / 2 (None in the first round), which are the
+    new grid's even-indexed values: the nested engine keeps them and
+    samples only the N/2 new points, the radial engine samples the whole
+    grid again, since its values come from panels between its own points
+    (`RadialPowerStack`).  Each engine maps the points to its own variable
+    (`_second_kind`).
 
-    N doubles from ``start`` to at most ``degree``, each doubling sampling
-    only the N new points between the old ones, until `_standard_chop`
+    N doubles from ``start`` to at most ``degree`` until `_standard_chop`
     finds the coefficients' plateau; the coefficients before it are kept.
     A series with no plateau by ``degree`` keeps every coefficient, as
     many as its points, which is how both engines tell an unresolved
-    level.  A caller whose f reads other series starts near the plateau,
-    since each round costs a pass over them: a series first sampled past
-    its plateau is still cut there, from finer samples.
+    level.  A caller whose values read other series starts near the
+    plateau, since each round costs a pass over them: a series first
+    sampled past its plateau is still cut there, from finer samples.
 
     The coefficients come from one FFT.  At degrees in the hundreds,
     numpy's Chebyshev.interpolate (three-term recurrence) left a 2e-12
@@ -368,20 +384,22 @@ def _chebyshev_series(f, a: float, b: float, degree: int, start: int):
     arguments) 1e-13 to 1e-15 of the largest; by FFT the radial levels
     flatten out at 2e-18 to 3e-17 of it (N = 512, n = 3..8).
     """
-    def sample(n, j):
-        return f(b - (b - a) * np.sin(np.pi / (2 * n) * j) ** 2)
-
     n = min(start, degree)
-    values = sample(n, np.arange(n + 1))
+    values = sample(n, None)
     while True:
         coef = _chebyshev_coefficients(values)
         keep = _standard_chop(coef)
         if keep < coef.size or 2 * n > degree:
             return coef[:keep], values.size
         n *= 2
-        old, values = values, np.empty(n + 1)
-        values[::2] = old
-        values[1::2] = sample(n, np.arange(1, n, 2))
+        values = sample(n, values)
+
+
+def _second_kind(a: float, b: float, n: int, j) -> np.ndarray:
+    """The points b - (b - a) sin^2(pi j / 2N) of [a, b] for N = n, the
+    second-kind points cos(pi j / N) mapped with b to 1 and a to -1, exact
+    at both ends; a > b reverses the map, as the radial levels' u does."""
+    return b - (b - a) * np.sin(np.pi / (2 * n) * j) ** 2
 
 
 def _antiderivative(coef: np.ndarray, scl: float) -> np.ndarray:
@@ -437,7 +455,9 @@ def _chebval(c: list, x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _RadialSettings:
     """``ncheb`` is the largest N a level may double to, not the degree it
-    ends at; it keeps its name because `perfbench/tracing.py` reads it."""
+    ends at; it keeps its name because `perfbench/tracing.py` reads it.
+    ``order`` is the Gauss points of every panel, and ``depth`` the
+    number of uniform panels of the top integral alone."""
 
     ncheb: int
     depth: int
@@ -449,15 +469,12 @@ def _cone_factor(k: int) -> float:
     return (k + 1) / k * (1.0 - 1.0 / (k * k)) ** ((k - 1) / 2)
 
 
-class _Nodes(NamedTuple):
-    """Where a stack's sums in y are evaluated (`RadialPowerStack._nodes`):
-    the panel ``m`` holding each upper limit and the width ``part`` of its
-    partial panel, the first ``whole`` points being the whole panels'
-    nodes, and at every point y, v = exp(-y^2) and 1 - v = -expm1(-y^2)."""
+class _Panels(NamedTuple):
+    """Gauss panels of a stack's sums in y (`RadialPowerStack._panels`):
+    each panel's ``width``, then at every node y (the panels' nodes, then
+    any extra points) v = exp(-y^2) and 1 - v = -expm1(-y^2)."""
 
-    m: np.ndarray
-    part: np.ndarray
-    whole: int
+    width: np.ndarray
     y: np.ndarray
     v: np.ndarray
     one_minus_v: np.ndarray
@@ -484,17 +501,19 @@ class RadialPowerStack:
     (`_chebyshev_series`).  log I_k changes near theta = 0 and is almost
     linear far out; u is close to -theta / (c L) for |theta| << c and to
     log(-theta) / L beyond, so it spends the points near 0.  c = 8 is
-    measured: the hi stacks of n = 3..12 keep 4,468 coefficients in all at
-    the ideal floor (6,828 in theta) and 4,906 at t in {0.05, 0.3, 0.8,
+    measured: the hi stacks of n = 3..12 keep 4,476 coefficients in all at
+    the ideal floor (6,828 in theta) and 4,908 at t in {0.05, 0.3, 0.8,
     1.2, 1.5} (5,013).  c = 4 keeps fewer ideal ones, but a finite n = 4
     volume read from a stack shared with an ideal row then fell 1.0e-14
     off its standalone value.  `level_value` reads theta at
     x = 1 - 2 (log1p(-theta / c) / L), so theta = 0 reads x = 1 and
     theta_min x = -1 exactly (c is a power of 2, so -theta / c is exact),
     and a sample point maps back to within a few ulps of its
-    cos(pi j / N).  Level 1 starts at N = 16 and reads no series
-    (I_0 = 1); each level above starts at the N where the one below
-    stopped, so it usually samples in one round.  The ideal n = 5 levels
+    cos(pi j / N).  Level 1 reads no series (I_0 = 1) and starts at
+    N = 32: its values depend only on the N it ends at, and most level 1s
+    pass 16 (perfbench `ideal` and `forms` ran faster from 32 than from
+    16).  Each level above starts at the N where the one below stopped,
+    so it usually samples in one round.  The ideal n = 5 levels
     stop at N = 128.  ``unresolved`` is the first level with no plateau
     by ``settings.ncheb`` (0 when every level found one); every row read
     from such a stack stalls (`_radial_estimate`).
@@ -507,32 +526,32 @@ class RadialPowerStack:
 
     where 1 - sigma'^2 = v / den(v) (for k = 1, den = v).  The integrand
     does not depend on sigma, so in y = sqrt(-log v), where the branch
-    point at v = 1 becomes y^(k-2) times an analytic factor, the build
-    sums ``settings.depth`` uniform panels of ``settings.order`` Gauss
-    points on [0, sqrt(-theta_min)] cumulatively from y = 0, and each
-    Chebyshev point theta adds only its own partial panel up to
-    y = sqrt(-theta); the first round's partial panels are evaluated
-    with the whole ones, in one pass over level k - 1.  At theta = 0 the
-    identity is 0/0; there I_k(0) = c_k I_{k-1}(0) / k.  ``n_evals``
-    counts the panel nodes plus ``settings.order`` per sampled point, per
-    level.
+    point at v = 1 becomes y^(k-2) times an analytic factor, a round at N
+    takes its points' y_j = sqrt(-theta(u_j)), j = 0..N, as panel edges:
+    one panel of ``settings.order`` Gauss points on each [y_j, y_(j+1)],
+    and the value at y_j is the running sum of the panels below it, one
+    pass over level k - 1.  The sum's terms are positive, so each value
+    keeps its relative accuracy down to y -> 0.  A doubling round sums
+    the whole finer grid afresh, so a level's values depend only on the N
+    it ends at.  At theta = 0 the identity is 0/0; there
+    I_k(0) = c_k I_{k-1}(0) / k.  ``n_evals`` counts ``settings.order``
+    times N per round, per level.
 
     Every level samples the same theta range, so a round's points depend
-    only on N and on whether the round is a level's first (N + 1 points,
-    with the whole panels) or a doubling (the N/2 new points, reading the
-    level's panel sums).  The build keys each round's geometry by that
-    pair, not by its points, and keeps it from the first level that
-    samples it: theta(u), clipped to theta_min against the last ulp,
-    log sigma^2 at each theta < 0, and the `_Nodes`, the
-    panel and partial width of each theta with the Gauss nodes y,
-    v = exp(-y^2) and 1 - v = -expm1(-y^2).  So a level pays only for
-    what depends on k: the density and its pass over level k - 1.  The
-    geometry and the panels live only for the build; a built stack is
+    only on N.  The build keys each round's grid by N, not by its points,
+    and keeps it from the first level that samples it: the `_Panels`
+    between the points of theta(u), clipped to theta_min against the last
+    ulp, with their Gauss nodes y, v = exp(-y^2) and 1 - v =
+    -expm1(-y^2), and log sigma^2 at each point but theta = 0.  So a
+    level pays only for what depends on k: the density and its pass over
+    level k - 1.  The grids live only for the build; a built stack is
     only read.
 
-    `top_integral` runs the same sum (`_integral_to`) for the level above
-    the stack at each row's sigma and returns sigma^k I_k, an ideal row's
-    with the leading term of its tail beyond theta_min.
+    `top_integral` runs the same sum for the level above the stack at
+    each row's sigma, over ``settings.depth`` uniform panels on
+    [0, sqrt(-theta_min)] and a partial panel up to each row's y, and
+    returns sigma^k I_k, an ideal row's with the leading term of its tail
+    beyond theta_min.  ``settings.depth`` sizes only those panels.
 
     Stacks come in lo/hi fidelity pairs, built by `_radial_pair` and read
     by `_radial_estimate`, which builds the pair and judges each row.
@@ -550,88 +569,67 @@ class RadialPowerStack:
         # carries no count from one caller's top integrals into the next
         self.n_evals = 0
         self.unresolved = 0
-        at_zero, start = 1.0, 16                                # I_k(p, 0), first N
-        rounds = {}                                             # sampling rounds' nodes
+        at_zero, start = 1.0, 32                                # I_k(p, 0), first N
+        grids = {}                                              # panel grids, by N
         for k in range(1, levels + 1):
             at_zero *= _cone_factor(k) / k
-            coef, points = self._build_level(k, at_zero, start, rounds)
+            coef, points = self._build_level(k, at_zero, start, grids)
             self._series[k] = coef.tolist()
-            self.n_evals += (settings.depth + points) * settings.order
             if not self.unresolved and coef.size == points:
                 self.unresolved = k
             start = points - 1
 
-    def _build_level(self, k, at_zero, start, rounds):
-        """Level k's coefficients and the number of points it sampled, from
-        N = ``start`` up, by the cumulative integral in y (class docstring),
-        given level k - 1.  ``rounds`` holds the sample geometry that every
-        level of the stack shares, by round."""
-        below = None                                            # integral up to each edge
+    def _build_level(self, k, at_zero, start, grids):
+        """Level k's coefficients and the number of points of its last
+        round, from N = ``start`` up, by the cumulative integral in y
+        (class docstring), given level k - 1.  ``grids`` holds the panel
+        grid of each N, which every level of the stack shares."""
 
-        def log_level(u):
-            nonlocal below
-            # a round's points depend only on their number and on whether
-            # it is the level's first round, whose partial panels ride with
-            # the whole panels, in one pass over the level below
-            key = (below is None, u.size)
-            if key not in rounds:
+        def log_level(n, _old):
+            # every round sums the panels between its own points afresh
+            if n not in grids:
+                # x = 1 - 2u: u = 0 (theta = 0) is x = 1, u = 1 (theta_min) is x = -1
+                u = _second_kind(1.0, 0.0, n, np.arange(n + 1))
                 theta = np.maximum(-_STRETCH * np.expm1(self._span * u), self.theta_min)
-                inside = theta < 0.0
-                rounds[key] = (inside, self._nodes(np.sqrt(-theta[inside]), below is None),
-                               np.log(-np.expm1(theta[inside])))
-            inside, nodes, log_sigma2 = rounds[key]
-            value, below, _ = self._integral_to(k, nodes, below)
-            out = np.full(u.size, math.log(at_zero))
-            out[inside] = np.log(value) - k / 2 * log_sigma2
+                y = np.sqrt(-theta)
+                grids[n] = self._panels(y[:-1], np.diff(y)), np.log(-np.expm1(theta[1:]))
+            panels, log_sigma2 = grids[n]
+            self.n_evals += n * self.settings.order
+            out = np.empty(n + 1)
+            out[0] = math.log(at_zero)
+            out[1:] = np.log(np.cumsum(self._panel_sums(k, panels)[0])) - k / 2 * log_sigma2
             return out
 
-        # x = 1 - 2u: u = 0 (theta = 0) is x = 1, u = 1 (theta_min) is x = -1
-        return _chebyshev_series(log_level, 1.0, 0.0, self.settings.ncheb, start)
+        return _chebyshev_series(log_level, self.settings.ncheb, start)
 
-    def _nodes(self, y, whole, at=()):
-        """The points of the sums in y up to each upper limit y in
-        (0, sqrt(-theta_min)]: the whole panels' nodes if ``whole``, then
-        each y's partial panel, then the points ``at``."""
-        depth = self.settings.depth
+    def _panels(self, lo, width, at=()):
+        """The `_Panels` [lo, lo + width] of ``settings.order`` Gauss
+        points, one per entry, with the extra points ``at``."""
         g, _ = _gauss01(self.settings.order)
-        width = math.sqrt(-self.theta_min) / depth
-        edges = width * np.arange(depth + 1)
-        m = np.minimum((y / width).astype(int), depth - 1)      # the panel holding y
-        part = y - edges[m]
-        panels = edges[:-1, None] + width * g if whole else np.empty((0, g.size))
-        points = np.concatenate((panels.ravel(), (edges[m, None] + part[:, None] * g).ravel(), at))
-        y2 = points * points
-        return _Nodes(m, part, panels.size, points, np.exp(-y2), -np.expm1(-y2))
+        y = np.concatenate(((lo[:, None] + width[:, None] * g).ravel(), at))
+        y2 = y * y
+        return _Panels(width, y, np.exp(-y2), -np.expm1(-y2))
 
-    def _integral_to(self, k, nodes, below=None):
-        """sigma^k I_k at each upper limit of ``nodes`` (`_nodes`), given
-        level k - 1, with the integral up to each panel edge and the
-        density at the nodes' points ``at``: the whole panels below the
-        limit, cumulatively, plus its own partial panel.  Nodes that carry
-        the whole panels sum them in the same pass over level k - 1 as the
-        partial ones; others read their sums from ``below``."""
+    def _panel_sums(self, k, panels):
+        """Level k's integral over each of ``panels`` (`_panels`), given
+        level k - 1, and its density at their extra points."""
         order = self.settings.order
         _, wg = _gauss01(order)
-        density = self._density(k, nodes)
-        if nodes.whole:
-            width = math.sqrt(-self.theta_min) / self.settings.depth
-            below = np.concatenate(([0.0], np.cumsum(density[:nodes.whole].reshape(-1, order)
-                                                     @ (width * wg))))
-        end = nodes.whole + nodes.part.size * order
-        partial = density[nodes.whole:end].reshape(-1, order) @ wg * nodes.part
-        return below[nodes.m] + partial, below, density[end:]
+        density = self._density(k, panels)
+        end = panels.width.size * order
+        return density[:end].reshape(-1, order) @ wg * panels.width, density[end:]
 
-    def _density(self, k, nodes):
+    def _density(self, k, panels):
         """The integrand of the v identity (class docstring) times
-        |dv/dy| = 2 y v, at the points y = sqrt(-log v) of ``nodes``.
+        |dv/dy| = 2 y v, at the points y = sqrt(-log v) of ``panels``.
         v den^(-p) is formed as (v / den) den^(1 - p): at level 1, where
         den = v, den^(-p) alone overflows once -log v passes 709.8 / p,
         and v / den is the 1 - sigma'^2 that level k - 1 is read at."""
-        v = nodes.v
+        v = panels.v
         h2 = 1.0 / (k * k)
         den = h2 * v + (1.0 - h2)
         ratio = v / den                                         # 1 - sigma'^2
-        return (_cone_factor(k) * nodes.y * ratio * nodes.one_minus_v ** ((k - 2) / 2)
+        return (_cone_factor(k) * panels.y * ratio * panels.one_minus_v ** ((k - 2) / 2)
                 * den ** (1.0 - self.p) * self.level_value(k - 1, ratio))
 
     # -- public surface ------------------------------------------------------
@@ -665,9 +663,16 @@ class RadialPowerStack:
             with np.errstate(divide="ignore"):                  # log 0 on ideal rows
                 theta = np.where(w < 0.5, np.log(w), np.log1p(-sigma2))
             y = np.sqrt(-np.where(ideal, self.theta_min, theta)[live])
+            depth = self.settings.depth
             y_max = math.sqrt(-self.theta_min)
-            nodes = self._nodes(y, True, [y_max] if ideal.any() else [])
-            values[live], _, tail = self._integral_to(k, nodes)
+            width = y_max / depth
+            edges = width * np.arange(depth + 1)
+            m = np.minimum((y / width).astype(int), depth - 1)      # the panel holding y
+            panels = self._panels(np.concatenate((edges[:-1], edges[m])),
+                                  np.concatenate((np.full(depth, width), y - edges[m])),
+                                  [y_max] if ideal.any() else [])
+            sums, tail = self._panel_sums(k, panels)
+            values[live] = np.concatenate(([0.0], np.cumsum(sums[:depth])))[m] + sums[depth:]
             values[ideal] += tail / y_max
         return values, np.where(live, (self.settings.depth + 1) * self.settings.order, 0) + ideal
 
@@ -682,9 +687,11 @@ def _radial_pair(levels: int, p: float, w_floor: float) -> tuple:
     nondegenerate when 1 - scale^2 rounds to 1 (scale ~ 1e-9); the ideal
     floor gives theta = -71 ln 2 - 1.  With
     depth = int(min(72, max(4, -theta) / ln 2 + 12)), at least 17, the lo
-    stack sums max(12, depth - 6) panels of _BASE_ORDER - 5 points and
-    the hi stack depth panels of _BASE_ORDER points, both doubling to
-    N = _MAX_DEGREE.  At a finite floor both run from theta_min = theta;
+    stack's panels have _BASE_ORDER - 5 Gauss points and its top integral
+    max(12, depth - 6) uniform panels, the hi stack's _BASE_ORDER points
+    and depth panels; both double their levels to N = _MAX_DEGREE, one
+    panel between each pair of sample points.  At a finite floor both run
+    from theta_min = theta;
     an ideal stack of d panels runs from theta_min = -(d - 1) ln 2 - 1
     (-46.1 lo, -50.2 hi).  Each stack reads its levels in the u its own
     theta_min fixes (`RadialPowerStack`).
@@ -692,9 +699,10 @@ def _radial_pair(levels: int, p: float, w_floor: float) -> tuple:
     A finite floor with (p - 1)(-theta) above log(float64 max) - 10 =
     699.8 raises DomainError: level 1's density is v^(1 - p) times
     factors whose product, with the sum over y, stays below e^10 (y < 28,
-    c_1 = 2, (1 - v)^(-1/2) < 1.3 beyond y = 1), so it would overflow.  A floor short of that can still stall: at p = 2.5
-    the floor 1e-200 leaves level 1 without a plateau, its panels too
-    wide for the density's growth."""
+    c_1 = 2, (1 - v)^(-1/2) < 1.3 beyond y = 1), so it would overflow.
+    Short of that, level 1's panels lie between its own sample points,
+    which u spreads over the whole range: at p = 2.5 the floor 1e-200
+    settles on the ideal value."""
     ln2 = math.log(2.0)
     finite = w_floor > 0.0
     theta = min(math.log(w_floor), -1e-9) if finite else -71 * ln2 - 1.0

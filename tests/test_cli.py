@@ -257,6 +257,18 @@ class TestSweep:
         assert code == 1 and out == ""
         assert err.startswith("error: t-start, t-stop and t-step must be finite")
 
+    @pytest.mark.parametrize("n_list, stop, step, cells", [
+        ("3", "0.1", "1e-300", "1e+299"), ("3", "1", "1e-320", "inf"),
+        ("3", "0.1", "1e-7", "1000001"), ("3,4", "1e-6", "2e-12", "1000002"),
+    ])
+    def test_rejects_a_grid_past_the_cell_cap(self, capsys, n_list, stop, step, cells):
+        # the cell count is checked before any t of the range is formed, so
+        # a step of 1e-300 returns at once instead of building 1e299 values
+        code, out, err = run(capsys, "sweep", "--n-list", n_list, "--t-start", "0",
+                             "--t-stop", stop, "--t-step", step)
+        assert code == 1 and out == ""
+        assert err == f"error: sweep grid has {cells} cells, more than 1,000,000\n"
+
     @pytest.mark.parametrize("n_list, t_list", [("3,x", "0.5"), ("3", "0.5,abc")])
     def test_rejects_unparsable_list(self, capsys, n_list, t_list):
         code, out, err = run(capsys, "sweep", "--n-list", n_list, "--t-list", t_list)

@@ -159,14 +159,21 @@ class TestSimplexRadialPow:
     def test_deep_finite_floors(self):
         # (v / den) den^(1 - p) stays finite where den^(-p) overflowed at
         # level 1 (-log w past 709.8 / p): the 1e-200 floor is formed, and
-        # stalls for want of a plateau on its wide panels; at 1e-300,
-        # v^(1 - p) itself is beyond float64 and the pair refuses it by name
-        with pytest.raises(ConvergenceError, match="no plateau") as info:
-            integrate_simplex_radialpow(4, 1.0, 2.5, one_minus_scale_sq=1e-200)
+        # level 1's panels, between its own points, follow v^(1 - p) to
+        # the ideal value; at 1e-300, v^(1 - p) itself is beyond float64
+        # and the pair refuses it by name
+        deep = integrate_simplex_radialpow(4, 1.0, 2.5, one_minus_scale_sq=1e-200)
         ideal = integrate_simplex_radialpow(4, 1.0, 2.5)
-        assert info.value.estimate.value == pytest.approx(ideal.value, rel=1e-12, abs=0)
+        assert deep.value == pytest.approx(ideal.value, rel=1e-12, abs=0)
         with pytest.raises(DomainError, match="overflows"):
             integrate_simplex_radialpow(4, 1.0, 2.5, one_minus_scale_sq=1e-300)
+
+    def test_near_ideal_n24_settles(self):
+        # t = pi/2 - 1e-13 puts level 1 of the n = 24 pair at p - 1 = 11.5
+        # over -log w ~ 60; it settles on the ideal value
+        near = volume_projective(SimplexParams(24, math.pi / 2 - 1e-13))
+        ideal = volume_projective(SimplexParams(24, math.pi / 2))
+        assert near.value == pytest.approx(ideal.value, rel=1e-12, abs=0)
 
     def test_euclidean_triangle_area(self):
         est = integrate_simplex_radialpow(2, 1.0, 0.0)
@@ -606,29 +613,28 @@ class TestChoppedLevels:
         chebyshev_series = quadrature._chebyshev_series
         density = quadrature.RadialPowerStack._density
 
-        def counted(f, a, b, degree, start):
+        def counted(sample, degree, start):
             rounds = []
-            series = chebyshev_series(lambda th: rounds.append(th.size) or f(th), a, b, degree, start)
+            series = chebyshev_series(lambda n, old: rounds.append(n) or sample(n, old),
+                                      degree, start)
             sampled.append(rounds)
             return series
 
-        def counted_density(self, k, y):
+        def counted_density(self, k, panels):
             densities.append(self)
-            return density(self, k, y)
+            return density(self, k, panels)
 
         monkeypatch.setattr(quadrature, "_chebyshev_series", counted)
         monkeypatch.setattr(quadrature.RadialPowerStack, "_density", counted_density)
         for stack in _radial_pair(4, 3.0, 0.0):
             rounds, sampled[:4] = sampled[:4], []
-            points = [sum(r) for r in rounds]
-            assert max(points) <= 129
+            assert max(n for r in rounds for n in r) + 1 <= 129
             assert max(len(stack._series[k]) for k in range(1, 5)) <= 128
-            # the build counts the points it sampled: per level, the
-            # cumulative panels plus one partial panel per point
-            settings = stack.settings
-            assert stack.n_evals == (4 * settings.depth + sum(points)) * settings.order
+            # each round sums one panel of order points between each pair
+            # of its N + 1 points, afresh: order x the sum of N over rounds
+            assert stack.n_evals == sum(map(sum, rounds)) * stack.settings.order
             # levels 2..4 start where the level below stopped and find the
-            # plateau there; the panels ride with the first round
+            # plateau there, each round one pass over the level below
             assert [len(r) for r in rounds[1:]] == [1, 1, 1]
             assert sum(d is stack for d in densities) == sum(len(r) for r in rounds)
 
