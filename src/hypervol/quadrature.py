@@ -45,16 +45,15 @@ Both engines share one interpolation scheme,
 `_chebyshev_series` (second-kind points, coefficients by FFT), and one
 evaluator, `_chebval`: a level of either engine doubles its points
 until `_standard_chop` finds the plateau, a radial level from the N
-where the level below stopped, a nested level from N = 32.  A nested
-doubling keeps the old values and samples only the new points; a radial
-one samples its whole grid again, since its panels end at its points.
-A level is its coefficients on [-1, 1], and each engine maps its
-variable there by constants its interval fixes.  A nested level on
-[0, X_k] reads -1 + (2 / X_k) u, the offset and scale numpy's Chebyshev
-class derives for that domain, so its values equal numpy's bit for bit.  A radial
-level on theta in [theta_min, 0] reads 1 - 2 u(theta), where
-u = log1p(-theta / c) / log1p(-theta_min / c) is exactly 0 at theta = 0
-and 1 at theta_min, and c = _STRETCH (`RadialPowerStack`).  Each round
+where the level below stopped, a nested level from N = 32, and every
+round samples its whole grid.  A level is its coefficients on [-1, 1],
+and each engine maps its variable there by constants its interval
+fixes.  A nested level on [0, X_k] reads -1 + (2 / X_k) u, the offset
+and scale numpy's Chebyshev class derives for that domain, so its
+values equal numpy's bit for bit.  A radial level on theta in
+[theta_min, 0] reads 1 - 2 u(theta), where u = log1p(-theta / c) /
+log1p(-theta_min / c) is exactly 0 at theta = 0 and 1 at theta_min,
+and c = _STRETCH (`RadialPowerStack`).  Each round
 of a level is one pass over the level below, a Clenshaw step per
 coefficient.  A step costs a fixed 1-1.5 us plus about 1.4 ns per
 point (a shared 2-vCPU Xeon VM, Python 3.11, numpy 2.4: a pass over 100
@@ -124,10 +123,10 @@ class QuadratureConfig:
 class VolumeEstimate:
     """A computed integral with its error estimate and evaluation count.
 
-    The error estimate is a refinement difference: the gap between the
-    lo/hi stack pair plus _ABS_TOL (radial engine), or between two outer
-    panel sets plus a rounding term at the chop's plateau (nested
-    engine).  Values produced by the volume operations are nonnegative.
+    The error estimate is the gap between the lo/hi stack pair plus
+    _ABS_TOL (radial engine), or a rounding term at the chop's plateau
+    (nested engine).  Values produced by the volume operations are
+    nonnegative.
     """
 
     value: float
@@ -200,7 +199,8 @@ def integrate_nested(limits: Sequence, factors: Sequence,
     limit and must be nondecreasing.  ``factors[k]`` is the per-level
     integrand factor, a callable; the integrand is the product of the
     factors.  All lower limits are 0.  Limits and factors must accept and
-    return arrays.
+    return arrays.  Every X_k (below) must be finite; a zero one makes the
+    integral the zero estimate (0, 0, 0).
 
     The chain is built once, one level at a time.  With n = len(limits),
     X_0 = limits[0] and X_k = limits[k](X_{k-1}), level k = n-1 .. 1 is
@@ -210,14 +210,20 @@ def integrate_nested(limits: Sequence, factors: Sequence,
 
     with F_n = 1.  Its integrand does not depend on the outer variables,
     so it is one chopped Chebyshev series (`_chebyshev_series` from
-    N = 32), integrated exactly.  The outer integral of
-    factors[0] F_1(limits[1]) runs on Gauss panels graded dyadically
-    toward 0, where the first factor may carry a thin layer, at two panel
-    depths; the deeper one is the value.  The error estimate is their
-    gap plus the chop's plateau, relative once per level and absolute on
-    F_1 under the outer weights w f_0:
+    N = 32), integrated exactly; ``n_evals`` counts the points of every
+    round of every level.  The outer integral of factors[0]
+    F_1(limits[1]) runs once, on 52 Gauss panels graded dyadically toward
+    0, where the first factor may carry a thin layer.  The error estimate
+    is the chop's plateau, relative once per level and absolute on F_1
+    under the outer weights w f_0:
 
-        |hi - lo| + _CHOP_TOL (n |hi| + sum |w f_0| |F_1(X_1)|).
+        _CHOP_TOL (n |value| + sum |w f_0| |F_1(X_1)|).
+
+    It does not see the outer panels' own error: they are graded toward 0
+    only, so an outer integrand that oscillates away from 0 is
+    under-resolved unseen (limits [1, x] with factors [1, cos(80 y)] come
+    back 1.6% off on a bar of 1e-17).  The orthoscheme's outer integrand
+    is smooth there.
 
     A level with no plateau by _MAX_DEGREE, or an estimate above rel_tol
     times the value, raises ConvergenceError carrying the estimate.
@@ -231,36 +237,32 @@ def integrate_nested(limits: Sequence, factors: Sequence,
     tops = [float(limits[0])]                   # X_k, the range of level k's variable
     for limit in limits[1:]:
         tops.append(float(limit(np.array([tops[-1]]))[0]))
+    for k, top in enumerate(tops):
+        if not math.isfinite(top):
+            raise DomainError(f"limits[{k}] gives the range X_{k} = {top!r}; it must be finite")
+    if 0.0 in tops:
+        return VolumeEstimate(0.0, 0.0, 0, "nested-chebyshev")     # an empty range
     inner, top_value, n_evals, stalled = np.ones_like, 1.0, 0, False
     for k in range(depth - 1, 0, -1):
-        def sample(n, old, k=k, inner=inner):
-            # a doubling keeps the old values and samples the N/2 new points
-            j = np.arange(n + 1) if old is None else np.arange(1, n, 2)
-            y = _second_kind(0.0, tops[k], n, j)
-            new = factors[k](y) * inner(y)
-            if old is None:
-                return new
-            values = np.empty(n + 1)
-            values[::2], values[1::2] = old, new
-            return values
+        def sample(n):
+            nonlocal n_evals
+            n_evals += n + 1
+            y = _second_kind(0.0, tops[k], n, np.arange(n + 1))
+            return factors[k](y) * inner(y)
 
-        coef, points = _chebyshev_series(sample, _MAX_DEGREE, 32)
-        n_evals += points
+        coef, points = _chebyshev_series(sample, 32)
         stalled |= coef.size == points
         scl = 2 / tops[k]                               # [0, X_k] -> [-1, 1]
         level = _antiderivative(coef, scl)              # F_k
         top_value = float(level.sum())                  # F_k(X_k): every T_j is 1 there
         inner = lambda y, k=k, c=level.tolist(), s=scl: _chebval(c, -1.0 + s * limits[k](y))
 
-    def outer(panels):
-        _, x, w = _panels_toward_one(panels, _BASE_ORDER)
-        x = tops[0] * x
-        w = tops[0] * w * factors[0](x)
-        return float(w @ inner(x)), float(np.abs(w).sum()), x.size
-
-    (value, weight, hi_evals), (lo, _, lo_evals) = outer(52), outer(46)
-    n_evals += hi_evals + lo_evals
-    err = abs(value - lo) + _CHOP_TOL * (depth * abs(value) + weight * abs(top_value))
+    _, x, w = _panels_toward_one(52, _BASE_ORDER)
+    x = tops[0] * x
+    w = tops[0] * w * factors[0](x)
+    value = float(w @ inner(x))
+    n_evals += x.size
+    err = _CHOP_TOL * (depth * abs(value) + float(np.abs(w).sum()) * abs(top_value))
     est = VolumeEstimate(value, err, n_evals, "nested-chebyshev")
     if stalled or err > cfg.rel_tol * abs(value):
         why = f"a level has no plateau by N = {_MAX_DEGREE}" if stalled else f"err {err:.3e}"
@@ -359,24 +361,24 @@ def _standard_chop(coef: np.ndarray) -> int:
     return max(int(np.argmin(tilted)), 1)
 
 
-def _chebyshev_series(sample, degree: int, start: int):
+def _chebyshev_series(sample, start: int):
     """The coefficients of a Chebyshev series on [-1, 1] from its values at
     the N + 1 points cos(pi j / N), j = 0..N, with the number of points of
-    the last round.  ``sample(n, old)`` returns the values for N = n, given
-    ``old``, those for N = n / 2 (None in the first round), which are the
-    new grid's even-indexed values: the nested engine keeps them and
-    samples only the N/2 new points, the radial engine samples the whole
-    grid again, since its values come from panels between its own points
-    (`RadialPowerStack`).  Each engine maps the points to its own variable
-    (`_second_kind`).
+    the last round.  ``sample(n)`` returns the values for N = n, the whole
+    grid in every round; each engine maps the points to its own variable
+    (`_second_kind`) and counts what it samples.  A doubled grid's
+    even-indexed points are the old grid's bit for bit, so a nested level
+    samples its old values again unchanged; a radial level's come from
+    panels between its own points (`RadialPowerStack`).
 
-    N doubles from ``start`` to at most ``degree`` until `_standard_chop`
-    finds the coefficients' plateau; the coefficients before it are kept.
-    A series with no plateau by ``degree`` keeps every coefficient, as
-    many as its points, which is how both engines tell an unresolved
-    level.  A caller whose values read other series starts near the
-    plateau, since each round costs a pass over them: a series first
-    sampled past its plateau is still cut there, from finer samples.
+    N doubles from ``start`` to at most _MAX_DEGREE, read at each call,
+    until `_standard_chop` finds the coefficients' plateau; the
+    coefficients before it are kept.  A series with no plateau by
+    _MAX_DEGREE keeps every coefficient, as many as its points, which is
+    how both engines tell an unresolved level.  A caller whose values read
+    other series starts near the plateau, since each round costs a pass
+    over them: a series first sampled past its plateau is still cut there,
+    from finer samples.
 
     The coefficients come from one FFT.  At degrees in the hundreds,
     numpy's Chebyshev.interpolate (three-term recurrence) left a 2e-12
@@ -384,15 +386,14 @@ def _chebyshev_series(sample, degree: int, start: int):
     arguments) 1e-13 to 1e-15 of the largest; by FFT the radial levels
     flatten out at 2e-18 to 3e-17 of it (N = 512, n = 3..8).
     """
-    n = min(start, degree)
-    values = sample(n, None)
+    n = min(start, _MAX_DEGREE)
     while True:
+        values = sample(n)
         coef = _chebyshev_coefficients(values)
         keep = _standard_chop(coef)
-        if keep < coef.size or 2 * n > degree:
+        if keep < coef.size or 2 * n > _MAX_DEGREE:
             return coef[:keep], values.size
         n *= 2
-        values = sample(n, values)
 
 
 def _second_kind(a: float, b: float, n: int, j) -> np.ndarray:
@@ -454,14 +455,17 @@ def _chebval(c: list, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _RadialSettings:
-    """``ncheb`` is the largest N a level may double to, not the degree it
-    ends at; it keeps its name because `perfbench/tracing.py` reads it.
-    ``order`` is the Gauss points of every panel, and ``depth`` the
-    number of uniform panels of the top integral alone."""
+    """``depth`` is the number of uniform panels of the top integral
+    alone, and ``order`` the Gauss points of every panel.  ``ncheb`` is
+    no setting: it reads _MAX_DEGREE, the largest N any level may double
+    to, and is kept only as a name `perfbench/tracing.py` reads."""
 
-    ncheb: int
     depth: int
     order: int
+
+    @property
+    def ncheb(self) -> int:
+        return _MAX_DEGREE
 
 
 def _cone_factor(k: int) -> float:
@@ -497,7 +501,7 @@ class RadialPowerStack:
 
     its coefficients a list of floats interpolating log I_k at the
     Chebyshev points of the second kind in x = 1 - 2u, doubled up to
-    ``settings.ncheb`` and chopped at the coefficients' rounding plateau
+    _MAX_DEGREE and chopped at the coefficients' rounding plateau
     (`_chebyshev_series`).  log I_k changes near theta = 0 and is almost
     linear far out; u is close to -theta / (c L) for |theta| << c and to
     log(-theta) / L beyond, so it spends the points near 0.  c = 8 is
@@ -515,7 +519,7 @@ class RadialPowerStack:
     16).  Each level above starts at the N where the one below stopped,
     so it usually samples in one round.  The ideal n = 5 levels
     stop at N = 128.  ``unresolved`` is the first level with no plateau
-    by ``settings.ncheb`` (0 when every level found one); every row read
+    by _MAX_DEGREE (0 when every level found one); every row read
     from such a stack stalls (`_radial_estimate`).
 
     The series is built from one cumulative integral.  With
@@ -585,7 +589,7 @@ class RadialPowerStack:
         (class docstring), given level k - 1.  ``grids`` holds the panel
         grid of each N, which every level of the stack shares."""
 
-        def log_level(n, _old):
+        def log_level(n):
             # every round sums the panels between its own points afresh
             if n not in grids:
                 # x = 1 - 2u: u = 0 (theta = 0) is x = 1, u = 1 (theta_min) is x = -1
@@ -600,7 +604,7 @@ class RadialPowerStack:
             out[1:] = np.log(np.cumsum(self._panel_sums(k, panels)[0])) - k / 2 * log_sigma2
             return out
 
-        return _chebyshev_series(log_level, self.settings.ncheb, start)
+        return _chebyshev_series(log_level, start)
 
     def _panels(self, lo, width, at=()):
         """The `_Panels` [lo, lo + width] of ``settings.order`` Gauss
@@ -710,8 +714,8 @@ def _radial_pair(levels: int, p: float, w_floor: float) -> tuple:
         raise DomainError(f"1 - scale^2 = {w_floor:.3e} is too small for p = {p:g}: the radial "
                           "density v^(1 - p) overflows float64")
     depth = int(min(72, max(4.0, -theta) / ln2 + 12))
-    settings = (_RadialSettings(_MAX_DEGREE, max(12, depth - 6), _BASE_ORDER - 5),   # lo
-                _RadialSettings(_MAX_DEGREE, depth, _BASE_ORDER))                   # hi
+    settings = (_RadialSettings(max(12, depth - 6), _BASE_ORDER - 5),   # lo
+                _RadialSettings(depth, _BASE_ORDER))                    # hi
     return tuple(RadialPowerStack(levels, p, theta if finite else -(s.depth - 1) * ln2 - 1.0, s)
                  for s in settings)
 
@@ -734,7 +738,7 @@ def _radial_estimate(levels: int, p: float, w_floor: float, cfg: QuadratureConfi
     stacks = _radial_pair(levels, p, w_floor)
     (lo, lo_evals), (hi, hi_evals) = (values_of(stack) for stack in stacks)
     build = sum(stack.n_evals for stack in stacks)
-    unresolved = [f"level {stack.unresolved} has no plateau by N = {stack.settings.ncheb}"
+    unresolved = [f"level {stack.unresolved} has no plateau by N = {_MAX_DEGREE}"
                   for stack in stacks if stack.unresolved]
     out = []
     for row, (lo_v, hi_v, evals) in enumerate(zip(lo, hi, np.add(lo_evals, hi_evals).tolist())):
@@ -761,7 +765,8 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
 
     ``one_minus_scale_sq`` may be supplied when the caller knows
     1 - scale^2 in a cancellation-free form (it dominates the integrand
-    near the vertices).
+    near the vertices); each value must lie in [0, 1].  A non-finite p,
+    scale or one_minus_scale_sq raises DomainError.
 
     A float ``scale`` gives one VolumeEstimate, (0, 0, 0) at scale = 0.
     Sequences of scales and of ``one_minus_scale_sq`` are a batch on one
@@ -772,9 +777,17 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
     """
     if n < 1:
         raise DomainError("dimension must be >= 1")
+    if not math.isfinite(p):
+        raise DomainError(f"p must be finite, got {p!r}")
     rows = np.asarray(scale, dtype=float).reshape(-1)
     if not np.all((rows >= 0.0) & (rows <= 1.0)):
         raise DomainError(f"scale must lie in [0, 1], got {scale!r}")
+    w_top = np.asarray(one_minus_scale_sq, dtype=float).reshape(-1) \
+        if one_minus_scale_sq is not None else (1.0 - rows) * (1.0 + rows)
+    # nan fails both tests; a floor above 1 would build the pair on
+    # theta = -1e-9 and clip every row's theta to it
+    if w_top.shape != rows.shape or not np.all((w_top >= 0.0) & (w_top <= 1.0)):
+        raise DomainError("one_minus_scale_sq must be one value in [0, 1] per scale")
     if np.any(rows == 1.0) and (p > (n + 1) / 2 or (n == 1 and p >= 1.0)):
         raise DomainError(
             f"(1 - |x|^2)^(-p) is not integrable over S({n}) for p = {p}"
@@ -782,10 +795,6 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
     if np.ndim(scale) == 0 and scale == 0.0:
         return VolumeEstimate(0.0, 0.0, 0, "simplex-radial")
     sigma2 = rows * rows
-    w_top = np.asarray(one_minus_scale_sq, dtype=float).reshape(-1) \
-        if one_minus_scale_sq is not None else (1.0 - rows) * (1.0 + rows)
-    if w_top.shape != rows.shape or np.any(w_top < 0.0):
-        raise DomainError("one_minus_scale_sq must be one nonnegative value per scale")
     if not rows.size:
         return []
 

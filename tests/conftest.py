@@ -17,7 +17,7 @@ def stalled(monkeypatch):
 
     def crude(levels, p, w_floor):
         lo, hi = pair(levels, p, w_floor)
-        settings = quadrature._RadialSettings(quadrature._MAX_DEGREE, 1, 1)
+        settings = quadrature._RadialSettings(1, 1)
         return quadrature.RadialPowerStack(levels, p, lo.theta_min, settings), hi
 
     monkeypatch.setattr(quadrature, "_radial_pair", crude)

@@ -151,6 +151,15 @@ class TestRatio:
         hi = float(out.split("upper=")[1].split()[0])
         assert lo <= ratio <= hi
 
+    def test_violation_exits_3(self, capsys, monkeypatch):
+        # the sweep's sandwich rule, printed in the ratio's own words
+        bounds = cli.growth_bounds
+        monkeypatch.setattr(cli, "growth_bounds",
+                            lambda params: dataclasses.replace(bounds(params), upper=0.0))
+        code, out, err = run(capsys, "ratio", "--n", "3", "--t", "0.5")
+        assert code == 3 and err == ""
+        assert out.endswith(" upper=0 hm_lower=0.25 hm_upper=0.5 SANDWICH=VIOLATION\n")
+
     def test_stall_reported_as_non_convergence(self, capsys, stalled):
         # the stalled estimate is a volume, not a ratio; no ratio line is printed
         code, out, err = run(capsys, "ratio", "--n", "3", "--t", "1.5")

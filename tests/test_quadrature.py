@@ -101,6 +101,37 @@ class TestNested:
         with pytest.raises(DomainError):
             integrate_nested([1.0], [np.ones_like, np.ones_like])
 
+    @pytest.mark.parametrize("limits", [
+        [0.0], [0.0, lambda x: x], [1.0, lambda x: 0 * x],
+    ], ids=["outer", "both", "inner"])
+    def test_zero_range_is_the_zero_estimate(self, limits):
+        # X_k = 0 empties level k and every level inside it
+        est = integrate_nested(limits, [np.ones_like] * len(limits))
+        assert (est.value, est.error_estimate, est.n_evals) == (0.0, 0.0, 0)
+
+    @pytest.mark.parametrize("limits, k", [
+        ([math.inf], 0), ([math.nan], 0), ([1.0, lambda x: x * math.inf], 1),
+    ])
+    def test_non_finite_range_is_refused(self, limits, k):
+        with pytest.raises(DomainError, match=rf"limits\[{k}\] gives the range"):
+            integrate_nested(limits, [np.ones_like] * len(limits))
+
+    def test_n_evals_counts_every_round(self):
+        # level 1 doubles past N = 32, and every round samples and counts
+        # its whole grid; the outer pass counts its panel nodes once
+        sizes = {0: [], 1: []}
+
+        def recorded(k, factor):
+            return lambda x: sizes[k].append(x.size) or factor(x)
+
+        est = integrate_nested([1.0, lambda x: x],
+                               [recorded(0, np.ones_like), recorded(1, lambda y: np.cos(20 * y))])
+        rounds = sizes[1]
+        assert len(rounds) >= 2
+        assert rounds == [32 * 2 ** i + 1 for i in range(len(rounds))]
+        assert est.n_evals == sum(rounds) + sum(sizes[0])
+        assert est.value == pytest.approx((1 - math.cos(20)) / 400, rel=1e-12)
+
     def test_tensor_exhaustion_carries_estimate(self):
         # the cusp at y = 0.31 leaves level 1's Chebyshev series without a
         # plateau at _MAX_DEGREE, so the chop never settles
@@ -131,6 +162,21 @@ class TestSimplexRadialPow:
         monkeypatch.setattr(quadrature.RadialPowerStack, "__init__", counted)
         assert integrate_simplex_radialpow(3, [], 2.0) == []
         assert built == []
+
+    @pytest.mark.parametrize("w", [2.0, math.inf, math.nan, -0.5])
+    def test_floor_outside_the_unit_interval_is_refused(self, w):
+        # a floor above 1 built the pair on theta = -1e-9 and clipped each
+        # row's theta to it (0.0664 for 0.0714 at w = 2); nan was taken as
+        # the ideal floor.  A scalar, a batch and scale 0 refuse alike
+        for scale, floor in ((0.5, w), ([0.5, 0.6], [w, 0.64]), (0.0, w)):
+            with pytest.raises(DomainError, match="one_minus_scale_sq"):
+                integrate_simplex_radialpow(3, scale, 2.0, one_minus_scale_sq=floor)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_non_finite_power_is_refused(self, p):
+        for scale in (0.5, [0.5, 0.6], 0.0):
+            with pytest.raises(DomainError, match="p must be finite"):
+                integrate_simplex_radialpow(3, scale, p)
 
     def test_stalled_batch_raises_its_first_row(self, request):
         # a batch returns only settled rows: under a crude low-fidelity
@@ -500,7 +546,7 @@ class TestEngineMaps:
         # the ends of the u map are exact wherever theta_min falls: a
         # one-level stack reads w = 1 at x = 1 and its floor at x = -1
         rng = np.random.default_rng(6)
-        settings = quadrature._RadialSettings(16, 1, 1)
+        settings = quadrature._RadialSettings(1, 1)
         floors = [-50.2, -46.1, -1e-9, *-10.0 ** rng.uniform(-9, 2.5, 200)]
         stacks = [quadrature.RadialPowerStack(1, 1.5, theta_min, settings) for theta_min in floors]
         reads = self.mapped_reads(monkeypatch)
@@ -516,6 +562,17 @@ class TestEngineMaps:
             u = np.concatenate(([0.0, top], rng.uniform(0.0, top, 20)))
             got = -1.0 + (2 / top) * u
             assert got.tobytes() == self.numpy_map((0.0, top), u).tobytes(), top
+
+    def test_doubled_grid_keeps_the_old_points(self):
+        # the even-indexed points of a round at 2N are those of the round
+        # at N bit for bit, in both engines' maps, so a nested level that
+        # samples its whole grid again keeps its old values
+        rng = np.random.default_rng(8)
+        for top, n in zip(10.0 ** rng.uniform(-6, 2, 2000), rng.integers(2, 513, 2000).tolist()):
+            j = np.arange(n + 1)
+            for a, b in ((0.0, top), (1.0, 0.0)):
+                old = quadrature._second_kind(a, b, n, j)
+                assert quadrature._second_kind(a, b, 2 * n, 2 * j).tobytes() == old.tobytes()
 
     def test_no_numpy_chebyshev_is_built(self, monkeypatch):
         # a level is its coefficient list: no volume route builds numpy's
@@ -613,10 +670,9 @@ class TestChoppedLevels:
         chebyshev_series = quadrature._chebyshev_series
         density = quadrature.RadialPowerStack._density
 
-        def counted(sample, degree, start):
+        def counted(sample, start):
             rounds = []
-            series = chebyshev_series(lambda n, old: rounds.append(n) or sample(n, old),
-                                      degree, start)
+            series = chebyshev_series(lambda n: rounds.append(n) or sample(n), start)
             sampled.append(rounds)
             return series
 

@@ -170,14 +170,14 @@ class TestProjective:
         (volume_projective, 5, 1.2, 3_313),
         (facet_volume_projective, 4, 0.8, 1_841),
         (volume_halfspace, 4, 1.0, 2_301),
-        (volume_orthoscheme, 3, 0.8, 1_494),
-        (volume_orthoscheme, 5, 1.2, 1_560),
+        (volume_orthoscheme, 3, 0.8, 822),
+        (volume_orthoscheme, 5, 1.2, 888),
     ])
     def test_n_evals_standalone(self, form, n, t, evals):
         # radial forms: the stack pair's build plus this call's own
         # top-level work, (depth + 1) x order per stack; orthoscheme: the
-        # points each level sampled plus both outer panel sets.  The same
-        # on every call
+        # points of every round of every level plus the outer panels.  The
+        # same on every call
         p = SimplexParams(n, t)
         assert form(p).n_evals == form(p).n_evals == evals
 
