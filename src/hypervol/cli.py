@@ -260,7 +260,7 @@ def _check_lines(params: SimplexParams, cfg: QuadratureConfig):
     ests = []
     if params.t > 0.0:
         ests = [volume_projective(params, cfg), volume_orthoscheme(params, cfg)]
-        if emb is not None:
+        with contextlib.suppress(DegenerateGeometryError):    # ideal t, or cancelled at tiny t
             ests.append(volume_halfspace(params, cfg))
     if len(ests) < 2:
         yield "cross_model", None, None

@@ -21,11 +21,11 @@ Two engines live here:
   (c_1 = 2, and den = v at k = 1, I_0 = 1).  The integrand does not
   depend on sigma, so a level is one cumulative integral in
   y = sqrt(-log v) over Gauss panels between its own sample points
-  (`RadialPowerStack`), and the top level is the same integral over
-  uniform panels, read at each row's sigma; the vertex-touching case
-  scale = 1 (ideal simplices) runs it to the stack's theta_min and adds
-  the leading term of the tail beyond.  The projective and half-space
-  forms run on it.
+  (`RadialPowerStack`), and the top level is the same integral on the
+  N = 32 grid level 1 starts on, read at each row's sigma; the
+  vertex-touching case scale = 1 (ideal simplices) runs it to the
+  stack's theta_min and adds the leading term of the tail beyond.  The
+  projective and half-space forms run on it.
 
 The radial engine holds its levels in a lo/hi pair of stacks whose
 gap is the error bar.  A pair depends on scale only through the range
@@ -455,12 +455,11 @@ def _chebval(c: list, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _RadialSettings:
-    """``depth`` is the number of uniform panels of the top integral
-    alone, and ``order`` the Gauss points of every panel.  ``ncheb`` is
-    no setting: it reads _MAX_DEGREE, the largest N any level may double
-    to, and is kept only as a name `perfbench/tracing.py` reads."""
+    """``order`` is the number of Gauss points of every panel of a stack,
+    its one setting.  ``ncheb`` is no setting: it reads _MAX_DEGREE, the
+    largest N any level may double to, and is kept only as a name
+    `perfbench/tracing.py` reads."""
 
-    depth: int
     order: int
 
     @property
@@ -542,20 +541,21 @@ class RadialPowerStack:
     times N per round, per level.
 
     Every level samples the same theta range, so a round's points depend
-    only on N.  The build keys each round's grid by N, not by its points,
-    and keeps it from the first level that samples it: the `_Panels`
-    between the points of theta(u), clipped to theta_min against the last
-    ulp, with their Gauss nodes y, v = exp(-y^2) and 1 - v =
-    -expm1(-y^2), and log sigma^2 at each point but theta = 0.  So a
-    level pays only for what depends on k: the density and its pass over
-    level k - 1.  The grids live only for the build; a built stack is
-    only read.
+    only on N.  The build keys each round's grid (`_grid`) by N, not by
+    its points, and keeps it from the first level that samples it: the
+    points y_j, from theta(u) clipped to theta_min against the last ulp,
+    the `_Panels` between them, with their Gauss nodes y, v = exp(-y^2)
+    and 1 - v = -expm1(-y^2), and log sigma^2 at each point but
+    theta = 0.  So a level pays only for what depends on k: the density
+    and its pass over level k - 1.  The grids live only for the build,
+    but for N = 32, the one level 1 starts on; a built stack is only read.
 
     `top_integral` runs the same sum for the level above the stack at
-    each row's sigma, over ``settings.depth`` uniform panels on
-    [0, sqrt(-theta_min)] and a partial panel up to each row's y, and
-    returns sigma^k I_k, an ideal row's with the leading term of its tail
-    beyond theta_min.  ``settings.depth`` sizes only those panels.
+    each row's sigma on that N = 32 grid: its 32 whole panels and a
+    partial panel from the grid point below each row's y, and returns
+    sigma^k I_k, an ideal row's with the leading term of its tail beyond
+    theta_min.  So every sum of a stack, level or top, reads one panel
+    layout, the Gauss panels between a round's own sample points.
 
     Stacks come in lo/hi fidelity pairs, built by `_radial_pair` and read
     by `_radial_estimate`, which builds the pair and judges each row.
@@ -574,7 +574,8 @@ class RadialPowerStack:
         self.n_evals = 0
         self.unresolved = 0
         at_zero, start = 1.0, 32                                # I_k(p, 0), first N
-        grids = {}                                              # panel grids, by N
+        self._top = self._grid(start)                           # level 1's first grid
+        grids = {start: self._top}                              # grids, by N
         for k in range(1, levels + 1):
             at_zero *= _cone_factor(k) / k
             coef, points = self._build_level(k, at_zero, start, grids)
@@ -592,12 +593,8 @@ class RadialPowerStack:
         def log_level(n):
             # every round sums the panels between its own points afresh
             if n not in grids:
-                # x = 1 - 2u: u = 0 (theta = 0) is x = 1, u = 1 (theta_min) is x = -1
-                u = _second_kind(1.0, 0.0, n, np.arange(n + 1))
-                theta = np.maximum(-_STRETCH * np.expm1(self._span * u), self.theta_min)
-                y = np.sqrt(-theta)
-                grids[n] = self._panels(y[:-1], np.diff(y)), np.log(-np.expm1(theta[1:]))
-            panels, log_sigma2 = grids[n]
+                grids[n] = self._grid(n)
+            _, panels, log_sigma2 = grids[n]
             self.n_evals += n * self.settings.order
             out = np.empty(n + 1)
             out[0] = math.log(at_zero)
@@ -605,6 +602,16 @@ class RadialPowerStack:
             return out
 
         return _chebyshev_series(log_level, start)
+
+    def _grid(self, n):
+        """The grid of a round at N = n: its points y_j = sqrt(-theta(u_j)),
+        j = 0..N, the `_Panels` between them, and log sigma^2 at each point
+        but theta = 0."""
+        # x = 1 - 2u: u = 0 (theta = 0) is x = 1, u = 1 (theta_min) is x = -1
+        u = _second_kind(1.0, 0.0, n, np.arange(n + 1))
+        theta = np.maximum(-_STRETCH * np.expm1(self._span * u), self.theta_min)
+        y = np.sqrt(-theta)
+        return y, self._panels(y[:-1], np.diff(y)), np.log(-np.expm1(theta[1:]))
 
     def _panels(self, lo, width, at=()):
         """The `_Panels` [lo, lo + width] of ``settings.order`` Gauss
@@ -649,36 +656,35 @@ class RadialPowerStack:
 
     def top_integral(self, k: int, w_top, sigma2_top) -> tuple[np.ndarray, np.ndarray]:
         """sigma^k I_k at each row of the arrays (w_top, sigma2_top) =
-        (1 - sigma^2, sigma^2), by the cumulative integral in y, with the
-        number of integrand evaluations each row took: the whole panels,
-        in the one pass the rows share, plus its own partial panel.  A
-        row's upper limit is y = sqrt(-log(1 - sigma^2)), the log taken of
-        w_top below 1/2 and as log1p(-sigma^2) above, where w_top may
-        round to 1.  An ideal row (w_top = 0) stops at y_max =
-        sqrt(-theta_min) and adds the leading term of the tail beyond,
-        density(y_max) / y_max, exact for a density falling as
-        y exp(-y^2 / 2) (the ideal triangle's); y_max rides in the shared
-        pass and counts as one more evaluation.  Rows at sigma = 0 are 0
-        and take no evaluations: the density is 0/0 at y = 0."""
+        (1 - sigma^2, sigma^2), by the cumulative integral in y on the
+        stack's N = 32 grid, with the number of integrand evaluations each
+        row took: the grid's 32 whole panels, in the one pass the rows
+        share, plus its own partial panel, from the grid point at or below
+        its upper limit (`searchsorted`) to the limit.  A row's upper
+        limit is y = sqrt(-log(1 - sigma^2)), the log taken of w_top below
+        1/2 and as log1p(-sigma^2) above, where w_top may round to 1.  An
+        ideal row (w_top = 0) stops at y_max = sqrt(-theta_min) and adds
+        the leading term of the tail beyond, density(y_max) / y_max, exact
+        for a density falling as y exp(-y^2 / 2) (the ideal triangle's);
+        y_max rides in the shared pass and counts as one more evaluation.
+        Rows at sigma = 0 are 0 and take no evaluations: the density is
+        0/0 at y = 0."""
         w, sigma2 = np.atleast_1d(w_top, sigma2_top)
         values = np.zeros(w.size)
         live, ideal = sigma2 > 0.0, w == 0.0
+        edges, whole, _ = self._top
+        n = whole.width.size
         if live.any():
             with np.errstate(divide="ignore"):                  # log 0 on ideal rows
                 theta = np.where(w < 0.5, np.log(w), np.log1p(-sigma2))
             y = np.sqrt(-np.where(ideal, self.theta_min, theta)[live])
-            depth = self.settings.depth
             y_max = math.sqrt(-self.theta_min)
-            width = y_max / depth
-            edges = width * np.arange(depth + 1)
-            m = np.minimum((y / width).astype(int), depth - 1)      # the panel holding y
-            panels = self._panels(np.concatenate((edges[:-1], edges[m])),
-                                  np.concatenate((np.full(depth, width), y - edges[m])),
-                                  [y_max] if ideal.any() else [])
-            sums, tail = self._panel_sums(k, panels)
-            values[live] = np.concatenate(([0.0], np.cumsum(sums[:depth])))[m] + sums[depth:]
+            m = np.searchsorted(edges, y, "right") - 1          # the grid point at or below y
+            part = self._panels(edges[m], y - edges[m], [y_max] if ideal.any() else [])
+            sums, tail = self._panel_sums(k, _Panels(*map(np.concatenate, zip(whole, part))))
+            values[live] = np.concatenate(([0.0], np.cumsum(sums[:n])))[m] + sums[n:]
             values[ideal] += tail / y_max
-        return values, np.where(live, (self.settings.depth + 1) * self.settings.order, 0) + ideal
+        return values, np.where(live, (n + 1) * self.settings.order, 0) + ideal
 
 
 def _radial_pair(levels: int, p: float, w_floor: float) -> tuple:
@@ -686,19 +692,16 @@ def _radial_pair(levels: int, p: float, w_floor: float) -> tuple:
     built on w_floor, so it serves every top integral at 1 - sigma^2 >=
     w_floor: a stack depends on w_floor only through its theta range.
 
-    This is the whole lo/hi recipe.  A finite floor gives
-    theta = min(log w_floor, -1e-9), which keeps the interval
-    nondegenerate when 1 - scale^2 rounds to 1 (scale ~ 1e-9); the ideal
-    floor gives theta = -71 ln 2 - 1.  With
-    depth = int(min(72, max(4, -theta) / ln 2 + 12)), at least 17, the lo
-    stack's panels have _BASE_ORDER - 5 Gauss points and its top integral
-    max(12, depth - 6) uniform panels, the hi stack's _BASE_ORDER points
-    and depth panels; both double their levels to N = _MAX_DEGREE, one
-    panel between each pair of sample points.  At a finite floor both run
-    from theta_min = theta;
-    an ideal stack of d panels runs from theta_min = -(d - 1) ln 2 - 1
-    (-46.1 lo, -50.2 hi).  Each stack reads its levels in the u its own
-    theta_min fixes (`RadialPowerStack`).
+    This is the whole lo/hi recipe: the lo stack's panels have
+    _BASE_ORDER - 5 = 9 Gauss points, the hi stack's _BASE_ORDER = 14.
+    Both double their levels to N = _MAX_DEGREE, one panel between each
+    pair of sample points, and read their top integral on the N = 32
+    grid.  A finite floor gives both theta_min = min(log w_floor, -1e-9),
+    which keeps the interval nondegenerate when 1 - scale^2 rounds to 1
+    (scale ~ 1e-9).  The ideal floor gives the lo stack
+    theta_min = -65 ln 2 - 1 (-46.05) and the hi stack -71 ln 2 - 1
+    (-50.21).  Each stack reads its levels in the u its own theta_min
+    fixes (`RadialPowerStack`).
 
     A finite floor with (p - 1)(-theta) above log(float64 max) - 10 =
     699.8 raises DomainError: level 1's density is v^(1 - p) times
@@ -713,11 +716,9 @@ def _radial_pair(levels: int, p: float, w_floor: float) -> tuple:
     if (p - 1.0) * -theta > _LOG_MAX - 10.0:
         raise DomainError(f"1 - scale^2 = {w_floor:.3e} is too small for p = {p:g}: the radial "
                           "density v^(1 - p) overflows float64")
-    depth = int(min(72, max(4.0, -theta) / ln2 + 12))
-    settings = (_RadialSettings(max(12, depth - 6), _BASE_ORDER - 5),   # lo
-                _RadialSettings(depth, _BASE_ORDER))                    # hi
-    return tuple(RadialPowerStack(levels, p, theta if finite else -(s.depth - 1) * ln2 - 1.0, s)
-                 for s in settings)
+    return (RadialPowerStack(levels, p, theta if finite else -65 * ln2 - 1.0,
+                             _RadialSettings(_BASE_ORDER - 5)),                      # lo
+            RadialPowerStack(levels, p, theta, _RadialSettings(_BASE_ORDER)))       # hi
 
 
 def _radial_estimate(levels: int, p: float, w_floor: float, cfg: QuadratureConfig | None,

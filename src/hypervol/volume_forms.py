@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DegenerateGeometryError, DomainError
 from .geometry import (
     HalfspaceEmbedding,
     SimplexParams,
@@ -254,8 +254,8 @@ def _halfspace_value(n: int, sigma: float, w_perp: float, slope: float,
         t2 = n * b_c * float(
             (a ** (n - 2) * rho_f_sq ** ((n - 2) / 2.0) * c_of_a ** (-p) * inner) @ wq
         )
-        if not t2 < t1:
-            raise DomainError("half-space integrand ordering violated (degenerate input)")
+        if not t2 < t1:                         # as at n = 3 from t ~ 1e-18 down
+            raise DegenerateGeometryError("half-space integrals t1 - t2 cancel to every digit")
         return [float(t1 - t2) / (n - 1)], [evals + a.size]
 
     return _radial_estimate(dim - 1, p, w_perp, cfg, values_of, "halfspace")[0]
@@ -268,6 +268,9 @@ def volume_halfspace(params: SimplexParams, cfg: QuadratureConfig | None = None)
 
     Defined for 0 < t < pi/2 only; near the ideal point callers should
     evaluate at t <= pi/2 - 1e-6 and extrapolate (see `richardson_limit`).
+    At tiny t its two facet integrals cancel: at n = 3 every digit is gone
+    below t ~ 1e-15, and where they cross (from about 1e-18) it raises
+    DegenerateGeometryError, as at the ends of the range.
     """
     emb = halfspace_embedding(params)
     return _halfspace_value(params.n, emb.sin_alpha, emb.cos_alpha**2, emb.height_sq_slope, cfg)

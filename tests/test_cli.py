@@ -92,6 +92,17 @@ class TestVolume:
         assert lines[2] == "method=halfspace skipped (degenerate t)"
         assert lines[3].startswith("max_rel_diff=")
 
+    def test_all_skips_halfspace_cancelled_at_tiny_t(self, capsys):
+        # at n = 3, t = 1e-300 the half-space form's two facet integrals
+        # cancel to every digit and cross: it is skipped as degenerate, and
+        # the two other forms still print
+        code, out, err = run(capsys, "volume", "--n", "3", "--t", "1e-300", "--method", "all")
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert [line.split()[0] for line in lines[:2]] == [
+            "method=projective", "method=orthoscheme"]
+        assert lines[2:] == ["method=halfspace skipped (degenerate t)", "max_rel_diff=0"]
+
     def test_all_prints_stalled_estimates(self, capsys, stalled):
         # the stalled radial forms print their best estimates beside the
         # settled orthoscheme, and the command exits 2
@@ -367,6 +378,13 @@ class TestCheck:
         assert "PASS ladder_chain" in out
         assert "SKIP" in out
         assert "zn_sandwich" in out
+
+    def test_cross_model_without_cancelled_halfspace(self, capsys):
+        # at n = 3, t = 1e-300 the half-space form is degenerate;
+        # cross_model compares the two other forms
+        code, out, err = run(capsys, "check", "--n", "3", "--t", "1e-300")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == "PASS cross_model residual=0"
 
     def test_larger_case(self, capsys):
         code, out, _ = run(capsys, "check", "--n", "5", "--t", "1.3")

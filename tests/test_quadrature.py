@@ -293,7 +293,6 @@ class TestRadialPowerStack:
         # series one down
         for n in (3, 5, 8):
             _, stack = _radial_pair(n - 1, (n + 1) / 2, w_top)
-            settings = stack.settings
             # theta = log(1 - sigma^2) from 0 to theta_min, then one point
             # below theta_min, where the series' argument is clipped to theta_min
             for k in range(1, n + 1):
@@ -302,8 +301,9 @@ class TestRadialPowerStack:
                     theta = frac * stack.theta_min
                     at = max(theta, stack.theta_min)
                     w, sigma2 = math.exp(at), -math.expm1(at)
+                    # 72 dyadic refinements toward xi = 1, to 1 - xi = 2^-73
                     ref = cone_level_integral(k, stack.p, w, sigma2, inner,
-                                              settings.depth, settings.order)
+                                              72, stack.settings.order)
                     if k < n:
                         got = stack.level_value(k, np.array([math.exp(theta)]))[0]
                         assert got == pytest.approx(ref, rel=rel, abs=0), (n, k, frac)
@@ -316,6 +316,37 @@ class TestRadialPowerStack:
                     (at_zero,), (below,) = (stack.level_value(j, np.ones(1)) for j in (k, k - 1))
                     assert at_zero == pytest.approx(_cone_factor(k) / k * below,
                                                     rel=1e-12, abs=0), (n, k)
+
+    @staticmethod
+    def row_at(y):
+        """The row (1 - sigma^2, sigma^2) whose upper limit, as top_integral
+        takes it from log w (w < 1/2) or log1p(-sigma^2), is y exactly:
+        ulp steps from the nearest guess."""
+        small = y * y > math.log(2.0)
+        x = math.exp(-y * y) if small else -math.expm1(-y * y)
+        for _ in range(64):
+            got = math.sqrt(-float(np.log(x) if small else np.log1p(-x)))
+            if got == y:
+                return (x, 1.0 - x) if small else (1.0 - x, x)
+            x = float(np.nextafter(x, 0.0 if (got < y) == small else 1.0))
+        raise AssertionError(f"no row reads y = {y!r}")
+
+    def test_top_integral_across_its_grid_edges(self):
+        # a row on an edge of the top grid sums the whole panels below it
+        # and an empty partial panel; one ulp below, one whole panel fewer
+        # and a partial panel of all but an ulp of it; one ulp above, a sliver
+        _, stack = _radial_pair(3, 2.5, 0.0)
+        edges = stack._top[0]
+        for edge in edges[1:]:
+            rows = [self.row_at(float(y)) for y in np.nextafter(edge, [0.0, edge, 1e3])]
+            got, _ = stack.top_integral(4, *zip(*rows))
+            assert np.abs(got / got[1] - 1).max() <= 8 * quadrature._EPS, edge
+        # an ideal row stops at y_max = sqrt(-theta_min): the sum of the
+        # whole grid, plus the tail term
+        y_max = math.sqrt(-stack.theta_min)
+        sums, (tail,) = stack._panel_sums(4, stack._panels(edges[:-1], np.diff(edges), [y_max]))
+        (ideal,), _ = stack.top_integral(4, [0.0], [1.0])
+        assert ideal == pytest.approx(sums.sum() + tail / y_max, rel=4 * quadrature._EPS, abs=0)
 
     def test_build_count_fixed_at_construction(self):
         # a shared stack must not carry one caller's top integrals into the next
@@ -546,7 +577,7 @@ class TestEngineMaps:
         # the ends of the u map are exact wherever theta_min falls: a
         # one-level stack reads w = 1 at x = 1 and its floor at x = -1
         rng = np.random.default_rng(6)
-        settings = quadrature._RadialSettings(1, 1)
+        settings = quadrature._RadialSettings(1)
         floors = [-50.2, -46.1, -1e-9, *-10.0 ** rng.uniform(-9, 2.5, 200)]
         stacks = [quadrature.RadialPowerStack(1, 1.5, theta_min, settings) for theta_min in floors]
         reads = self.mapped_reads(monkeypatch)

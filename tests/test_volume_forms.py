@@ -166,16 +166,16 @@ class TestProjective:
 
 
     @pytest.mark.parametrize("form, n, t, evals", [
-        (volume_projective, 3, 0.8, 1_841),
-        (volume_projective, 5, 1.2, 3_313),
-        (facet_volume_projective, 4, 0.8, 1_841),
-        (volume_halfspace, 4, 1.0, 2_301),
+        (volume_projective, 3, 0.8, 2_231),
+        (volume_projective, 5, 1.2, 3_703),
+        (facet_volume_projective, 4, 0.8, 2_231),
+        (volume_halfspace, 4, 1.0, 2_691),
         (volume_orthoscheme, 3, 0.8, 822),
         (volume_orthoscheme, 5, 1.2, 888),
     ])
     def test_n_evals_standalone(self, form, n, t, evals):
         # radial forms: the stack pair's build plus this call's own
-        # top-level work, (depth + 1) x order per stack; orthoscheme: the
+        # top-level work, (32 + 1) x order per stack; orthoscheme: the
         # points of every round of every level plus the outer panels.  The
         # same on every call
         p = SimplexParams(n, t)
