@@ -39,37 +39,37 @@ its own top-level work.
 The nested engine's outer integral and the half-space form's sliced
 facet integral run on Gauss panels graded dyadically toward one end
 (`_panels_toward_one`).  Every Gauss panel reads one rule, `_gauss01`:
-numpy's Gauss-Legendre algorithm reproduced bit for bit (`_leggauss`),
-so no volume imports numpy.polynomial.
-Both engines share one interpolation scheme,
-`_chebyshev_series` (second-kind points, coefficients by FFT), and one
-evaluator, `_chebval`: a level of either engine doubles its points
-until `_standard_chop` finds the plateau, a radial level from the N
-where the level below stopped, a nested level from N = 32, and every
-round samples its whole grid.  A level is its coefficients on [-1, 1],
-and each engine maps its variable there by constants its interval
-fixes.  A nested level on [0, X_k] reads -1 + (2 / X_k) u, the offset
-and scale numpy's Chebyshev class derives for that domain, so its
-values equal numpy's bit for bit.  A radial level on theta in
-[theta_min, 0] reads 1 - 2 u(theta), where u = log1p(-theta / c) /
-log1p(-theta_min / c) is exactly 0 at theta = 0 and 1 at theta_min,
-and c = _STRETCH (`RadialPowerStack`).  Each round
+numpy's Gauss-Legendre nodes and weights, held as constants, so no
+volume imports numpy.polynomial.
+Both engines share one interpolation scheme, `_chebyshev_series`
+(second-kind points, coefficients from a cached DCT-I matrix,
+`_dct_matrix`), and one evaluator, `_chebval`: a level of either engine
+doubles its points until `_standard_chop` finds the plateau, a radial
+level from the N where the level below stopped, a nested level from
+N = 32, and every round samples its whole grid.  A level is its
+coefficients on [-1, 1], and each engine maps its variable there by
+constants its interval fixes.  A nested level on [0, X_k] reads
+-1 + (2 / X_k) u, the offset and scale numpy's Chebyshev class derives
+for that domain, so its values equal numpy's bit for bit.  A radial
+level on theta in [theta_min, 0] reads 1 - 2 u(theta), where
+u = log1p(-theta / c) / log1p(-theta_min / c) is exactly 0 at theta = 0
+and 1 at theta_min, and c = _STRETCH (`RadialPowerStack`).  Each round
 of a level is one pass over the level below, a Clenshaw step per
 coefficient.  A step costs a fixed 1-1.5 us plus about 1.4 ns per
 point (a shared 2-vCPU Xeon VM, Python 3.11, numpy 2.4: a pass over 100
 coefficients took 150 us at 300 points and 490 us at 2,800), so a
 radial pass, at the 1,000-2,000 Gauss nodes of its panels, pays for its
 points as much as for its degree.  What a round costs besides its
-pass does not depend on the level: the chop's index pairs are cached by
-size, a radial stack builds each N's panel grid once for all its
-levels, and a nested level's antiderivative is a few vector
-operations.  Both engines stop on one rule: a
-level with no plateau by its cap leaves the result unresolved, and the
-engine raises ConvergenceError carrying its estimate.  The radial engine
-also raises a row whose lo/hi gap stalls; `_radial_estimate` is the one
-place its verdict is formed.  The only setting is the relative
-tolerance in `QuadratureConfig`; the absolute floor, the Gauss order,
-the degree cap and the chop tolerance are module constants.
+pass does not depend on the level: the chop's index pairs are views of
+a module table, cached by size, a radial stack builds each N's panel
+grid once for all its levels, and a nested level's antiderivative is a
+few vector operations.  Both engines stop on one rule: a level with no
+plateau by its cap leaves the result unresolved, and the engine raises
+ConvergenceError carrying its estimate.  The radial engine also raises
+a row whose lo/hi gap stalls; `_radial_estimate` is the one place its
+verdict is formed.  The only setting is the relative tolerance in
+`QuadratureConfig`; the absolute floor, the Gauss order, the degree cap
+and the chop tolerance are module constants.
 Both engines are pure functions of their inputs and reentrant; a
 shared stack is only read after it is built.
 """
@@ -106,7 +106,8 @@ class QuadratureConfig:
     """The relative tolerance shared by the integration engines.  The
     nested engine raises ConvergenceError when its estimate is above
     rel_tol * |I|.  The radial engine does not target it: its bar is the
-    lo/hi gap plus _ABS_TOL, and it raises only when that gap is above
+    lo/hi gap plus _ABS_TOL (and the half-space form's cancellation
+    term), and it raises only when that bar is above
     max(1e-3 |I|, 1e4 * tolerance(I))."""
 
     rel_tol: float = 1e-8
@@ -124,9 +125,9 @@ class VolumeEstimate:
     """A computed integral with its error estimate and evaluation count.
 
     The error estimate is the gap between the lo/hi stack pair plus
-    _ABS_TOL (radial engine), or a rounding term at the chop's plateau
-    (nested engine).  Values produced by the volume operations are
-    nonnegative.
+    _ABS_TOL and any rounding term of the row (radial engine), or a
+    rounding term at the chop's plateau (nested engine).  Values
+    produced by the volume operations are nonnegative.
     """
 
     value: float
@@ -142,48 +143,28 @@ class VolumeEstimate:
 # ---------------------------------------------------------------------------
 # Gauss nodes
 
-def _legval(x: np.ndarray, c: list) -> np.ndarray:
-    """numpy's `legval` Clenshaw loop for one coefficient list."""
-    c0, c1 = (c[0], 0.0) if len(c) == 1 else (c[-2], c[-1])
-    nd = len(c)
-    for i in range(3, len(c) + 1):
-        nd -= 1
-        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
-    return c0 + c1 * x
-
-
-def _leggauss(order: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], by numpy's `leggauss`
-    algorithm step for step, so they equal numpy's bit for bit: the
-    eigenvalues of the symmetric Legendre companion matrix of P_order, one
-    Newton step, weights from P_order' P_(order-1) scaled to their
-    largest magnitudes, symmetrised, then normalised to sum to 2.
-    numpy.linalg loads with numpy; numpy.polynomial would cost a fresh
-    process about 6 ms to import."""
-    scl = 1.0 / np.sqrt(2 * np.arange(order) + 1)
-    off = np.arange(1, order) * scl[:-1] * scl[1:]
-    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    c = [0.0] * order + [1.0]
-    # legder(P_order), whose loop gives exact small integers
-    der = [(2.0 * k + 1.0) if (order - 1 - k) % 2 == 0 else 0.0 for k in range(order)]
-    df = _legval(x, der)
-    x = x - _legval(x, c) / df
-    fm = _legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
-    return x, w
+# The nonnegative half of numpy's leggauss(order), nodes then weights, at
+# the two orders the engines use (_BASE_ORDER and _BASE_ORDER - 5)
+_GAUSS_HALF = {
+    9: ((0.0, 0.3242534234038089, 0.6133714327005904, 0.8360311073266358, 0.9681602395076261),
+        (0.33023935500125984, 0.3123470770400029, 0.2606106964029356, 0.18064816069485737,
+         0.08127438836157416)),
+    14: ((0.10805494870734367, 0.31911236892788974, 0.5152486363581541, 0.6872929048116855,
+          0.827201315069765, 0.9284348836635735, 0.9862838086968124),
+         (0.21526385346315793, 0.20519846372129572, 0.18553839747793788, 0.15720316715819363,
+          0.12151857068790331, 0.08015808715975999, 0.03511946033175175)),
+}
 
 
 @lru_cache(maxsize=None)
 def _gauss01(order: int):
-    """Gauss-Legendre nodes/weights mapped to (0, 1), from `_leggauss`:
-    numpy's rule reproduced bit for bit, so no volume imports
-    numpy.polynomial."""
-    x, w = _leggauss(order)
+    """Gauss-Legendre nodes/weights mapped to (0, 1), from numpy's
+    leggauss(order) bit for bit, so no volume imports numpy.polynomial.
+    numpy symmetrises its rule exactly (odd nodes, even weights), so the
+    nonnegative half in `_GAUSS_HALF` rebuilds it by mirroring."""
+    nodes, weights = map(np.array, _GAUSS_HALF[order])
+    x = np.concatenate((-nodes[::-1][:order // 2], nodes))
+    w = np.concatenate((weights[::-1][:order // 2], weights))
     return (x + 1.0) / 2, w / 2
 
 
@@ -299,13 +280,31 @@ def _panels_toward_one(depth: int, order: int):
     return tuple(panels)
 
 
-def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
-    """Coefficients of the polynomial through ``values`` at the points
-    cos(pi j / N), j = 0..N: a DCT-I, as the FFT of the even extension."""
-    coef = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / (values.size - 1)
-    coef[0] /= 2
-    coef[-1] /= 2
-    return coef
+@lru_cache(maxsize=None)
+def _dct_matrix(n: int) -> np.ndarray:
+    """The matrix taking values at the points cos(pi j / N), j = 0..N, for
+    N = n to the coefficients of the polynomial through them: a DCT-I,
+    entry (m, j) = cos(pi m j / N) * 2 / N, halved in columns 0 and N and
+    in rows 0 and N; read-only because it is cached.  The cosines come
+    from a table of cos(pi r / N), r = 0..N, built from the first octant
+    (sines of the complement past pi / 4), so it is exactly odd about
+    r = N / 2.  Only the quarter m, j <= N / 2 is looked up: column N - j
+    is column j times (-1)^m, and row N - m is row m times (-1)^j, so a
+    build at N = 512, which no perfbench workload reaches, writes its
+    2.1 MB in about 2.6 ms (a shared 2-vCPU Xeon VM)."""
+    r = np.arange(n + 1)
+    q = np.minimum(r, n - r)
+    octant = np.where(4 * q <= n, np.cos(np.pi / n * q), np.sin(np.pi / (2 * n) * (n - 2 * q)))
+    table = np.where(2 * r <= n, octant, -octant) * (2.0 / n)
+    h, sign = n // 2 + 1, 1.0 - 2 * (r % 2)                 # (-1)^r
+    mat = np.empty((n + 1, n + 1))
+    mat[:h, :h] = np.concatenate((table, table[-2:0:-1]))[np.multiply.outer(r[:h], r[:h]) % (2 * n)]
+    mat[:h, h:] = mat[:h, n - h::-1] * sign[:h, None]
+    mat[h:] = mat[n - h::-1] * sign
+    mat[:, [0, n]] /= 2
+    mat[[0, n]] /= 2
+    mat.flags.writeable = False
+    return mat
 
 
 _LOG_CHOP_TOL = math.log(_CHOP_TOL)
@@ -313,24 +312,26 @@ _CHOP_FLOOR = _CHOP_TOL ** (7 / 6)     # envelope floor of the tilted cut
 _CHOP_TILT = -math.log10(_CHOP_TOL) / 3
 
 
+_CHOP_J = np.arange(2, _MAX_DEGREE + 2)         # 1-based, as in the paper
+_CHOP_PLAN = np.array([_CHOP_J - 1, np.floor(1.25 * _CHOP_J + 5.5).astype(int) - 1])
+_CHOP_PLAN.flags.writeable = False
+
+
 @lru_cache(maxsize=None)
 def _chop_plan(n: int):
     """The 0-based pairs (j - 1, j2 - 1), j2 = floor(1.25 j + 5.5) <= n,
-    that `_standard_chop` scans on n coefficients; read-only because they
-    are cached."""
-    j = np.arange(2, n + 1)                      # 1-based, as in the paper
-    j2 = np.floor(1.25 * j + 5.5).astype(int)
-    plan = np.array([j[j2 <= n] - 1, j2[j2 <= n] - 1])
-    plan.flags.writeable = False
-    return tuple(plan)
+    that `_standard_chop` scans on n coefficients: j2 grows with j, so
+    they are views of the leading pairs of the one read-only plan for
+    _MAX_DEGREE + 1."""
+    return tuple(_CHOP_PLAN[:, :np.searchsorted(_CHOP_PLAN[1], n - 1, "right")])
 
 
-@lru_cache(maxsize=None)
 def _chop_tilt(size: int) -> np.ndarray:
-    """The upward tilt added to log10 of the first ``size`` envelope
-    entries; read-only because it is cached."""
-    tilt = np.linspace(0.0, _CHOP_TILT, size)
-    tilt.flags.writeable = False
+    """The upward tilt added to log10 of the first ``size`` >= 2 envelope
+    entries: np.linspace(0, _CHOP_TILT, size) by its own arithmetic, a
+    ramp times the step with the last entry set to the end, bit for bit."""
+    tilt = np.arange(size) * (_CHOP_TILT / (size - 1))
+    tilt[-1] = _CHOP_TILT
     return tilt
 
 
@@ -341,8 +342,9 @@ def _standard_chop(coef: np.ndarray) -> int:
     plateau, then cut where the envelope plus a slight upward tilt is
     least.  Without a plateau every coefficient stays; all zeros keep one.
     The scan tests every j at once and takes the first plateau, which is
-    where the paper's loop stops; its index pairs and the tilt are cached
-    by size (`_chop_plan`, `_chop_tilt`)."""
+    where the paper's loop stops; its index pairs are views of one module
+    table, cached by size (`_chop_plan`), and its tilt one product with a
+    ramp (`_chop_tilt`)."""
     n = coef.size
     env = np.maximum.accumulate(np.abs(coef)[::-1])[::-1]
     if n < 17 or env[0] == 0.0:
@@ -380,16 +382,28 @@ def _chebyshev_series(sample, start: int):
     over them: a series first sampled past its plateau is still cut there,
     from finer samples.
 
-    The coefficients come from one FFT.  At degrees in the hundreds,
-    numpy's Chebyshev.interpolate (three-term recurrence) left a 2e-12
-    floor on those of log I_k, a cosine sum (cos(k angle) rounds at large
-    arguments) 1e-13 to 1e-15 of the largest; by FFT the radial levels
-    flatten out at 2e-18 to 3e-17 of it (N = 512, n = 3..8).
+    The coefficients are one product with the DCT-I matrix of N
+    (`_dct_matrix`), cached per N, whose cosines are looked up in a
+    table, not summed by recurrence.  At degrees in the hundreds, numpy's
+    Chebyshev.interpolate (three-term recurrence) left a 2e-12 floor on
+    those of log I_k, a cosine sum (cos(k angle) rounds at large
+    arguments) 1e-13 to 1e-15 of the largest.  By the matrix the ideal
+    p = 3 levels 1-3, doubled to N = 512, flatten out at 1.3, 1.3 and
+    2.1e-17 of it (median of the last 256 coefficients), against 1.2,
+    1.3 and 1.0e-17 by numpy.fft, both far below _CHOP_TOL.  A row sums
+    N + 1 terms where the FFT adds log N stages, so c_0 of a level whose
+    values share one sign rounds more at large N: up to 5.7 eps
+    max|values| off an extended-precision sum at N = 512 on ideal p = 3
+    level 4, where the FFT stayed within 0.3 eps; the rounds of the
+    ideal n = 3..12 pairs up to N = 128 stay within 2.1 eps of the
+    FFT's.  At the N = 32 to 128 every perfbench workload stops at, the
+    product takes 1-3 us where the FFT took 7-10 us, and numpy.fft's
+    import, 1.4 ms of a fresh process, is gone.
     """
     n = min(start, _MAX_DEGREE)
     while True:
         values = sample(n)
-        coef = _chebyshev_coefficients(values)
+        coef = _dct_matrix(n) @ values
         keep = _standard_chop(coef)
         if keep < coef.size or 2 * n > _MAX_DEGREE:
             return coef[:keep], values.size
@@ -723,27 +737,29 @@ def _radial_pair(levels: int, p: float, w_floor: float) -> tuple:
 
 def _radial_estimate(levels: int, p: float, w_floor: float, cfg: QuadratureConfig | None,
                      values_of: Callable, method: str) -> list[VolumeEstimate]:
-    """One estimate per row of ``values_of(stack)``, the rows' values and
-    evaluations beyond the build on each stack of the `_radial_pair`
-    (levels, p, w_floor): the high-fidelity value, the gap to the
-    low-fidelity one plus _ABS_TOL, and the pair's build plus the row's
-    own work.
+    """One estimate per row of ``values_of(stack)``, the rows' values,
+    evaluations beyond the build and rounding terms on each stack of the
+    `_radial_pair` (levels, p, w_floor): the high-fidelity value, the gap
+    to the low-fidelity one plus _ABS_TOL plus the high-fidelity row's
+    rounding term (the half-space form's cancellation; 0 for a plain
+    integral), and the pair's build plus the row's own work.
 
     The first row that stalls raises ConvergenceError carrying its
     estimate and its index as ``row``.  Every row stalls when a level of
     either stack has no plateau by its cap, as in `integrate_nested`;
-    otherwise a row stalls when its gap is above
+    otherwise a row stalls when its bar is above
     max(1e-3 |value|, 1e4 * tolerance), with the default QuadratureConfig
     when ``cfg`` is None."""
     cfg = cfg or QuadratureConfig()
     stacks = _radial_pair(levels, p, w_floor)
-    (lo, lo_evals), (hi, hi_evals) = (values_of(stack) for stack in stacks)
+    (lo, lo_evals, _), (hi, hi_evals, rounding) = (values_of(stack) for stack in stacks)
     build = sum(stack.n_evals for stack in stacks)
     unresolved = [f"level {stack.unresolved} has no plateau by N = {_MAX_DEGREE}"
                   for stack in stacks if stack.unresolved]
     out = []
-    for row, (lo_v, hi_v, evals) in enumerate(zip(lo, hi, np.add(lo_evals, hi_evals).tolist())):
-        err = abs(hi_v - lo_v) + _ABS_TOL
+    rows = zip(lo, hi, np.add(lo_evals, hi_evals).tolist(), rounding)
+    for row, (lo_v, hi_v, evals, term) in enumerate(rows):
+        err = abs(hi_v - lo_v) + _ABS_TOL + term
         est = VolumeEstimate(hi_v, err, build + evals, method)
         if unresolved or err > max(1e-3 * abs(hi_v), 1e4 * cfg.tolerance(hi_v)):
             why = unresolved[0] if unresolved else f"err {err:.3e} on value {hi_v:.6e}"
@@ -801,7 +817,7 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
 
     def values_of(stack):
         top, evals = stack.top_integral(n, w_top, sigma2)
-        return top.tolist(), evals
+        return top.tolist(), evals, [0.0] * top.size
 
     out = _radial_estimate(n - 1, p, float(w_top.min()), cfg, values_of, "simplex-radial")
     return out if np.ndim(scale) else out[0]

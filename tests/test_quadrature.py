@@ -491,15 +491,25 @@ class TestAntiderivative:
         assert series.coef.tobytes() == kept.tobytes()
 
 
+def run_fresh(script, env):
+    """The standard output of ``script`` run in a fresh interpreter."""
+    env = {**env, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 class TestGaussRule:
     def test_bitwise_equal_to_numpy(self):
-        for order in range(1, 65):
-            got, want = quadrature._leggauss(order), np.polynomial.legendre.leggauss(order)
-            assert got[0].tobytes() == want[0].tobytes(), order
-            assert got[1].tobytes() == want[1].tobytes(), order
+        # the two orders the engines use, mirrored from their nonnegative half
+        for order in (9, 14):
+            x, w = np.polynomial.legendre.leggauss(order)
+            got = quadrature._gauss01(order)
+            assert got[0].tobytes() == ((x + 1.0) / 2).tobytes(), order
+            assert got[1].tobytes() == (w / 2).tobytes(), order
 
-    def test_volume_paths_leave_numpy_polynomial_unloaded(self):
-        # importing numpy.polynomial costs a fresh process about 6 ms
+    def test_volume_paths_leave_numpy_polynomial_and_fft_unloaded(self):
+        # importing numpy.polynomial costs a fresh process about 6 ms, and
+        # numpy.fft about 1.4 ms
         script = "\n".join([
             "import math, sys",
             "from hypervol import SimplexParams, cli, volume_projective",
@@ -507,10 +517,86 @@ class TestGaussRule:
             "cli.main(['volume', '--n', '4', '--t', '1.0', '--method', 'all'])",
             "cli.main(['sweep', '--n-list', '3', '--t-list', '0.5'])",
             "assert 'numpy.polynomial' not in sys.modules",
+            "assert 'numpy.fft' not in sys.modules",
         ])
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-        subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                       stdout=subprocess.DEVNULL)
+        run_fresh(script, os.environ)
+
+
+def rfft_coefficients(values):
+    """A level's coefficients by the route `_dct_matrix` replaced: the real
+    FFT of the values' even extension, scaled as the matrix is."""
+    coef = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / (values.size - 1)
+    coef[0] /= 2
+    coef[-1] /= 2
+    return coef
+
+
+class TestDctMatrix:
+    """The coefficients of a round are one product with the cached DCT-I
+    matrix of its N.  On random values at every size a level may sample,
+    and on the rounds of the ideal n = 5 pair, they stay within
+    4 eps max|values| of the FFT route's."""
+
+    SIZES = [*range(2, 34), 64, 128, 256, 512]
+
+    @staticmethod
+    def assert_matches_rfft(values):
+        got = quadrature._dct_matrix(values.size - 1) @ values
+        bound = 4 * quadrature._EPS * np.abs(values).max()
+        assert np.abs(got - rfft_coefficients(values)).max() <= bound, values.size - 1
+        return got
+
+    def test_matches_the_rfft_route_on_random_values(self):
+        rng = np.random.default_rng(26)
+        for n in self.SIZES:
+            self.assert_matches_rfft(rng.standard_normal(n + 1))
+
+    def test_matches_the_rfft_route_on_ideal_levels(self, monkeypatch):
+        # every round of the ideal n = 5 pair (N = 32, 64, 128): the two
+        # routes agree on whether the chop finds a plateau, which fixes the
+        # rounds and n_evals; the kept counts may move inside the plateau
+        # (64 or 66 of 129), but both chopped series give the same values
+        rounds = []
+        chebyshev_series = quadrature._chebyshev_series
+
+        def recorded(sample, start):
+            return chebyshev_series(lambda n: rounds.append(sample(n)) or rounds[-1], start)
+
+        monkeypatch.setattr(quadrature, "_chebyshev_series", recorded)
+        _radial_pair(4, 3.0, 0.0)
+        assert sorted({v.size - 1 for v in rounds}) == [32, 64, 128]
+        for values in rounds:
+            got, want = self.assert_matches_rfft(values), rfft_coefficients(values)
+            keep, keep_fft = _standard_chop(got), _standard_chop(want)
+            assert (keep < values.size) == (keep_fft < values.size)
+            assert abs(keep - keep_fft) <= 3
+            x = np.cos(np.pi / (values.size - 1) * np.arange(values.size))
+            off = _chebval(got[:keep].tolist(), x) - _chebval(want[:keep_fft].tolist(), x)
+            assert np.abs(off).max() <= 2 * quadrature._CHOP_TOL * np.abs(values).max()
+
+    def test_values_do_not_depend_on_blas_threads(self):
+        # the coefficient products reach 129 x 129 at the ideal n = 5 and
+        # n = 8 levels, where OpenBLAS may split a product over threads
+        script = "\n".join([
+            "import math",
+            "from hypervol import SimplexParams, cli, volume_projective",
+            "print(repr(volume_projective(SimplexParams(5, math.pi / 2))))",
+            "cli.main(['volume', '--n', '8', '--t', '1.2', '--method', 'all'])",
+        ])
+        unset = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        threaded = run_fresh(script, unset)
+        assert threaded.count("\n") >= 4
+        assert threaded == run_fresh(script, {**unset, "OPENBLAS_NUM_THREADS": "1"})
+
+    def test_read_only_and_exactly_symmetric(self):
+        # column N - j is column j times (-1)^m, row N - m is row m times (-1)^j
+        for n in self.SIZES:
+            mat = quadrature._dct_matrix(n)
+            assert not mat.flags.writeable
+            sign = 1.0 - 2 * (np.arange(n + 1) % 2)
+            assert (mat[:, ::-1] == mat * sign[:, None]).all(), n
+            assert (mat[::-1] == mat * sign).all(), n
 
 
 class TestEngineMaps:
@@ -577,7 +663,7 @@ class TestEngineMaps:
         # the ends of the u map are exact wherever theta_min falls: a
         # one-level stack reads w = 1 at x = 1 and its floor at x = -1
         rng = np.random.default_rng(6)
-        settings = quadrature._RadialSettings(1)
+        settings = quadrature._RadialSettings(9)
         floors = [-50.2, -46.1, -1e-9, *-10.0 ** rng.uniform(-9, 2.5, 200)]
         stacks = [quadrature.RadialPowerStack(1, 1.5, theta_min, settings) for theta_min in floors]
         reads = self.mapped_reads(monkeypatch)
@@ -670,6 +756,19 @@ class TestStandardChop:
     def test_edge_cases_match_the_loop(self, coef, keep):
         assert _standard_chop(coef) == chop_oracle(coef)
         assert keep is None or _standard_chop(coef) == keep
+
+    def test_tables_equal_the_formulas_they_replace(self):
+        # the pairs are views of the plan for _MAX_DEGREE + 1, and the tilt
+        # a ramp times its step, bit for bit at every size
+        for n in range(1, quadrature._MAX_DEGREE + 2):
+            j = np.arange(2, n + 1)
+            j2 = np.floor(1.25 * j + 5.5).astype(int)
+            want = (j[j2 <= n] - 1, j2[j2 <= n] - 1)
+            for got, pairs in zip(quadrature._chop_plan(n), want, strict=True):
+                assert got.dtype == pairs.dtype and got.tobytes() == pairs.tobytes(), n
+        for size in range(2, quadrature._MAX_DEGREE + 2):
+            want = np.linspace(0.0, quadrature._CHOP_TILT, size)
+            assert quadrature._chop_tilt(size).tobytes() == want.tobytes(), size
 
 
 class TestChoppedLevels:

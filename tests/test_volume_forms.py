@@ -313,6 +313,23 @@ class TestHalfspace:
         limit, _ = richardson_limit(eps, vals)
         assert limit == pytest.approx(IDEAL_TET, abs=1e-4)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
+    def test_bar_covers_the_cancellation(self, n, monkeypatch):
+        # T1 - T2 cancels about 1.1 / t of the digits: at n = 3 and
+        # t = 1e-12 the value is 1.3e-4 off.  These volumes are 5e-7 and
+        # far below, where the 1e-12 absolute floor would cover any error,
+        # so the grid reads the bars without it; a row whose bar passes the
+        # stall gate is read from its ConvergenceError
+        monkeypatch.setattr(quadrature, "_ABS_TOL", 0.0)
+        for t in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
+            params = SimplexParams(n, t)
+            try:
+                est = volume_halfspace(params)
+            except ConvergenceError as exc:
+                est = exc.estimate
+            ref = volume_orthoscheme(params)
+            assert abs(est.value - ref.value) <= est.error_estimate + ref.error_estimate, t
+
     def test_stalled_refinement_raises(self, stalled):
         # a crude low-fidelity stack leaves a fidelity gap above the stall
         # gate, which half-space shares with the projective form
