@@ -5,7 +5,7 @@ Two engines live here:
 * `integrate_nested` -- iterated integrals with state-dependent limits
   (each level's upper limit is a function of the previous variable),
   built once as a stack of one-variable Chebyshev antiderivatives, one
-  per level; the orthoscheme form runs on it;
+  per level, the outermost too; the orthoscheme form runs on it;
 * `integrate_simplex_radialpow` -- integrals of (1 - |x|^2)^(-p) over a
   scaled regular simplex, the volume element of the projective model.
   The simplex is collapsed to iterated cone (Duffy-type) coordinates; in
@@ -36,17 +36,16 @@ one pass; a standalone integral is a batch of one.  A stack's
 evaluation count is fixed when it is built; a row counts the build plus
 its own top-level work.
 
-The nested engine's outer integral and the half-space form's sliced
-facet integral run on Gauss panels graded dyadically toward one end
-(`_panels_toward_one`).  Every Gauss panel reads one rule, `_gauss01`:
-numpy's Gauss-Legendre nodes and weights, held as constants, so no
-volume imports numpy.polynomial.
+The half-space form's sliced facet integral runs on Gauss panels graded
+dyadically toward one end (`_panels_toward_one`).  Every Gauss panel
+reads one rule, `_gauss01`: numpy's Gauss-Legendre nodes and weights,
+held as constants, so no volume imports numpy.polynomial.
 Both engines share one interpolation scheme, `_chebyshev_series`
 (second-kind points, coefficients from a cached DCT-I matrix,
 `_dct_matrix`), and one evaluator, `_chebval`: a level of either engine
 doubles its points until `_standard_chop` finds the plateau, a radial
 level from the N where the level below stopped, a nested level from
-N = 32, and every round samples its whole grid.  A level is its
+N = 64, and every round samples its whole grid.  A level is its
 coefficients on [-1, 1], and each engine maps its variable there by
 constants its interval fixes.  A nested level on [0, X_k] reads
 -1 + (2 / X_k) u, the offset and scale numpy's Chebyshev class derives
@@ -94,7 +93,7 @@ __all__ = [
 
 _EPS = float(np.finfo(np.float64).eps)
 _ABS_TOL = 1e-12       # absolute floor of every tolerance and radial error bar
-_BASE_ORDER = 14       # Gauss points per panel of the radial and outer nested integrals
+_BASE_ORDER = 14       # Gauss points per panel of the hi radial stack and its half-space slices
 _MAX_DEGREE = 512      # largest N a level's series may double to
 _CHOP_TOL = 4 * _EPS   # plateau of a chopped series; level values carry a few ulps
 _LOG_MAX = math.log(np.finfo(np.float64).max)   # 709.78
@@ -144,7 +143,8 @@ class VolumeEstimate:
 # Gauss nodes
 
 # The nonnegative half of numpy's leggauss(order), nodes then weights, at
-# the two orders the engines use (_BASE_ORDER and _BASE_ORDER - 5)
+# the orders of the radial stack pair's panels (_BASE_ORDER and
+# _BASE_ORDER - 5)
 _GAUSS_HALF = {
     9: ((0.0, 0.3242534234038089, 0.6133714327005904, 0.8360311073266358, 0.9681602395076261),
         (0.33023935500125984, 0.3123470770400029, 0.2606106964029356, 0.18064816069485737,
@@ -184,27 +184,26 @@ def integrate_nested(limits: Sequence, factors: Sequence,
     integral the zero estimate (0, 0, 0).
 
     The chain is built once, one level at a time.  With n = len(limits),
-    X_0 = limits[0] and X_k = limits[k](X_{k-1}), level k = n-1 .. 1 is
+    X_0 = limits[0] and X_k = limits[k](X_{k-1}), level k = n-1 .. 0 is
     the antiderivative
 
-        F_k(u) = int_0^u factors[k](y) F_{k+1}(limits[k+1](y)) dy   on [0, X_k],
+        F_k(u) = int_0^u g_k(y) dy,   g_k(y) = factors[k](y) F_{k+1}(limits[k+1](y)),
 
-    with F_n = 1.  Its integrand does not depend on the outer variables,
-    so it is one chopped Chebyshev series (`_chebyshev_series` from
-    N = 32), integrated exactly; ``n_evals`` counts the points of every
-    round of every level.  The outer integral of factors[0]
-    F_1(limits[1]) runs once, on 52 Gauss panels graded dyadically toward
-    0, where the first factor may carry a thin layer.  The error estimate
-    is the chop's plateau, relative once per level and absolute on F_1
-    under the outer weights w f_0:
+    on [0, X_k], with F_n = 1, and the integral is F_0(X_0).  A level's
+    integrand does not depend on the outer variables, so it is one
+    chopped Chebyshev series, integrated exactly (`_chebyshev_series`
+    from N = 64: over the orthoscheme's 31 perfbench `forms` points, 32
+    took 13% longer, and 128 as long with 74% more evaluations);
+    ``n_evals`` counts the points of every round of every level.  The
+    error estimate is the chop's plateau, relative once per level and
+    absolute on the outer level's samples g_0 of its last round:
 
-        _CHOP_TOL (n |value| + sum |w f_0| |F_1(X_1)|).
+        _CHOP_TOL (n |value| + X_0 max |g_0|).
 
-    It does not see the outer panels' own error: they are graded toward 0
-    only, so an outer integrand that oscillates away from 0 is
-    under-resolved unseen (limits [1, x] with factors [1, cos(80 y)] come
-    back 1.6% off on a bar of 1e-17).  The orthoscheme's outer integrand
-    is smooth there.
+    It does not see cancellation along the chain: each level's relative
+    term reads |value|, not the size of the terms that cancel in it.
+    With limits [1, x] and factors [1, cos(w y)], a sign-changing chain,
+    w = 80 comes back 1.5e-12 off on a bar of 6.6e-14, both relative.
 
     A level with no plateau by _MAX_DEGREE, or an estimate above rel_tol
     times the value, raises ConvergenceError carrying the estimate.
@@ -223,27 +222,23 @@ def integrate_nested(limits: Sequence, factors: Sequence,
             raise DomainError(f"limits[{k}] gives the range X_{k} = {top!r}; it must be finite")
     if 0.0 in tops:
         return VolumeEstimate(0.0, 0.0, 0, "nested-chebyshev")     # an empty range
-    inner, top_value, n_evals, stalled = np.ones_like, 1.0, 0, False
-    for k in range(depth - 1, 0, -1):
+    inner, values, n_evals, stalled = np.ones_like, None, 0, False
+    for k in range(depth - 1, -1, -1):
         def sample(n):
-            nonlocal n_evals
+            nonlocal n_evals, values
             n_evals += n + 1
-            y = _second_kind(0.0, tops[k], n, np.arange(n + 1))
-            return factors[k](y) * inner(y)
+            y = _second_kind(0.0, tops[k], n)
+            values = factors[k](y) * inner(y)
+            return values
 
-        coef, points = _chebyshev_series(sample, 32)
+        coef, points = _chebyshev_series(sample, 64)
         stalled |= coef.size == points
         scl = 2 / tops[k]                               # [0, X_k] -> [-1, 1]
         level = _antiderivative(coef, scl)              # F_k
-        top_value = float(level.sum())                  # F_k(X_k): every T_j is 1 there
         inner = lambda y, k=k, c=level.tolist(), s=scl: _chebval(c, -1.0 + s * limits[k](y))
 
-    _, x, w = _panels_toward_one(52, _BASE_ORDER)
-    x = tops[0] * x
-    w = tops[0] * w * factors[0](x)
-    value = float(w @ inner(x))
-    n_evals += x.size
-    err = _CHOP_TOL * (depth * abs(value) + float(np.abs(w).sum()) * abs(top_value))
+    value = float(level.sum())                          # F_0(X_0): every T_j is 1 there
+    err = _CHOP_TOL * (depth * abs(value) + tops[0] * float(np.abs(values).max()))
     est = VolumeEstimate(value, err, n_evals, "nested-chebyshev")
     if stalled or err > cfg.rel_tol * abs(value):
         why = f"a level has no plateau by N = {_MAX_DEGREE}" if stalled else f"err {err:.3e}"
@@ -396,9 +391,10 @@ def _chebyshev_series(sample, start: int):
     max|values| off an extended-precision sum at N = 512 on ideal p = 3
     level 4, where the FFT stayed within 0.3 eps; the rounds of the
     ideal n = 3..12 pairs up to N = 128 stay within 2.1 eps of the
-    FFT's.  At the N = 32 to 128 every perfbench workload stops at, the
-    product takes 1-3 us where the FFT took 7-10 us, and numpy.fft's
-    import, 1.4 ms of a fresh process, is gone.
+    FFT's.  At the N = 32 to 128 where almost every level of the
+    perfbench workloads stops (a near-ideal n = 4 orthoscheme reaches
+    256), the product takes 1-3 us where the FFT took 7-10 us, and
+    numpy.fft's import, 1.4 ms of a fresh process, is gone.
     """
     n = min(start, _MAX_DEGREE)
     while True:
@@ -410,11 +406,12 @@ def _chebyshev_series(sample, start: int):
         n *= 2
 
 
-def _second_kind(a: float, b: float, n: int, j) -> np.ndarray:
-    """The points b - (b - a) sin^2(pi j / 2N) of [a, b] for N = n, the
-    second-kind points cos(pi j / N) mapped with b to 1 and a to -1, exact
-    at both ends; a > b reverses the map, as the radial levels' u does."""
-    return b - (b - a) * np.sin(np.pi / (2 * n) * j) ** 2
+def _second_kind(a: float, b: float, n: int) -> np.ndarray:
+    """The points b - (b - a) sin^2(pi j / 2N), j = 0..N, of [a, b] for
+    N = n, the second-kind points cos(pi j / N) mapped with b to 1 and a
+    to -1, exact at both ends; a > b reverses the map, as the radial
+    levels' u does."""
+    return b - (b - a) * np.sin(np.pi / (2 * n) * np.arange(n + 1)) ** 2
 
 
 def _antiderivative(coef: np.ndarray, scl: float) -> np.ndarray:
@@ -622,7 +619,7 @@ class RadialPowerStack:
         j = 0..N, the `_Panels` between them, and log sigma^2 at each point
         but theta = 0."""
         # x = 1 - 2u: u = 0 (theta = 0) is x = 1, u = 1 (theta_min) is x = -1
-        u = _second_kind(1.0, 0.0, n, np.arange(n + 1))
+        u = _second_kind(1.0, 0.0, n)
         theta = np.maximum(-_STRETCH * np.expm1(self._span * u), self.theta_min)
         y = np.sqrt(-theta)
         return y, self._panels(y[:-1], np.diff(y)), np.log(-np.expm1(theta[1:]))

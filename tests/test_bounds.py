@@ -228,6 +228,21 @@ class TestGrowthRatioGrid:
             assert (n - 2) / (n - 1) ** 2 <= ratio.value <= 1 / (n - 1), n
             assert ratio.value == pytest.approx(ideal[n] / ideal[n - 1], rel=1e-12, abs=0), n
 
+    def test_sandwich_up_to_n24(self):
+        # the paper's bounds hold the measured ratio for every n the
+        # engines reach, and the ideal ratio sits in the Haagerup-Munkholm
+        # bracket.  The assertions read no bar: from n ~ 15 the ratio's
+        # bar, built on the 1e-12 floor of each volume, is wider than the
+        # gap to the bounds.  The measured margins are at least 30% above
+        # lower and 2.2% below upper
+        ts = (0.05, 0.3, 0.8, 1.2, 1.5, math.pi / 2 - 1e-3, math.pi / 2 - 1e-6, math.pi / 2)
+        cells = [SimplexParams(n, t) for n in range(3, 25) for t in ts]
+        for cell, (ratio, _, _) in zip(cells, growth_ratio_grid(cells)):
+            n, b = cell.n, growth_bounds(cell)
+            assert b.lower < ratio.value < b.upper, cell
+            if cell.is_ideal:
+                assert (n - 2) / (n - 1) ** 2 < ratio.value < 1 / (n - 1), n
+
     def test_stall_names_its_cell_and_form(self, monkeypatch):
         # capped at N = 32 an ideal level has no plateau; the stall raises
         # the stalled volume tagged with its form, and names its cell

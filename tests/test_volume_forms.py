@@ -111,14 +111,15 @@ class TestOrthoscheme:
     def test_extreme_near_ideal_boundary_layer(self):
         # pi/2 - t ~ 3e-7: in the native outer variable the integrand
         # lives in a boundary layer below d_1 ~ 16 that a plain tensor
-        # rule quietly misses; the sinh-ratio parametrization doesn't
+        # rule quietly misses; the outer level's chopped series doubles
+        # until it resolves it
         est = volume_orthoscheme(SimplexParams(3, 1.5707960))
         ref = volume_projective(SimplexParams(3, 1.5707960))
         assert est.value == pytest.approx(ref.value, rel=1e-9)
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-6, 1e-7])
     def test_near_ideal_triangle_gauss_bonnet(self, eps):
-        # the outer factor's layer at q ~ 1/sinh d_1 thins with eps; the
+        # the outer integrand's layer below d_1 thins with eps; the
         # circumradius atanh(cos eps) is taken as -log(tan(eps/2)), since
         # atanh(sin t) loses digits there
         est = volume_orthoscheme(SimplexParams(2, math.pi / 2 - eps))
@@ -134,6 +135,14 @@ class TestOrthoscheme:
         est = volume_orthoscheme(SimplexParams(2, t))
         ref = gauss_bonnet_triangle_area(-math.log(math.tan(eps / 2)))
         assert abs(est.value - ref) <= 1e-13
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_ideal_cut_meets_the_last_float_below(self, n):
+        # the ideal point's d_1 = inf is cut at 40; the float below pi/2
+        # has d_1 = 36.3, so the two volumes differ by rounding alone
+        ideal = volume_orthoscheme(SimplexParams(n, math.pi / 2))
+        below = volume_orthoscheme(SimplexParams(n, math.nextafter(math.pi / 2, 0)))
+        assert abs(ideal.value - below.value) <= ideal.error_estimate + below.error_estimate
 
     def test_beyond_twelve_matches_projective(self):
         # the level stack costs n series, not order^n points, so n = 13 runs
@@ -170,13 +179,13 @@ class TestProjective:
         (volume_projective, 5, 1.2, 3_703),
         (facet_volume_projective, 4, 0.8, 2_231),
         (volume_halfspace, 4, 1.0, 2_691),
-        (volume_orthoscheme, 3, 0.8, 822),
-        (volume_orthoscheme, 5, 1.2, 888),
+        (volume_orthoscheme, 3, 0.8, 195),
+        (volume_orthoscheme, 5, 1.2, 325),
     ])
     def test_n_evals_standalone(self, form, n, t, evals):
         # radial forms: the stack pair's build plus this call's own
         # top-level work, (32 + 1) x order per stack; orthoscheme: the
-        # points of every round of every level plus the outer panels.  The
+        # points of every round of every level, the outer one too.  The
         # same on every call
         p = SimplexParams(n, t)
         assert form(p).n_evals == form(p).n_evals == evals
