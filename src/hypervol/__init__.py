@@ -30,7 +30,6 @@ from .quadrature import (
 from .volume_forms import (
     QuasiRegularParams,
     cosh_power_antiderivative,
-    facet_volume_projective,
     richardson_limit,
     volume_halfspace,
     volume_halfspace_general,
@@ -41,7 +40,6 @@ from .volume_forms import (
 from .bounds import (
     GrowthBounds,
     LimitAudit,
-    euclidean_limit_ratio,
     growth_bounds,
     growth_ratio,
     hm_bounds,
@@ -60,10 +58,10 @@ __all__ = [
     "integrate_nested", "integrate_simplex_radialpow",
     "QuasiRegularParams", "cosh_power_antiderivative",
     "volume_orthoscheme", "volume_projective",
-    "facet_volume_projective", "zn_bounds", "volume_halfspace",
+    "zn_bounds", "volume_halfspace",
     "volume_halfspace_general", "richardson_limit",
     "GrowthBounds", "LimitAudit", "lower_bound", "upper_bound", "hm_bounds",
-    "growth_bounds", "growth_ratio", "euclidean_limit_ratio", "limit_audit",
+    "growth_bounds", "growth_ratio", "limit_audit",
     "HypervolError", "DomainError", "DegenerateGeometryError",
     "ConvergenceError",
     "__version__",

@@ -18,8 +18,8 @@ whole (n, t) grid as one radial batch per (dim, p) of its projective
 volumes and facets; `growth_ratio` is its one-cell case.
 
 `hm_bounds` gives the classical ideal-case reference bracket
-((n-2)/(n-1)^2, 1/(n-1)), and `euclidean_limit_ratio` the flat-space
-limit (n+1)/n^2 of ratio/atanh(sin t) as t -> 0.
+((n-2)/(n-1)^2, 1/(n-1)).  As t -> 0 the ratio over the circumradius
+atanh(sin t) tends to the flat-space value (n+1)/n^2.
 
 One widely quoted endpoint claim does not survive numerical audit: the
 product cos(t) atanh(sin t) tends to 0 as t -> pi/2 (it behaves like
@@ -48,7 +48,6 @@ __all__ = [
     "growth_bounds",
     "growth_ratio",
     "growth_ratio_grid",
-    "euclidean_limit_ratio",
     "limit_audit",
     "LimitAudit",
 ]
@@ -107,13 +106,6 @@ def hm_bounds(n: int) -> tuple[float, float]:
     if n < 2:
         raise DomainError("hm_bounds requires n >= 2")
     return (n - 2) / (n - 1) ** 2, 1.0 / (n - 1)
-
-
-def euclidean_limit_ratio(n: int) -> float:
-    """(n+1)/n^2: the flat-space limit of ratio / circumradius as t -> 0."""
-    if n < 2:
-        raise DomainError("euclidean_limit_ratio requires n >= 2")
-    return (n + 1) / (n * n)
 
 
 @dataclass(frozen=True)

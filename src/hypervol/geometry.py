@@ -238,8 +238,8 @@ class HalfspaceEmbedding:
     of the bottom-facet center onto the boundary hyperplane has height 1.
 
     The n "lower" vertices sit on the unit sphere about the origin at
-    height cos(alpha); the top vertex sits on the vertical axis at height
-    ``top_height``.  Facet i (i = 1..n) lies on the sphere of radius
+    height cos(alpha); the top vertex, ``vertices[n]``, sits on the vertical
+    axis at height sqrt(A).  Facet i (i = 1..n) lies on the sphere of radius
     ``gamma`` centered at ``centers[i-1]`` in the boundary hyperplane; the
     bottom facet lies on the unit sphere (center ``centers[n]`` = origin,
     radius 1).
@@ -258,7 +258,6 @@ class HalfspaceEmbedding:
     centers: np.ndarray       # (n+1, n-1); last row is the origin
     gamma: float
     gram: np.ndarray          # (n-1, n-1) Gram matrix of any n-1 of the v_k
-    top_height: float
     height_sq_scale: float    # A
     height_sq_slope: float    # B
 
@@ -290,11 +289,10 @@ def halfspace_embedding(params: SimplexParams) -> HalfspaceEmbedding:
     v = sin_alpha * unit_simplex_vertices(n - 1)          # (n, n-1)
     A = (n + s) * op / ((n - s) * om)
     B = 2.0 * (n + 1) * s / ((n - s) * om)
-    top = math.sqrt(A)
     vertices = np.zeros((n + 1, n))
     vertices[:n, : n - 1] = v
     vertices[:n, n - 1] = cos_alpha
-    vertices[n, n - 1] = top
+    vertices[n, n - 1] = math.sqrt(A)
     y = ((n + s) / (s * om)) * v
     centers = np.zeros((n + 1, n - 1))
     centers[:n] = y
@@ -304,6 +302,5 @@ def halfspace_embedding(params: SimplexParams) -> HalfspaceEmbedding:
     return HalfspaceEmbedding(
         params=params, sin_alpha=sin_alpha, cos_alpha=cos_alpha,
         vertices=vertices, v=v, centers=centers, gamma=gamma,
-        gram=gram, top_height=top,
-        height_sq_scale=A, height_sq_slope=B,
+        gram=gram, height_sq_scale=A, height_sq_slope=B,
     )

@@ -746,7 +746,8 @@ def _radial_estimate(levels: int, p: float, w_floor: float, cfg: QuadratureConfi
     either stack has no plateau by its cap, as in `integrate_nested`;
     otherwise a row stalls when its bar is above
     max(1e-3 |value|, 1e4 * tolerance), with the default QuadratureConfig
-    when ``cfg`` is None."""
+    when ``cfg`` is None.  A nan bar, from a level whose running sums
+    underflow (n above about 64), reads inf, and the row stalls."""
     cfg = cfg or QuadratureConfig()
     stacks = _radial_pair(levels, p, w_floor)
     (lo, lo_evals, _), (hi, hi_evals, rounding) = (values_of(stack) for stack in stacks)
@@ -757,8 +758,10 @@ def _radial_estimate(levels: int, p: float, w_floor: float, cfg: QuadratureConfi
     rows = zip(lo, hi, np.add(lo_evals, hi_evals).tolist(), rounding)
     for row, (lo_v, hi_v, evals, term) in enumerate(rows):
         err = abs(hi_v - lo_v) + _ABS_TOL + term
+        if math.isnan(err):
+            err = math.inf
         est = VolumeEstimate(hi_v, err, build + evals, method)
-        if unresolved or err > max(1e-3 * abs(hi_v), 1e4 * cfg.tolerance(hi_v)):
+        if unresolved or not err <= max(1e-3 * abs(hi_v), 1e4 * cfg.tolerance(hi_v)):
             why = unresolved[0] if unresolved else f"err {err:.3e} on value {hi_v:.6e}"
             raise ConvergenceError(f"radial refinement stalled ({why})", estimate=est, row=row)
         out.append(est)

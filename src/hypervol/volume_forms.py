@@ -56,7 +56,6 @@ __all__ = [
     "cosh_power_antiderivative",
     "volume_orthoscheme",
     "volume_projective",
-    "facet_volume_projective",
     "zn_bounds",
     "volume_halfspace",
     "volume_halfspace_general",
@@ -170,40 +169,8 @@ def volume_projective(params: SimplexParams, cfg: QuadratureConfig | None = None
                    one_minus_scale_sq=w)
 
 
-def facet_volume_projective(params: SimplexParams,
-                            cfg: QuadratureConfig | None = None) -> VolumeEstimate:
-    """(n-1)-volume of a facet, via the projective model one dimension down.
-
-    The facet is the regular (n-1)-simplex of circumradius r_{n-1}; its
-    projective picture has Euclidean circumradius tanh r_{n-1} and volume
-    element exponent n/2.  Equivalently this is volume_projective of the
-    (n-1)-simplex whose parameter t' satisfies sin t' = tanh r_{n-1}.
-    """
-    if params.n < 3:
-        raise DomainError("facet volume needs n >= 3 (the facet must carry area)")
-    dim, p, scale, w = _facet_job(params)
-    return _tagged("facet-projective", integrate_simplex_radialpow, dim, scale, p, cfg,
-                   one_minus_scale_sq=w)
-
-
 # ---------------------------------------------------------------------------
 # Half-space form
-
-def _locate_subsimplex(emb: HalfspaceEmbedding, v: np.ndarray):
-    """Find the dissection piece containing v and its barycentric weights.
-
-    Piece i omits vertex i; ties (boundary points) resolve to the lowest
-    index.  Raises DomainError for points outside the projected facet.
-    """
-    n = emb.n
-    tol = 1e-10 * max(1.0, emb.sin_alpha)
-    for i in range(n):
-        idx = [j for j in range(n) if j != i]
-        lam = np.linalg.solve(emb.v[idx].T, v)
-        if np.all(lam >= -tol) and lam.sum() <= 1.0 + tol:
-            return i, np.maximum(lam, 0.0)
-    raise DomainError("point lies outside the projected facet")
-
 
 def zn_bounds(emb: HalfspaceEmbedding, v) -> tuple[float, float]:
     """Vertical extent of the half-space simplex above boundary point v.
@@ -212,12 +179,24 @@ def zn_bounds(emb: HalfspaceEmbedding, v) -> tuple[float, float]:
     the bottom facet) and hi^2 = lo^2 + B (1 - a), where a is the
     barycentric sum of v in its dissection piece and B the embedding's
     height slope.  The interval collapses exactly at the facet vertices.
+
+    a is the projected facet's gauge about its center.  The piece of v
+    omits the vertex v_i with the least <v, v_i>, and on the piece
+    <v, v_i> = -a sigma^2 / (n - 1), sigma = sin alpha, so
+
+        a = (1 - n) min_i <v / sigma, v_i / sigma>,
+
+    which is 1 - n times v's least barycentric weight in the facet.  Both
+    vectors are divided by sigma first, so a keeps its digits where sigma^2
+    underflows (t = 1e-300).  Raises DomainError for a point outside the
+    facet, a > 1 + 1e-10.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (emb.n - 1,):
         raise DomainError(f"v must have shape ({emb.n - 1},)")
-    _, lam = _locate_subsimplex(emb, v)
-    a = float(lam.sum())
+    a = (1 - emb.n) * float(np.min((emb.v / emb.sin_alpha) @ (v / emb.sin_alpha)))
+    if a > 1.0 + 1e-10:
+        raise DomainError("point lies outside the projected facet")
     rho2 = float(v @ v)
     lo_sq = max(1.0 - rho2, 0.0)
     hi_sq = lo_sq + emb.height_sq_slope * max(1.0 - a, 0.0)
@@ -258,7 +237,7 @@ def _halfspace_value(n: int, sigma: float, w_perp: float, slope: float,
         t2 = n * b_c * float(
             (a ** (n - 2) * rho_f_sq ** ((n - 2) / 2.0) * c_of_a ** (-p) * inner) @ wq
         )
-        if not t2 < t1:                         # as at n = 3 from t ~ 1e-18 down
+        if t2 >= t1:            # as at n = 3 from t ~ 1e-18 down; a nan row stalls instead
             raise DegenerateGeometryError("half-space integrals t1 - t2 cancel to every digit")
         return [float(t1 - t2) / (n - 1)], [evals + a.size], [16 * _EPS * float(t1) / (n - 1)]
 

@@ -9,8 +9,6 @@ from hypervol import (
     DomainError,
     SimplexParams,
     VolumeEstimate,
-    euclidean_limit_ratio,
-    facet_volume_projective,
     growth_bounds,
     growth_ratio,
     hm_bounds,
@@ -142,20 +140,6 @@ class TestHmBounds:
             assert lo <= hi
 
 
-class TestEuclideanLimitRatio:
-    def test_values(self):
-        assert euclidean_limit_ratio(3) == pytest.approx(4.0 / 9.0, rel=1e-16)
-        assert euclidean_limit_ratio(2) == pytest.approx(0.75, rel=1e-16)
-
-    def test_decreasing(self):
-        vals = [euclidean_limit_ratio(n) for n in range(2, 30)]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-
-    def test_rejects(self):
-        with pytest.raises(DomainError):
-            euclidean_limit_ratio(1)
-
-
 class TestGrowthRatio:
     def test_ideal_tetrahedron_ratio(self):
         est = growth_ratio(SimplexParams(3, math.pi / 2))
@@ -165,14 +149,14 @@ class TestGrowthRatio:
         for n in (3, 4):
             est = growth_ratio(SimplexParams(n, 0.01))
             scaled = est.value / math.atanh(math.sin(0.01))
-            assert abs(scaled / euclidean_limit_ratio(n) - 1.0) <= 0.01
+            assert abs(scaled / ((n + 1) / n**2) - 1.0) <= 0.01
 
     @pytest.mark.parametrize("n, t", [(3, 1e-12), (5, 1e-12), (8, 1e-12), (3, 1e-50), (5, 1e-50)])
     def test_tiny_t_keeps_the_euclidean_limit(self, n, t):
         # 1 - sin^2 t rounds to 1 here; the top integral's upper limit
         # must come from log1p(-sin^2 t), or the volumes read 0
         scaled = growth_ratio(SimplexParams(n, t)).value / math.atanh(math.sin(t))
-        assert scaled == pytest.approx(euclidean_limit_ratio(n), rel=1e-13, abs=0)
+        assert scaled == pytest.approx((n + 1) / n**2, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("t", [0.2, 0.7, 1.2, 1.5])
@@ -212,7 +196,7 @@ class TestGrowthRatioGrid:
             assert all(isinstance(part, VolumeEstimate) for part in row), cell
             _, vol, facet = row
             for shared, alone in ((vol, volume_projective(cell)),
-                                  (facet, facet_volume_projective(cell))):
+                                  (facet, growth_ratio_grid([cell])[0][2])):
                 assert shared.value == pytest.approx(alone.value, rel=1e-14, abs=0), cell
 
     def test_ideal_ratio_in_both_brackets(self):

@@ -121,6 +121,19 @@ class TestVolume:
         assert lines[1].startswith("method=orthoscheme value=")
         assert lines[3].startswith("max_rel_diff=")
 
+    def test_all_keeps_the_orthoscheme_past_an_underflowed_level(self, capsys):
+        # at n = 80 both radial forms stall on an unresolved level (their
+        # underflowed levels make numpy warn), print nan on an inf bar and
+        # exit 2; the orthoscheme still prints its value
+        with pytest.warns(RuntimeWarning):
+            code, out, _ = run(capsys, "volume", "--n", "80", "--t", "0.5", "--method", "all")
+        assert code == 2
+        lines = out.splitlines()
+        for line, name in zip(lines[::2], ("projective", "halfspace")):
+            assert line.startswith(f"method={name} value=nan error=inf n_evals=")
+        value = float(lines[1].split()[1].split("=")[1])
+        assert lines[1].startswith("method=orthoscheme") and 0.0 < value < math.inf
+
     def test_orthoscheme_beyond_twelve(self, capsys):
         code, out, err = run(capsys, "volume", "--n", "13", "--t", "0.5",
                              "--method", "orthoscheme")

@@ -275,7 +275,7 @@ class TestHalfspaceEmbedding:
         assert emb.cos_alpha == pytest.approx(
             n * p.cos_t / math.sqrt(n * n - s * s), rel=1e-14)
         top = math.sqrt((n + s) * (1 + s) / ((n - s) * (1 - s)))
-        assert emb.top_height == pytest.approx(top, rel=1e-13)
+        assert emb.vertices[n, n - 1] == pytest.approx(top, rel=1e-13)
         assert emb.height_sq_scale - emb.height_sq_slope == pytest.approx(1.0, rel=1e-12)
 
     def test_degenerate(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hypervol import integrate_simplex_radialpow, quadrature
+from hypervol.bounds import growth_ratio_grid
 from hypervol.volume_forms import _projective_job
 from hypervol import (
     ConvergenceError,
@@ -14,7 +15,6 @@ from hypervol import (
     QuasiRegularParams,
     SimplexParams,
     cosh_power_antiderivative,
-    facet_volume_projective,
     halfspace_embedding,
     ladder,
     richardson_limit,
@@ -35,6 +35,12 @@ from oracles import (
 
 T35 = math.asin(0.6)
 FORMS = (volume_projective, volume_orthoscheme, volume_halfspace)
+
+
+def facet_row(params):
+    """The facet volume of tau[n, t], n >= 3: the facet row of its
+    one-cell growth-ratio grid, the package's one facet path."""
+    return growth_ratio_grid([params])[0][2]
 
 
 def test_lobachevsky_oracle_self_consistent():
@@ -177,7 +183,7 @@ class TestProjective:
     @pytest.mark.parametrize("form, n, t, evals", [
         (volume_projective, 3, 0.8, 2_231),
         (volume_projective, 5, 1.2, 3_703),
-        (facet_volume_projective, 4, 0.8, 2_231),
+        (facet_row, 4, 0.8, 2_231),
         (volume_halfspace, 4, 1.0, 2_691),
         (volume_orthoscheme, 3, 0.8, 195),
         (volume_orthoscheme, 5, 1.2, 325),
@@ -206,23 +212,17 @@ class TestProjective:
 
 
 class TestFacetProjective:
-    def test_requires_n3(self):
-        with pytest.raises(DomainError):
-            facet_volume_projective(SimplexParams(2, 0.5))
-
-    def test_zero_t(self):
-        est = facet_volume_projective(SimplexParams(3, 0.0))
-        assert (est.value, est.error_estimate, est.n_evals, est.method) == (
-            0.0, 0.0, 0, "facet-projective")
+    """The grid's facet rows, tagged facet-projective."""
 
     def test_ideal_facet_is_ideal_triangle(self):
-        est = facet_volume_projective(SimplexParams(3, math.pi / 2))
+        est = facet_row(SimplexParams(3, math.pi / 2))
         assert est.value == pytest.approx(math.pi, abs=1e-8)
+        assert est.method == "facet-projective"
 
     def test_facet_35(self):
         # the facet of tau[3, asin(3/5)] is the triangle with circumradius
         # atanh(1/sqrt 3)
-        est = facet_volume_projective(SimplexParams(3, T35))
+        est = facet_row(SimplexParams(3, T35))
         assert est.value == pytest.approx(
             gauss_bonnet_triangle_area(math.atanh(1 / math.sqrt(3))), abs=1e-12)
 
@@ -232,7 +232,7 @@ class TestFacetProjective:
         p = SimplexParams(n, t)
         lad = ladder(p)
         t_prime = math.asin(lad.tanh_r[n - 2])
-        a = facet_volume_projective(p)
+        a = facet_row(p)
         b = volume_projective(SimplexParams(n - 1, t_prime))
         assert abs(a.value - b.value) <= 1e-8 * a.value
 
@@ -254,18 +254,45 @@ class TestZnBounds:
         assert hi - lo <= 1e-10
 
     def test_matches_literal_coefficient_form(self):
-        # lo^2 + B(1-a) agrees with the expanded A - B a - |v|^2
+        # lo^2 + B(1-a) agrees with the expanded A - B a - |v|^2, where a
+        # is 1 - n times the least barycentric weight of v in the facet
         emb = self.emb
         rng = np.random.Generator(np.random.Philox(key=5))
         for _ in range(50):
             w = rng.dirichlet(np.ones(3))
             v = w @ emb.v
             lo, hi = zn_bounds(emb, v)
-            from hypervol.volume_forms import _locate_subsimplex
-            _, lam = _locate_subsimplex(emb, v)
             literal = (emb.height_sq_scale
-                       - emb.height_sq_slope * lam.sum() - float(v @ v))
+                       - emb.height_sq_slope * (1 - 3 * w.min()) - float(v @ v))
             assert hi**2 == pytest.approx(literal, rel=1e-9)
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-12, 5e-11])
+    def test_gauge_on_faces_shared_by_two_pieces(self, delta):
+        # v on, or delta inside piece j of, the face that pieces i < j
+        # share, where a search over the pieces with a tolerance on the
+        # weights can pick piece i: a must still be 1 - n min(w)
+        rng = np.random.Generator(np.random.Philox(key=8))
+        for n in range(2, 13):
+            emb = halfspace_embedding(SimplexParams(n, 0.7))
+            for _ in range(100):
+                w = rng.dirichlet(np.ones(n))
+                i, j = sorted(rng.choice(n, 2, replace=False))
+                w[i] = w[j] = w.min()
+                w[j] -= delta
+                w /= w.sum()
+                lo, hi = zn_bounds(emb, w @ emb.v)
+                a = 1 - (hi * hi - lo * lo) / emb.height_sq_slope
+                assert abs(a - (1 - n * w.min())) <= 1e-14, (n, w)
+
+    def test_scale_free_at_t_1e_300(self):
+        # sigma^2 underflows to 0; the gauge reads v / sigma, so the center
+        # is inside and a point past a vertex is outside
+        emb = halfspace_embedding(SimplexParams(4, 1e-300))
+        assert emb.sin_alpha ** 2 == 0.0
+        assert zn_bounds(emb, np.zeros(3)) == (1.0, 1.0)
+        assert zn_bounds(emb, emb.v[2]) == (1.0, 1.0)
+        with pytest.raises(DomainError, match="outside the projected facet"):
+            zn_bounds(emb, 1.01 * emb.v[2])
 
     def test_interior_strict(self):
         rng = np.random.Generator(np.random.Philox(key=6))
@@ -445,18 +472,30 @@ def _halfspace_general_of(params):
 
 @pytest.mark.parametrize("form, params, method", [
     (volume_projective, SimplexParams(5, math.pi / 2), "projective"),
-    (facet_volume_projective, SimplexParams(6, math.pi / 2), "facet-projective"),
     (volume_orthoscheme, SimplexParams(5, 1.5), "orthoscheme"),
     (volume_halfspace, SimplexParams(5, 1.5), "halfspace"),
     (_halfspace_general_of, SimplexParams(5, 1.5), "halfspace-general"),
-], ids=["projective", "facet", "orthoscheme", "halfspace", "halfspace-general"])
+], ids=["projective", "orthoscheme", "halfspace", "halfspace-general"])
 def test_stall_carries_the_form_method(monkeypatch, form, params, method):
     # capped at N = 32 a level of each engine has no plateau; the estimate
-    # a stall raises names the form, as a settled one does
+    # a stall raises names the form, as a settled one does.  The grid's
+    # facet rows: TestGrowthRatioGrid::test_stall_names_its_cell_and_form
     monkeypatch.setattr(quadrature, "_MAX_DEGREE", 32)
     with pytest.raises(ConvergenceError, match="no plateau by N = 32") as info:
         form(params)
     assert info.value.estimate.method == method
+
+
+@pytest.mark.parametrize("form", [volume_projective, volume_halfspace])
+def test_underflowed_level_stalls_on_its_level(form):
+    # at n = 80 the running sums of a high level underflow (numpy warns of
+    # the log of 0) and its coefficients turn nan.  The row stalls on the
+    # first unresolved level with an inf bar, not on a nan bar or on a nan
+    # half-space crossing
+    with pytest.warns(RuntimeWarning), pytest.raises(
+            ConvergenceError, match=r"\(level \d+ has no plateau by N = 512\)") as info:
+        form(SimplexParams(80, 0.5))
+    assert info.value.estimate.error_estimate == math.inf
 
 
 class TestSchlafli:
