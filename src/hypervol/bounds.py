@@ -31,7 +31,7 @@ limit next to the claimed value without asserting either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,15 +138,16 @@ def growth_ratio_grid(cells, cfg: QuadratureConfig | None = None) -> list[tuple]
     Each volume keeps its own error bar and stall gate.  Batches run in
     the order of their first cell, a cell's volume before its facet, and
     the first batch that stalls raises its first stalled row
-    (`integrate_simplex_radialpow`) as a ConvergenceError whose estimate
-    is tagged with the form, projective or facet-projective, whose
-    message names the cell and whose ``row`` is the cell's index.
+    (`integrate_simplex_radialpow`) as a ConvergenceError that carries
+    the row's estimate as it is, whose message names the form,
+    projective or facet-projective, and the cell, and whose ``row`` is
+    the cell's index.
     A batch's stacks are built on the widest theta range it needs, with
     more nodes, so a cell's values can differ from its grid of one within
     the error bars (about 1e-14 relative on the criterion-04 grid).  The
     ratio's error is first-order propagated from the two quadrature
-    errors and its method tag records the forms used.  A volume that
-    underflows to 0.0 (V_n is about t^n) raises DomainError.
+    errors.  A volume that underflows to 0.0 (V_n is about t^n) raises
+    DomainError.
     """
     for params in cells:
         if params.n < 3:
@@ -165,25 +166,20 @@ def growth_ratio_grid(cells, cfg: QuadratureConfig | None = None) -> list[tuple]
                                                                one_minus_scale_sq=w)))
         except ConvergenceError as exc:
             k, facet = divmod(index[exc.row], 2)             # jobs alternate volume, facet
-            method = "facet-projective" if facet else "projective"
+            form = "facet-projective" if facet else "projective"
             raise ConvergenceError(
-                f"{method} volume of cell {k} (n = {cells[k].n}, t = {cells[k].t!r}): {exc}",
-                estimate=replace(exc.estimate, method=method), row=k) from exc
+                f"{form} volume of cell {k} (n = {cells[k].n}, t = {cells[k].t!r}): {exc}",
+                estimate=exc.estimate, row=k) from exc
     out = []
     for k, params in enumerate(cells):
-        vol = replace(rows[2 * k], method="projective")
-        facet = replace(rows[2 * k + 1], method="facet-projective")
+        vol, facet = rows[2 * k], rows[2 * k + 1]
         if vol.value == 0.0 or facet.value == 0.0:
             raise DomainError(f"volume underflows to 0.0 at n = {params.n}, t = {params.t!r}")
         ratio = vol.value / facet.value
         err = ratio * (
             vol.error_estimate / vol.value + facet.error_estimate / facet.value
         )
-        est = VolumeEstimate(
-            ratio, err, vol.n_evals + facet.n_evals,
-            f"{vol.method}/{facet.method}",
-        )
-        out.append((est, vol, facet))
+        out.append((VolumeEstimate(ratio, err, vol.n_evals + facet.n_evals), vol, facet))
     return out
 
 

@@ -84,6 +84,14 @@ def _open_out(path):
         raise HypervolError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _spread(vals) -> float:
+    """(max - min) / max of the volumes ``vals``, with max floored at
+    1e-300; nan when any value is nan."""
+    if any(map(math.isnan, vals)):
+        return math.nan
+    return (max(vals) - min(vals)) / max(max(vals), 1e-300)
+
+
 # ---------------------------------------------------------------------------
 
 _FORMS = {
@@ -115,11 +123,7 @@ def cmd_volume(args) -> int:
             f"error={_fmt(est.error_estimate)} n_evals={est.n_evals}"
         )
     if every:
-        if len(vals) >= 2 and max(vals) > 0:
-            spread = (max(vals) - min(vals)) / max(vals)
-        else:
-            spread = 0.0
-        lines.append(f"max_rel_diff={_fmt(spread)}")
+        lines.append(f"max_rel_diff={_fmt(_spread(vals))}")
     args.stream.write("\n".join(lines) + "\n")
     return code
 
@@ -266,7 +270,7 @@ def _check_lines(params: SimplexParams, cfg: QuadratureConfig):
         yield "cross_model", None, None
     else:
         vals = [e.value for e in ests]
-        spread = (max(vals) - min(vals)) / max(max(vals), 1e-300)
+        spread = _spread(vals)
         budget = cfg.rel_tol + sum(e.error_estimate for e in ests) / max(max(vals), 1e-300)
         yield "cross_model", spread <= budget, spread
 
@@ -303,11 +307,8 @@ def cmd_ladder(args) -> int:
     lad = ladder(params)
     lines = ["k,r_k,tanh_r_k,d_k,tanh_d_k"]
     for k in range(params.n):
-        r = "inf" if math.isinf(lad.r[k]) else _fmt(float(lad.r[k]))
-        d = "inf" if math.isinf(lad.d[k]) else _fmt(float(lad.d[k]))
-        lines.append(
-            f"{k + 1},{r},{_fmt(float(lad.tanh_r[k]))},{d},{_fmt(float(lad.tanh_d[k]))}"
-        )
+        row = (lad.r[k], lad.tanh_r[k], lad.d[k], lad.tanh_d[k])
+        lines.append(",".join([str(k + 1), *(_fmt(float(x)) for x in row)]))
     args.stream.write("\n".join(lines) + "\n")
     return 0
 

@@ -121,7 +121,8 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class VolumeEstimate:
-    """A computed integral with its error estimate and evaluation count.
+    """A computed integral: its value, error estimate and evaluation count,
+    and nothing else.  The caller knows which form it asked for.
 
     The error estimate is the gap between the lo/hi stack pair plus
     _ABS_TOL and any rounding term of the row (radial engine), or a
@@ -132,7 +133,6 @@ class VolumeEstimate:
     value: float
     error_estimate: float
     n_evals: int
-    method: str
 
     def __post_init__(self):
         if not self.error_estimate >= 0.0:
@@ -221,7 +221,7 @@ def integrate_nested(limits: Sequence, factors: Sequence,
         if not math.isfinite(top):
             raise DomainError(f"limits[{k}] gives the range X_{k} = {top!r}; it must be finite")
     if 0.0 in tops:
-        return VolumeEstimate(0.0, 0.0, 0, "nested-chebyshev")     # an empty range
+        return VolumeEstimate(0.0, 0.0, 0)      # an empty range
     inner, values, n_evals, stalled = np.ones_like, None, 0, False
     for k in range(depth - 1, -1, -1):
         def sample(n):
@@ -239,7 +239,7 @@ def integrate_nested(limits: Sequence, factors: Sequence,
 
     value = float(level.sum())                          # F_0(X_0): every T_j is 1 there
     err = _CHOP_TOL * (depth * abs(value) + tops[0] * float(np.abs(values).max()))
-    est = VolumeEstimate(value, err, n_evals, "nested-chebyshev")
+    est = VolumeEstimate(value, err, n_evals)
     if stalled or err > cfg.rel_tol * abs(value):
         why = f"a level has no plateau by N = {_MAX_DEGREE}" if stalled else f"err {err:.3e}"
         raise ConvergenceError(f"nested chain unresolved at depth {depth} ({why})", estimate=est)
@@ -283,19 +283,13 @@ def _dct_matrix(n: int) -> np.ndarray:
     in rows 0 and N; read-only because it is cached.  The cosines come
     from a table of cos(pi r / N), r = 0..N, built from the first octant
     (sines of the complement past pi / 4), so it is exactly odd about
-    r = N / 2.  Only the quarter m, j <= N / 2 is looked up: column N - j
-    is column j times (-1)^m, and row N - m is row m times (-1)^j, so a
-    build at N = 512, which no perfbench workload reaches, writes its
-    2.1 MB in about 2.6 ms (a shared 2-vCPU Xeon VM)."""
+    r = N / 2, and its mirror extends it to the period r = 0..2N - 1,
+    where every entry is looked up at m j mod 2N."""
     r = np.arange(n + 1)
     q = np.minimum(r, n - r)
     octant = np.where(4 * q <= n, np.cos(np.pi / n * q), np.sin(np.pi / (2 * n) * (n - 2 * q)))
     table = np.where(2 * r <= n, octant, -octant) * (2.0 / n)
-    h, sign = n // 2 + 1, 1.0 - 2 * (r % 2)                 # (-1)^r
-    mat = np.empty((n + 1, n + 1))
-    mat[:h, :h] = np.concatenate((table, table[-2:0:-1]))[np.multiply.outer(r[:h], r[:h]) % (2 * n)]
-    mat[:h, h:] = mat[:h, n - h::-1] * sign[:h, None]
-    mat[h:] = mat[n - h::-1] * sign
+    mat = np.concatenate((table, table[-2:0:-1]))[np.multiply.outer(r, r) % (2 * n)]
     mat[:, [0, n]] /= 2
     mat[[0, n]] /= 2
     mat.flags.writeable = False
@@ -733,13 +727,15 @@ def _radial_pair(levels: int, p: float, w_floor: float) -> tuple:
 
 
 def _radial_estimate(levels: int, p: float, w_floor: float, cfg: QuadratureConfig | None,
-                     values_of: Callable, method: str) -> list[VolumeEstimate]:
+                     values_of: Callable) -> list[VolumeEstimate]:
     """One estimate per row of ``values_of(stack)``, the rows' values,
     evaluations beyond the build and rounding terms on each stack of the
-    `_radial_pair` (levels, p, w_floor): the high-fidelity value, the gap
-    to the low-fidelity one plus _ABS_TOL plus the high-fidelity row's
-    rounding term (the half-space form's cancellation; 0 for a plain
-    integral), and the pair's build plus the row's own work.
+    `_radial_pair` (levels, p, w_floor).  A row's estimate is the
+    high-fidelity value; its bar, the gap to the low-fidelity one plus
+    _ABS_TOL plus the high-fidelity row's rounding term (the half-space
+    form's cancellation; 0 for a plain integral); and its count, the
+    pair's build plus the row's own work.  The projective and half-space
+    forms return these estimates as they are.
 
     The first row that stalls raises ConvergenceError carrying its
     estimate and its index as ``row``.  Every row stalls when a level of
@@ -760,7 +756,7 @@ def _radial_estimate(levels: int, p: float, w_floor: float, cfg: QuadratureConfi
         err = abs(hi_v - lo_v) + _ABS_TOL + term
         if math.isnan(err):
             err = math.inf
-        est = VolumeEstimate(hi_v, err, build + evals, method)
+        est = VolumeEstimate(hi_v, err, build + evals)
         if unresolved or not err <= max(1e-3 * abs(hi_v), 1e4 * cfg.tolerance(hi_v)):
             why = unresolved[0] if unresolved else f"err {err:.3e} on value {hi_v:.6e}"
             raise ConvergenceError(f"radial refinement stalled ({why})", estimate=est, row=row)
@@ -810,7 +806,7 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
             f"(1 - |x|^2)^(-p) is not integrable over S({n}) for p = {p}"
         )
     if np.ndim(scale) == 0 and scale == 0.0:
-        return VolumeEstimate(0.0, 0.0, 0, "simplex-radial")
+        return VolumeEstimate(0.0, 0.0, 0)
     sigma2 = rows * rows
     if not rows.size:
         return []
@@ -819,5 +815,5 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
         top, evals = stack.top_integral(n, w_top, sigma2)
         return top.tolist(), evals, [0.0] * top.size
 
-    out = _radial_estimate(n - 1, p, float(w_top.min()), cfg, values_of, "simplex-radial")
+    out = _radial_estimate(n - 1, p, float(w_top.min()), cfg, values_of)
     return out if np.ndim(scale) else out[0]

@@ -29,11 +29,11 @@ facet integrals reduce to the radial-power machinery of `quadrature`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateGeometryError, DomainError
+from .errors import DegenerateGeometryError, DomainError
 from .geometry import (
     HalfspaceEmbedding,
     SimplexParams,
@@ -94,17 +94,6 @@ def cosh_power_antiderivative(m: int, x):
     return out if out.ndim else float(out)
 
 
-def _tagged(method: str, integrate, *args, **kwargs) -> VolumeEstimate:
-    """``integrate(*args, **kwargs)`` with its estimate's method set to
-    ``method``, on the ConvergenceError of a stall as on success."""
-    try:
-        est = integrate(*args, **kwargs)
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            str(exc), estimate=replace(exc.estimate, method=method)) from exc
-    return replace(est, method=method)
-
-
 def volume_orthoscheme(params: SimplexParams, cfg: QuadratureConfig | None = None) -> VolumeEstimate:
     """Volume via the orthoscheme dissection: (n+1)! times the iterated
     orthogonal-coordinate integral over the fundamental orthoscheme.
@@ -128,7 +117,7 @@ def volume_orthoscheme(params: SimplexParams, cfg: QuadratureConfig | None = Non
     """
     n = params.n
     if params.t <= 0.0:
-        return VolumeEstimate(0.0, 0.0, 0, "orthoscheme")
+        return VolumeEstimate(0.0, 0.0, 0)
     lad = ladder(params)
     sinh_d = np.minimum(lad.sinh_d, math.sinh(_IDEAL_CUT))      # cuts only d_1 = inf
     copies = float(math.factorial(n + 1))
@@ -138,7 +127,7 @@ def volume_orthoscheme(params: SimplexParams, cfg: QuadratureConfig | None = Non
         limits.append(lambda x, c=c: np.arctanh(np.minimum(c * np.sinh(x), _CLIP)))
     factors = [lambda x: np.full_like(x, copies)]
     factors += [lambda x, k=k: np.cosh(x) ** k for k in range(1, n)]
-    return _tagged("orthoscheme", integrate_nested, limits, factors, cfg)
+    return integrate_nested(limits, factors, cfg)
 
 
 def _projective_job(params: SimplexParams):
@@ -165,8 +154,7 @@ def volume_projective(params: SimplexParams, cfg: QuadratureConfig | None = None
     engine returns the zero volume of scale 0.
     """
     dim, p, scale, w = _projective_job(params)
-    return _tagged("projective", integrate_simplex_radialpow, dim, scale, p, cfg,
-                   one_minus_scale_sq=w)
+    return integrate_simplex_radialpow(dim, scale, p, cfg, one_minus_scale_sq=w)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +229,7 @@ def _halfspace_value(n: int, sigma: float, w_perp: float, slope: float,
             raise DegenerateGeometryError("half-space integrals t1 - t2 cancel to every digit")
         return [float(t1 - t2) / (n - 1)], [evals + a.size], [16 * _EPS * float(t1) / (n - 1)]
 
-    return _radial_estimate(dim - 1, p, w_perp, cfg, values_of, "halfspace")[0]
+    return _radial_estimate(dim - 1, p, w_perp, cfg, values_of)[0]
 
 
 def volume_halfspace(params: SimplexParams, cfg: QuadratureConfig | None = None) -> VolumeEstimate:
@@ -304,7 +292,7 @@ def volume_halfspace_general(q: QuasiRegularParams, cfg: QuadratureConfig | None
     above about 354.9, where either form of the slope overflows float64.
     """
     if q.facet_circumradius == 0.0:
-        return VolumeEstimate(0.0, 0.0, 0, "halfspace-general")
+        return VolumeEstimate(0.0, 0.0, 0)
     if 2.0 * (q.r + q.d) > _LOG_MAX:
         raise DomainError(f"r + d = {q.r + q.d:.10g} is above {_LOG_MAX / 2:.10g}: the height "
                           "constant e^(2(r+d)) overflows float64")
@@ -315,7 +303,7 @@ def volume_halfspace_general(q: QuasiRegularParams, cfg: QuadratureConfig | None
         slope = math.exp(q.r + q.d) * (math.exp(q.r + q.d) + 2.0)
     else:
         slope = math.expm1(2.0 * (q.r + q.d))           # T - 1, exact for small r+d
-    return _tagged("halfspace-general", _halfspace_value, q.n, sigma, w_perp, slope, cfg)
+    return _halfspace_value(q.n, sigma, w_perp, slope, cfg)
 
 
 def richardson_limit(eps: np.ndarray, values: np.ndarray) -> tuple[float, float]:

@@ -172,10 +172,6 @@ class TestGrowthRatio:
         with pytest.raises(DomainError):
             growth_ratio(SimplexParams(3, 0.0))
 
-    def test_method_tag(self):
-        est = growth_ratio(SimplexParams(3, 0.5))
-        assert "projective" in est.method
-
 
 class TestGrowthRatioGrid:
     def test_mixed_grid_within_standalone_bars(self):
@@ -229,16 +225,16 @@ class TestGrowthRatioGrid:
 
     def test_stall_names_its_cell_and_form(self, monkeypatch):
         # capped at N = 32 an ideal level has no plateau; the stall raises
-        # the stalled volume tagged with its form, and names its cell
+        # the stalled volume, and names its form and its cell
         monkeypatch.setattr(quadrature, "_MAX_DEGREE", 32)
         with pytest.raises(ConvergenceError, match=r"^projective volume of cell 0 \(n = 5") as info:
             growth_ratio(SimplexParams(5, math.pi / 2))
-        assert info.value.estimate.method == "projective" and info.value.row == 0
+        assert info.value.row == 0
         # the (5, 3) batch holds cell 0's facet and cell 1's ideal volume,
         # so its first row, the facet, stalls
         with pytest.raises(ConvergenceError, match=r"^facet-projective volume of cell 0 ") as info:
             growth_ratio_grid([SimplexParams(6, 0.3), SimplexParams(5, math.pi / 2)])
-        assert info.value.estimate.method == "facet-projective" and info.value.row == 0
+        assert info.value.row == 0
 
     def test_rejects_any_bad_cell(self):
         with pytest.raises(DomainError):
@@ -283,6 +279,8 @@ class TestLimitAudit:
             limit_audit(3, [1.0, 0.5])
         with pytest.raises(DomainError):
             limit_audit(1, default_audit_sequence())
+        with pytest.raises(DomainError, match="need t < pi/2"):
+            limit_audit(3, [1.0, 1.5, math.pi / 2])
 
 
 def test_bounds_bundle():

@@ -124,7 +124,8 @@ class TestVolume:
     def test_all_keeps_the_orthoscheme_past_an_underflowed_level(self, capsys):
         # at n = 80 both radial forms stall on an unresolved level (their
         # underflowed levels make numpy warn), print nan on an inf bar and
-        # exit 2; the orthoscheme still prints its value
+        # exit 2; the orthoscheme still prints its value, and the spread of
+        # values that hold a nan is nan
         with pytest.warns(RuntimeWarning):
             code, out, _ = run(capsys, "volume", "--n", "80", "--t", "0.5", "--method", "all")
         assert code == 2
@@ -133,6 +134,7 @@ class TestVolume:
             assert line.startswith(f"method={name} value=nan error=inf n_evals=")
         value = float(lines[1].split()[1].split("=")[1])
         assert lines[1].startswith("method=orthoscheme") and 0.0 < value < math.inf
+        assert lines[-1] == "max_rel_diff=nan"
 
     def test_orthoscheme_beyond_twelve(self, capsys):
         code, out, err = run(capsys, "volume", "--n", "13", "--t", "0.5",
@@ -437,6 +439,20 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--n", "3", "--t", "0.8")
         assert code == 3
         assert "FAIL cross_model" in out
+
+    @pytest.mark.parametrize("bad", [
+        lambda lo, hi: (hi + 1.0, hi),          # empty
+        lambda lo, hi: (0.0, hi),               # reaching below the unit hemisphere
+        lambda lo, hi: (lo, hi + 1.0),          # reaching above the facet spheres
+    ], ids=["empty", "below_hemisphere", "above_spheres"])
+    def test_zn_sandwich_fails_on_a_bad_interval(self, capsys, monkeypatch, bad):
+        zn_bounds = cli.zn_bounds
+        monkeypatch.setattr(cli, "zn_bounds", lambda emb, v: bad(*zn_bounds(emb, v)))
+        code, out, _ = run(capsys, "check", "--n", "3", "--t", "0.8")
+        assert code == 3
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert [line.split()[1] for line in fails] == ["zn_sandwich"]
+        assert float(fails[0].split("residual=")[1]) > 0.0
 
     def test_stall_keeps_structural_lines(self, capsys, stalled):
         # the forms raise inside cross_model; the lines before it are kept

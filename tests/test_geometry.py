@@ -290,3 +290,5 @@ class TestHalfspaceEmbedding:
 def test_unit_simplex_point_case():
     assert unit_simplex_vertices(0).shape == (1, 0)
     assert np.array_equal(unit_simplex_vertices(1), [[1.0], [-1.0]])
+    with pytest.raises(DomainError, match="dimension must be >= 0"):
+        unit_simplex_vertices(-1)
