@@ -54,19 +54,25 @@ level on theta in [theta_min, 0] reads 1 - 2 u(theta), where
 u = log1p(-theta / c) / log1p(-theta_min / c) is exactly 0 at theta = 0
 and 1 at theta_min, and c = _STRETCH (`RadialPowerStack`).  Each round
 of a level is one pass over the level below, a Clenshaw step per
-coefficient.  A step costs a fixed 1-1.5 us plus about 1.4 ns per
-point (a shared 2-vCPU Xeon VM, Python 3.11, numpy 2.4: a pass over 100
-coefficients took 150 us at 300 points and 490 us at 2,800), so a
-radial pass, at the 1,000-2,000 Gauss nodes of its panels, pays for its
-points as much as for its degree.  What a round costs besides its
-pass does not depend on the level: the chop's index pairs are views of
-a module table, cached by size, a radial stack builds each N's panel
-grid once for all its levels, and a nested level's antiderivative is a
-few vector operations.  Both engines stop on one rule: a level with no
-plateau by its cap leaves the result unresolved, and the engine raises
-ConvergenceError carrying its estimate.  The radial engine also raises
-a row whose lo/hi gap stalls; `_radial_estimate` is the one place its
-verdict is formed.  The only setting is the relative tolerance in
+coefficient, three ufunc calls.  A step costs about 1 us at a few
+hundred points and 3.2 us at 2,800 (a shared 2-vCPU Xeon VM, Python
+3.11, numpy 2.4: a pass over 100 coefficients took 95-100 us at 300
+points and 300-330 us at 2,800), so at the N = 32 where most levels
+stop, keeping 7-20 coefficients, a round pays numpy's fixed cost per
+call, not its arithmetic.  A radial round at N = 32 (448 Gauss nodes)
+over a level of 14 coefficients takes 41-45 us: 13-15 us in the pass,
+about 30 us in the rest, of which 5-6 us is the chop.  That rest does
+not depend on the level, and each of its calls counts: points and
+values are mapped in place, the chop scans the envelope's nonzero
+prefix once, the tables a round reads (sin^2 of its points, the chop's
+index pairs and tilt, the DCT-I matrix) are cached by size, a radial
+stack builds each N's panel grid once for all its levels, and a nested
+level's antiderivative is a few vector operations.  Both engines stop
+on one rule: a level with no plateau by its cap leaves the result
+unresolved, and the engine raises ConvergenceError carrying its
+estimate; a radial stack builds no level above it.  The radial engine
+also raises a row whose lo/hi gap stalls; `_radial_estimate` is the one
+place its verdict is formed.  The only setting is the relative tolerance in
 `QuadratureConfig`; the absolute floor, the Gauss order, the degree cap
 and the chop tolerance are module constants.
 Both engines are pure functions of their inputs and reentrant; a
@@ -249,6 +255,12 @@ def integrate_nested(limits: Sequence, factors: Sequence,
 # ---------------------------------------------------------------------------
 # Radial powers over the regular simplex
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """``table``, made read-only: the cached tables are shared."""
+    table.flags.writeable = False
+    return table
+
+
 @lru_cache(maxsize=None)
 def _panels_toward_one(depth: int, order: int):
     """Gauss panels on (0, 1), dyadically refined toward 1.
@@ -270,9 +282,7 @@ def _panels_toward_one(depth: int, order: int):
         oms.append(om)
         xs.append(1.0 - om)
         ws.append((hi - lo) * w)
-    panels = np.array([np.concatenate(v) for v in (xs, oms, ws)])
-    panels.flags.writeable = False
-    return tuple(panels)
+    return tuple(_read_only(np.array([np.concatenate(v) for v in (xs, oms, ws)])))
 
 
 @lru_cache(maxsize=None)
@@ -292,8 +302,7 @@ def _dct_matrix(n: int) -> np.ndarray:
     mat = np.concatenate((table, table[-2:0:-1]))[np.multiply.outer(r, r) % (2 * n)]
     mat[:, [0, n]] /= 2
     mat[[0, n]] /= 2
-    mat.flags.writeable = False
-    return mat
+    return _read_only(mat)
 
 
 _LOG_CHOP_TOL = math.log(_CHOP_TOL)
@@ -301,27 +310,30 @@ _CHOP_FLOOR = _CHOP_TOL ** (7 / 6)     # envelope floor of the tilted cut
 _CHOP_TILT = -math.log10(_CHOP_TOL) / 3
 
 
-_CHOP_J = np.arange(2, _MAX_DEGREE + 2)         # 1-based, as in the paper
-_CHOP_PLAN = np.array([_CHOP_J - 1, np.floor(1.25 * _CHOP_J + 5.5).astype(int) - 1])
-_CHOP_PLAN.flags.writeable = False
+# j2 - 1 = floor(1.25 j + 5.5) - 1 for j = 2, 3, ..., 1-based as in the paper
+_CHOP_PLAN = _read_only(np.floor(1.25 * np.arange(2, _MAX_DEGREE + 2) + 5.5).astype(int) - 1)
+_CHOP_EDGES = np.array([5e-324, _CHOP_FLOOR])   # an envelope entry below the first is 0
 
 
 @lru_cache(maxsize=None)
 def _chop_plan(n: int):
-    """The 0-based pairs (j - 1, j2 - 1), j2 = floor(1.25 j + 5.5) <= n,
-    that `_standard_chop` scans on n coefficients: j2 grows with j, so
-    they are views of the leading pairs of the one read-only plan for
-    _MAX_DEGREE + 1."""
-    return tuple(_CHOP_PLAN[:, :np.searchsorted(_CHOP_PLAN[1], n - 1, "right")])
+    """The 0-based ends j2 - 1, j2 = floor(1.25 j + 5.5) <= n, of the
+    pairs (j - 1, j2 - 1), j = 2, 3, ..., that `_standard_chop` scans on n
+    coefficients: j2 grows with j, so they are a view of the leading
+    entries of the one read-only plan for _MAX_DEGREE + 1, and pair i
+    starts at i + 1."""
+    return _CHOP_PLAN[:np.searchsorted(_CHOP_PLAN, n - 1, "right")]
 
 
+@lru_cache(maxsize=None)
 def _chop_tilt(size: int) -> np.ndarray:
     """The upward tilt added to log10 of the first ``size`` >= 2 envelope
     entries: np.linspace(0, _CHOP_TILT, size) by its own arithmetic, a
-    ramp times the step with the last entry set to the end, bit for bit."""
+    ramp times the step with the last entry set to the end, bit for bit;
+    read-only because it is cached."""
     tilt = np.arange(size) * (_CHOP_TILT / (size - 1))
     tilt[-1] = _CHOP_TILT
-    return tilt
+    return _read_only(tilt)
 
 
 def _standard_chop(coef: np.ndarray) -> int:
@@ -331,25 +343,34 @@ def _standard_chop(coef: np.ndarray) -> int:
     plateau, then cut where the envelope plus a slight upward tilt is
     least.  Without a plateau every coefficient stays; all zeros keep one.
     The scan tests every j at once and takes the first plateau, which is
-    where the paper's loop stops; its index pairs are views of one module
-    table, cached by size (`_chop_plan`), and its tilt one product with a
-    ramp (`_chop_tilt`)."""
+    where the paper's loop stops; its index pairs are a view of one module
+    table, cached by size (`_chop_plan`), and its tilt a cached ramp
+    (`_chop_tilt`).  The envelope is built once, from the end, so it
+    ascends, and one search in it counts its zeros and its entries below
+    the floor.  A pair whose first entry is 0 is a plateau, and the
+    first such pair follows the last nonzero entry, so only the pairs
+    before it are tested, with no log of 0."""
     n = coef.size
-    env = np.maximum.accumulate(np.abs(coef)[::-1])[::-1]
-    if n < 17 or env[0] == 0.0:
-        return n if n < 17 else 1
-    env = env / env[0]
-    i1, i2 = _chop_plan(n)
-    e1 = env[i1]
-    # past the envelope's last nonzero entry e1 = 0 is a plateau; the
-    # 0/0 and log(0) there are masked by it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plateau = (e1 == 0.0) | (env[i2] / e1 > 3.0 * (1.0 - np.log(e1) / _LOG_CHOP_TOL))
-    if not plateau.any():
+    if n < 17:
         return n
-    j2 = min(int(i2[plateau.argmax()]) + 1, int(np.count_nonzero(env >= _CHOP_FLOOR)) + 1)
-    tilted = np.log10(np.maximum(env[:j2], _CHOP_FLOOR)) + _chop_tilt(j2)
-    return max(int(np.argmin(tilted)), 1)
+    env = np.maximum.accumulate(np.abs(coef[::-1]))    # ascending
+    if env[-1] == 0.0:
+        return 1
+    env /= env[-1]
+    zeros, low = env.searchsorted(_CHOP_EDGES).tolist()
+    env = env[::-1]
+    i2 = _chop_plan(n)
+    scan = min(i2.size, n - 1 - zeros)                  # pairs whose e1 = env[j - 1] > 0
+    e1 = env[1:scan + 1]
+    plateau = env[i2[:scan]] / e1 > 3.0 * (1.0 - np.log(e1) / _LOG_CHOP_TOL)
+    hits = plateau.nonzero()[0]
+    first = int(hits[0]) if hits.size else scan
+    if first == i2.size:
+        return n
+    j2 = min(int(i2[first]) + 1, n - low + 1)
+    tilted = np.log10(np.maximum(env[:j2], _CHOP_FLOOR))
+    tilted += _chop_tilt(j2)
+    return max(int(tilted.argmin()), 1)
 
 
 def _chebyshev_series(sample, start: int):
@@ -400,12 +421,22 @@ def _chebyshev_series(sample, start: int):
         n *= 2
 
 
+@lru_cache(maxsize=None)
+def _sin_squared(n: int) -> np.ndarray:
+    """sin^2(pi j / 2N), j = 0..N, for N = n; read-only because it is
+    cached."""
+    return _read_only(np.sin(np.pi / (2 * n) * np.arange(n + 1)) ** 2)
+
+
 def _second_kind(a: float, b: float, n: int) -> np.ndarray:
     """The points b - (b - a) sin^2(pi j / 2N), j = 0..N, of [a, b] for
     N = n, the second-kind points cos(pi j / N) mapped with b to 1 and a
     to -1, exact at both ends; a > b reverses the map, as the radial
     levels' u does."""
-    return b - (b - a) * np.sin(np.pi / (2 * n) * np.arange(n + 1)) ** 2
+    return b - (b - a) * _sin_squared(n)
+
+
+_TWICE = 2 * np.arange(_MAX_DEGREE + 2)         # 2j, j = 0..N + 1, at the largest N
 
 
 def _antiderivative(coef: np.ndarray, scl: float) -> np.ndarray:
@@ -424,8 +455,8 @@ def _antiderivative(coef: np.ndarray, scl: float) -> np.ndarray:
     out = np.empty(n + 1)
     out[0] = c[0] * 0
     out[1] = c[0]
-    out[2:] = c[1:] / (2 * np.arange(2, n + 1))
-    out[1:n - 1] -= c[2:] / (2 * np.arange(1, n - 1))
+    out[2:] = c[1:] / _TWICE[2:n + 1]
+    out[1:n - 1] -= c[2:] / _TWICE[1:n - 1]
     x = -1.0                                     # u = 0, mapped
     x2, terms = 2 * x, out.tolist()
     c0, c1 = terms[-2], terms[-1]
@@ -445,7 +476,9 @@ def _chebval(c: list, x: np.ndarray) -> np.ndarray:
     if len(c) < 3:
         return c[0] + (c[1] if len(c) == 2 else 0) * x
     x2 = 2 * x
-    c0, c1, t = np.full_like(x, c[-2]), np.full_like(x, c[-1]), np.empty_like(x)
+    c0, c1, t = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    c0.fill(c[-2])
+    c1.fill(c[-1])
     multiply, subtract, add = np.multiply, np.subtract, np.add
     for ck in c[-3::-1]:
         # c0, c1 = ck - c1, c0 + c1 * x2, with t free for the product
@@ -523,8 +556,10 @@ class RadialPowerStack:
     16).  Each level above starts at the N where the one below stopped,
     so it usually samples in one round.  The ideal n = 5 levels
     stop at N = 128.  ``unresolved`` is the first level with no plateau
-    by _MAX_DEGREE (0 when every level found one); every row read
-    from such a stack stalls (`_radial_estimate`).
+    by _MAX_DEGREE (0 when every level found one).  The build stops
+    there: the levels above it would start at the cap, and from n of
+    about 64 their running sums underflow.  A pair with such a level
+    reads no row (`_radial_estimate`).
 
     The series is built from one cumulative integral.  With
     v = 1 - sigma^2 xi^2 and den(v) = v h^2 + rho^2 = 1 - sigma^2 xi^2 h^2,
@@ -585,8 +620,9 @@ class RadialPowerStack:
             at_zero *= _cone_factor(k) / k
             coef, points = self._build_level(k, at_zero, start, grids)
             self._series[k] = coef.tolist()
-            if not self.unresolved and coef.size == points:
+            if coef.size == points:
                 self.unresolved = k
+                break
             start = points - 1
 
     def _build_level(self, k, at_zero, start, grids):
@@ -603,7 +639,8 @@ class RadialPowerStack:
             self.n_evals += n * self.settings.order
             out = np.empty(n + 1)
             out[0] = math.log(at_zero)
-            out[1:] = np.log(np.cumsum(self._panel_sums(k, panels)[0])) - k / 2 * log_sigma2
+            rest = np.add.accumulate(self._panel_sums(k, panels)[0], out=out[1:])
+            np.subtract(np.log(rest, out=rest), k / 2 * log_sigma2, out=rest)
             return out
 
         return _chebyshev_series(log_level, start)
@@ -612,8 +649,9 @@ class RadialPowerStack:
         """The grid of a round at N = n: its points y_j = sqrt(-theta(u_j)),
         j = 0..N, the `_Panels` between them, and log sigma^2 at each point
         but theta = 0."""
-        # x = 1 - 2u: u = 0 (theta = 0) is x = 1, u = 1 (theta_min) is x = -1
-        u = _second_kind(1.0, 0.0, n)
+        # x = 1 - 2u: u = 0 (theta = 0) is x = 1, u = 1 (theta_min) is x = -1;
+        # _second_kind(1, 0, n) = 0 - (-1) sin^2 is the table, bit for bit
+        u = _sin_squared(n)
         theta = np.maximum(-_STRETCH * np.expm1(self._span * u), self.theta_min)
         y = np.sqrt(-theta)
         return y, self._panels(y[:-1], np.diff(y)), np.log(-np.expm1(theta[1:]))
@@ -645,8 +683,12 @@ class RadialPowerStack:
         h2 = 1.0 / (k * k)
         den = h2 * v + (1.0 - h2)
         ratio = v / den                                         # 1 - sigma'^2
-        return (_cone_factor(k) * panels.y * ratio * panels.one_minus_v ** ((k - 2) / 2)
-                * den ** (1.0 - self.p) * self.level_value(k - 1, ratio))
+        out = _cone_factor(k) * panels.y * ratio
+        if k != 2:                                              # x ** 0.0 is 1
+            out *= panels.one_minus_v ** ((k - 2) / 2)
+        out *= den ** (1.0 - self.p)
+        out *= self.level_value(k - 1, ratio)
+        return out
 
     # -- public surface ------------------------------------------------------
 
@@ -654,10 +696,13 @@ class RadialPowerStack:
         """I_k(p, sigma) for an array of 1 - sigma^2 values (from the series)."""
         if k == 0:
             return np.ones_like(np.asarray(one_minus_sigma_sq, dtype=float))
-        w = np.maximum(np.asarray(one_minus_sigma_sq, dtype=float), 1e-300)
-        theta = np.minimum(np.maximum(np.log(w), self.theta_min), 0.0)
-        u = np.log1p(theta / -_STRETCH) / self._span
-        return np.exp(_chebval(self._series[k], 1 - 2 * u))
+        x = np.array(one_minus_sigma_sq, dtype=float)          # mapped in place
+        np.log(np.maximum(x, 1e-300, out=x), out=x)
+        np.minimum(np.maximum(x, self.theta_min, out=x), 0.0, out=x)             # theta
+        np.log1p(np.divide(x, -_STRETCH, out=x), out=x)
+        # 1 - 2u, with u's divide by L and the factor 2 folded, which is exact
+        np.subtract(1.0, np.divide(x, self._span / 2, out=x), out=x)
+        return np.exp(_chebval(self._series[k], x))
 
     def top_integral(self, k: int, w_top, sigma2_top) -> tuple[np.ndarray, np.ndarray]:
         """sigma^k I_k at each row of the arrays (w_top, sigma2_top) =
@@ -714,16 +759,21 @@ def _radial_pair(levels: int, p: float, w_floor: float) -> tuple:
     c_1 = 2, (1 - v)^(-1/2) < 1.3 beyond y = 1), so it would overflow.
     Short of that, level 1's panels lie between its own sample points,
     which u spreads over the whole range: at p = 2.5 the floor 1e-200
-    settles on the ideal value."""
+    settles on the ideal value.
+
+    A lo stack with an unresolved level (`RadialPowerStack`) is returned
+    alone: no row can settle on it, so the hi stack is not built."""
     ln2 = math.log(2.0)
     finite = w_floor > 0.0
     theta = min(math.log(w_floor), -1e-9) if finite else -71 * ln2 - 1.0
     if (p - 1.0) * -theta > _LOG_MAX - 10.0:
         raise DomainError(f"1 - scale^2 = {w_floor:.3e} is too small for p = {p:g}: the radial "
                           "density v^(1 - p) overflows float64")
-    return (RadialPowerStack(levels, p, theta if finite else -65 * ln2 - 1.0,
-                             _RadialSettings(_BASE_ORDER - 5)),                      # lo
-            RadialPowerStack(levels, p, theta, _RadialSettings(_BASE_ORDER)))       # hi
+    lo = RadialPowerStack(levels, p, theta if finite else -65 * ln2 - 1.0,
+                          _RadialSettings(_BASE_ORDER - 5))
+    if lo.unresolved:
+        return (lo,)
+    return lo, RadialPowerStack(levels, p, theta, _RadialSettings(_BASE_ORDER))
 
 
 def _radial_estimate(levels: int, p: float, w_floor: float, cfg: QuadratureConfig | None,
@@ -738,18 +788,20 @@ def _radial_estimate(levels: int, p: float, w_floor: float, cfg: QuadratureConfi
     forms return these estimates as they are.
 
     The first row that stalls raises ConvergenceError carrying its
-    estimate and its index as ``row``.  Every row stalls when a level of
-    either stack has no plateau by its cap, as in `integrate_nested`;
-    otherwise a row stalls when its bar is above
-    max(1e-3 |value|, 1e4 * tolerance), with the default QuadratureConfig
-    when ``cfg`` is None.  A nan bar, from a level whose running sums
-    underflow (n above about 64), reads inf, and the row stalls."""
+    estimate and its index as ``row``.  When a level of either stack has
+    no plateau by its cap, as in `integrate_nested`, the stack stops
+    there, and row 0 raises before any row is read, with the estimate
+    (nan, inf, the evaluations of the build).  Otherwise a row stalls when
+    its bar is above max(1e-3 |value|, 1e4 * tolerance), with the default
+    QuadratureConfig when ``cfg`` is None; a nan bar reads inf."""
     cfg = cfg or QuadratureConfig()
     stacks = _radial_pair(levels, p, w_floor)
-    (lo, lo_evals, _), (hi, hi_evals, rounding) = (values_of(stack) for stack in stacks)
     build = sum(stack.n_evals for stack in stacks)
-    unresolved = [f"level {stack.unresolved} has no plateau by N = {_MAX_DEGREE}"
-                  for stack in stacks if stack.unresolved]
+    if stacks[-1].unresolved:                       # a pair stops at its first such stack
+        why = f"level {stacks[-1].unresolved} has no plateau by N = {_MAX_DEGREE}"
+        raise ConvergenceError(f"radial refinement stalled ({why})",
+                               estimate=VolumeEstimate(math.nan, math.inf, build), row=0)
+    (lo, lo_evals, _), (hi, hi_evals, rounding) = (values_of(stack) for stack in stacks)
     out = []
     rows = zip(lo, hi, np.add(lo_evals, hi_evals).tolist(), rounding)
     for row, (lo_v, hi_v, evals, term) in enumerate(rows):
@@ -757,8 +809,8 @@ def _radial_estimate(levels: int, p: float, w_floor: float, cfg: QuadratureConfi
         if math.isnan(err):
             err = math.inf
         est = VolumeEstimate(hi_v, err, build + evals)
-        if unresolved or not err <= max(1e-3 * abs(hi_v), 1e4 * cfg.tolerance(hi_v)):
-            why = unresolved[0] if unresolved else f"err {err:.3e} on value {hi_v:.6e}"
+        if not err <= max(1e-3 * abs(hi_v), 1e4 * cfg.tolerance(hi_v)):
+            why = f"err {err:.3e} on value {hi_v:.6e}"
             raise ConvergenceError(f"radial refinement stalled ({why})", estimate=est, row=row)
         out.append(est)
     return out

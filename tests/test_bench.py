@@ -1,0 +1,76 @@
+"""tools/bench.py runs perfbench in equal-length copies of two trees and
+records both sides; here against a stub ``run.py`` that prints one fixed
+result line per run, so no benchmark runs."""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+STUB = '''import json, sys
+from pathlib import Path
+tree = Path(__file__).resolve().parent.parent
+speed = float((tree / "src" / "hypervol" / "speed.txt").read_text())
+with open({log!r}, "a") as log:
+    log.write(json.dumps([tree.name, len(str(tree)), sys.argv[1:]]) + "\\n")
+print("# a comment line")
+print(json.dumps({{"correct": True, "attempted": 31, "failed": 0, "metrics": {{
+    "results_per_s": {{"value": speed, "unit": "1/s"}},
+    "accuracy_digits": {{"value": 11.942857142857141, "unit": "digits"}}}}}}))
+'''
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+                   check=True, capture_output=True)
+
+
+def test_bench_alternates_equal_length_copies(tmp_path):
+    repo, log = tmp_path / "repo", tmp_path / "runs.log"
+    for name in ("bench.py", "code_lines.py"):
+        (repo / "tools").mkdir(parents=True, exist_ok=True)
+        shutil.copy(TOOLS / name, repo / "tools" / name)
+    (repo / "perfbench").mkdir()
+    (repo / "perfbench" / "run.py").write_text(STUB.format(log=str(log)))
+    (repo / "src" / "hypervol").mkdir(parents=True)
+    (repo / "src" / "hypervol" / "speed.txt").write_text("100")
+    (repo / "src" / "hypervol" / "a.py").write_text("x = 1\n")
+    (repo / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "forms"}, {"name": "ideal"}],
+        "end_to_end": [{"name": "results_per_s", "unit": "1/s", "better": "higher"},
+                       {"name": "accuracy_digits", "unit": "digits", "better": "higher"}]}))
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "parent")
+    # the change: faster, one more code line, and a file not yet added
+    (repo / "src" / "hypervol" / "speed.txt").write_text("110")
+    (repo / "src" / "hypervol" / "b.py").write_text("y = 2\n")
+
+    subprocess.run([sys.executable, str(repo / "tools" / "bench.py"), "t", "--parent", "HEAD",
+                    "--pairs", "3", "--seconds", "0.5", "--workload", "forms"],
+                   check=True, capture_output=True)
+
+    record = json.loads((repo / "BENCH_t.json").read_text())
+    assert record["settings"] == {"pairs": 3, "seconds": 0.5, "seed": 0, "workloads": ["forms"]}
+    assert record["code_lines"] == {"parent": 1, "change": 2}
+    assert record["commits"]["change"].endswith(" + uncommitted changes")
+    assert record["commits"]["change"].startswith(record["commits"]["parent"])
+    assert set(record["machine"]) == {"nproc", "cpu", "platform", "python", "numpy"}
+    forms = record["workloads"]["forms"]
+    rate = forms["end_to_end"]["results_per_s"]
+    assert rate["parent"] == {"median": 100.0, "q1": 100.0, "q3": 100.0, "runs": [100.0] * 3}
+    assert rate["change"]["median"] == 110.0 and rate["change_better_pairs"] == 3
+    # equal digits are no gain
+    assert forms["end_to_end"]["accuracy_digits"]["change_better_pairs"] == 0
+    assert forms["per_layer"]["change"] == {"results_per_s": 110.0,
+                                            "accuracy_digits": 11.942857142857141}
+
+    runs = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [name for name, _, _ in runs] == ["parent", "change", "change", "parent",
+                                            "parent", "change", "parent", "change"]
+    assert len({length for _, length, _ in runs}) == 1
+    assert runs[0][2] == ["--workload", "forms", "--seed", "0", "--seconds", "0.5", "--trace", "0"]
+    assert runs[-1][2][-2:] == ["--trace", "1"]

@@ -537,6 +537,19 @@ class TestGaussRule:
         run_fresh(script, os.environ)
 
 
+def test_import_builds_no_table():
+    # the cached tables come on first use, so a process that only imports
+    # the package and its CLI (perfbench's set-up) builds none of them
+    script = "\n".join([
+        "import hypervol, hypervol.cli",
+        "from hypervol import quadrature as q",
+        "caches = (q._dct_matrix, q._chop_plan, q._chop_tilt, q._sin_squared, q._gauss01,",
+        "          q._panels_toward_one)",
+        "print([f.cache_info().currsize for f in caches])",
+    ])
+    assert run_fresh(script, os.environ) == "[0, 0, 0, 0, 0, 0]\n"
+
+
 def rfft_coefficients(values):
     """A level's coefficients by the route `_dct_matrix` replaced: the real
     FFT of the values' even extension, scaled as the matrix is."""
@@ -674,6 +687,21 @@ class TestEngineMaps:
                 off = np.abs(x - np.cos(np.pi / (size - 1) * j)) - moved
                 assert off.max() <= 8 * quadrature._EPS, (w_floor, size)
 
+    @pytest.mark.parametrize("w_floor", [0.0, 1e-30, 1e-6, 0.04, 0.36, 0.9, 1.0 - 1e-18])
+    def test_level_value_maps_in_place_as_the_formula(self, w_floor):
+        # level_value maps its points in one buffer and divides by L / 2
+        # where the formula divides by L and doubles, which is exact
+        rng = np.random.default_rng(30)
+        w = np.concatenate(([0.0, 1e-300, 1.0, 1.0 + 1e-15], rng.uniform(0.0, 1.0, 5000),
+                            10.0 ** -rng.uniform(0.0, 40.0, 4996)))
+        c = quadrature._STRETCH
+        for stack in _radial_pair(3, 2.0, w_floor):
+            theta = np.minimum(np.maximum(np.log(np.maximum(w, 1e-300)), stack.theta_min), 0.0)
+            x = 1 - 2 * (np.log1p(theta / -c) / stack._span)
+            for k in range(1, 4):
+                want = np.exp(_chebval(stack._series[k], x))
+                assert stack.level_value(k, w).tobytes() == want.tobytes(), (w_floor, k)
+
     def test_radial_map_at_random_theta_min(self, monkeypatch):
         # the ends of the u map are exact wherever theta_min falls: a
         # one-level stack reads w = 1 at x = 1 and its floor at x = -1
@@ -694,6 +722,14 @@ class TestEngineMaps:
             u = np.concatenate(([0.0, top], rng.uniform(0.0, top, 20)))
             got = -1.0 + (2 / top) * u
             assert got.tobytes() == self.numpy_map((0.0, top), u).tobytes(), top
+
+    def test_sin_squared_table_is_the_formula(self):
+        # the points of every round read one cached table per N
+        for n in range(16, 513):
+            table = quadrature._sin_squared(n)
+            assert not table.flags.writeable
+            want = np.sin(np.pi / (2 * n) * np.arange(n + 1)) ** 2
+            assert table.tobytes() == want.tobytes(), n
 
     def test_doubled_grid_keeps_the_old_points(self):
         # the even-indexed points of a round at 2N are those of the round
@@ -772,14 +808,12 @@ class TestStandardChop:
         assert keep is None or _standard_chop(coef) == keep
 
     def test_tables_equal_the_formulas_they_replace(self):
-        # the pairs are views of the plan for _MAX_DEGREE + 1, and the tilt
-        # a ramp times its step, bit for bit at every size
+        # the pairs' ends are a view of the plan for _MAX_DEGREE + 1, and
+        # the tilt a ramp times its step, bit for bit at every size
         for n in range(1, quadrature._MAX_DEGREE + 2):
-            j = np.arange(2, n + 1)
-            j2 = np.floor(1.25 * j + 5.5).astype(int)
-            want = (j[j2 <= n] - 1, j2[j2 <= n] - 1)
-            for got, pairs in zip(quadrature._chop_plan(n), want, strict=True):
-                assert got.dtype == pairs.dtype and got.tobytes() == pairs.tobytes(), n
+            j2 = np.floor(1.25 * np.arange(2, n + 1) + 5.5).astype(int)
+            got, want = quadrature._chop_plan(n), j2[j2 <= n] - 1
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
         for size in range(2, quadrature._MAX_DEGREE + 2):
             want = np.linspace(0.0, quadrature._CHOP_TILT, size)
             assert quadrature._chop_tilt(size).tobytes() == want.tobytes(), size

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -373,18 +374,19 @@ class TestHalfspace:
         assert est.error_estimate > 1e-3 * est.value > 0.0
 
     def test_unresolved_level_raises(self, monkeypatch):
-        # a radial level with no plateau by its cap stalls every row read
-        # from its stack, as an unresolved nested level does; capped at
-        # N = 32 the ideal n = 5 lo/hi gap alone looks settled while the
-        # value is 8e-7 off
-        params = SimplexParams(5, math.pi / 2)
-        settled = volume_projective(params).value
+        # a radial level with no plateau by its cap stalls the volume, as an
+        # unresolved nested level does.  Capped at N = 32 the lo stack's
+        # level 1 of the ideal n = 5 pair has no plateau, and the pair stops
+        # there: the stall carries no value, on an inf bar, and counts the
+        # one round of 32 panels of 9 Gauss points it took.  (Read from
+        # every level, the value is 8e-7 off on a lo/hi gap that looks
+        # settled.)
         monkeypatch.setattr(quadrature, "_MAX_DEGREE", 32)
-        with pytest.raises(ConvergenceError, match="no plateau by N = 32") as info:
-            volume_projective(params)
+        with pytest.raises(ConvergenceError, match="level 1 has no plateau by N = 32") as info:
+            volume_projective(SimplexParams(5, math.pi / 2))
         est = info.value.estimate
-        assert est.value == pytest.approx(settled, rel=1e-5, abs=0)
-        assert abs(est.value - settled) > est.error_estimate
+        assert math.isnan(est.value) and est.error_estimate == math.inf
+        assert est.n_evals == 32 * 9
 
 
 class TestHalfspaceGeneral:
@@ -488,14 +490,35 @@ def test_stall_carries_the_form_method(monkeypatch, form, params):
 
 @pytest.mark.parametrize("form", [volume_projective, volume_halfspace])
 def test_underflowed_level_stalls_on_its_level(form):
-    # at n = 80 the running sums of a high level underflow (numpy warns of
-    # the log of 0) and its coefficients turn nan.  The row stalls on the
-    # first unresolved level with an inf bar, not on a nan bar or on a nan
-    # half-space crossing
-    with pytest.warns(RuntimeWarning), pytest.raises(
+    # at n = 80 the running sums of the levels above the first unresolved
+    # one would underflow and their coefficients turn nan.  The row stalls
+    # on the first unresolved level with an inf bar, not on a nan bar or on
+    # a nan half-space crossing
+    with pytest.raises(
             ConvergenceError, match=r"\(level \d+ has no plateau by N = 512\)") as info:
         form(SimplexParams(80, 0.5))
     assert info.value.estimate.error_estimate == math.inf
+
+
+def test_a_pair_stops_at_its_first_unresolved_level(monkeypatch):
+    # at n = 80 level 25 of the lo stack has no plateau by N = 512.  The
+    # stack stops there and the hi stack is not built: no level above 25
+    # underflows (numpy would warn of the log of 0), and the stall costs the
+    # lo stack's 25 levels; every level of both stacks would cost 514,839
+    # evaluations
+    built = []
+    stack = quadrature.RadialPowerStack
+    monkeypatch.setattr(quadrature, "RadialPowerStack",
+                        lambda *args: built.append(stack(*args)) or built[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConvergenceError, match=r"\(level 25 has no plateau") as info:
+            volume_projective(SimplexParams(80, 0.5))
+    est = info.value.estimate
+    assert math.isnan(est.value) and est.error_estimate == math.inf and info.value.row == 0
+    assert est.n_evals <= 60_000 and est.n_evals == built[0].n_evals
+    (lo,) = built
+    assert lo.unresolved == 25 and lo._series[25] and lo._series[26:] == [None] * 54
 
 
 class TestSchlafli:
