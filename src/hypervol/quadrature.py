@@ -18,14 +18,16 @@ Two engines live here:
       sigma^k I_k(sigma) = (c_k/2) int_{1-sigma^2}^1
           (1 - v)^((k-2)/2) den(v)^(-p) I_{k-1}(v / den(v)) dv
 
-  (c_1 = 2, and den = v at k = 1, I_0 = 1).  The integrand does not
-  depend on sigma, so a level is one cumulative integral in
-  y = sqrt(-log v) over Gauss panels between its own sample points
-  (`RadialPowerStack`), and the top level is the same integral on the
-  N = 32 grid level 1 starts on, read at each row's sigma; the
-  vertex-touching case scale = 1 (ideal simplices) runs it to the
-  stack's theta_min and adds the leading term of the tail beyond.  The
-  projective and half-space forms run on it.
+  (c_1 = 2, and den = v at k = 1, I_0 = 1).  Level 1,
+  (2/sigma) int_0^sigma (1 - s^2)^(-p) ds, is elementary for the p in
+  Z/2 that every form uses, and is read in closed form (`_level_one`).
+  Above it the integrand does not depend on sigma, so a level is one
+  cumulative integral in y = sqrt(-log v) over Gauss panels between its
+  own sample points (`RadialPowerStack`), and the top level is the same
+  integral on the N = 32 grid level 2 starts on, read at each row's
+  sigma; the vertex-touching case scale = 1 (ideal simplices) runs it to
+  the stack's theta_min and adds the leading term of the tail beyond.
+  The projective and half-space forms run on it.
 
 The radial engine holds its levels in a lo/hi pair of stacks whose
 gap is the error bar.  A pair depends on scale only through the range
@@ -44,10 +46,10 @@ Both engines share one interpolation scheme, `_chebyshev_series`
 (second-kind points, coefficients from a cached DCT-I matrix,
 `_dct_matrix`), and one evaluator, `_chebval`: a level of either engine
 doubles its points until `_standard_chop` finds the plateau, a radial
-level from the N where the level below stopped, a nested level from
-N = 64, and every round samples its whole grid.  A level is its
-coefficients on [-1, 1], and each engine maps its variable there by
-constants its interval fixes.  A nested level on [0, X_k] reads
+level from the N where the level below stopped (level 2 from N = 32), a
+nested level from N = 64, and every round samples its whole grid.  A
+level is its coefficients on [-1, 1], and each engine maps its variable
+there by constants its interval fixes.  A nested level on [0, X_k] reads
 -1 + (2 / X_k) u, the offset and scale numpy's Chebyshev class derives
 for that domain, so its values equal numpy's bit for bit.  A radial
 level on theta in [theta_min, 0] reads 1 - 2 u(theta), where
@@ -521,9 +523,37 @@ class _Panels(NamedTuple):
     one_minus_v: np.ndarray
 
 
+def _level_one(p: float, w):
+    """I_1(p, sigma) = 2 K_p at w = 1 - sigma^2, for p in Z/2, where
+    K_p = (1/sigma) int_0^sigma (1 - s^2)^(-p) ds.  Integrating
+    d/ds s (1 - s^2)^(-q) from 0 to sigma gives the recurrence
+
+        K_(q+1) = (w^(-q) + (2q - 1) K_q) / (2q),
+
+    run up from K_(1/2) = asin(sigma) / sigma or K_1 = atanh(sigma) / sigma,
+    and down from K_(1/2) or K_0 = 1 for p < 0.  Every term of both
+    directions is positive.  sigma is floored at 1e-300, where atan2 and
+    log1p are the identity, so sigma = 0 reads K = 1."""
+    sigma = np.maximum(np.sqrt(1.0 - w), 1e-300)
+    if p % 1:                                                           # p in 1/2 + Z
+        q, k = 0.5, np.arctan2(sigma, np.sqrt(w)) / sigma
+    elif p >= 1:
+        q, k = 1.0, (np.log1p(sigma) - 0.5 * np.log(w)) / sigma      # atanh, cancellation-free
+    else:
+        q, k = 0.0, np.ones_like(w)
+    while q < p:
+        k = (w ** -q + (2 * q - 1) * k) / (2 * q)
+        q += 1
+    while q > p:
+        q -= 1
+        k = (w ** -q - 2 * q * k) / (1 - 2 * q)
+    return 2 * k
+
+
 class RadialPowerStack:
-    """Chebyshev series for the levels of the iterated-cone reduction of
-    integral over S(k) of (1 - sigma^2 |x|^2)^(-p) dx.
+    """The levels of the iterated-cone reduction of the integral over
+    S(k) of (1 - sigma^2 |x|^2)^(-p) dx, for p in Z/2: level 1 in closed
+    form, the levels above as Chebyshev series.
 
     The reduction, with h = 1/k, rho^2 = 1 - h^2 and
     c_k = (k+1)/k * rho^(k-1) (so c_1 = 2):
@@ -531,8 +561,8 @@ class RadialPowerStack:
         I_k(p, sigma) = c_k int_0^1 xi^(k-1) (1 - sigma^2 xi^2 h^2)^(-p) I_{k-1}(p, sigma') dxi,
         sigma'^2 = sigma^2 xi^2 rho^2 / (1 - sigma^2 xi^2 h^2),
 
-    with I_0 = 1.  Level k is held as a Chebyshev series in u on [0, 1],
-    where theta = log(1 - sigma^2) on [theta_min, 0] is
+    with I_0 = 1.  Level k >= 2 is held as a Chebyshev series in u on
+    [0, 1], where theta = log(1 - sigma^2) on [theta_min, 0] is
 
         theta(u) = -c expm1(u L),   L = log1p(-theta_min / c),   c = _STRETCH,
 
@@ -542,23 +572,23 @@ class RadialPowerStack:
     (`_chebyshev_series`).  log I_k changes near theta = 0 and is almost
     linear far out; u is close to -theta / (c L) for |theta| << c and to
     log(-theta) / L beyond, so it spends the points near 0.  c = 8 is
-    measured: the hi stacks of n = 3..12 keep 4,476 coefficients in all at
-    the ideal floor (6,828 in theta) and 4,908 at t in {0.05, 0.3, 0.8,
-    1.2, 1.5} (5,013).  c = 4 keeps fewer ideal ones, but a finite n = 4
+    measured: the hi stacks of n = 3..12 keep 3,682 coefficients in all at
+    the ideal floor (5,504 in theta) and 3,946 at t in {0.05, 0.3, 0.8,
+    1.2, 1.5} (4,014).  c = 4 kept fewer ideal ones, but a finite n = 4
     volume read from a stack shared with an ideal row then fell 1.0e-14
     off its standalone value.  `level_value` reads theta at
     x = 1 - 2 (log1p(-theta / c) / L), so theta = 0 reads x = 1 and
     theta_min x = -1 exactly (c is a power of 2, so -theta / c is exact),
     and a sample point maps back to within a few ulps of its
-    cos(pi j / N).  Level 1 reads no series (I_0 = 1) and starts at
-    N = 32: its values depend only on the N it ends at, and most level 1s
-    pass 16 (perfbench `ideal` and `forms` ran faster from 32 than from
-    16).  Each level above starts at the N where the one below stopped,
-    so it usually samples in one round.  The ideal n = 5 levels
-    stop at N = 128.  ``unresolved`` is the first level with no plateau
-    by _MAX_DEGREE (0 when every level found one).  The build stops
-    there: the levels above it would start at the cap, and from n of
-    about 64 their running sums underflow.  A pair with such a level
+    cos(pi j / N).  Level 1 is 2 K_p (`_level_one`), read at 1 - sigma^2
+    clipped to theta in [theta_min, 0] as every level is; it has no
+    series, no chop and no evaluations.  Level 2 starts at N = 32, the
+    grid the top integral reads, and each level above at the N where the
+    one below stopped, so it usually samples in one round.  The ideal
+    n = 5 levels stop at N = 128.  ``unresolved`` is the first level with
+    no plateau by _MAX_DEGREE (0 when every level found one).  The build
+    stops there: the levels above it would start at the cap, and from n
+    of about 64 their running sums underflow.  A pair with such a level
     reads no row (`_radial_estimate`).
 
     The series is built from one cumulative integral.  With
@@ -588,7 +618,8 @@ class RadialPowerStack:
     and 1 - v = -expm1(-y^2), and log sigma^2 at each point but
     theta = 0.  So a level pays only for what depends on k: the density
     and its pass over level k - 1.  The grids live only for the build,
-    but for N = 32, the one level 1 starts on; a built stack is only read.
+    but for N = 32, the one level 2 starts on and the top integral reads;
+    a built stack is only read.
 
     `top_integral` runs the same sum for the level above the stack at
     each row's sigma on that N = 32 grid: its 32 whole panels and a
@@ -613,10 +644,11 @@ class RadialPowerStack:
         # carries no count from one caller's top integrals into the next
         self.n_evals = 0
         self.unresolved = 0
-        at_zero, start = 1.0, 32                                # I_k(p, 0), first N
-        self._top = self._grid(start)                           # level 1's first grid
+        self._w_min = math.exp(theta_min)                       # level 1's floor
+        at_zero, start = 2.0, 32                                # I_k(p, 0), first N
+        self._top = self._grid(start)                           # level 2's first grid
         grids = {start: self._top}                              # grids, by N
-        for k in range(1, levels + 1):
+        for k in range(2, levels + 1):
             at_zero *= _cone_factor(k) / k
             coef, points = self._build_level(k, at_zero, start, grids)
             self._series[k] = coef.tolist()
@@ -676,9 +708,12 @@ class RadialPowerStack:
     def _density(self, k, panels):
         """The integrand of the v identity (class docstring) times
         |dv/dy| = 2 y v, at the points y = sqrt(-log v) of ``panels``.
-        v den^(-p) is formed as (v / den) den^(1 - p): at level 1, where
+        v den^(-p) is formed as (v / den) den^(1 - p): at k = 1, where
         den = v, den^(-p) alone overflows once -log v passes 709.8 / p,
-        and v / den is the 1 - sigma'^2 that level k - 1 is read at."""
+        and v / den is the 1 - sigma'^2 that level k - 1 is read at.
+        Level 1 is a closed form, so k = 1 serves only the top integral of
+        a stack with no levels (the n = 1 integral, the n = 2 half-space
+        form)."""
         v = panels.v
         h2 = 1.0 / (k * k)
         den = h2 * v + (1.0 - h2)
@@ -693,9 +728,14 @@ class RadialPowerStack:
     # -- public surface ------------------------------------------------------
 
     def level_value(self, k: int, one_minus_sigma_sq):
-        """I_k(p, sigma) for an array of 1 - sigma^2 values (from the series)."""
+        """I_k(p, sigma) at 1 - sigma^2 given as a float, a list or an
+        array, in its shape: 1 at k = 0, the closed form at k = 1
+        (`_level_one`), the series above; theta = log(1 - sigma^2) is
+        clipped to [theta_min, 0]."""
         if k == 0:
             return np.ones_like(np.asarray(one_minus_sigma_sq, dtype=float))
+        if k == 1:
+            return _level_one(self.p, np.minimum(np.maximum(one_minus_sigma_sq, self._w_min), 1.0))
         x = np.array(one_minus_sigma_sq, dtype=float)          # mapped in place
         np.log(np.maximum(x, 1e-300, out=x), out=x)
         np.minimum(np.maximum(x, self.theta_min, out=x), 0.0, out=x)             # theta
@@ -718,7 +758,8 @@ class RadialPowerStack:
         for a density falling as y exp(-y^2 / 2) (the ideal triangle's);
         y_max rides in the shared pass and counts as one more evaluation.
         Rows at sigma = 0 are 0 and take no evaluations: the density is
-        0/0 at y = 0."""
+        0/0 at y = 0.  The density reads level k - 1 from its series, in
+        closed form when k = 2, and as 1 when k = 1."""
         w, sigma2 = np.atleast_1d(w_top, sigma2_top)
         values = np.zeros(w.size)
         live, ideal = sigma2 > 0.0, w == 0.0
@@ -754,12 +795,12 @@ def _radial_pair(levels: int, p: float, w_floor: float) -> tuple:
     fixes (`RadialPowerStack`).
 
     A finite floor with (p - 1)(-theta) above log(float64 max) - 10 =
-    699.8 raises DomainError: level 1's density is v^(1 - p) times
-    factors whose product, with the sum over y, stays below e^10 (y < 28,
-    c_1 = 2, (1 - v)^(-1/2) < 1.3 beyond y = 1), so it would overflow.
-    Short of that, level 1's panels lie between its own sample points,
-    which u spreads over the whole range: at p = 2.5 the floor 1e-200
-    settles on the ideal value.
+    699.8 raises DomainError: level 1, 2 K_p, sums at most p + 1
+    positive terms, the largest w^(1 - p) (`_level_one`), so it would
+    overflow, and level 2's density reads it times (v / den) den^(1 - p),
+    which is below 4/3 of v there.  Short of that, level 2's panels lie
+    between its own sample points, which u spreads over the whole range:
+    at p = 2.5 the floor 1e-200 settles on the ideal value.
 
     A lo stack with an unresolved level (`RadialPowerStack`) is returned
     alone: no row can settle on it, so the hi stack is not built."""
@@ -767,8 +808,8 @@ def _radial_pair(levels: int, p: float, w_floor: float) -> tuple:
     finite = w_floor > 0.0
     theta = min(math.log(w_floor), -1e-9) if finite else -71 * ln2 - 1.0
     if (p - 1.0) * -theta > _LOG_MAX - 10.0:
-        raise DomainError(f"1 - scale^2 = {w_floor:.3e} is too small for p = {p:g}: the radial "
-                          "density v^(1 - p) overflows float64")
+        raise DomainError(f"1 - scale^2 = {w_floor:.3e} is too small for p = {p:g}: level 1's "
+                          "leading term (1 - scale^2)^(1 - p) overflows float64")
     lo = RadialPowerStack(levels, p, theta if finite else -65 * ln2 - 1.0,
                           _RadialSettings(_BASE_ORDER - 5))
     if lo.unresolved:
@@ -823,6 +864,11 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
     """Integral of (1 - |x|^2)^(-p) over scale * S(n), where S(n) is the
     regular n-simplex inscribed in the unit sphere.
 
+    n must be an integer >= 1 (not a bool), and 2p an integer: level 1 of
+    the reduction is read in closed form, elementary for p in Z/2
+    (`_level_one`), which holds every form's p, (n + 1)/2, n/2 and
+    (n - 1)/2.  Anything else raises DomainError.
+
     scale = 1 touches the sphere at the n+1 vertices; the integral then
     exists iff p <= (n+1)/2 (and p < 1 when n = 1), and the top level's
     y integral runs to sqrt(-theta_min) of an ideal stack pair plus the
@@ -840,10 +886,14 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
     first row that stalls raises ConvergenceError carrying its estimate
     (`_radial_estimate`), so a batch returns only settled rows.
     """
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise DomainError(f"dimension must be an integer, got {n!r}")
     if n < 1:
         raise DomainError("dimension must be >= 1")
     if not math.isfinite(p):
         raise DomainError(f"p must be finite, got {p!r}")
+    if 2 * p % 1:
+        raise DomainError(f"2p must be an integer (level 1 is in closed form), got p = {p!r}")
     rows = np.asarray(scale, dtype=float).reshape(-1)
     if not np.all((rows >= 0.0) & (rows <= 1.0)):
         raise DomainError(f"scale must lie in [0, 1], got {scale!r}")

@@ -44,8 +44,13 @@ IDEAL_TET = 1.0149416064096536
 
 @lru_cache(maxsize=None)
 def schlafli_volume(n: int, t: float, dps: int = 30) -> float:
+    """`schlafli_digits` rounded to a float."""
+    return float(schlafli_digits(n, t, dps))
+
+
+def schlafli_digits(n: int, t: float, dps: int = 30):
     """Volume of tau[n, t] for 2 <= n <= 6 by the Schlafli differential,
-    to ``dps`` digits.
+    to ``dps`` digits, as an mpmath number.
 
     The dihedral angle alpha of tau[n, t] falls from its Euclidean value
     alpha(0) as the simplex grows, and each of its C(n+1, 2) codimension-2
@@ -83,7 +88,30 @@ def schlafli_volume(n: int, t: float, dps: int = 30) -> float:
 
             return scale * mp.quad(face, [mp.acos(cos_a), alpha_0])
 
-        return float(mp.re(volume(n, mp.sin(mp.mpf(t)) ** 2)))
+        return mp.re(volume(n, mp.sin(mp.mpf(t)) ** 2))
+
+
+# the t of the frozen Schlafli table: a spread of finite t, one near the
+# ideal point and the ideal point itself
+SCHLAFLI_TS = (0.05, 0.3, 0.8, 1.2, 1.5, math.pi / 2 - 1e-5, math.pi / 2)
+
+# frozen from schlafli_digits(n, t) at 40 digits, which the 30-digit values
+# match to 4e-27 or better, rounded to 20 digits; (n, t) -> V_n for
+# n = 3..6 and t in SCHLAFLI_TS
+SCHLAFLI_VOLUMES = {(n, t): value for n, row in {
+    3: ('6.4133974741654729281e-5', '1.3726751327937160959e-2', '2.4122365772553652769e-1',
+        '6.8145194133264553729e-1', '9.9130926257083927194e-1', '1.0149416047854221024e+0',
+        '1.0149416064096536250e+0'),
+    4: ('9.0928949541333804208e-7', '1.1522621337378507014e-3', '4.9242696990233534299e-2',
+        '1.7733445639631301143e-1', '2.6423854868647551301e-1', '2.6889566007058128856e-1',
+        '2.6889566016931122547e-1'),
+    5: ('1.0052123232433775305e-8', '7.5389436213139494694e-5', '7.8300466528361550513e-3',
+        '3.6201796394344525585e-2', '5.6554524526930789376e-2', '5.7564737664704740083e-2',
+        '5.7564737685177927246e-2'),
+    6: ('9.1047054631152766654e-11', '4.0403505031972263410e-6', '1.0194728567440615316e-3',
+        '6.0750183688839905359e-3', '1.0043414955016029111e-2', '1.0239275416224697291e-2',
+        '1.0239275420176640259e-2'),
+}.items() for t, value in zip(SCHLAFLI_TS, row)}
 
 
 def regular_simplex_volume_by_edge(n: int) -> float:
@@ -138,6 +166,20 @@ def cone_level_integral(k: int, p: float, w: float, sigma2: float, inner,
     den = h2 * num + (1.0 - h2)
     c_k = (k + 1) / k * (1.0 - h2) ** ((k - 1) / 2)
     return c_k * float(((1.0 - om) ** (k - 1) * den ** (-p) * inner(num / den)) @ wq)
+
+
+def level_one_integral(p: float, w: float, dps: int = 30):
+    """(2/sigma) int_0^sigma (1 - s^2)^(-p) ds at w = 1 - sigma^2, to
+    ``dps`` digits, as an mpmath number, by mpmath's quadrature in
+    x = sigma - s.  There 1 - s^2 = w + x (2 sigma - x) keeps every digit
+    of w, which 1 - sigma^2 at 30 digits rounds away at w ~ 1e-22, and the
+    breakpoints sigma 16^-j, down past w, follow the integrand toward x = 0,
+    where it moves on the scale w."""
+    with mp.workdps(dps):
+        w = mp.mpf(w)
+        sigma = mp.sqrt(1 - w)
+        cuts = [sigma * mp.mpf(16) ** -j for j in range(int(math.log(1 / float(w), 16)) + 2)]
+        return 2 / sigma * mp.quad(lambda x: (w + x * (2 * sigma - x)) ** -p, [0, *cuts[::-1]])
 
 
 def mp_integral(f, a, b, dps: int = 50) -> float:

@@ -1,14 +1,21 @@
 """tools/bench.py runs perfbench in equal-length copies of two trees and
 records both sides; here against a stub ``run.py`` that prints one fixed
-result line per run, so no benchmark runs."""
+result line per run and a stub ``accuracy.py``, so no benchmark runs.
+tools/accuracy.py itself runs on a two-point stub table."""
 
+import importlib.util
 import json
+import math
+import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+spec = importlib.util.spec_from_file_location("accuracy", TOOLS / "accuracy.py")
+accuracy = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(accuracy)
 
 STUB = '''import json, sys
 from pathlib import Path
@@ -22,6 +29,13 @@ print(json.dumps({{"correct": True, "attempted": 31, "failed": 0, "metrics": {{
     "accuracy_digits": {{"value": 11.942857142857141, "unit": "digits"}}}}}}))
 '''
 
+# the side it runs for is the src on its PYTHONPATH
+ACCURACY_STUB = '''import json, os
+from pathlib import Path
+src = Path(os.environ["PYTHONPATH"])
+print(json.dumps({"tree": src.parent.name, "speed": (src / "hypervol" / "speed.txt").read_text()}))
+'''
+
 
 def git(repo, *args):
     subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
@@ -33,6 +47,7 @@ def test_bench_alternates_equal_length_copies(tmp_path):
     for name in ("bench.py", "code_lines.py"):
         (repo / "tools").mkdir(parents=True, exist_ok=True)
         shutil.copy(TOOLS / name, repo / "tools" / name)
+    (repo / "tools" / "accuracy.py").write_text(ACCURACY_STUB)
     (repo / "perfbench").mkdir()
     (repo / "perfbench" / "run.py").write_text(STUB.format(log=str(log)))
     (repo / "src" / "hypervol").mkdir(parents=True)
@@ -56,6 +71,8 @@ def test_bench_alternates_equal_length_copies(tmp_path):
     record = json.loads((repo / "BENCH_t.json").read_text())
     assert record["settings"] == {"pairs": 3, "seconds": 0.5, "seed": 0, "workloads": ["forms"]}
     assert record["code_lines"] == {"parent": 1, "change": 2}
+    assert record["accuracy"] == {"parent": {"tree": "parent", "speed": "100"},
+                                  "change": {"tree": "change", "speed": "110"}}
     assert record["commits"]["change"].endswith(" + uncommitted changes")
     assert record["commits"]["change"].startswith(record["commits"]["parent"])
     assert set(record["machine"]) == {"nproc", "cpu", "platform", "python", "numpy"}
@@ -74,3 +91,37 @@ def test_bench_alternates_equal_length_copies(tmp_path):
     assert len({length for _, length, _ in runs}) == 1
     assert runs[0][2] == ["--workload", "forms", "--seed", "0", "--seconds", "0.5", "--trace", "0"]
     assert runs[-1][2][-2:] == ["--trace", "1"]
+
+
+def test_accuracy_pass_on_a_stub_table():
+    # two references set off the projective volumes by known relative
+    # amounts, the larger at (3, 0.8); half-space has no ideal point
+    from hypervol import SimplexParams, volume_projective
+
+    shift = {(3, 0.8): 1e-9, (4, math.pi / 2): 1e-12}
+    ests = {key: volume_projective(SimplexParams(*key)) for key in shift}
+    volumes = {key: repr(est.value * (1 + shift[key])) for key, est in ests.items()}
+    ideal = volume_projective(SimplexParams(3, math.pi / 2)).value
+    record = accuracy.worst_errors(volumes, repr(ideal * (1 + 1e-10)))
+    assert math.isclose(record["ideal_tet_rel_err"], 1e-10, rel_tol=1e-5)
+    forms = record["forms"]
+    assert {name: (f["returned"], f["raised"]) for name, f in forms.items()} == {
+        "projective": (2, 0), "orthoscheme": (2, 0), "halfspace": (1, 1)}
+    for f in forms.values():
+        # the forms agree to about 1e-15, far inside the shifts
+        assert f["rel_err_at"] == [3, 0.8]
+        assert math.isclose(f["worst_rel_err"], 1e-9, rel_tol=1e-5)
+    est = ests[3, 0.8]
+    assert forms["projective"]["err_over_bar_at"] == [3, 0.8]
+    assert math.isclose(forms["projective"]["worst_err_over_bar"],
+                        1e-9 * est.value / est.error_estimate, rel_tol=1e-5)
+
+
+def test_accuracy_script_reads_the_frozen_table():
+    env = {**os.environ, "PYTHONPATH": str(TOOLS.parent / "src")}
+    out = subprocess.run([sys.executable, str(TOOLS / "accuracy.py")], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    record = json.loads(out)
+    assert {name: (f["returned"], f["raised"]) for name, f in record["forms"].items()} == {
+        "projective": (28, 0), "orthoscheme": (28, 0), "halfspace": (24, 4)}
+    assert record["ideal_tet_rel_err"] <= 2e-15

@@ -35,6 +35,7 @@ from hypervol.quadrature import (
 from oracles import (
     cone_level_integral,
     euclidean_simplex_volume,
+    level_one_integral,
     gauss_bonnet_triangle_area,
     klein_triangle_integral,
     monte_carlo_simplex,
@@ -192,6 +193,21 @@ class TestSimplexRadialPow:
             with pytest.raises(DomainError, match="p must be finite"):
                 integrate_simplex_radialpow(3, scale, p)
 
+    @pytest.mark.parametrize("n, p, match", [
+        (3.0, 2.0, "dimension must be an integer"),
+        (2.5, 2.0, "dimension must be an integer"),
+        (True, 1.0, "dimension must be an integer"),
+        (3, 1.25, "2p must be an integer"),
+        (4, 2.2, "2p must be an integer"),
+    ])
+    def test_non_integer_dimension_or_2p_is_refused(self, n, p, match):
+        # n = 3.0 raised a bare TypeError from the stack build and n = True
+        # integrated over S(1); level 1's closed form needs p in Z/2.  A
+        # scalar, a batch and scale 0 refuse alike
+        for scale in (0.5, [0.5, 0.6], 0.0):
+            with pytest.raises(DomainError, match=match):
+                integrate_simplex_radialpow(n, scale, p)
+
     def test_stalled_batch_raises_its_first_row(self, request):
         # a batch returns only settled rows: under a crude low-fidelity
         # stack the first row raises, carrying its own estimate
@@ -290,7 +306,7 @@ class TestSimplexRadialPow:
         rng = np.random.Generator(np.random.Philox(key=case))
         n = int(rng.integers(1, 5))
         scale = float(rng.uniform(0.2, 0.95))
-        p = float(rng.uniform(-1.0, (n + 1) / 2 - 0.3))
+        p = int(rng.integers(-2, n + 1)) / 2         # the p in Z/2 of [-1, (n + 1)/2 - 0.3]
         ada = integrate_simplex_radialpow(n, scale, p)
         mc, mc_err = monte_carlo_simplex(
             n, scale, lambda x: (1.0 - np.einsum("ij,ij->i", x, x)) ** (-p),
@@ -396,12 +412,12 @@ class TestSchlafliSlope:
 
     @staticmethod
     def chop_bar(stack, levels):
-        # each level's log carries its chop plateau, _CHOP_TOL times its
-        # largest coefficient, and a relative error in I_{k-1} reaches I_k
-        # at most unchanged (positive weights), so the top level carries
-        # at most their sum, relative
+        # each series level's log carries its chop plateau, _CHOP_TOL times
+        # its largest coefficient, and a relative error in I_{k-1} reaches
+        # I_k at most unchanged (positive weights), so the top level
+        # carries at most their sum, relative; level 1 is a closed form
         return quadrature._CHOP_TOL * sum(max(map(abs, stack._series[k]))
-                                          for k in range(1, levels + 1))
+                                          for k in range(2, levels + 1))
 
     def sides(self, n):
         """For the hi stacks, then the lo ones: the slope read off level
@@ -583,7 +599,7 @@ class TestDctMatrix:
         # every round of the ideal n = 5 pair (N = 32, 64, 128): the two
         # routes agree on whether the chop finds a plateau, which fixes the
         # rounds and n_evals; the kept counts may move inside the plateau
-        # (64 or 66 of 129), but both chopped series give the same values
+        # (62 or 65 of 129), but both chopped series give the same values
         rounds = []
         chebyshev_series = quadrature._chebyshev_series
 
@@ -662,8 +678,9 @@ class TestEngineMaps:
         reads = self.mapped_reads(monkeypatch)
         for stack in stacks:
             # u(0) = 0 and u(theta_min) = 1 exactly: w = 1 reads x = 1, and
-            # w = 0 clips to theta_min, which reads x = -1
-            for k in range(1, 4):
+            # w = 0 clips to theta_min, which reads x = -1; level 1 reads
+            # no series
+            for k in range(2, 4):
                 del reads[:]
                 values = stack.level_value(k, np.array([1.0, 0.0]))
                 (x, got), = reads
@@ -698,21 +715,22 @@ class TestEngineMaps:
         for stack in _radial_pair(3, 2.0, w_floor):
             theta = np.minimum(np.maximum(np.log(np.maximum(w, 1e-300)), stack.theta_min), 0.0)
             x = 1 - 2 * (np.log1p(theta / -c) / stack._span)
-            for k in range(1, 4):
+            for k in range(2, 4):
                 want = np.exp(_chebval(stack._series[k], x))
                 assert stack.level_value(k, w).tobytes() == want.tobytes(), (w_floor, k)
 
     def test_radial_map_at_random_theta_min(self, monkeypatch):
         # the ends of the u map are exact wherever theta_min falls: a
-        # one-level stack reads w = 1 at x = 1 and its floor at x = -1
+        # two-level stack reads level 2 at w = 1 at x = 1 and at its floor
+        # at x = -1
         rng = np.random.default_rng(6)
         settings = quadrature._RadialSettings(9)
         floors = [-50.2, -46.1, -1e-9, *-10.0 ** rng.uniform(-9, 2.5, 200)]
-        stacks = [quadrature.RadialPowerStack(1, 1.5, theta_min, settings) for theta_min in floors]
+        stacks = [quadrature.RadialPowerStack(2, 1.5, theta_min, settings) for theta_min in floors]
         reads = self.mapped_reads(monkeypatch)
         for stack in stacks:
             del reads[:]
-            stack.level_value(1, np.array([1.0, 0.0]))
+            stack.level_value(2, np.array([1.0, 0.0]))
             (x, _), = reads
             assert x.tolist() == [1.0, -1.0], stack.theta_min
 
@@ -819,27 +837,44 @@ class TestStandardChop:
             assert quadrature._chop_tilt(size).tobytes() == want.tobytes(), size
 
 
+class TestLevelOne:
+    """Level 1 is 2 K_p in closed form (`quadrature._level_one`), checked
+    against a 30-digit mpmath quadrature of its integral
+    (`level_one_integral`) from w = 1 - 1e-12 down to the ideal hi
+    stack's floor e^theta_min, at powers of both signs and both kinds in
+    Z/2 up to the n = 24 projective p = 25/2."""
+
+    @pytest.mark.parametrize("p", [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 6.5, 12.5])
+    def test_matches_a_30_digit_quadrature(self, p):
+        _, hi = _radial_pair(1, p, 0.0)
+        for w in (1.0 - 1e-12, 0.5, 1e-3, math.exp(hi.theta_min)):
+            got = hi.level_value(1, w)
+            ref = level_one_integral(p, w)
+            # the recurrence adds at most |p| + 1 positive terms
+            assert abs(got - ref) <= 2 * quadrature._EPS * (abs(p) + 1) * ref, (p, w)
+
+
 class TestChoppedLevels:
     def test_level_one_reads_its_closed_form(self):
-        # level 1 of (dim, p) = (2, 3/2) is 2 / sqrt(1 - sigma^2); its log,
-        # log 2 - theta/2, is linear in theta but not in u
+        # level 1 of (dim, p) = (2, 3/2) is 2 / sqrt(1 - sigma^2)
         for stack in _radial_pair(1, 1.5, 0.3):
             w = np.exp(np.linspace(stack.theta_min, 0.0, 1001))
             got = stack.level_value(1, w)
             assert np.abs(got * np.sqrt(w) / 2 - 1).max() <= 4 * quadrature._EPS
 
     def test_u_map_keeps_fewer_ideal_coefficients(self):
-        # the hi stacks of n = 3..12 kept 6,828 coefficients in all at the
-        # ideal floor and 5,013 at five finite t when their levels were
-        # series in theta; in u the ideal sum falls by at least 30% and
-        # the finite one rises by at most 5%
+        # over their series levels 2 and up, the hi stacks of n = 3..12
+        # keep 5,504 coefficients in all at the ideal floor and 4,014 at
+        # five finite t when those levels are series in theta; in u the
+        # ideal sum falls by at least 30% and the finite one rises by at
+        # most 5%
         def kept(w_floor):
             his = (_radial_pair(n - 1, (n + 1) / 2, w_floor)[1] for n in range(3, 13))
-            return sum(len(level) for hi in his for level in hi._series[1:])
+            return sum(len(level) for hi in his for level in hi._series[2:])
 
-        assert kept(0.0) <= 0.7 * 6828
+        assert kept(0.0) <= 0.7 * 5504
         finite = sum(kept(math.cos(t) ** 2) for t in (0.05, 0.3, 0.8, 1.2, 1.5))
-        assert finite <= 1.05 * 5013
+        assert finite <= 1.05 * 4014
 
     def test_ideal_levels_stop_well_below_the_cap(self, monkeypatch):
         # every level of the ideal n = 5 stacks finds its plateau by
@@ -861,15 +896,16 @@ class TestChoppedLevels:
         monkeypatch.setattr(quadrature, "_chebyshev_series", counted)
         monkeypatch.setattr(quadrature.RadialPowerStack, "_density", counted_density)
         for stack in _radial_pair(4, 3.0, 0.0):
-            rounds, sampled[:4] = sampled[:4], []
+            rounds, sampled[:3] = sampled[:3], []
             assert max(n for r in rounds for n in r) + 1 <= 129
-            assert max(len(stack._series[k]) for k in range(1, 5)) <= 128
+            assert max(len(stack._series[k]) for k in range(2, 5)) <= 128
             # each round sums one panel of order points between each pair
             # of its N + 1 points, afresh: order x the sum of N over rounds
             assert stack.n_evals == sum(map(sum, rounds)) * stack.settings.order
-            # levels 2..4 start where the level below stopped and find the
-            # plateau there, each round one pass over the level below
-            assert [len(r) for r in rounds[1:]] == [1, 1, 1]
+            # level 1 is a closed form, so level 2 is the first series;
+            # levels 3 and 4 start where the level below stopped and find
+            # the plateau there, each round one pass over the level below
+            assert rounds[0][0] == 32 and [len(r) for r in rounds[1:]] == [1, 1]
             assert sum(d is stack for d in densities) == sum(len(r) for r in rounds)
 
 

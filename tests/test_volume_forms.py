@@ -28,9 +28,11 @@ from hypervol import (
 
 from oracles import (
     IDEAL_TET,
+    SCHLAFLI_VOLUMES,
     gauss_bonnet_triangle_area,
     ideal_tetrahedron_volume,
     mp_integral,
+    schlafli_digits,
     schlafli_volume,
 )
 
@@ -172,7 +174,7 @@ class TestProjective:
 
     def test_ideal_tetrahedron(self):
         est = volume_projective(SimplexParams(3, math.pi / 2))
-        assert est.value == pytest.approx(IDEAL_TET, abs=1e-10)
+        assert abs(est.value - IDEAL_TET) <= 2e-15 * IDEAL_TET
 
     def test_ideal_triangle(self):
         # the top integral adds the leading term of the tail beyond theta_min
@@ -181,10 +183,10 @@ class TestProjective:
 
 
     @pytest.mark.parametrize("form, n, t, evals", [
-        (volume_projective, 3, 0.8, 2_231),
-        (volume_projective, 5, 1.2, 3_703),
-        (facet_row, 4, 0.8, 2_231),
-        (volume_halfspace, 4, 1.0, 2_691),
+        (volume_projective, 3, 0.8, 1_495),
+        (volume_projective, 5, 1.2, 2_967),
+        (facet_row, 4, 0.8, 1_495),
+        (volume_halfspace, 4, 1.0, 1_955),
         (volume_orthoscheme, 3, 0.8, 195),
         (volume_orthoscheme, 5, 1.2, 325),
     ])
@@ -376,13 +378,12 @@ class TestHalfspace:
     def test_unresolved_level_raises(self, monkeypatch):
         # a radial level with no plateau by its cap stalls the volume, as an
         # unresolved nested level does.  Capped at N = 32 the lo stack's
-        # level 1 of the ideal n = 5 pair has no plateau, and the pair stops
-        # there: the stall carries no value, on an inf bar, and counts the
-        # one round of 32 panels of 9 Gauss points it took.  (Read from
-        # every level, the value is 8e-7 off on a lo/hi gap that looks
-        # settled.)
+        # level 2 of the ideal n = 5 pair, its first series (level 1 is a
+        # closed form), has no plateau, and the pair stops there: the stall
+        # carries no value, on an inf bar, and counts the one round of 32
+        # panels of 9 Gauss points it took.
         monkeypatch.setattr(quadrature, "_MAX_DEGREE", 32)
-        with pytest.raises(ConvergenceError, match="level 1 has no plateau by N = 32") as info:
+        with pytest.raises(ConvergenceError, match="level 2 has no plateau by N = 32") as info:
             volume_projective(SimplexParams(5, math.pi / 2))
         est = info.value.estimate
         assert math.isnan(est.value) and est.error_estimate == math.inf
@@ -532,6 +533,25 @@ class TestSchlafli:
 
     def test_oracle_ideal_tetrahedron(self):
         assert schlafli_volume(3, math.pi / 2) == pytest.approx(IDEAL_TET, rel=1e-13)
+
+    @pytest.mark.parametrize("n, t", [(4, 1.2), (5, 0.3)])
+    def test_frozen_table_recomputes(self, n, t):
+        # the table's 20 digits, rounded, are the oracle's at 30
+        with mp.workdps(30):
+            ref = mp.mpf(SCHLAFLI_VOLUMES[n, t])
+            assert abs(schlafli_digits(n, t) - ref) <= mp.mpf("1e-19") * ref
+
+    @pytest.mark.parametrize("form, bound", [(volume_projective, 6e-15),
+                                             (volume_halfspace, 1.2e-14)])
+    def test_radial_forms_against_the_frozen_table(self, form, bound):
+        # an accuracy guard at every point of the table, n = 3..6 and
+        # t from 0.05 to the ideal point, which half-space does not reach
+        for (n, t), value in SCHLAFLI_VOLUMES.items():
+            params = SimplexParams(n, t)
+            if form is volume_halfspace and params.is_ideal:
+                continue
+            ref = mp.mpf(value)
+            assert abs(form(params).value - ref) <= bound * ref, (n, t)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_ideal_projective_to_2e_14(self, n):

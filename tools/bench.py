@@ -23,7 +23,11 @@ the commits, the settings, the code lines of each side's ``src/hypervol``
 ``BENCHMARK.json`` each side's runs, median and quartiles, and in how
 many pairs the change was better in the metric's direction.  Values are
 compared rounded to 12 significant digits, since ``accuracy_digits``
-wobbles in its last bit from run to run.
+wobbles in its last bit from run to run.  Under ``accuracy`` it records,
+for each side, what ``tools/accuracy.py`` of this checkout prints when it
+runs on that side's ``src``: each form's worst error against the frozen
+Schlafli volumes of ``tests/oracles.py``, relative and over its own bar,
+and the ideal tetrahedron's against ``IDEAL_TET``.
 """
 
 from __future__ import annotations
@@ -78,6 +82,17 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: bool)
     return {k: m["value"] for k, m in json.loads(run.stdout.splitlines()[-1])["metrics"].items()}
 
 
+def accuracy(tree: Path) -> dict:
+    """What ``tools/accuracy.py`` of this checkout prints, run on the
+    ``src`` of ``tree``."""
+    argv = [sys.executable, str(ROOT / "tools" / "accuracy.py")]
+    run = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(tree / "src")})
+    if run.returncode != 0:
+        raise SystemExit(f"{' '.join(argv)} failed in {tree}:\n{run.stderr}")
+    return json.loads(run.stdout.splitlines()[-1])
+
+
 def summary(runs: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1 \
         else runs * 3
@@ -119,6 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         "settings": {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
                      "workloads": workloads},
         "code_lines": {},
+        "accuracy": {},
         "workloads": {},
     }
     if args.parent:
@@ -134,6 +150,7 @@ def main(argv: list[str] | None = None) -> int:
                 copy_working_tree(tree)
             record["code_lines"][side] = sum(code_lines(f.read_text())
                                              for f in (tree / "src" / "hypervol").rglob("*.py"))
+            record["accuracy"][side] = accuracy(tree)
         runs = {w: {side: [] for side in sides} for w in workloads}
         for pair in range(args.pairs):
             for w in workloads:
