@@ -20,11 +20,13 @@ Two engines live here:
 
   (c_1 = 2, and den = v at k = 1, I_0 = 1).  Level 1,
   (2/sigma) int_0^sigma (1 - s^2)^(-p) ds, is elementary for the p in
-  Z/2 that every form uses, and is read in closed form (`_level_one`).
-  Above it the integrand does not depend on sigma, so a level is one
-  cumulative integral in y = sqrt(-log v) over Gauss panels between its
-  own sample points (`RadialPowerStack`), and the top level is the same
-  integral on the N = 32 grid level 2 starts on, read at each row's
+  Z/2 that every form uses, and is read in closed form (`_level_one`);
+  so is level 2, the integral over the triangle S(2), for p >= 3/2, which
+  holds every stack a form builds (`_level_two`).  Above them the
+  integrand does not depend on sigma, so a level is one cumulative
+  integral in y = sqrt(-log v) over Gauss panels between its own sample
+  points (`RadialPowerStack`), and the top level is the same integral on
+  the N = 32 grid the first series level starts on, read at each row's
   sigma; the vertex-touching case scale = 1 (ideal simplices) runs it to
   the stack's theta_min and adds the leading term of the tail beyond.
   The projective and half-space forms run on it.
@@ -46,12 +48,13 @@ Both engines share one interpolation scheme, `_chebyshev_series`
 (second-kind points, coefficients from a cached DCT-I matrix,
 `_dct_matrix`), and one evaluator, `_chebval`: a level of either engine
 doubles its points until `_standard_chop` finds the plateau, a radial
-level from the N where the level below stopped (level 2 from N = 32), a
-nested level from N = 64, and every round samples its whole grid.  A
-level is its coefficients on [-1, 1], and each engine maps its variable
-there by constants its interval fixes.  A nested level on [0, X_k] reads
--1 + (2 / X_k) u, the offset and scale numpy's Chebyshev class derives
-for that domain, so its values equal numpy's bit for bit.  A radial
+level from the N where the level below stopped (the first series level
+from N = 32), a nested level from N = 64, and every round samples its
+whole grid.  A level is its coefficients on [-1, 1], and each engine
+maps its variable there by constants its interval fixes.  A nested
+level on [0, X_k] reads -1 + (2 / X_k) u, the offset and scale numpy's
+Chebyshev class derives for that domain, so its values equal numpy's
+bit for bit.  A radial
 level on theta in [theta_min, 0] reads 1 - 2 u(theta), where
 u = log1p(-theta / c) / log1p(-theta_min / c) is exactly 0 at theta = 0
 and 1 at theta_min, and c = _STRETCH (`RadialPowerStack`).  Each round
@@ -296,12 +299,16 @@ def _dct_matrix(n: int) -> np.ndarray:
     from a table of cos(pi r / N), r = 0..N, built from the first octant
     (sines of the complement past pi / 4), so it is exactly odd about
     r = N / 2, and its mirror extends it to the period r = 0..2N - 1,
-    where every entry is looked up at m j mod 2N."""
+    where every entry is looked up at m j mod 2N.  N is a power of two,
+    as every round's is, so the mod is the mask m j & (2N - 1)."""
+    assert n > 0 and n & (n - 1) == 0, f"N = {n} is not a power of two"
     r = np.arange(n + 1)
     q = np.minimum(r, n - r)
     octant = np.where(4 * q <= n, np.cos(np.pi / n * q), np.sin(np.pi / (2 * n) * (n - 2 * q)))
     table = np.where(2 * r <= n, octant, -octant) * (2.0 / n)
-    mat = np.concatenate((table, table[-2:0:-1]))[np.multiply.outer(r, r) % (2 * n)]
+    at = np.multiply.outer(r, r)
+    at &= 2 * n - 1                             # in place: a temporary would raise peak memory
+    mat = np.concatenate((table, table[-2:0:-1]))[at]
     mat[:, [0, n]] /= 2
     mat[[0, n]] /= 2
     return _read_only(mat)
@@ -550,10 +557,54 @@ def _level_one(p: float, w):
     return 2 * k
 
 
+def _level_two(p: float, w):
+    """I_2(p, sigma) at w = 1 - sigma^2, for p in Z/2, p >= 3/2.  The
+    divergence theorem on S(2), inradius 1/2 and three edges of length
+    sqrt 3, applied to x (1 - sigma^2 |x|^2)^(-q) gives
+
+        2q I_2(q + 1) + (2 - 2q) I_2(q) = (3 sqrt 3 / 4) e^(-q) I_1(q, sigma'),
+
+    with e = (3 + w) / 4 and I_1 = 2 K_q (`_level_one`) at
+    w' = 1 - sigma'^2 = 4 w / (3 + w): an edge lies at |x|^2 = 1/4 + s^2.
+    The recurrence runs up, every term positive, from
+
+        I_2(2) = (3 sqrt 3 / 8) I_1(1, sigma') / e, where the I_2(1) term drops out, or
+        I_2(3/2) = 6 atan(sqrt 3 sigma^2 / ((1 + sqrt w)(3 + sqrt w))) / sigma^2,
+
+    the Gauss-Bonnet area of the triangle sigma S(2) in the Klein model
+    over sigma^2, pi at w = 0.  K_q at w' runs up in the same loop
+    (K_(3/2) = w'^(-1/2) needs no K_(1/2)), which forms no power beyond
+    the last it reads.  sigma'^2 is taken from w, as 3 (1 - w) / (3 + w),
+    and log w' as log1p(-sigma'^2) above w' = 1/2, so the digits hold at
+    small sigma; sigma^2 and sigma' are floored at 1e-300 as in
+    `_level_one`."""
+    flux = 1.5 * math.sqrt(3.0)                 # (3 sqrt 3 / 4) I_1 = flux K
+    e = (3.0 + w) / 4
+    sigma2_edge = 0.75 * (1.0 - w) / e          # sigma'^2 = 3 (1 - w) / (3 + w), bit for bit
+    w_edge = w / e                              # w' = 4 w / (3 + w), bit for bit
+    if p % 1:                                                           # p in 1/2 + Z
+        sigma2 = np.maximum(1.0 - w, 1e-300)
+        root = np.sqrt(w)
+        q, k = 1.5, 0.0
+        level = 6.0 * np.arctan(math.sqrt(3.0) * sigma2 / ((1.0 + root) * (3.0 + root))) / sigma2
+    else:
+        sigma_edge = np.maximum(np.sqrt(sigma2_edge), 1e-300)
+        # log1p's argument is capped where its branch is not taken: it is
+        # -1 at the ideal floor, where sigma'^2 rounds to 1
+        log_w = np.where(w_edge > 0.5, np.log1p(-np.minimum(sigma2_edge, 0.5)), np.log(w_edge))
+        q, k = 2.0, (np.log1p(sigma_edge) - 0.5 * log_w) / sigma_edge   # K_1
+        level = flux / 2 * k / e
+    while q < p:
+        k = (w_edge ** (1.0 - q) + (2 * q - 3) * k) / (2 * q - 2)      # K_q
+        level = (flux * e ** -q * k + (2 * q - 2) * level) / (2 * q)
+        q += 1
+    return level
+
+
 class RadialPowerStack:
     """The levels of the iterated-cone reduction of the integral over
     S(k) of (1 - sigma^2 |x|^2)^(-p) dx, for p in Z/2: level 1 in closed
-    form, the levels above as Chebyshev series.
+    form, level 2 too for p >= 3/2, the levels above as Chebyshev series.
 
     The reduction, with h = 1/k, rho^2 = 1 - h^2 and
     c_k = (k+1)/k * rho^(k-1) (so c_1 = 2):
@@ -561,7 +612,7 @@ class RadialPowerStack:
         I_k(p, sigma) = c_k int_0^1 xi^(k-1) (1 - sigma^2 xi^2 h^2)^(-p) I_{k-1}(p, sigma') dxi,
         sigma'^2 = sigma^2 xi^2 rho^2 / (1 - sigma^2 xi^2 h^2),
 
-    with I_0 = 1.  Level k >= 2 is held as a Chebyshev series in u on
+    with I_0 = 1.  A series level is held as a Chebyshev series in u on
     [0, 1], where theta = log(1 - sigma^2) on [theta_min, 0] is
 
         theta(u) = -c expm1(u L),   L = log1p(-theta_min / c),   c = _STRETCH,
@@ -572,20 +623,24 @@ class RadialPowerStack:
     (`_chebyshev_series`).  log I_k changes near theta = 0 and is almost
     linear far out; u is close to -theta / (c L) for |theta| << c and to
     log(-theta) / L beyond, so it spends the points near 0.  c = 8 is
-    measured: the hi stacks of n = 3..12 keep 3,682 coefficients in all at
-    the ideal floor (5,504 in theta) and 3,946 at t in {0.05, 0.3, 0.8,
-    1.2, 1.5} (4,014).  c = 4 kept fewer ideal ones, but a finite n = 4
+    measured: the hi stacks of n = 3..12 keep 2,867 coefficients in all at
+    the ideal floor (4,255 in theta) and 3,063 at t in {0.05, 0.3, 0.8,
+    1.2, 1.5} (3,123).  c = 4 kept fewer ideal ones, but a finite n = 4
     volume read from a stack shared with an ideal row then fell 1.0e-14
     off its standalone value.  `level_value` reads theta at
     x = 1 - 2 (log1p(-theta / c) / L), so theta = 0 reads x = 1 and
     theta_min x = -1 exactly (c is a power of 2, so -theta / c is exact),
     and a sample point maps back to within a few ulps of its
-    cos(pi j / N).  Level 1 is 2 K_p (`_level_one`), read at 1 - sigma^2
-    clipped to theta in [theta_min, 0] as every level is; it has no
-    series, no chop and no evaluations.  Level 2 starts at N = 32, the
+    cos(pi j / N).  Level 1 is 2 K_p (`_level_one`), and for p >= 3/2
+    level 2 is its closed form (`_level_two`); each is read at
+    1 - sigma^2 clipped to theta in [theta_min, 0] as every level is, and
+    has no series, no chop and no evaluations.  Every stack a form builds
+    has p >= 3/2; below it (the public `integrate_simplex_radialpow` at
+    p = 1, where level 2 is a dilogarithm) level 2 stays a series.  So the
+    first series level is 3 if p >= 3/2, else 2.  It starts at N = 32, the
     grid the top integral reads, and each level above at the N where the
     one below stopped, so it usually samples in one round.  The ideal
-    n = 5 levels stop at N = 128.  ``unresolved`` is the first level with
+    n = 5 levels stop at N = 64.  ``unresolved`` is the first level with
     no plateau by _MAX_DEGREE (0 when every level found one).  The build
     stops there: the levels above it would start at the cap, and from n
     of about 64 their running sums underflow.  A pair with such a level
@@ -618,8 +673,8 @@ class RadialPowerStack:
     and 1 - v = -expm1(-y^2), and log sigma^2 at each point but
     theta = 0.  So a level pays only for what depends on k: the density
     and its pass over level k - 1.  The grids live only for the build,
-    but for N = 32, the one level 2 starts on and the top integral reads;
-    a built stack is only read.
+    but for N = 32, the one the first series level starts on and the top
+    integral reads; a built stack is only read.
 
     `top_integral` runs the same sum for the level above the stack at
     each row's sigma on that N = 32 grid: its 32 whole panels and a
@@ -644,12 +699,15 @@ class RadialPowerStack:
         # carries no count from one caller's top integrals into the next
         self.n_evals = 0
         self.unresolved = 0
-        self._w_min = math.exp(theta_min)                       # level 1's floor
+        self._w_min = math.exp(theta_min)                       # the closed levels' floor
+        self._closed = 2 if p >= 1.5 else 1                     # the last closed-form level
         at_zero, start = 2.0, 32                                # I_k(p, 0), first N
-        self._top = self._grid(start)                           # level 2's first grid
+        self._top = self._grid(start)                           # the first series level's grid
         grids = {start: self._top}                              # grids, by N
         for k in range(2, levels + 1):
             at_zero *= _cone_factor(k) / k
+            if k <= self._closed:
+                continue
             coef, points = self._build_level(k, at_zero, start, grids)
             self._series[k] = coef.tolist()
             if coef.size == points:
@@ -713,7 +771,8 @@ class RadialPowerStack:
         and v / den is the 1 - sigma'^2 that level k - 1 is read at.
         Level 1 is a closed form, so k = 1 serves only the top integral of
         a stack with no levels (the n = 1 integral, the n = 2 half-space
-        form)."""
+        form); so is level 2 for p >= 3/2, where k = 2 serves only the top
+        integral of a one-level stack."""
         v = panels.v
         h2 = 1.0 / (k * k)
         den = h2 * v + (1.0 - h2)
@@ -729,13 +788,14 @@ class RadialPowerStack:
 
     def level_value(self, k: int, one_minus_sigma_sq):
         """I_k(p, sigma) at 1 - sigma^2 given as a float, a list or an
-        array, in its shape: 1 at k = 0, the closed form at k = 1
-        (`_level_one`), the series above; theta = log(1 - sigma^2) is
-        clipped to [theta_min, 0]."""
+        array, in its shape: 1 at k = 0, the closed forms at k = 1
+        (`_level_one`) and, for p >= 3/2, k = 2 (`_level_two`), the series
+        above; theta = log(1 - sigma^2) is clipped to [theta_min, 0]."""
         if k == 0:
             return np.ones_like(np.asarray(one_minus_sigma_sq, dtype=float))
-        if k == 1:
-            return _level_one(self.p, np.minimum(np.maximum(one_minus_sigma_sq, self._w_min), 1.0))
+        if k <= self._closed:
+            w = np.minimum(np.maximum(one_minus_sigma_sq, self._w_min), 1.0)
+            return (_level_one if k == 1 else _level_two)(self.p, w)
         x = np.array(one_minus_sigma_sq, dtype=float)          # mapped in place
         np.log(np.maximum(x, 1e-300, out=x), out=x)
         np.minimum(np.maximum(x, self.theta_min, out=x), 0.0, out=x)             # theta
@@ -744,7 +804,7 @@ class RadialPowerStack:
         np.subtract(1.0, np.divide(x, self._span / 2, out=x), out=x)
         return np.exp(_chebval(self._series[k], x))
 
-    def top_integral(self, k: int, w_top, sigma2_top) -> tuple[np.ndarray, np.ndarray]:
+    def top_integral(self, k: int, w_top, sigma2_top, terms: bool = False) -> tuple:
         """sigma^k I_k at each row of the arrays (w_top, sigma2_top) =
         (1 - sigma^2, sigma^2), by the cumulative integral in y on the
         stack's N = 32 grid, with the number of integrand evaluations each
@@ -758,10 +818,16 @@ class RadialPowerStack:
         for a density falling as y exp(-y^2 / 2) (the ideal triangle's);
         y_max rides in the shared pass and counts as one more evaluation.
         Rows at sigma = 0 are 0 and take no evaluations: the density is
-        0/0 at y = 0.  The density reads level k - 1 from its series, in
-        closed form when k = 2, and as 1 when k = 1."""
+        0/0 at y = 0.  The density reads level k - 1 by `level_value`: 1
+        when k = 1, a closed form up to level 2, a series above.
+
+        With ``terms``, a batch of one row returns in place of its value
+        the list of positive terms the value sums: the whole panels below
+        its grid point, its partial panel and an ideal row's tail (none at
+        sigma = 0), so a caller can sum them exactly with its own (the
+        half-space form's T1 - T2, `math.fsum`)."""
         w, sigma2 = np.atleast_1d(w_top, sigma2_top)
-        values = np.zeros(w.size)
+        values, row_terms = np.zeros(w.size), []
         live, ideal = sigma2 > 0.0, w == 0.0
         edges, whole, _ = self._top
         n = whole.width.size
@@ -773,9 +839,13 @@ class RadialPowerStack:
             m = np.searchsorted(edges, y, "right") - 1          # the grid point at or below y
             part = self._panels(edges[m], y - edges[m], [y_max] if ideal.any() else [])
             sums, tail = self._panel_sums(k, _Panels(*map(np.concatenate, zip(whole, part))))
+            tail /= y_max
+            if terms:
+                row_terms = [*sums[:m[0]].tolist(), *sums[n:].tolist(), *tail.tolist()]
             values[live] = np.concatenate(([0.0], np.cumsum(sums[:n])))[m] + sums[n:]
-            values[ideal] += tail / y_max
-        return values, np.where(live, (n + 1) * self.settings.order, 0) + ideal
+            values[ideal] += tail
+        evals = np.where(live, (n + 1) * self.settings.order, 0) + ideal
+        return (row_terms if terms else values), evals
 
 
 def _radial_pair(levels: int, p: float, w_floor: float) -> tuple:
@@ -797,10 +867,12 @@ def _radial_pair(levels: int, p: float, w_floor: float) -> tuple:
     A finite floor with (p - 1)(-theta) above log(float64 max) - 10 =
     699.8 raises DomainError: level 1, 2 K_p, sums at most p + 1
     positive terms, the largest w^(1 - p) (`_level_one`), so it would
-    overflow, and level 2's density reads it times (v / den) den^(1 - p),
-    which is below 4/3 of v there.  Short of that, level 2's panels lie
-    between its own sample points, which u spreads over the whole range:
-    at p = 2.5 the floor 1e-200 settles on the ideal value.
+    overflow.  The guard covers level 2's closed form (`_level_two`) too:
+    it reads K_q at w' = 4 w / (3 + w) >= w times e^(-q), and
+    e^(-q) w'^(1 - q) = 4 w^(1 - q) / (3 + w).  Short of that, the first
+    series level's panels lie between its own sample points, which u
+    spreads over the whole range: at p = 2.5 the floor 1e-200 settles on
+    the ideal value.
 
     A lo stack with an unresolved level (`RadialPowerStack`) is returned
     alone: no row can settle on it, so the hi stack is not built."""
@@ -867,7 +939,10 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
     n must be an integer >= 1 (not a bool), and 2p an integer: level 1 of
     the reduction is read in closed form, elementary for p in Z/2
     (`_level_one`), which holds every form's p, (n + 1)/2, n/2 and
-    (n - 1)/2.  Anything else raises DomainError.
+    (n - 1)/2.  Anything else raises DomainError.  Level 2 is a closed
+    form too for p >= 3/2 (`_level_two`), which every stack a form builds
+    has; below it, as at p = 1, where level 2 is a dilogarithm, level 2 is
+    a Chebyshev series like the levels above (`RadialPowerStack`).
 
     scale = 1 touches the sphere at the n+1 vertices; the integral then
     exists iff p <= (n+1)/2 (and p < 1 when n = 1), and the top level's

@@ -204,10 +204,13 @@ def _halfspace_value(n: int, sigma: float, w_perp: float, slope: float,
     constant barycentric sum a, each slice being a centered regular
     (n-2)-simplex of circumradius a * rho_F, so both reduce to the radial
     level stack.  Their difference cancels about T1 / ((n - 1) V) of the
-    digits, about 1.1 / t at small t, so the bar adds 16 eps |T1| / (n - 1)
-    of the high-fidelity stack to the lo/hi gap (`_radial_estimate`); the
-    error against the orthoscheme form measured up to 6.5 eps |T1| / (n - 1)
-    at n = 3, 4, 5, 8 and t = 1e-2 .. 1e-14.
+    digits, about 1.1 / t at small t, so it is one exactly rounded sum
+    (`math.fsum`) of T1's panel terms (`RadialPowerStack.top_integral`)
+    and T2's slice terms, which adds no rounding of its own to what the
+    terms carry, and the bar adds 16 eps |T1| / (n - 1) of the
+    high-fidelity stack to the lo/hi gap (`_radial_estimate`); the error
+    against the orthoscheme form measured up to 6.5 eps |T1| / (n - 1) at
+    n = 3, 4, 5, 8 and t = 1e-2 .. 1e-14.
     """
     p = (n - 1) / 2.0
     dim = n - 1
@@ -216,18 +219,17 @@ def _halfspace_value(n: int, sigma: float, w_perp: float, slope: float,
     depth = int(min(64, max(18, math.log2(max(slope, 2.0)) + 14)))
 
     def values_of(stack):
-        (t1,), (evals,) = stack.top_integral(dim, w_perp, sigma * sigma)
+        t1, (evals,) = stack.top_integral(dim, w_perp, sigma * sigma, terms=True)
         a, one_m_a, wq = _panels_toward_one(depth, stack.settings.order)
         # C(a) = upper^2 at the slice's outermost radius, built from (1 - a)
         c_of_a = (1.0 - b_c * b_c) + slope * one_m_a + b_c * b_c * one_m_a * (2.0 - one_m_a)
         w_slice = (w_perp + slope * one_m_a + sigma * sigma * one_m_a * (2.0 - one_m_a)) / c_of_a
         inner = stack.level_value(dim - 1, w_slice)
-        t2 = n * b_c * float(
-            (a ** (n - 2) * rho_f_sq ** ((n - 2) / 2.0) * c_of_a ** (-p) * inner) @ wq
-        )
-        if t2 >= t1:            # as at n = 3 from t ~ 1e-18 down; a nan row stalls instead
+        t2 = n * b_c * rho_f_sq ** ((n - 2) / 2.0) * a ** (n - 2) * c_of_a ** (-p) * inner * wq
+        diff = math.fsum([*t1, *(-t2).tolist()])        # T1 - T2, exactly rounded
+        if diff <= 0.0:         # as at n = 3 from t ~ 1e-18 down; a nan row stalls instead
             raise DegenerateGeometryError("half-space integrals t1 - t2 cancel to every digit")
-        return [float(t1 - t2) / (n - 1)], [evals + a.size], [16 * _EPS * float(t1) / (n - 1)]
+        return [diff / (n - 1)], [evals + a.size], [16 * _EPS * math.fsum(t1) / (n - 1)]
 
     return _radial_estimate(dim - 1, p, w_perp, cfg, values_of)[0]
 

@@ -182,6 +182,58 @@ def level_one_integral(p: float, w: float, dps: int = 30):
         return 2 / sigma * mp.quad(lambda x: (w + x * (2 * sigma - x)) ** -p, [0, *cuts[::-1]])
 
 
+def level_two_integral(p: float, w: float, dps: int = 30):
+    """The integral over S(2) of (1 - sigma^2 |x|^2)^(-p) at
+    w = 1 - sigma^2 in (0, 1], to ``dps`` digits, as an mpmath number.
+    S(2) is six right triangles about its center, each the angle
+    phi in [0, pi/3] from an edge's foot out to R(phi) = 1 / (2 cos phi),
+    so it is 6 int_0^(pi/3) of the radial antiderivative
+
+        int_0^R (1 - sigma^2 r^2)^(-p) r dr = expm1((1 - p) log f) / (2 sigma^2 (p - 1)),
+
+    -log f / (2 sigma^2) at p = 1, with f = 1 - sigma^2 R^2 =
+    (4 cos^2 phi - 1 + w) / (4 cos^2 phi).  mpmath integrates in
+    psi = pi/3 - phi, where 4 cos^2 phi - 1 = 2 sin psi (sqrt 3 cos psi +
+    sin psi) keeps its digits at the vertex psi = 0, so w's survive
+    there; log f is log1p(-sigma^2 / (4 cos^2 phi)) above w = 1/2, so
+    sigma's survive as it goes to 0.  The breakpoints (pi/3) 16^-j, down
+    past w, follow the integrand toward the vertex, where it moves on the
+    scale w, and Gauss-Legendre takes a third of tanh-sinh's time there."""
+    with mp.workdps(dps):
+        w = mp.mpf(w)
+        sigma2, root3 = 1 - w, mp.sqrt(3)
+
+        def antiderivative(psi):
+            c, s = mp.cos_sin(psi)
+            c2 = (c + root3 * s) ** 2                           # 4 cos^2 phi
+            if w > 0.5:
+                log_f = mp.log1p(-sigma2 / c2)
+            else:
+                log_f = mp.log((2 * s * (root3 * c + s) + w) / c2)
+            if p == 1:
+                return -log_f / (2 * sigma2)
+            return mp.expm1((1 - p) * log_f) / (2 * sigma2 * (p - 1))
+
+        cuts = [mp.pi / 3 * mp.mpf(16) ** -j for j in range(int(math.log(1 / float(w), 16)) + 2)]
+        return 6 * mp.quad(antiderivative, [0, *cuts[::-1]], method="gauss-legendre")
+
+
+def chebyshev_coefficients(values, dps: int = 30) -> np.ndarray:
+    """The coefficients of the polynomial through ``values`` at the points
+    cos(pi j / N), j = 0..N: the DCT-I, entry (m, j) = cos(pi m j / N) 2/N,
+    halved in columns 0 and N and in rows 0 and N, summed at ``dps``
+    digits and rounded once, so no route's rounding moves them."""
+    n = len(values) - 1
+    with mp.workdps(dps):
+        cos = [mp.cospi(mp.mpf(r) / n) for r in range(2 * n)]
+        v = [mp.mpf(float(x)) for x in values]
+        v[0], v[n] = v[0] / 2, v[n] / 2
+        out = [2 * mp.fsum(cos[m * j % (2 * n)] * v[j] for j in range(n + 1)) / n
+               for m in range(n + 1)]
+        out[0], out[n] = out[0] / 2, out[n] / 2
+        return np.array([float(c) for c in out])
+
+
 def mp_integral(f, a, b, dps: int = 50) -> float:
     """50-digit adaptive reference for a 1-d integral."""
     with mp.workdps(dps):

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +116,12 @@ def test_accuracy_pass_on_a_stub_table():
     assert forms["projective"]["err_over_bar_at"] == [3, 0.8]
     assert math.isclose(forms["projective"]["worst_err_over_bar"],
                         1e-9 * est.value / est.error_estimate, rel_tol=1e-5)
+    # a shift above a form's bar is a miss: 1e-9 is above every bar, 1e-12
+    # only above the orthoscheme's, a chop plateau near 1e-14 relative
+    assert {name: f["bar_misses"] for name, f in forms.items()} == {
+        "projective": 1, "orthoscheme": 2, "halfspace": 1}
+    assert forms["projective"]["median_bar_over_value"] == statistics.median(
+        e.error_estimate / e.value for e in ests.values())
 
 
 def test_accuracy_script_reads_the_frozen_table():
@@ -124,4 +131,6 @@ def test_accuracy_script_reads_the_frozen_table():
     record = json.loads(out)
     assert {name: (f["returned"], f["raised"]) for name, f in record["forms"].items()} == {
         "projective": (28, 0), "orthoscheme": (28, 0), "halfspace": (24, 4)}
-    assert record["ideal_tet_rel_err"] <= 2e-15
+    assert {name: f["bar_misses"] for name, f in record["forms"].items()} == {
+        "projective": 0, "orthoscheme": 0, "halfspace": 0}
+    assert record["ideal_tet_rel_err"] <= 4.4e-16

@@ -105,8 +105,9 @@ class TestVolume:
 
     def test_all_prints_stalled_estimates(self, capsys, stalled):
         # the stalled radial forms print their best estimates beside the
-        # settled orthoscheme, and the command exits 2
-        params = SimplexParams(4, 1.0)
+        # settled orthoscheme, and the command exits 2; n = 5 is the first
+        # n where both radial forms have a series level to stall on
+        params = SimplexParams(5, 1.0)
         expected = {}
         for name in ("projective", "halfspace"):
             with pytest.raises(ConvergenceError) as info:
@@ -114,7 +115,7 @@ class TestVolume:
             est = info.value.estimate
             expected[name] = (f"method={name} value={cli._fmt(est.value)} "
                               f"error={cli._fmt(est.error_estimate)} n_evals={est.n_evals}")
-        code, out, err = run(capsys, "volume", "--n", "4", "--t", "1.0", "--method", "all")
+        code, out, err = run(capsys, "volume", "--n", "5", "--t", "1.0", "--method", "all")
         assert code == 2 and err == ""
         lines = out.splitlines()
         assert lines[0] == expected["projective"] and lines[2] == expected["halfspace"]
@@ -186,8 +187,9 @@ class TestRatio:
         assert out.endswith(" upper=0 hm_lower=0.25 hm_upper=0.5 SANDWICH=VIOLATION\n")
 
     def test_stall_reported_as_non_convergence(self, capsys, stalled):
-        # the stalled estimate is a volume, not a ratio; no ratio line is printed
-        code, out, err = run(capsys, "ratio", "--n", "3", "--t", "1.5")
+        # the stalled estimate is a volume, not a ratio; no ratio line is
+        # printed.  V_4 has a series level (level 3) to stall on
+        code, out, err = run(capsys, "ratio", "--n", "4", "--t", "1.5")
         assert code == 2 and out == ""
         assert err.startswith("non-convergence:")
 
@@ -454,8 +456,9 @@ class TestCheck:
         assert float(fails[0].split("residual=")[1]) > 0.0
 
     def test_stall_keeps_structural_lines(self, capsys, stalled):
-        # the forms raise inside cross_model; the lines before it are kept
-        code, out, err = run(capsys, "check", "--n", "3", "--t", "1.5")
+        # the forms raise inside cross_model; the lines before it are kept.
+        # V_4 has a series level (level 3) to stall on
+        code, out, err = run(capsys, "check", "--n", "4", "--t", "1.5")
         assert code == 2
         assert "non-convergence:" in err
         assert [line.split()[:2] for line in out.splitlines()] == [

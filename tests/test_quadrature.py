@@ -34,8 +34,10 @@ from hypervol.quadrature import (
 
 from oracles import (
     cone_level_integral,
+    chebyshev_coefficients,
     euclidean_simplex_volume,
     level_one_integral,
+    level_two_integral,
     gauss_bonnet_triangle_area,
     klein_triangle_integral,
     monte_carlo_simplex,
@@ -210,11 +212,12 @@ class TestSimplexRadialPow:
 
     def test_stalled_batch_raises_its_first_row(self, request):
         # a batch returns only settled rows: under a crude low-fidelity
-        # stack the first row raises, carrying its own estimate
-        first = integrate_simplex_radialpow(3, 0.5, 2.0).value
+        # stack the first row raises, carrying its own estimate; n = 4 reads
+        # a series level (level 3)
+        first = integrate_simplex_radialpow(4, 0.5, 2.5).value
         request.getfixturevalue("stalled")
         with pytest.raises(ConvergenceError) as info:
-            integrate_simplex_radialpow(3, [0.5, 0.9], 2.0)
+            integrate_simplex_radialpow(4, [0.5, 0.9], 2.5)
         est = info.value.estimate
         assert est.value == pytest.approx(first, rel=1e-12, abs=0)
 
@@ -234,9 +237,9 @@ class TestSimplexRadialPow:
     def test_deep_finite_floors(self):
         # (v / den) den^(1 - p) stays finite where den^(-p) overflowed at
         # level 1 (-log w past 709.8 / p): the 1e-200 floor is formed, and
-        # level 1's panels, between its own points, follow v^(1 - p) to
-        # the ideal value; at 1e-300, v^(1 - p) itself is beyond float64
-        # and the pair refuses it by name
+        # the first series level's panels, between its own points, follow
+        # the closed levels below to the ideal value; at 1e-300, v^(1 - p)
+        # itself is beyond float64 and the pair refuses it by name
         deep = integrate_simplex_radialpow(4, 1.0, 2.5, one_minus_scale_sq=1e-200)
         ideal = integrate_simplex_radialpow(4, 1.0, 2.5)
         assert deep.value == pytest.approx(ideal.value, rel=1e-12, abs=0)
@@ -415,9 +418,10 @@ class TestSchlafliSlope:
         # each series level's log carries its chop plateau, _CHOP_TOL times
         # its largest coefficient, and a relative error in I_{k-1} reaches
         # I_k at most unchanged (positive weights), so the top level
-        # carries at most their sum, relative; level 1 is a closed form
+        # carries at most their sum, relative; levels 1 and 2 are closed
+        # forms at every p >= 3/2 read here
         return quadrature._CHOP_TOL * sum(max(map(abs, stack._series[k]))
-                                          for k in range(2, levels + 1))
+                                          for k in range(3, levels + 1))
 
     def sides(self, n):
         """For the hi stacks, then the lo ones: the slope read off level
@@ -578,10 +582,10 @@ def rfft_coefficients(values):
 class TestDctMatrix:
     """The coefficients of a round are one product with the cached DCT-I
     matrix of its N.  On random values at every size a level may sample,
-    and on the rounds of the ideal n = 5 pair, they stay within
-    4 eps max|values| of the FFT route's."""
+    the powers of two up to _MAX_DEGREE, and on the rounds of the ideal
+    n = 5 pair, they stay within 4 eps max|values| of the FFT route's."""
 
-    SIZES = [*range(2, 34), 64, 128, 256, 512]
+    SIZES = [2 ** j for j in range(1, 10)]
 
     @staticmethod
     def assert_matches_rfft(values):
@@ -596,10 +600,15 @@ class TestDctMatrix:
             self.assert_matches_rfft(rng.standard_normal(n + 1))
 
     def test_matches_the_rfft_route_on_ideal_levels(self, monkeypatch):
-        # every round of the ideal n = 5 pair (N = 32, 64, 128): the two
-        # routes agree on whether the chop finds a plateau, which fixes the
-        # rounds and n_evals; the kept counts may move inside the plateau
-        # (62 or 65 of 129), but both chopped series give the same values
+        # every round of the ideal n = 5 pair's series levels 3 and 4
+        # (N = 32, 64): the two routes agree on whether the chop finds a
+        # plateau, which fixes the rounds and n_evals.  The kept count may
+        # move inside the plateau, within 3 of where the chop of the exact
+        # coefficients of the same values cuts (the lo stack's level 3 keeps
+        # 47 of 65 where they keep 50).  The FFT route's own rounding moves
+        # it further: there it rounds the last three coefficients to 0
+        # where the exact ones are about 1e-17 of c_0, and its chop keeps
+        # 62.  Both chopped series give the same values
         rounds = []
         chebyshev_series = quadrature._chebyshev_series
 
@@ -608,12 +617,12 @@ class TestDctMatrix:
 
         monkeypatch.setattr(quadrature, "_chebyshev_series", recorded)
         _radial_pair(4, 3.0, 0.0)
-        assert sorted({v.size - 1 for v in rounds}) == [32, 64, 128]
+        assert sorted({v.size - 1 for v in rounds}) == [32, 64]
         for values in rounds:
             got, want = self.assert_matches_rfft(values), rfft_coefficients(values)
             keep, keep_fft = _standard_chop(got), _standard_chop(want)
             assert (keep < values.size) == (keep_fft < values.size)
-            assert abs(keep - keep_fft) <= 3
+            assert abs(keep - _standard_chop(chebyshev_coefficients(values))) <= 3
             x = np.cos(np.pi / (values.size - 1) * np.arange(values.size))
             off = _chebval(got[:keep].tolist(), x) - _chebval(want[:keep_fft].tolist(), x)
             assert np.abs(off).max() <= 2 * quadrature._CHOP_TOL * np.abs(values).max()
@@ -632,6 +641,25 @@ class TestDctMatrix:
         threaded = run_fresh(script, unset)
         assert threaded.count("\n") >= 4
         assert threaded == run_fresh(script, {**unset, "OPENBLAS_NUM_THREADS": "1"})
+
+    def test_mask_is_the_mod(self):
+        # the entries are looked up at m j & (2N - 1), which is m j mod 2N
+        # for N a power of two; the table lookup by mod gives the same bits
+        for n in self.SIZES[3:]:
+            r = np.arange(n + 1)
+            q = np.minimum(r, n - r)
+            octant = np.where(4 * q <= n, np.cos(np.pi / n * q),
+                              np.sin(np.pi / (2 * n) * (n - 2 * q)))
+            table = np.where(2 * r <= n, octant, -octant) * (2.0 / n)
+            want = np.concatenate((table, table[-2:0:-1]))[np.multiply.outer(r, r) % (2 * n)]
+            want[:, [0, n]] /= 2
+            want[[0, n]] /= 2
+            assert quadrature._dct_matrix(n).tobytes() == want.tobytes(), n
+
+    def test_refuses_a_size_not_a_power_of_two(self):
+        for n in (3, 24, 96):
+            with pytest.raises(AssertionError, match="not a power of two"):
+                quadrature._dct_matrix(n)
 
     def test_read_only_and_exactly_symmetric(self):
         # column N - j is column j times (-1)^m, row N - m is row m times (-1)^j
@@ -674,13 +702,13 @@ class TestEngineMaps:
 
     @pytest.mark.parametrize("w_floor", [0.0, 1e-30, 1e-6, 0.04, 0.36, 0.9, 1.0 - 1e-18])
     def test_radial_stack_reads_its_levels_as_numpy(self, w_floor, monkeypatch):
-        stacks = _radial_pair(3, 2.0, w_floor)
+        stacks = _radial_pair(4, 2.0, w_floor)
         reads = self.mapped_reads(monkeypatch)
         for stack in stacks:
             # u(0) = 0 and u(theta_min) = 1 exactly: w = 1 reads x = 1, and
-            # w = 0 clips to theta_min, which reads x = -1; level 1 reads
-            # no series
-            for k in range(2, 4):
+            # w = 0 clips to theta_min, which reads x = -1; levels 1 and 2
+            # read no series
+            for k in range(3, 5):
                 del reads[:]
                 values = stack.level_value(k, np.array([1.0, 0.0]))
                 (x, got), = reads
@@ -712,25 +740,25 @@ class TestEngineMaps:
         w = np.concatenate(([0.0, 1e-300, 1.0, 1.0 + 1e-15], rng.uniform(0.0, 1.0, 5000),
                             10.0 ** -rng.uniform(0.0, 40.0, 4996)))
         c = quadrature._STRETCH
-        for stack in _radial_pair(3, 2.0, w_floor):
+        for stack in _radial_pair(4, 2.0, w_floor):
             theta = np.minimum(np.maximum(np.log(np.maximum(w, 1e-300)), stack.theta_min), 0.0)
             x = 1 - 2 * (np.log1p(theta / -c) / stack._span)
-            for k in range(2, 4):
+            for k in range(3, 5):
                 want = np.exp(_chebval(stack._series[k], x))
                 assert stack.level_value(k, w).tobytes() == want.tobytes(), (w_floor, k)
 
     def test_radial_map_at_random_theta_min(self, monkeypatch):
         # the ends of the u map are exact wherever theta_min falls: a
-        # two-level stack reads level 2 at w = 1 at x = 1 and at its floor
-        # at x = -1
+        # three-level stack reads level 3, its one series, at w = 1 at
+        # x = 1 and at its floor at x = -1
         rng = np.random.default_rng(6)
         settings = quadrature._RadialSettings(9)
         floors = [-50.2, -46.1, -1e-9, *-10.0 ** rng.uniform(-9, 2.5, 200)]
-        stacks = [quadrature.RadialPowerStack(2, 1.5, theta_min, settings) for theta_min in floors]
+        stacks = [quadrature.RadialPowerStack(3, 1.5, theta_min, settings) for theta_min in floors]
         reads = self.mapped_reads(monkeypatch)
         for stack in stacks:
             del reads[:]
-            stack.level_value(2, np.array([1.0, 0.0]))
+            stack.level_value(3, np.array([1.0, 0.0]))
             (x, _), = reads
             assert x.tolist() == [1.0, -1.0], stack.theta_min
 
@@ -854,6 +882,35 @@ class TestLevelOne:
             assert abs(got - ref) <= 2 * quadrature._EPS * (abs(p) + 1) * ref, (p, w)
 
 
+class TestLevelTwo:
+    """Level 2 is a closed form for p >= 3/2 (`quadrature._level_two`),
+    checked against a 30-digit mpmath quadrature of its integral
+    (`level_two_integral`) from w = 1 - 1e-12 down to the ideal hi
+    stack's floor e^theta_min, at both kinds of p in Z/2 up to the n = 24
+    projective p = 25/2.  Below p = 3/2 it stays a series."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 6.5, 12.5])
+    def test_matches_a_30_digit_quadrature(self, p):
+        _, hi = _radial_pair(2, p, 0.0)
+        assert hi._series[2] is None
+        for w in (1.0 - 1e-12, 0.5, 1e-3, math.exp(hi.theta_min)):
+            got = hi.level_value(2, w)
+            ref = level_two_integral(p, w)
+            # the recurrence adds at most p + 1 positive terms
+            assert abs(got - ref) <= 2 * quadrature._EPS * (p + 1) * ref, (p, w)
+
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    def test_series_below_three_halves(self, p):
+        # at p = 1 level 2 is a dilogarithm, so a stack built for the n = 3
+        # integral keeps it as its one series level, on both stacks
+        for stack in _radial_pair(2, p, 0.0):
+            assert stack._series[2]
+            for w in (1.0 - 1e-12, 0.5, 1e-3, math.exp(stack.theta_min)):
+                got = stack.level_value(2, w)
+                ref = level_two_integral(p, w)
+                assert abs(got - ref) <= 1e-13 * ref, (p, w, stack.settings.order)
+
+
 class TestChoppedLevels:
     def test_level_one_reads_its_closed_form(self):
         # level 1 of (dim, p) = (2, 3/2) is 2 / sqrt(1 - sigma^2)
@@ -863,22 +920,22 @@ class TestChoppedLevels:
             assert np.abs(got * np.sqrt(w) / 2 - 1).max() <= 4 * quadrature._EPS
 
     def test_u_map_keeps_fewer_ideal_coefficients(self):
-        # over their series levels 2 and up, the hi stacks of n = 3..12
-        # keep 5,504 coefficients in all at the ideal floor and 4,014 at
+        # over their series levels 3 and up, the hi stacks of n = 3..12
+        # keep 4,255 coefficients in all at the ideal floor and 3,123 at
         # five finite t when those levels are series in theta; in u the
         # ideal sum falls by at least 30% and the finite one rises by at
         # most 5%
         def kept(w_floor):
             his = (_radial_pair(n - 1, (n + 1) / 2, w_floor)[1] for n in range(3, 13))
-            return sum(len(level) for hi in his for level in hi._series[2:])
+            return sum(len(level) for hi in his for level in hi._series[3:])
 
-        assert kept(0.0) <= 0.7 * 5504
+        assert kept(0.0) <= 0.7 * 4255
         finite = sum(kept(math.cos(t) ** 2) for t in (0.05, 0.3, 0.8, 1.2, 1.5))
-        assert finite <= 1.05 * 4014
+        assert finite <= 1.05 * 3123
 
     def test_ideal_levels_stop_well_below_the_cap(self, monkeypatch):
-        # every level of the ideal n = 5 stacks finds its plateau by
-        # N = 128; a fixed high degree coming back would sample 513 points
+        # every series level of the ideal n = 5 stacks finds its plateau by
+        # N = 64; a fixed high degree coming back would sample 513 points
         sampled, densities = [], []
         chebyshev_series = quadrature._chebyshev_series
         density = quadrature.RadialPowerStack._density
@@ -896,16 +953,16 @@ class TestChoppedLevels:
         monkeypatch.setattr(quadrature, "_chebyshev_series", counted)
         monkeypatch.setattr(quadrature.RadialPowerStack, "_density", counted_density)
         for stack in _radial_pair(4, 3.0, 0.0):
-            rounds, sampled[:3] = sampled[:3], []
-            assert max(n for r in rounds for n in r) + 1 <= 129
-            assert max(len(stack._series[k]) for k in range(2, 5)) <= 128
+            rounds, sampled[:2] = sampled[:2], []
+            assert max(n for r in rounds for n in r) + 1 <= 65
+            assert max(len(stack._series[k]) for k in range(3, 5)) <= 64
             # each round sums one panel of order points between each pair
             # of its N + 1 points, afresh: order x the sum of N over rounds
             assert stack.n_evals == sum(map(sum, rounds)) * stack.settings.order
-            # level 1 is a closed form, so level 2 is the first series;
-            # levels 3 and 4 start where the level below stopped and find
-            # the plateau there, each round one pass over the level below
-            assert rounds[0][0] == 32 and [len(r) for r in rounds[1:]] == [1, 1]
+            # levels 1 and 2 are closed forms, so level 3 is the first
+            # series; level 4 starts where level 3 stopped and finds the
+            # plateau there, each round one pass over the level below
+            assert rounds[0][0] == 32 and [len(r) for r in rounds[1:]] == [1]
             assert sum(d is stack for d in densities) == sum(len(r) for r in rounds)
 
 

@@ -173,8 +173,10 @@ class TestProjective:
             gauss_bonnet_triangle_area(math.atanh(0.6)), abs=1e-12)
 
     def test_ideal_tetrahedron(self):
+        # levels 1 and 2 in closed form leave only the top integral, and
+        # the value lands on IDEAL_TET's float; the bound is two ulps
         est = volume_projective(SimplexParams(3, math.pi / 2))
-        assert abs(est.value - IDEAL_TET) <= 2e-15 * IDEAL_TET
+        assert abs(est.value - IDEAL_TET) <= 4.4e-16 * IDEAL_TET
 
     def test_ideal_triangle(self):
         # the top integral adds the leading term of the tail beyond theta_min
@@ -183,16 +185,18 @@ class TestProjective:
 
 
     @pytest.mark.parametrize("form, n, t, evals", [
-        (volume_projective, 3, 0.8, 1_495),
-        (volume_projective, 5, 1.2, 2_967),
-        (facet_row, 4, 0.8, 1_495),
-        (volume_halfspace, 4, 1.0, 1_955),
+        (volume_projective, 3, 0.8, 759),
+        (volume_projective, 5, 1.2, 2_231),
+        (facet_row, 4, 0.8, 759),
+        (volume_halfspace, 4, 1.0, 1_219),
         (volume_orthoscheme, 3, 0.8, 195),
         (volume_orthoscheme, 5, 1.2, 325),
     ])
     def test_n_evals_standalone(self, form, n, t, evals):
         # radial forms: the stack pair's build plus this call's own
-        # top-level work, (32 + 1) x order per stack; orthoscheme: the
+        # top-level work, (32 + 1) x order per stack, and the build is
+        # empty below three levels or p = 3/2 (levels 1 and 2 are closed
+        # forms), so 759 = 33 x (9 + 14); orthoscheme: the
         # points of every round of every level, the outer one too.  The
         # same on every call
         p = SimplexParams(n, t)
@@ -369,21 +373,22 @@ class TestHalfspace:
 
     def test_stalled_refinement_raises(self, stalled):
         # a crude low-fidelity stack leaves a fidelity gap above the stall
-        # gate, which half-space shares with the projective form
+        # gate, which half-space shares with the projective form; n = 5
+        # is the first with a series level (level 3)
         with pytest.raises(ConvergenceError) as info:
-            volume_halfspace(SimplexParams(4, 1.5))
+            volume_halfspace(SimplexParams(5, 1.5))
         est = info.value.estimate
         assert est.error_estimate > 1e-3 * est.value > 0.0
 
     def test_unresolved_level_raises(self, monkeypatch):
         # a radial level with no plateau by its cap stalls the volume, as an
         # unresolved nested level does.  Capped at N = 32 the lo stack's
-        # level 2 of the ideal n = 5 pair, its first series (level 1 is a
-        # closed form), has no plateau, and the pair stops there: the stall
-        # carries no value, on an inf bar, and counts the one round of 32
-        # panels of 9 Gauss points it took.
+        # level 3 of the ideal n = 5 pair, its first series (levels 1 and 2
+        # are closed forms), has no plateau, and the pair stops there: the
+        # stall carries no value, on an inf bar, and counts the one round of
+        # 32 panels of 9 Gauss points it took.
         monkeypatch.setattr(quadrature, "_MAX_DEGREE", 32)
-        with pytest.raises(ConvergenceError, match="level 2 has no plateau by N = 32") as info:
+        with pytest.raises(ConvergenceError, match="level 3 has no plateau by N = 32") as info:
             volume_projective(SimplexParams(5, math.pi / 2))
         est = info.value.estimate
         assert math.isnan(est.value) and est.error_estimate == math.inf

@@ -10,9 +10,11 @@ Imports ``hypervol`` from the path given, runs ``volume_projective``,
 t) in ``tests/oracles.py`` beside this script's parent, and the projective
 form at the ideal n = 3 point against ``IDEAL_TET``, and prints one JSON
 line: for each form, its worst relative error and its worst error over
-its own bar, each with the (n, t) where it falls, and the number of
-points where the form returned and where it raised (half-space has no
-ideal point); then ``ideal_tet_rel_err``.  Errors are taken against the
+its own bar, each with the (n, t) where it falls, the number of points
+where the error is above the bar (``bar_misses``), the median of
+bar / value, which shows a bar too wide to say anything, and the number
+of points where the form returned and where it raised (half-space has
+no ideal point); then ``ideal_tet_rel_err``.  Errors are taken against the
 reference's 20 digits in decimal, so a float reference adds no rounding.
 `tools/bench.py` runs it on each side's ``src``.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import statistics
 import sys
 from decimal import Decimal
 from pathlib import Path
@@ -40,7 +43,8 @@ def worst_errors(volumes: dict, ideal_tet: str) -> dict:
     out = {}
     for name, form in forms.items():
         worst = {"rel_err": (0.0, None), "err_over_bar": (0.0, None)}
-        returned = raised = 0
+        returned = raised = misses = 0
+        bars = []
         for (n, t), ref in volumes.items():
             try:
                 est = form(SimplexParams(n, t))
@@ -49,6 +53,8 @@ def worst_errors(volumes: dict, ideal_tet: str) -> dict:
                 continue
             returned += 1
             off = abs(Decimal(est.value) - Decimal(ref))
+            misses += off > Decimal(est.error_estimate)
+            bars.append(est.error_estimate / abs(est.value))
             for key, x in (("rel_err", float(off / Decimal(ref))),
                            ("err_over_bar", float(off) / est.error_estimate)):
                 if not x <= worst[key][0]:
@@ -56,6 +62,7 @@ def worst_errors(volumes: dict, ideal_tet: str) -> dict:
         out[name] = {"worst_rel_err": worst["rel_err"][0], "rel_err_at": worst["rel_err"][1],
                      "worst_err_over_bar": worst["err_over_bar"][0],
                      "err_over_bar_at": worst["err_over_bar"][1],
+                     "bar_misses": misses, "median_bar_over_value": statistics.median(bars),
                      "returned": returned, "raised": raised}
     ideal = Decimal(volume_projective(SimplexParams(3, math.pi / 2)).value)
     return {"forms": out, "ideal_tet_rel_err": float(abs(ideal / Decimal(ideal_tet) - 1))}
