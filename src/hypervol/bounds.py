@@ -14,7 +14,7 @@ The growth ratio of a regular hyperbolic n-simplex (n-volume over
   which equals 1/(n-1) exactly at the ideal endpoint.
 
 The measured ratio comes from `growth_ratio_grid`, which evaluates a
-whole (n, t) grid as one radial batch per (dim, p) of its projective
+whole (n, t) grid as one radial batch per dim of its projective
 volumes and facets; `growth_ratio` is its one-cell case.
 
 `hm_bounds` gives the classical ideal-case reference bracket
@@ -133,7 +133,7 @@ def growth_ratio_grid(cells, cfg: QuadratureConfig | None = None) -> list[tuple]
     sequence of SimplexParams with n >= 3 and t in (0, pi/2].
 
     Both volumes come from the projective form, as one batch of
-    `integrate_simplex_radialpow` per (dim, p); the facet of n is the
+    `integrate_simplex_radialpow` per dim; the facet of n is the
     volume one dimension down, so n in {3, 4, 5} makes four batches.
     Each volume keeps its own error bar and stall gate.  Batches run in
     the order of their first cell, a cell's volume before its facet, and
@@ -156,13 +156,13 @@ def growth_ratio_grid(cells, cfg: QuadratureConfig | None = None) -> list[tuple]
             raise DomainError("growth ratio is undefined at t = 0")
     jobs = [job(params) for params in cells for job in (_projective_job, _facet_job)]
     batches: dict = {}
-    for i, (dim, p, _, _) in enumerate(jobs):
-        batches.setdefault((dim, p), []).append(i)
+    for i, (dim, _, _) in enumerate(jobs):
+        batches.setdefault(dim, []).append(i)
     rows = {}
-    for (dim, p), index in batches.items():
-        scale, w = zip(*(jobs[i][2:] for i in index))
+    for dim, index in batches.items():
+        scale, w = zip(*(jobs[i][1:] for i in index))
         try:
-            rows.update(zip(index, integrate_simplex_radialpow(dim, scale, p, cfg,
+            rows.update(zip(index, integrate_simplex_radialpow(dim, scale, cfg,
                                                                one_minus_scale_sq=w)))
         except ConvergenceError as exc:
             k, facet = divmod(index[exc.row], 2)             # jobs alternate volume, facet

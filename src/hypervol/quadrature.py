@@ -18,25 +18,24 @@ Two engines live here:
       sigma^k I_k(sigma) = (c_k/2) int_{1-sigma^2}^1
           (1 - v)^((k-2)/2) den(v)^(-p) I_{k-1}(v / den(v)) dv
 
-  (c_1 = 2, and den = v at k = 1, I_0 = 1).  Level 1,
-  (2/sigma) int_0^sigma (1 - s^2)^(-p) ds, is elementary for the p in
-  Z/2 that every form uses, and is read in closed form (`_level_one`);
-  so is level 2, the integral over the triangle S(2), for p >= 3/2, which
-  holds every stack a form builds (`_level_two`).  Above them the
-  integrand does not depend on sigma, so a level is one cumulative
+  (c_1 = 2, and den = v at k = 1, I_0 = 1).  Levels 1,
+  (2/sigma) int_0^sigma (1 - s^2)^(-p) ds, and 2, the integral over the
+  triangle S(2), are elementary for the p in Z/2 that every form uses,
+  and are read in closed form (`_level_one`, `_level_two`).  Above them
+  the integrand does not depend on sigma, so a level is one cumulative
   integral in y = sqrt(-log v) over Gauss panels between its own sample
   points (`RadialPowerStack`), and the top level is the same integral on
-  the N = 32 grid the first series level starts on, read at each row's
-  sigma; the vertex-touching case scale = 1 (ideal simplices) runs it to
-  the stack's theta_min and adds the leading term of the tail beyond.
-  The projective and half-space forms run on it.
+  the N = 32 grid level 3 starts on, read at each row's sigma; the
+  vertex-touching case scale = 1 (ideal simplices) runs it to the
+  stack's theta_min and adds the leading term of the tail beyond.  The
+  projective and half-space forms run on it.
 
 The radial engine holds its levels in a lo/hi pair of stacks whose
 gap is the error bar.  A pair depends on scale only through the range
 of log(1 - sigma^2) it covers, so `_radial_pair`, the one place a pair
 is built, builds it on the widest range a batch of integrals of one
-(dimension, power) needs, and each stack runs the batch's top levels in
-one pass; a standalone integral is a batch of one.  A stack's
+dimension needs, and each stack runs the batch's top levels in one
+pass; a standalone integral is a batch of one.  A stack's
 evaluation count is fixed when it is built; a row counts the build plus
 its own top-level work.
 
@@ -48,14 +47,13 @@ Both engines share one interpolation scheme, `_chebyshev_series`
 (second-kind points, coefficients from a cached DCT-I matrix,
 `_dct_matrix`), and one evaluator, `_chebval`: a level of either engine
 doubles its points until `_standard_chop` finds the plateau, a radial
-level from the N where the level below stopped (the first series level
-from N = 32), a nested level from N = 64, and every round samples its
-whole grid.  A level is its coefficients on [-1, 1], and each engine
-maps its variable there by constants its interval fixes.  A nested
-level on [0, X_k] reads -1 + (2 / X_k) u, the offset and scale numpy's
-Chebyshev class derives for that domain, so its values equal numpy's
-bit for bit.  A radial
-level on theta in [theta_min, 0] reads 1 - 2 u(theta), where
+level from the N where the level below stopped (level 3 from N = 32),
+a nested level from N = 64, and every round samples its whole grid.  A
+level is its coefficients on [-1, 1], and each engine maps its variable
+there by constants its interval fixes.  A nested level on [0, X_k]
+reads -1 + (2 / X_k) u, the offset and scale numpy's Chebyshev class
+derives for that domain, so its values equal numpy's bit for bit.  A
+radial level on theta in [theta_min, 0] reads 1 - 2 u(theta), where
 u = log1p(-theta / c) / log1p(-theta_min / c) is exactly 0 at theta = 0
 and 1 at theta_min, and c = _STRETCH (`RadialPowerStack`).  Each round
 of a level is one pass over the level below, a Clenshaw step per
@@ -403,22 +401,17 @@ def _chebyshev_series(sample, start: int):
 
     The coefficients are one product with the DCT-I matrix of N
     (`_dct_matrix`), cached per N, whose cosines are looked up in a
-    table, not summed by recurrence.  At degrees in the hundreds, numpy's
-    Chebyshev.interpolate (three-term recurrence) left a 2e-12 floor on
-    those of log I_k, a cosine sum (cos(k angle) rounds at large
-    arguments) 1e-13 to 1e-15 of the largest.  By the matrix the ideal
-    p = 3 levels 1-3, doubled to N = 512, flatten out at 1.3, 1.3 and
-    2.1e-17 of it (median of the last 256 coefficients), against 1.2,
-    1.3 and 1.0e-17 by numpy.fft, both far below _CHOP_TOL.  A row sums
-    N + 1 terms where the FFT adds log N stages, so c_0 of a level whose
-    values share one sign rounds more at large N: up to 5.7 eps
-    max|values| off an extended-precision sum at N = 512 on ideal p = 3
-    level 4, where the FFT stayed within 0.3 eps; the rounds of the
-    ideal n = 3..12 pairs up to N = 128 stay within 2.1 eps of the
-    FFT's.  At the N = 32 to 128 where almost every level of the
-    perfbench workloads stops (a near-ideal n = 4 orthoscheme reaches
-    256), the product takes 1-3 us where the FFT took 7-10 us, and
-    numpy.fft's import, 1.4 ms of a fresh process, is gone.
+    table: summed by recurrence or as cos(k angle), which rounds at large
+    arguments, they leave a floor of 1e-15 to 2e-12 of the largest
+    coefficient at degrees in the hundreds.  By the matrix the ideal
+    p = 3 level 3, doubled to N = 512, flattens out at 2.1e-17 of it
+    (median of the last 256 coefficients), far below _CHOP_TOL.  A row
+    sums N + 1 terms, so c_0 of a level whose values share one sign
+    rounds up to 5.7 eps max|values| off an extended-precision sum at
+    N = 512 (ideal p = 3 level 4).  At the N = 32 to 128 where almost
+    every level of the perfbench workloads stops (a near-ideal n = 4
+    orthoscheme reaches 256), the product takes 1-3 us, and no volume
+    imports numpy.fft, 1.4 ms of a fresh process.
     """
     n = min(start, _MAX_DEGREE)
     while True:
@@ -531,29 +524,23 @@ class _Panels(NamedTuple):
 
 
 def _level_one(p: float, w):
-    """I_1(p, sigma) = 2 K_p at w = 1 - sigma^2, for p in Z/2, where
-    K_p = (1/sigma) int_0^sigma (1 - s^2)^(-p) ds.  Integrating
+    """I_1(p, sigma) = 2 K_p at w = 1 - sigma^2, for p in Z/2, p >= 1/2,
+    where K_p = (1/sigma) int_0^sigma (1 - s^2)^(-p) ds.  Integrating
     d/ds s (1 - s^2)^(-q) from 0 to sigma gives the recurrence
 
         K_(q+1) = (w^(-q) + (2q - 1) K_q) / (2q),
 
-    run up from K_(1/2) = asin(sigma) / sigma or K_1 = atanh(sigma) / sigma,
-    and down from K_(1/2) or K_0 = 1 for p < 0.  Every term of both
-    directions is positive.  sigma is floored at 1e-300, where atan2 and
-    log1p are the identity, so sigma = 0 reads K = 1."""
+    run up, every term positive, from K_(1/2) = asin(sigma) / sigma or
+    K_1 = atanh(sigma) / sigma.  sigma is floored at 1e-300, where atan2
+    and log1p are the identity, so sigma = 0 reads K = 1."""
     sigma = np.maximum(np.sqrt(1.0 - w), 1e-300)
     if p % 1:                                                           # p in 1/2 + Z
         q, k = 0.5, np.arctan2(sigma, np.sqrt(w)) / sigma
-    elif p >= 1:
-        q, k = 1.0, (np.log1p(sigma) - 0.5 * np.log(w)) / sigma      # atanh, cancellation-free
     else:
-        q, k = 0.0, np.ones_like(w)
+        q, k = 1.0, (np.log1p(sigma) - 0.5 * np.log(w)) / sigma      # atanh, cancellation-free
     while q < p:
         k = (w ** -q + (2 * q - 1) * k) / (2 * q)
         q += 1
-    while q > p:
-        q -= 1
-        k = (w ** -q - 2 * q * k) / (1 - 2 * q)
     return 2 * k
 
 
@@ -603,8 +590,8 @@ def _level_two(p: float, w):
 
 class RadialPowerStack:
     """The levels of the iterated-cone reduction of the integral over
-    S(k) of (1 - sigma^2 |x|^2)^(-p) dx, for p in Z/2: level 1 in closed
-    form, level 2 too for p >= 3/2, the levels above as Chebyshev series.
+    S(k) of (1 - sigma^2 |x|^2)^(-p) dx, for p in Z/2: levels 1 and 2 in
+    closed form, the levels above as Chebyshev series.
 
     The reduction, with h = 1/k, rho^2 = 1 - h^2 and
     c_k = (k+1)/k * rho^(k-1) (so c_1 = 2):
@@ -624,27 +611,26 @@ class RadialPowerStack:
     linear far out; u is close to -theta / (c L) for |theta| << c and to
     log(-theta) / L beyond, so it spends the points near 0.  c = 8 is
     measured: the hi stacks of n = 3..12 keep 2,867 coefficients in all at
-    the ideal floor (4,255 in theta) and 3,063 at t in {0.05, 0.3, 0.8,
-    1.2, 1.5} (3,123).  c = 4 kept fewer ideal ones, but a finite n = 4
-    volume read from a stack shared with an ideal row then fell 1.0e-14
-    off its standalone value.  `level_value` reads theta at
+    the ideal floor and 3,063 at t in {0.05, 0.3, 0.8, 1.2, 1.5}.  c = 4
+    kept fewer ideal ones, but a finite n = 4 volume read from a stack
+    shared with an ideal row then fell 1.0e-14 off its standalone value.
+    `level_value` reads theta at
     x = 1 - 2 (log1p(-theta / c) / L), so theta = 0 reads x = 1 and
     theta_min x = -1 exactly (c is a power of 2, so -theta / c is exact),
     and a sample point maps back to within a few ulps of its
-    cos(pi j / N).  Level 1 is 2 K_p (`_level_one`), and for p >= 3/2
-    level 2 is its closed form (`_level_two`); each is read at
-    1 - sigma^2 clipped to theta in [theta_min, 0] as every level is, and
-    has no series, no chop and no evaluations.  Every stack a form builds
-    has p >= 3/2; below it (the public `integrate_simplex_radialpow` at
-    p = 1, where level 2 is a dilogarithm) level 2 stays a series.  So the
-    first series level is 3 if p >= 3/2, else 2.  It starts at N = 32, the
-    grid the top integral reads, and each level above at the N where the
-    one below stopped, so it usually samples in one round.  The ideal
-    n = 5 levels stop at N = 64.  ``unresolved`` is the first level with
-    no plateau by _MAX_DEGREE (0 when every level found one).  The build
-    stops there: the levels above it would start at the cap, and from n
-    of about 64 their running sums underflow.  A pair with such a level
-    reads no row (`_radial_estimate`).
+    cos(pi j / N).  Level 1 is 2 K_p (`_level_one`) and level 2 its own
+    closed form (`_level_two`), which need p >= 1/2 and p >= 3/2: every
+    stack a form builds with those levels has them, and the build asserts
+    it.  Each is read at 1 - sigma^2 clipped to theta in [theta_min, 0] as
+    every level is, and has no series, no chop and no evaluations.  Level
+    3, the first series level, starts at N = 32, the grid the top integral
+    reads, and each level above at the N where the one below stopped, so
+    it usually samples in one round.  The ideal n = 5 levels stop at
+    N = 64.  ``unresolved`` is the first level with no plateau by
+    _MAX_DEGREE (0 when every level found one).  The build stops there:
+    the levels above it would start at the cap, and from n of about 64
+    their running sums underflow.  A pair with such a level reads no row
+    (`_radial_estimate`).
 
     The series is built from one cumulative integral.  With
     v = 1 - sigma^2 xi^2 and den(v) = v h^2 + rho^2 = 1 - sigma^2 xi^2 h^2,
@@ -673,15 +659,16 @@ class RadialPowerStack:
     and 1 - v = -expm1(-y^2), and log sigma^2 at each point but
     theta = 0.  So a level pays only for what depends on k: the density
     and its pass over level k - 1.  The grids live only for the build,
-    but for N = 32, the one the first series level starts on and the top
-    integral reads; a built stack is only read.
+    but for N = 32, the one level 3 starts on and the top integral reads;
+    a built stack is only read.
 
-    `top_integral` runs the same sum for the level above the stack at
-    each row's sigma on that N = 32 grid: its 32 whole panels and a
-    partial panel from the grid point below each row's y, and returns
-    sigma^k I_k, an ideal row's with the leading term of its tail beyond
-    theta_min.  So every sum of a stack, level or top, reads one panel
-    layout, the Gauss panels between a round's own sample points.
+    `top_integral` runs the same sum for level k = levels + 1, the one
+    above the stack, at each row's sigma on that N = 32 grid: its 32
+    whole panels and a partial panel from the grid point below each row's
+    y, and returns sigma^k I_k, an ideal row's with the leading term of
+    its tail beyond theta_min.  So every sum of a stack, level or top,
+    reads one panel layout, the Gauss panels between a round's own sample
+    points.
 
     Stacks come in lo/hi fidelity pairs, built by `_radial_pair` and read
     by `_radial_estimate`, which builds the pair and judges each row.
@@ -699,15 +686,15 @@ class RadialPowerStack:
         # carries no count from one caller's top integrals into the next
         self.n_evals = 0
         self.unresolved = 0
+        # K_p runs up from K_(1/2) or K_1, and I_2 from I_2(3/2) or I_2(2)
+        assert levels < 1 or p >= min(levels, 2) - 0.5, \
+            f"p = {p} is below the closed form of level {min(levels, 2)}"
         self._w_min = math.exp(theta_min)                       # the closed levels' floor
-        self._closed = 2 if p >= 1.5 else 1                     # the last closed-form level
-        at_zero, start = 2.0, 32                                # I_k(p, 0), first N
-        self._top = self._grid(start)                           # the first series level's grid
+        at_zero, start = _cone_factor(2), 32                    # I_2(p, 0), first N
+        self._top = self._grid(start)                           # level 3's grid
         grids = {start: self._top}                              # grids, by N
-        for k in range(2, levels + 1):
+        for k in range(3, levels + 1):
             at_zero *= _cone_factor(k) / k
-            if k <= self._closed:
-                continue
             coef, points = self._build_level(k, at_zero, start, grids)
             self._series[k] = coef.tolist()
             if coef.size == points:
@@ -769,17 +756,15 @@ class RadialPowerStack:
         v den^(-p) is formed as (v / den) den^(1 - p): at k = 1, where
         den = v, den^(-p) alone overflows once -log v passes 709.8 / p,
         and v / den is the 1 - sigma'^2 that level k - 1 is read at.
-        Level 1 is a closed form, so k = 1 serves only the top integral of
-        a stack with no levels (the n = 1 integral, the n = 2 half-space
-        form); so is level 2 for p >= 3/2, where k = 2 serves only the top
-        integral of a one-level stack."""
+        Levels 1 and 2 are closed forms, so k = 1 and 2 serve only the top
+        integral of a stack with no levels (the n = 2 half-space form) or
+        one (the n = 2 integral, the n = 3 half-space form)."""
         v = panels.v
         h2 = 1.0 / (k * k)
         den = h2 * v + (1.0 - h2)
         ratio = v / den                                         # 1 - sigma'^2
         out = _cone_factor(k) * panels.y * ratio
-        if k != 2:                                              # x ** 0.0 is 1
-            out *= panels.one_minus_v ** ((k - 2) / 2)
+        out *= panels.one_minus_v ** ((k - 2) / 2)
         out *= den ** (1.0 - self.p)
         out *= self.level_value(k - 1, ratio)
         return out
@@ -789,11 +774,11 @@ class RadialPowerStack:
     def level_value(self, k: int, one_minus_sigma_sq):
         """I_k(p, sigma) at 1 - sigma^2 given as a float, a list or an
         array, in its shape: 1 at k = 0, the closed forms at k = 1
-        (`_level_one`) and, for p >= 3/2, k = 2 (`_level_two`), the series
-        above; theta = log(1 - sigma^2) is clipped to [theta_min, 0]."""
+        (`_level_one`) and k = 2 (`_level_two`), the series above;
+        theta = log(1 - sigma^2) is clipped to [theta_min, 0]."""
         if k == 0:
             return np.ones_like(np.asarray(one_minus_sigma_sq, dtype=float))
-        if k <= self._closed:
+        if k <= 2:
             w = np.minimum(np.maximum(one_minus_sigma_sq, self._w_min), 1.0)
             return (_level_one if k == 1 else _level_two)(self.p, w)
         x = np.array(one_minus_sigma_sq, dtype=float)          # mapped in place
@@ -804,22 +789,24 @@ class RadialPowerStack:
         np.subtract(1.0, np.divide(x, self._span / 2, out=x), out=x)
         return np.exp(_chebval(self._series[k], x))
 
-    def top_integral(self, k: int, w_top, sigma2_top, terms: bool = False) -> tuple:
-        """sigma^k I_k at each row of the arrays (w_top, sigma2_top) =
-        (1 - sigma^2, sigma^2), by the cumulative integral in y on the
-        stack's N = 32 grid, with the number of integrand evaluations each
-        row took: the grid's 32 whole panels, in the one pass the rows
-        share, plus its own partial panel, from the grid point at or below
-        its upper limit (`searchsorted`) to the limit.  A row's upper
+    def top_integral(self, w_top, sigma2_top, terms: bool = False) -> tuple:
+        """sigma^k I_k, k = levels + 1, at each row of the arrays
+        (w_top, sigma2_top) = (1 - sigma^2, sigma^2), by the cumulative
+        integral in y on the stack's N = 32 grid, with the number of
+        integrand evaluations each row took: the grid's 32 whole panels,
+        in the one pass the rows share, plus its own partial panel, from
+        the grid point at or below its upper limit (`searchsorted`) to the
+        limit.  A row's upper
         limit is y = sqrt(-log(1 - sigma^2)), the log taken of w_top below
         1/2 and as log1p(-sigma^2) above, where w_top may round to 1.  An
         ideal row (w_top = 0) stops at y_max = sqrt(-theta_min) and adds
         the leading term of the tail beyond, density(y_max) / y_max, exact
         for a density falling as y exp(-y^2 / 2) (the ideal triangle's);
         y_max rides in the shared pass and counts as one more evaluation.
-        Rows at sigma = 0 are 0 and take no evaluations: the density is
-        0/0 at y = 0.  The density reads level k - 1 by `level_value`: 1
-        when k = 1, a closed form up to level 2, a series above.
+        Rows at sigma = 0 are 0 and take no evaluations: at k = 1 the
+        density is 0/0 at y = 0.  The density reads level k - 1 by
+        `level_value`: 1 when k = 1, a closed form up to level 2, a series
+        above.
 
         With ``terms``, a batch of one row returns in place of its value
         the list of positive terms the value sums: the whole panels below
@@ -830,7 +817,7 @@ class RadialPowerStack:
         values, row_terms = np.zeros(w.size), []
         live, ideal = sigma2 > 0.0, w == 0.0
         edges, whole, _ = self._top
-        n = whole.width.size
+        n, k = whole.width.size, len(self._series)             # k = levels + 1
         if live.any():
             with np.errstate(divide="ignore"):                  # log 0 on ideal rows
                 theta = np.where(w < 0.5, np.log(w), np.log1p(-sigma2))
@@ -869,10 +856,9 @@ def _radial_pair(levels: int, p: float, w_floor: float) -> tuple:
     positive terms, the largest w^(1 - p) (`_level_one`), so it would
     overflow.  The guard covers level 2's closed form (`_level_two`) too:
     it reads K_q at w' = 4 w / (3 + w) >= w times e^(-q), and
-    e^(-q) w'^(1 - q) = 4 w^(1 - q) / (3 + w).  Short of that, the first
-    series level's panels lie between its own sample points, which u
-    spreads over the whole range: at p = 2.5 the floor 1e-200 settles on
-    the ideal value.
+    e^(-q) w'^(1 - q) = 4 w^(1 - q) / (3 + w).  Short of that, level 3's
+    panels lie between its own sample points, which u spreads over the
+    whole range: at p = 2.5 the floor 1e-200 settles on the ideal value.
 
     A lo stack with an unresolved level (`RadialPowerStack`) is returned
     alone: no row can settle on it, so the hi stack is not built."""
@@ -929,29 +915,24 @@ def _radial_estimate(levels: int, p: float, w_floor: float, cfg: QuadratureConfi
     return out
 
 
-def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float,
+def integrate_simplex_radialpow(n: int, scale: float | Sequence[float],
                                 cfg: QuadratureConfig | None = None, *,
                                 one_minus_scale_sq: float | Sequence[float] | None = None,
                                 ) -> VolumeEstimate | list[VolumeEstimate]:
-    """Integral of (1 - |x|^2)^(-p) over scale * S(n), where S(n) is the
-    regular n-simplex inscribed in the unit sphere.
+    """Integral of (1 - |x|^2)^(-p), p = (n + 1)/2, over scale * S(n),
+    where S(n) is the regular n-simplex inscribed in the unit sphere: the
+    projective model's volume element, which is all its callers
+    integrate.  n must be an integer >= 2 (not a bool), as in
+    `SimplexParams`; anything else raises DomainError.
 
-    n must be an integer >= 1 (not a bool), and 2p an integer: level 1 of
-    the reduction is read in closed form, elementary for p in Z/2
-    (`_level_one`), which holds every form's p, (n + 1)/2, n/2 and
-    (n - 1)/2.  Anything else raises DomainError.  Level 2 is a closed
-    form too for p >= 3/2 (`_level_two`), which every stack a form builds
-    has; below it, as at p = 1, where level 2 is a dilogarithm, level 2 is
-    a Chebyshev series like the levels above (`RadialPowerStack`).
-
-    scale = 1 touches the sphere at the n+1 vertices; the integral then
-    exists iff p <= (n+1)/2 (and p < 1 when n = 1), and the top level's
-    y integral runs to sqrt(-theta_min) of an ideal stack pair plus the
-    leading term of the tail beyond (`RadialPowerStack.top_integral`).
+    scale = 1 touches the sphere at the n+1 vertices, where the integral
+    exists at this p; the top level's y integral then runs to
+    sqrt(-theta_min) of an ideal stack pair plus the leading term of the
+    tail beyond (`RadialPowerStack.top_integral`).
 
     ``one_minus_scale_sq`` may be supplied when the caller knows
     1 - scale^2 in a cancellation-free form (it dominates the integrand
-    near the vertices); each value must lie in [0, 1].  A non-finite p,
+    near the vertices); each value must lie in [0, 1].  A non-finite
     scale or one_minus_scale_sq raises DomainError.
 
     A float ``scale`` gives one VolumeEstimate, (0, 0, 0) at scale = 0.
@@ -963,12 +944,8 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise DomainError(f"dimension must be an integer, got {n!r}")
-    if n < 1:
-        raise DomainError("dimension must be >= 1")
-    if not math.isfinite(p):
-        raise DomainError(f"p must be finite, got {p!r}")
-    if 2 * p % 1:
-        raise DomainError(f"2p must be an integer (level 1 is in closed form), got p = {p!r}")
+    if n < 2:
+        raise DomainError("dimension must be >= 2")
     rows = np.asarray(scale, dtype=float).reshape(-1)
     if not np.all((rows >= 0.0) & (rows <= 1.0)):
         raise DomainError(f"scale must lie in [0, 1], got {scale!r}")
@@ -978,10 +955,6 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
     # theta = -1e-9 and clip every row's theta to it
     if w_top.shape != rows.shape or not np.all((w_top >= 0.0) & (w_top <= 1.0)):
         raise DomainError("one_minus_scale_sq must be one value in [0, 1] per scale")
-    if np.any(rows == 1.0) and (p > (n + 1) / 2 or (n == 1 and p >= 1.0)):
-        raise DomainError(
-            f"(1 - |x|^2)^(-p) is not integrable over S({n}) for p = {p}"
-        )
     if np.ndim(scale) == 0 and scale == 0.0:
         return VolumeEstimate(0.0, 0.0, 0)
     sigma2 = rows * rows
@@ -989,8 +962,8 @@ def integrate_simplex_radialpow(n: int, scale: float | Sequence[float], p: float
         return []
 
     def values_of(stack):
-        top, evals = stack.top_integral(n, w_top, sigma2)
+        top, evals = stack.top_integral(w_top, sigma2)
         return top.tolist(), evals, [0.0] * top.size
 
-    out = _radial_estimate(n - 1, p, float(w_top.min()), cfg, values_of)
+    out = _radial_estimate(n - 1, (n + 1) / 2, float(w_top.min()), cfg, values_of)
     return out if np.ndim(scale) else out[0]

@@ -131,17 +131,17 @@ def volume_orthoscheme(params: SimplexParams, cfg: QuadratureConfig | None = Non
 
 
 def _projective_job(params: SimplexParams):
-    """(dim, p, scale, 1 - scale^2) of the projective volume integral.
+    """(dim, scale, 1 - scale^2) of the projective volume integral.
     1 - sin^2 t is cos^2 t, exactly 0 at the ideal point."""
-    return params.n, (params.n + 1) / 2, params.sin_t, params.cos_t ** 2
+    return params.n, params.sin_t, params.cos_t ** 2
 
 
 def _facet_job(params: SimplexParams):
-    """(dim, p, scale, 1 - scale^2) of the projective facet integral; n >= 3."""
+    """(dim, scale, 1 - scale^2) of the projective facet integral; n >= 3."""
     n, s = params.n, params.sin_t
     scale = s * math.sqrt(n * n - 1.0) / math.sqrt(n * n - s * s)   # tanh r_{n-1}
     w = n * n * params.cos_t ** 2 / (n * n - s * s)
-    return n - 1, n / 2.0, scale, w
+    return n - 1, scale, w
 
 
 def volume_projective(params: SimplexParams, cfg: QuadratureConfig | None = None) -> VolumeEstimate:
@@ -153,8 +153,8 @@ def volume_projective(params: SimplexParams, cfg: QuadratureConfig | None = None
     handled by the corner machinery of the radial engine; at t = 0 the
     engine returns the zero volume of scale 0.
     """
-    dim, p, scale, w = _projective_job(params)
-    return integrate_simplex_radialpow(dim, scale, p, cfg, one_minus_scale_sq=w)
+    dim, scale, w = _projective_job(params)
+    return integrate_simplex_radialpow(dim, scale, cfg, one_minus_scale_sq=w)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ def _halfspace_value(n: int, sigma: float, w_perp: float, slope: float,
     depth = int(min(64, max(18, math.log2(max(slope, 2.0)) + 14)))
 
     def values_of(stack):
-        t1, (evals,) = stack.top_integral(dim, w_perp, sigma * sigma, terms=True)
+        t1, (evals,) = stack.top_integral(w_perp, sigma * sigma, terms=True)
         a, one_m_a, wq = _panels_toward_one(depth, stack.settings.order)
         # C(a) = upper^2 at the slice's outermost radius, built from (1 - a)
         c_of_a = (1.0 - b_c * b_c) + slope * one_m_a + b_c * b_c * one_m_a * (2.0 - one_m_a)

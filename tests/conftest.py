@@ -11,12 +11,11 @@ from hypervol import quadrature  # noqa: E402
 @pytest.fixture
 def stalled(monkeypatch):
     """A crude low-fidelity radial stack: the pair's own lo stack with each
-    series level (3 and up, and level 2 below p = 3/2; the levels below
-    are closed forms) cut to its first two Chebyshev coefficients, a line
-    in u.  Every level keeps its plateau, and the gap to the high-fidelity
-    stack is above the stall gate, so every radial volume with a series
-    level raises on its gap: projective n >= 4, half-space n >= 5 and the
-    facet n >= 5."""
+    series level (3 and up; levels 1 and 2 are closed forms) cut to its
+    first two Chebyshev coefficients, a line in u.  Every level keeps its
+    plateau, and the gap to the high-fidelity stack is above the stall
+    gate, so every radial volume with a series level raises on its gap:
+    projective n >= 4, half-space n >= 5 and the facet n >= 5."""
     pair = quadrature._radial_pair
 
     def crude(levels, p, w_floor):

@@ -1,7 +1,7 @@
 """tools/bench.py runs perfbench in equal-length copies of two trees and
 records both sides; here against a stub ``run.py`` that prints one fixed
 result line per run and a stub ``accuracy.py``, so no benchmark runs.
-tools/accuracy.py itself runs on a two-point stub table."""
+tools/accuracy.py itself runs on a three-point stub table."""
 
 import importlib.util
 import json
@@ -72,6 +72,7 @@ def test_bench_alternates_equal_length_copies(tmp_path):
     record = json.loads((repo / "BENCH_t.json").read_text())
     assert record["settings"] == {"pairs": 3, "seconds": 0.5, "seed": 0, "workloads": ["forms"]}
     assert record["code_lines"] == {"parent": 1, "change": 2}
+    assert record["source_bytes"] == {"parent": 6, "change": 12}
     assert record["accuracy"] == {"parent": {"tree": "parent", "speed": "100"},
                                   "change": {"tree": "change", "speed": "110"}}
     assert record["commits"]["change"].endswith(" + uncommitted changes")
@@ -95,19 +96,19 @@ def test_bench_alternates_equal_length_copies(tmp_path):
 
 
 def test_accuracy_pass_on_a_stub_table():
-    # two references set off the projective volumes by known relative
-    # amounts, the larger at (3, 0.8); half-space has no ideal point
+    # three references set off the projective volumes by known relative
+    # amounts, the largest at (3, 0.8); the ideal tetrahedron's is read
+    # from the table; half-space has no ideal point
     from hypervol import SimplexParams, volume_projective
 
-    shift = {(3, 0.8): 1e-9, (4, math.pi / 2): 1e-12}
+    shift = {(3, 0.8): 1e-9, (4, math.pi / 2): 1e-12, (3, math.pi / 2): 1e-10}
     ests = {key: volume_projective(SimplexParams(*key)) for key in shift}
     volumes = {key: repr(est.value * (1 + shift[key])) for key, est in ests.items()}
-    ideal = volume_projective(SimplexParams(3, math.pi / 2)).value
-    record = accuracy.worst_errors(volumes, repr(ideal * (1 + 1e-10)))
+    record = accuracy.worst_errors(volumes)
     assert math.isclose(record["ideal_tet_rel_err"], 1e-10, rel_tol=1e-5)
     forms = record["forms"]
     assert {name: (f["returned"], f["raised"]) for name, f in forms.items()} == {
-        "projective": (2, 0), "orthoscheme": (2, 0), "halfspace": (1, 1)}
+        "projective": (3, 0), "orthoscheme": (3, 0), "halfspace": (1, 2)}
     for f in forms.values():
         # the forms agree to about 1e-15, far inside the shifts
         assert f["rel_err_at"] == [3, 0.8]
@@ -116,10 +117,11 @@ def test_accuracy_pass_on_a_stub_table():
     assert forms["projective"]["err_over_bar_at"] == [3, 0.8]
     assert math.isclose(forms["projective"]["worst_err_over_bar"],
                         1e-9 * est.value / est.error_estimate, rel_tol=1e-5)
-    # a shift above a form's bar is a miss: 1e-9 is above every bar, 1e-12
-    # only above the orthoscheme's, a chop plateau near 1e-14 relative
+    # a shift above a form's bar is a miss: 1e-9 and 1e-10 are above every
+    # bar, 1e-12 only above the orthoscheme's, a chop plateau near 1e-14
+    # relative
     assert {name: f["bar_misses"] for name, f in forms.items()} == {
-        "projective": 1, "orthoscheme": 2, "halfspace": 1}
+        "projective": 2, "orthoscheme": 3, "halfspace": 1}
     assert forms["projective"]["median_bar_over_value"] == statistics.median(
         e.error_estimate / e.value for e in ests.values())
 

@@ -175,7 +175,7 @@ class TestGrowthRatio:
 
 class TestGrowthRatioGrid:
     def test_mixed_grid_within_standalone_bars(self):
-        # pairs built on the ideal floor serve every t of their (dim, p)
+        # pairs built on the ideal floor serve every t of their dim
         cells = [SimplexParams(n, t) for n in (3, 4, 5, 8)
                  for t in (0.01, 0.3, 1.0, 1.5, math.pi / 2 - 1e-6, math.pi / 2)]
         for cell, shared in zip(cells, growth_ratio_grid(cells)):
@@ -184,7 +184,7 @@ class TestGrowthRatioGrid:
                 assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, cell
 
     def test_batch_mixing_ideal_and_finite_matches_standalone(self):
-        # a batch of one (dim, p) runs its ideal rows and the rest in one
+        # a batch of one dim runs its ideal rows and the rest in one
         # pass over the shared y panels
         cells = [SimplexParams(n, t) for n in (3, 4)
                  for t in (0.3, 1.0, math.pi / 2 - 1e-6, math.pi / 2)]

@@ -338,7 +338,7 @@ class TestSweepGrid:
         monkeypatch.setattr(quadrature.RadialPowerStack, "__init__", counted)
         code, out, _ = run(capsys, "sweep", "--n-list", "3,4,5", "--t-list", GRID_TS)
         assert code == 0 and len(out.splitlines()) == 94
-        # volumes of n and facets of n + 1 share (dim, p): 4 pairs for 93 cells
+        # volumes of n and facets of n + 1 share their dim: 4 pairs for 93 cells
         assert len(built) <= 8
 
     def test_one_top_integral_call_per_stack(self, capsys, monkeypatch):

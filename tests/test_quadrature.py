@@ -163,11 +163,11 @@ class TestNested:
 
 class TestSimplexRadialPow:
     def test_zero_scale(self):
-        assert integrate_simplex_radialpow(4, 0.0, 2.0).value == 0.0
+        assert integrate_simplex_radialpow(4, 0.0).value == 0.0
 
     def test_batch_needs_one_floor_per_scale(self, monkeypatch):
         with pytest.raises(DomainError):
-            integrate_simplex_radialpow(3, [0.5, 0.6], 2.0, one_minus_scale_sq=[0.75])
+            integrate_simplex_radialpow(3, [0.5, 0.6], one_minus_scale_sq=[0.75])
         built = []
         init = quadrature.RadialPowerStack.__init__
 
@@ -177,7 +177,7 @@ class TestSimplexRadialPow:
 
         # an empty batch returns before it builds a stack pair
         monkeypatch.setattr(quadrature.RadialPowerStack, "__init__", counted)
-        assert integrate_simplex_radialpow(3, [], 2.0) == []
+        assert integrate_simplex_radialpow(3, []) == []
         assert built == []
 
     @pytest.mark.parametrize("w", [2.0, math.inf, math.nan, -0.5])
@@ -187,64 +187,49 @@ class TestSimplexRadialPow:
         # the ideal floor.  A scalar, a batch and scale 0 refuse alike
         for scale, floor in ((0.5, w), ([0.5, 0.6], [w, 0.64]), (0.0, w)):
             with pytest.raises(DomainError, match="one_minus_scale_sq"):
-                integrate_simplex_radialpow(3, scale, 2.0, one_minus_scale_sq=floor)
+                integrate_simplex_radialpow(3, scale, one_minus_scale_sq=floor)
 
-    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
-    def test_non_finite_power_is_refused(self, p):
-        for scale in (0.5, [0.5, 0.6], 0.0):
-            with pytest.raises(DomainError, match="p must be finite"):
-                integrate_simplex_radialpow(3, scale, p)
-
-    @pytest.mark.parametrize("n, p, match", [
-        (3.0, 2.0, "dimension must be an integer"),
-        (2.5, 2.0, "dimension must be an integer"),
-        (True, 1.0, "dimension must be an integer"),
-        (3, 1.25, "2p must be an integer"),
-        (4, 2.2, "2p must be an integer"),
-    ])
-    def test_non_integer_dimension_or_2p_is_refused(self, n, p, match):
+    @pytest.mark.parametrize("n", [3.0, 2.5, True])
+    def test_non_integer_dimension_is_refused(self, n):
         # n = 3.0 raised a bare TypeError from the stack build and n = True
-        # integrated over S(1); level 1's closed form needs p in Z/2.  A
-        # scalar, a batch and scale 0 refuse alike
+        # integrated over S(1).  A scalar, a batch and scale 0 refuse alike
         for scale in (0.5, [0.5, 0.6], 0.0):
-            with pytest.raises(DomainError, match=match):
-                integrate_simplex_radialpow(n, scale, p)
+            with pytest.raises(DomainError, match="dimension must be an integer"):
+                integrate_simplex_radialpow(n, scale)
 
     def test_stalled_batch_raises_its_first_row(self, request):
         # a batch returns only settled rows: under a crude low-fidelity
         # stack the first row raises, carrying its own estimate; n = 4 reads
         # a series level (level 3)
-        first = integrate_simplex_radialpow(4, 0.5, 2.5).value
+        first = integrate_simplex_radialpow(4, 0.5).value
         request.getfixturevalue("stalled")
         with pytest.raises(ConvergenceError) as info:
-            integrate_simplex_radialpow(4, [0.5, 0.9], 2.5)
+            integrate_simplex_radialpow(4, [0.5, 0.9])
         est = info.value.estimate
         assert est.value == pytest.approx(first, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("n, p, ref", [
-        (1, 0.5, math.pi / 3),                                 # 2 asin(1/2)
-        (2, 1.5, 0.25 * klein_triangle_integral(0.5, 1.5)),
-    ], ids=["segment", "triangle"])
-    def test_zero_row_in_a_batch(self, n, p, ref):
-        # the y density is 0/0 at sigma = 0 when n = 1, so such a row
-        # takes no panel
+    @pytest.mark.parametrize("n, ref", [
+        (2, 0.25 * klein_triangle_integral(0.5, 1.5)),
+    ], ids=["triangle"])
+    def test_zero_row_in_a_batch(self, n, ref):
+        # a row at sigma = 0 takes no panel and is 0, with no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = integrate_simplex_radialpow(n, [0.0, 0.5], p)
+            rows = integrate_simplex_radialpow(n, [0.0, 0.5])
         assert rows[0].value == 0.0
         assert rows[1].value == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_deep_finite_floors(self):
         # (v / den) den^(1 - p) stays finite where den^(-p) overflowed at
         # level 1 (-log w past 709.8 / p): the 1e-200 floor is formed, and
-        # the first series level's panels, between its own points, follow
-        # the closed levels below to the ideal value; at 1e-300, v^(1 - p)
-        # itself is beyond float64 and the pair refuses it by name
-        deep = integrate_simplex_radialpow(4, 1.0, 2.5, one_minus_scale_sq=1e-200)
-        ideal = integrate_simplex_radialpow(4, 1.0, 2.5)
+        # level 3's panels, between its own points, follow the closed
+        # levels below to the ideal value; at 1e-300, v^(1 - p) itself is
+        # beyond float64 and the pair refuses it by name
+        deep = integrate_simplex_radialpow(4, 1.0, one_minus_scale_sq=1e-200)
+        ideal = integrate_simplex_radialpow(4, 1.0)
         assert deep.value == pytest.approx(ideal.value, rel=1e-12, abs=0)
         with pytest.raises(DomainError, match="overflows"):
-            integrate_simplex_radialpow(4, 1.0, 2.5, one_minus_scale_sq=1e-300)
+            integrate_simplex_radialpow(4, 1.0, one_minus_scale_sq=1e-300)
 
     def test_near_ideal_n24_settles(self):
         # t = pi/2 - 1e-13 puts level 1 of the n = 24 pair at p - 1 = 11.5
@@ -253,64 +238,46 @@ class TestSimplexRadialPow:
         ideal = volume_projective(SimplexParams(24, math.pi / 2))
         assert near.value == pytest.approx(ideal.value, rel=1e-12, abs=0)
 
-    def test_euclidean_triangle_area(self):
-        est = integrate_simplex_radialpow(2, 1.0, 0.0)
-        assert est.value == pytest.approx(3.0 * math.sqrt(3.0) / 4.0, rel=1e-13)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_volume_at_zero_power(self, n):
-        est = integrate_simplex_radialpow(n, 0.77, 0.0)
-        assert est.value == pytest.approx(
-            regular_simplex_volume_by_edge(n) * 0.77**n, rel=1e-12)
-
     def test_hyperbolic_triangle_gauss_bonnet(self):
         # scale = tanh(circumradius) = sin t, p = 3/2: the triangle's area
         s = 0.6
-        est = integrate_simplex_radialpow(2, s, 1.5)
+        est = integrate_simplex_radialpow(2, s)
         assert est.value == pytest.approx(
             gauss_bonnet_triangle_area(math.atanh(s)), abs=1e-12)
 
     def test_against_50_digit_reference(self):
         ref = 0.81 * klein_triangle_integral(0.9, 1.5)   # scale^2 * I_2
-        est = integrate_simplex_radialpow(2, 0.9, 1.5)
+        est = integrate_simplex_radialpow(2, 0.9)
         assert est.value == pytest.approx(ref, rel=1e-11)
 
     def test_tolerance_scaling_against_reference(self):
         ref = 0.81 * klein_triangle_integral(0.9, 1.5)
         gaps = []
         for tol in (1e-4, 1e-6, 1e-8, 1e-10):
-            est = integrate_simplex_radialpow(2, 0.9, 1.5, QuadratureConfig(rel_tol=tol))
+            est = integrate_simplex_radialpow(2, 0.9, QuadratureConfig(rel_tol=tol))
             gaps.append(abs(est.value - ref))
         for a, b in zip(gaps, gaps[1:]):
             assert b <= 1.1 * a + 5e-15 * abs(ref)
 
-    def test_divergent_config_rejected(self):
-        with pytest.raises(DomainError):
-            integrate_simplex_radialpow(2, 1.0, 1.6)
-        with pytest.raises(DomainError):
-            integrate_simplex_radialpow(1, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            integrate_simplex_radialpow(3, 1.2, 1.0)
-        with pytest.raises(DomainError, match="dimension must be >= 1"):
-            integrate_simplex_radialpow(0, 0.5, 1.0)
+    def test_dimension_below_two_or_scale_above_one_is_refused(self):
+        for n in (1, 0):
+            with pytest.raises(DomainError, match="dimension must be >= 2"):
+                integrate_simplex_radialpow(n, 0.5)
+        with pytest.raises(DomainError, match="scale must lie in"):
+            integrate_simplex_radialpow(3, 1.2)
 
     def test_vertex_touching_cases(self):
         # ideal 2-simplex facet integral is exactly pi
-        est = integrate_simplex_radialpow(2, 1.0, 1.5)
+        est = integrate_simplex_radialpow(2, 1.0)
         assert est.value == pytest.approx(math.pi, abs=1e-9)
-
-    def test_negative_power(self):
-        est = integrate_simplex_radialpow(2, 0.5, -1.0)
-        ref = 0.25 * klein_triangle_integral(0.5, -1.0)
-        assert est.value == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("case", range(6))
     def test_adaptive_vs_monte_carlo(self, case):
         rng = np.random.Generator(np.random.Philox(key=case))
-        n = int(rng.integers(1, 5))
+        n = int(rng.integers(2, 5))
         scale = float(rng.uniform(0.2, 0.95))
-        p = int(rng.integers(-2, n + 1)) / 2         # the p in Z/2 of [-1, (n + 1)/2 - 0.3]
-        ada = integrate_simplex_radialpow(n, scale, p)
+        p = (n + 1) / 2
+        ada = integrate_simplex_radialpow(n, scale)
         mc, mc_err = monte_carlo_simplex(
             n, scale, lambda x: (1.0 - np.einsum("ij,ij->i", x, x)) ** (-p),
             400_000, seed=case)
@@ -324,13 +291,16 @@ class TestRadialPowerStack:
         # level_value reads each level's Chebyshev series and top_integral
         # returns sigma^k I_k, both from the cumulative integral in y; the
         # oracle integrates the same level by a direct xi rule on the
-        # series one down
+        # series one down.  top_integral reads level k = levels + 1, so
+        # level k's is the top of the stack of k - 1 levels, whose levels
+        # are those of the whole stack
         for n in (3, 5, 8):
             _, stack = _radial_pair(n - 1, (n + 1) / 2, w_top)
             # theta = log(1 - sigma^2) from 0 to theta_min, then one point
             # below theta_min, where the series' argument is clipped to theta_min
             for k in range(1, n + 1):
                 inner = partial(stack.level_value, k - 1)
+                _, lower = _radial_pair(k - 1, (n + 1) / 2, w_top)
                 for frac in (0.0, 0.1, 0.5, 0.9, 0.999, 1.0, 1.01):
                     theta = frac * stack.theta_min
                     at = max(theta, stack.theta_min)
@@ -342,7 +312,7 @@ class TestRadialPowerStack:
                         got = stack.level_value(k, np.array([math.exp(theta)]))[0]
                         assert got == pytest.approx(ref, rel=rel, abs=0), (n, k, frac)
                     if sigma2 > 0.0:
-                        (top,), _ = stack.top_integral(k, [w], [sigma2])
+                        (top,), _ = lower.top_integral([w], [sigma2])
                         assert top / sigma2 ** (k / 2) == pytest.approx(ref, rel=rel, abs=0), \
                             (n, k, frac)
                 if k < n:
@@ -373,21 +343,21 @@ class TestRadialPowerStack:
         edges = stack._top[0]
         for edge in edges[1:]:
             rows = [self.row_at(float(y)) for y in np.nextafter(edge, [0.0, edge, 1e3])]
-            got, _ = stack.top_integral(4, *zip(*rows))
+            got, _ = stack.top_integral(*zip(*rows))
             assert np.abs(got / got[1] - 1).max() <= 8 * quadrature._EPS, edge
         # an ideal row stops at y_max = sqrt(-theta_min): the sum of the
         # whole grid, plus the tail term
         y_max = math.sqrt(-stack.theta_min)
         sums, (tail,) = stack._panel_sums(4, stack._panels(edges[:-1], np.diff(edges), [y_max]))
-        (ideal,), _ = stack.top_integral(4, [0.0], [1.0])
+        (ideal,), _ = stack.top_integral([0.0], [1.0])
         assert ideal == pytest.approx(sums.sum() + tail / y_max, rel=4 * quadrature._EPS, abs=0)
 
     def test_build_count_fixed_at_construction(self):
         # a shared stack must not carry one caller's top integrals into the next
         for stack in _radial_pair(3, 2.5, 0.04):
             built = stack.n_evals
-            _, (first,) = stack.top_integral(4, [0.04], [0.96])
-            _, (again,) = stack.top_integral(4, [0.04], [0.96])
+            _, (first,) = stack.top_integral([0.04], [0.96])
+            _, (again,) = stack.top_integral([0.04], [0.96])
             assert first == again > 0
             assert stack.n_evals == built > 0
 
@@ -444,7 +414,7 @@ class TestSchlafliSlope:
             else:
                 faces = []
                 for stack in _radial_pair(m - 1, (m + 1) / 2, float(v2.min()))[::-1]:
-                    face, _ = stack.top_integral(m, v2, x2)
+                    face, _ = stack.top_integral(v2, x2)
                     faces.append((face, self.chop_bar(stack, m - 1) * face))
         pre = _cone_factor(n) / 2 * x ** (m / 2) * den ** -p
         factor = math.comb(n + 1, 2) / (n - 1) * n * (n + 1) / (
@@ -869,17 +839,17 @@ class TestLevelOne:
     """Level 1 is 2 K_p in closed form (`quadrature._level_one`), checked
     against a 30-digit mpmath quadrature of its integral
     (`level_one_integral`) from w = 1 - 1e-12 down to the ideal hi
-    stack's floor e^theta_min, at powers of both signs and both kinds in
-    Z/2 up to the n = 24 projective p = 25/2."""
+    stack's floor e^theta_min, at both kinds of p in Z/2 from 1/2 up to
+    the n = 24 projective p = 25/2."""
 
-    @pytest.mark.parametrize("p", [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 6.5, 12.5])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 2.5, 6.5, 12.5])
     def test_matches_a_30_digit_quadrature(self, p):
         _, hi = _radial_pair(1, p, 0.0)
         for w in (1.0 - 1e-12, 0.5, 1e-3, math.exp(hi.theta_min)):
             got = hi.level_value(1, w)
             ref = level_one_integral(p, w)
-            # the recurrence adds at most |p| + 1 positive terms
-            assert abs(got - ref) <= 2 * quadrature._EPS * (abs(p) + 1) * ref, (p, w)
+            # the recurrence adds at most p + 1 positive terms
+            assert abs(got - ref) <= 2 * quadrature._EPS * (p + 1) * ref, (p, w)
 
 
 class TestLevelTwo:
@@ -887,7 +857,7 @@ class TestLevelTwo:
     checked against a 30-digit mpmath quadrature of its integral
     (`level_two_integral`) from w = 1 - 1e-12 down to the ideal hi
     stack's floor e^theta_min, at both kinds of p in Z/2 up to the n = 24
-    projective p = 25/2.  Below p = 3/2 it stays a series."""
+    projective p = 25/2."""
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 6.5, 12.5])
     def test_matches_a_30_digit_quadrature(self, p):
@@ -899,16 +869,16 @@ class TestLevelTwo:
             # the recurrence adds at most p + 1 positive terms
             assert abs(got - ref) <= 2 * quadrature._EPS * (p + 1) * ref, (p, w)
 
-    @pytest.mark.parametrize("p", [1.0, 0.5])
-    def test_series_below_three_halves(self, p):
-        # at p = 1 level 2 is a dilogarithm, so a stack built for the n = 3
-        # integral keeps it as its one series level, on both stacks
-        for stack in _radial_pair(2, p, 0.0):
-            assert stack._series[2]
-            for w in (1.0 - 1e-12, 0.5, 1e-3, math.exp(stack.theta_min)):
-                got = stack.level_value(2, w)
-                ref = level_two_integral(p, w)
-                assert abs(got - ref) <= 1e-13 * ref, (p, w, stack.settings.order)
+
+def test_stack_refuses_a_power_below_its_closed_levels():
+    # levels 1 and 2 have no series to fall back on: level 1 needs
+    # p >= 1/2 and level 2 p >= 3/2, where their recurrences start
+    settings = quadrature._RadialSettings(14)
+    for levels, p in ((1, 0.0), (2, 1.0), (5, 0.5)):
+        with pytest.raises(AssertionError, match="below the closed form"):
+            quadrature.RadialPowerStack(levels, p, -1.0, settings)
+    for levels, p in ((0, 0.5), (1, 0.5), (2, 1.5)):
+        quadrature.RadialPowerStack(levels, p, -1.0, settings)
 
 
 class TestChoppedLevels:
@@ -1004,9 +974,10 @@ class TestMonteCarlo:
         assert a != b
 
     def test_unbiased_against_adaptive(self):
-        f = lambda x: 1.0 / (1.0 - 0.5 * np.einsum("ij,ij->i", x, x))
+        f = lambda x: (1.0 - 0.5 * np.einsum("ij,ij->i", x, x)) ** -1.5
         mc, mc_err = monte_carlo_simplex(2, 0.9, f, 400_000, seed=3)
-        ada = integrate_simplex_radialpow(2, 0.9 / math.sqrt(2), 1.0)
-        # rescale: (1 - |x|^2/2) over 0.9 S(2) equals (1 - |y|^2) over (0.9/sqrt 2) S(2)
+        ada = integrate_simplex_radialpow(2, 0.9 / math.sqrt(2))
+        # rescale: (1 - |x|^2/2)^(-3/2) over 0.9 S(2) is (1 - |y|^2)^(-3/2)
+        # over (0.9/sqrt 2) S(2) times the Jacobian 2
         ref = ada.value * math.sqrt(2.0) ** 2
         assert abs(mc - ref) <= 4.0 * mc_err

@@ -195,8 +195,8 @@ class TestProjective:
     def test_n_evals_standalone(self, form, n, t, evals):
         # radial forms: the stack pair's build plus this call's own
         # top-level work, (32 + 1) x order per stack, and the build is
-        # empty below three levels or p = 3/2 (levels 1 and 2 are closed
-        # forms), so 759 = 33 x (9 + 14); orthoscheme: the
+        # empty below three levels (levels 1 and 2 are closed forms), so
+        # 759 = 33 x (9 + 14); orthoscheme: the
         # points of every round of every level, the outer one too.  The
         # same on every call
         p = SimplexParams(n, t)
@@ -206,13 +206,13 @@ class TestProjective:
         # each row of a batch counts the shared pair's build plus its own
         # top-level work: the whole y panels and its partial panel
         cells = [SimplexParams(3, t) for t in (0.4, 0.8, 1.2, math.pi / 2)]
-        _, _, scale, w = zip(*map(_projective_job, cells))
+        _, scale, w = zip(*map(_projective_job, cells))
         pair = quadrature._radial_pair(2, 2.0, 0.0)
         build = sum(stack.n_evals for stack in pair)
         for _ in range(2):
-            rows = integrate_simplex_radialpow(3, scale, 2.0, one_minus_scale_sq=w)
+            rows = integrate_simplex_radialpow(3, scale, one_minus_scale_sq=w)
             for row, s, w_top in zip(rows, scale, w):
-                own = sum(stack.top_integral(3, [w_top], [s * s])[1][0] for stack in pair)
+                own = sum(stack.top_integral([w_top], [s * s])[1][0] for stack in pair)
                 assert row.n_evals == build + own
         assert rows[0].n_evals == rows[2].n_evals
 

@@ -7,15 +7,15 @@ Usage:
 Imports ``hypervol`` from the path given, runs ``volume_projective``,
 ``volume_orthoscheme`` and ``volume_halfspace`` at every point of
 ``SCHLAFLI_VOLUMES`` (20-digit Schlafli volumes, n = 3..6 x 7 values of
-t) in ``tests/oracles.py`` beside this script's parent, and the projective
-form at the ideal n = 3 point against ``IDEAL_TET``, and prints one JSON
-line: for each form, its worst relative error and its worst error over
+t) in ``tests/oracles.py`` beside this script's parent, and prints one
+JSON line: for each form, its worst relative error and its worst error over
 its own bar, each with the (n, t) where it falls, the number of points
 where the error is above the bar (``bar_misses``), the median of
 bar / value, which shows a bar too wide to say anything, and the number
 of points where the form returned and where it raised (half-space has
-no ideal point); then ``ideal_tet_rel_err``.  Errors are taken against the
-reference's 20 digits in decimal, so a float reference adds no rounding.
+no ideal point); then ``ideal_tet_rel_err``, the projective form's at
+the ideal n = 3 point.  Errors are taken against the reference's 20
+digits in decimal, so a float reference adds no rounding.
 `tools/bench.py` runs it on each side's ``src``.
 """
 
@@ -32,9 +32,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def worst_errors(volumes: dict, ideal_tet: str) -> dict:
+def worst_errors(volumes: dict) -> dict:
     """The record the script prints, for ``volumes`` {(n, t): decimal
-    string} and the ideal tetrahedron's volume ``ideal_tet``."""
+    string}, which holds the ideal tetrahedron (3, pi/2)."""
     from hypervol import (ConvergenceError, DegenerateGeometryError, SimplexParams,
                           volume_halfspace, volume_orthoscheme, volume_projective)
 
@@ -65,7 +65,8 @@ def worst_errors(volumes: dict, ideal_tet: str) -> dict:
                      "bar_misses": misses, "median_bar_over_value": statistics.median(bars),
                      "returned": returned, "raised": raised}
     ideal = Decimal(volume_projective(SimplexParams(3, math.pi / 2)).value)
-    return {"forms": out, "ideal_tet_rel_err": float(abs(ideal / Decimal(ideal_tet) - 1))}
+    ideal_tet = Decimal(volumes[3, math.pi / 2])
+    return {"forms": out, "ideal_tet_rel_err": float(abs(ideal / ideal_tet - 1))}
 
 
 def main() -> int:
@@ -73,7 +74,7 @@ def main() -> int:
     spec = importlib.util.spec_from_file_location("_accuracy_oracles", path)
     oracles = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(oracles)
-    record = worst_errors(oracles.SCHLAFLI_VOLUMES, repr(oracles.IDEAL_TET))
+    record = worst_errors(oracles.SCHLAFLI_VOLUMES)
     print(json.dumps(record))
     return 0
 

@@ -19,15 +19,21 @@ runs.
 
 Writes ``BENCH_<LABEL>.json`` at the root of the checkout: the machine,
 the commits, the settings, the code lines of each side's ``src/hypervol``
-(``tools/code_lines.py``), and for each workload and end-to-end metric of
-``BENCHMARK.json`` each side's runs, median and quartiles, and in how
-many pairs the change was better in the metric's direction.  Values are
+(``tools/code_lines.py``) and the bytes of its ``*.py`` files, and for
+each workload and end-to-end metric of ``BENCHMARK.json`` each side's
+runs, median and quartiles, and in how many pairs the change was better
+in the metric's direction.  Values are
 compared rounded to 12 significant digits, since ``accuracy_digits``
 wobbles in its last bit from run to run.  Under ``accuracy`` it records,
 for each side, what ``tools/accuracy.py`` of this checkout prints when it
 runs on that side's ``src``: each form's worst error against the frozen
 Schlafli volumes of ``tests/oracles.py``, relative and over its own bar,
-and the ideal tetrahedron's against ``IDEAL_TET``.
+and the ideal tetrahedron's against its 20-digit entry there.
+
+The source bytes are recorded because, where the environment sets
+PYTHONDONTWRITEBYTECODE=1, each perfbench child compiles ``src`` afresh,
+and ``peak_rss_mb`` then moves with the length of the source, docstrings
+included, with no change in what runs.
 """
 
 from __future__ import annotations
@@ -134,6 +140,7 @@ def main(argv: list[str] | None = None) -> int:
         "settings": {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
                      "workloads": workloads},
         "code_lines": {},
+        "source_bytes": {},
         "accuracy": {},
         "workloads": {},
     }
@@ -148,8 +155,9 @@ def main(argv: list[str] | None = None) -> int:
                 copy_commit(args.parent, tree)
             else:
                 copy_working_tree(tree)
-            record["code_lines"][side] = sum(code_lines(f.read_text())
-                                             for f in (tree / "src" / "hypervol").rglob("*.py"))
+            sources = [f.read_text() for f in (tree / "src" / "hypervol").rglob("*.py")]
+            record["code_lines"][side] = sum(map(code_lines, sources))
+            record["source_bytes"][side] = sum(len(text.encode()) for text in sources)
             record["accuracy"][side] = accuracy(tree)
         runs = {w: {side: [] for side in sides} for w in workloads}
         for pair in range(args.pairs):
