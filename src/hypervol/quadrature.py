@@ -2,10 +2,10 @@
 
 Two engines live here:
 
-* `integrate_nested` -- iterated integrals with state-dependent limits
-  (each level's upper limit is a function of the previous variable),
-  built once as a stack of one-variable Chebyshev antiderivatives, one
-  per level, the outermost too; the orthoscheme form runs on it;
+* `integrate_nested` -- the orthoscheme chain: iterated integrals of
+  cosh^k x_k whose upper limits atanh(c_k sinh x) depend on the previous
+  variable, built once as a stack of chopped Chebyshev series, one per
+  level, the outermost too; the orthoscheme form runs on it;
 * `integrate_simplex_radialpow` -- integrals of (1 - |x|^2)^(-p) over a
   scaled regular simplex, the volume element of the projective model.
   The simplex is collapsed to iterated cone (Duffy-type) coordinates; in
@@ -43,16 +43,19 @@ The half-space form's sliced facet integral runs on Gauss panels graded
 dyadically toward one end (`_panels_toward_one`).  Every Gauss panel
 reads one rule, `_gauss01`: numpy's Gauss-Legendre nodes and weights,
 held as constants, so no volume imports numpy.polynomial.
-Both engines share one interpolation scheme, `_chebyshev_series`
-(second-kind points, coefficients from a cached DCT-I matrix,
-`_dct_matrix`), and one evaluator, `_chebval`: a level of either engine
-doubles its points until `_standard_chop` finds the plateau, a radial
-level from the N where the level below stopped (level 3 from N = 32),
-a nested level from N = 64, and every round samples its whole grid.  A
-level is its coefficients on [-1, 1], and each engine maps its variable
-there by constants its interval fixes.  A nested level on [0, X_k]
-reads -1 + (2 / X_k) u, the offset and scale numpy's Chebyshev class
-derives for that domain, so its values equal numpy's bit for bit.  A
+Both engines build a level by one recipe: a round at N sums Gauss
+panels between its own N + 1 sample points, whose running sums are
+positive, so each value keeps its relative accuracy, and `_log_level`
+turns them into the log the level holds, origin first.  They share one
+interpolation scheme, `_chebyshev_series` (second-kind points,
+coefficients from a cached DCT-I matrix, `_dct_matrix`), and one
+evaluator, `_chebval`: a level of either engine doubles its points until
+`_standard_chop` finds the plateau, a radial level from the N where the
+level below stopped (level 3 from N = 32), a nested level from N = 32,
+and every round samples its whole grid.  A level is its coefficients on
+[-1, 1], and each engine maps its variable there with its origin at
+x = 1 and the points of a round at N at u = sin^2(pi j / 2N)
+(`_sin_squared`).  A nested level on [0, X_k] reads x = 1 - 2 u / X_k.  A
 radial level on theta in [theta_min, 0] reads 1 - 2 u(theta), where
 u = log1p(-theta / c) / log1p(-theta_min / c) is exactly 0 at theta = 0
 and 1 at theta_min, and c = _STRETCH (`RadialPowerStack`).  Each round
@@ -70,14 +73,14 @@ values are mapped in place, the chop scans the envelope's nonzero
 prefix once, the tables a round reads (sin^2 of its points, the chop's
 index pairs and tilt, the DCT-I matrix) are cached by size, a radial
 stack builds each N's panel grid once for all its levels, and a nested
-level's antiderivative is a few vector operations.  Both engines stop
+round reads the cached panels of its N (`_unit_panels`).  Both engines stop
 on one rule: a level with no plateau by its cap leaves the result
 unresolved, and the engine raises ConvergenceError carrying its
 estimate; a radial stack builds no level above it.  The radial engine
 also raises a row whose lo/hi gap stalls; `_radial_estimate` is the one
 place its verdict is formed.  The only setting is the relative tolerance in
-`QuadratureConfig`; the absolute floor, the Gauss order, the degree cap
-and the chop tolerance are module constants.
+`QuadratureConfig`; the absolute floor, the Gauss order, the degree cap,
+the chop tolerance and the nested bar's factor are module constants.
 Both engines are pure functions of their inputs and reentrant; a
 shared stack is only read after it is built.
 """
@@ -102,11 +105,13 @@ __all__ = [
 
 _EPS = float(np.finfo(np.float64).eps)
 _ABS_TOL = 1e-12       # absolute floor of every tolerance and radial error bar
-_BASE_ORDER = 14       # Gauss points per panel of the hi radial stack and its half-space slices
+_BASE_ORDER = 14       # Gauss points per panel: hi radial stack, half-space slices, nested levels
 _MAX_DEGREE = 512      # largest N a level's series may double to
 _CHOP_TOL = 4 * _EPS   # plateau of a chopped series; level values carry a few ulps
 _LOG_MAX = math.log(np.finfo(np.float64).max)   # 709.78
 _STRETCH = 8.0         # c of the radial levels' variable u (RadialPowerStack)
+_NESTED_BAR = 6.0      # C of the nested bar C eps (n + 2) |value| (integrate_nested)
+_LOG_LOW = -700.0      # below e^-700 of its end a nested level's integrand is summed times e^700
 
 
 @dataclass(frozen=True)
@@ -134,8 +139,8 @@ class VolumeEstimate:
     and nothing else.  The caller knows which form it asked for.
 
     The error estimate is the gap between the lo/hi stack pair plus
-    _ABS_TOL and any rounding term of the row (radial engine), or a
-    rounding term at the chop's plateau (nested engine).  Values
+    _ABS_TOL and any rounding term of the row (radial engine), or
+    _NESTED_BAR eps (n + 2) |value| (nested engine).  Values
     produced by the volume operations are nonnegative.
     """
 
@@ -180,79 +185,134 @@ def _gauss01(order: int):
 # ---------------------------------------------------------------------------
 # Nested iterated integrals
 
-def integrate_nested(limits: Sequence, factors: Sequence,
+def integrate_nested(outer: float, slopes: Sequence[float], weight: float = 1.0,
                      cfg: QuadratureConfig | None = None) -> VolumeEstimate:
-    """Iterated integral with state-dependent limits.
+    """The orthoscheme chain: weight times the iterated integral of
+    cosh^k x_k over 0 <= x_k <= alpha_k(x_(k-1)), k = 0..n-1, n = len(slopes) + 1,
+    with 0 <= x_0 <= outer and alpha_k(x) = atanh(c_k sinh x), c_k = slopes[k - 1].
 
-    ``limits[0]`` is the outermost (constant) upper limit; ``limits[k]``
-    for k >= 1 maps the previous level's variable to the next upper
-    limit and must be nondecreasing.  ``factors[k]`` is the per-level
-    integrand factor, a callable; the integrand is the product of the
-    factors.  All lower limits are 0.  Limits and factors must accept and
-    return arrays.  Every X_k (below) must be finite; a zero one makes the
-    integral the zero estimate (0, 0, 0).
+    With X_0 = outer and X_k = alpha_k(X_(k-1)), each range must be finite
+    and nonnegative, or the chain raises DomainError; a zero one makes the
+    integral the zero estimate (0, 0, 0).  Level k = n-1 .. 0 is
 
-    The chain is built once, one level at a time.  With n = len(limits),
-    X_0 = limits[0] and X_k = limits[k](X_{k-1}), level k = n-1 .. 0 is
-    the antiderivative
+        F_k(u) = int_0^u g_k(y) dy,   g_k(y) = cosh^k(y) F_(k+1)(alpha_(k+1)(y)),
 
-        F_k(u) = int_0^u g_k(y) dy,   g_k(y) = factors[k](y) F_{k+1}(limits[k+1](y)),
+    on [0, X_k], with F_n = 1, and the integral is weight * F_0(X_0).  F_k
+    vanishes as A_k u^m, m = n - k, and every g_k is positive and
+    increasing, so a level is built as a radial one is: the running sum of
+    Gauss panels between its own sample points u_j = X_k z_j,
+    z_j = sin^2(pi j / 2N), the same sums whichever way F_k spreads
+    (`_log_level`), with _BASE_ORDER points a panel.  The level is held
+    as the chopped series in x = 1 - 2 u / X_k of
 
-    on [0, X_k], with F_n = 1, and the integral is F_0(X_0).  A level's
-    integrand does not depend on the outer variables, so it is one
-    chopped Chebyshev series, integrated exactly (`_chebyshev_series`
-    from N = 64: over the orthoscheme's 31 perfbench `forms` points, 32
-    took 13% longer, and 128 as long with 74% more evaluations);
-    ``n_evals`` counts the points of every round of every level.  The
-    error estimate is the chop's plateau, relative once per level and
-    absolute on the outer level's samples g_0 of its last round:
+        s_k = log(F_k(u) / (A_k u^m)) + 1,
 
-        _CHOP_TOL (n |value| + X_0 max |g_0|).
+    1 at the origin, its first sample (`_chebyshev_series`, from N = 32);
+    the 1 keeps a level that is nearly flat (tiny t) on a relative chop.
+    A_k = A_(k+1) c_(k+1)^(m-1) / m never needs forming.  The integrand is
+    formed in log relative to its end, g_k(X_k z) / g_k(X_k), as
 
-    It does not see cancellation along the chain: each level's relative
-    term reads |value|, not the size of the terms that cancel in it.
-    With limits [1, x] and factors [1, cos(w y)], a sign-changing chain,
-    w = 80 comes back 1.5e-12 off on a bar of 6.6e-14, both relative.
+        (m - 1) log w + k log(cosh y / cosh X_k) + s_(k+1)(1 - 2w) - s_(k+1)(-1),
 
-    A level with no plateau by _MAX_DEGREE, or an estimate above rel_tol
-    times the value, raises ConvergenceError carrying the estimate.
+    with y = X_k z and w = alpha_(k+1)(y) / X_(k+1), so no log of X or of a
+    slope enters a sum: the panels P_j below z_j sum terms of at most 1,
+    and s_k(z_j) = log P_j - m log z_j + log(m g_k(X_k) / (A_k X_k^(m-1))) + 1,
+    whose constant is read off the chain at X_k as log m + k log cosh X_k
+    + (m - 1) log(X_(k+1) / (c_(k+1) X_k)) + s_(k+1)(-1).  Where the
+    integrand starts more than e^700 below its end (the outer level at the
+    ideal point from n = 15), its terms are summed times e^700: those below
+    e^-700 shifted in their exponent, the rest multiplied by the float e^700
+    that divides the sum again.  Past e^1400 the level cannot be held.
+    ``n_evals`` counts _BASE_ORDER times N per round, per level.  The value
+    is the product over the levels of X_k cosh^k(X_k) P_N, each P_N the
+    whole round's sum, which no chop rounds.
+
+    The error estimate is _NESTED_BAR eps (n + 2) |value|: against
+    Schlafli, Gauss-Bonnet and flat references at n = 2..24 the error
+    measured up to 4.3 eps (n + 2) |value|, the rounding of the slopes
+    carried along the chain.  A level with no plateau by _MAX_DEGREE, a
+    chain deeper than 2 _BASE_ORDER = 28 levels, or an estimate above
+    rel_tol times the value raises ConvergenceError carrying the estimate:
+    a panel integrates the z^(m-1) a level starts with exactly only up
+    to m = 28, and the n = 40 chain comes back 5e-11 off.  A level that
+    cannot be held raises it with the estimate (nan, inf, the evaluations
+    so far).
     """
     cfg = cfg or QuadratureConfig()
-    depth = len(limits)
-    if depth < 1:
-        raise DomainError("chain depth must be >= 1")
-    if len(factors) != depth:
-        raise DomainError("need one factor entry per level")
-    tops = [float(limits[0])]                   # X_k, the range of level k's variable
-    for limit in limits[1:]:
-        tops.append(float(limit(np.array([tops[-1]]))[0]))
+    n = len(slopes) + 1
+    tops = [float(outer)]                       # X_k, the range of level k's variable
+    with np.errstate(all="ignore"):             # a range past float64 is refused below
+        for c in slopes:
+            tops.append(float(np.arctanh(c * np.sinh(tops[-1]))))
     for k, top in enumerate(tops):
-        if not math.isfinite(top):
-            raise DomainError(f"limits[{k}] gives the range X_{k} = {top!r}; it must be finite")
+        if not 0.0 <= top < math.inf:
+            raise DomainError(f"the range X_{k} = {top!r} must be finite and nonnegative")
     if 0.0 in tops:
         return VolumeEstimate(0.0, 0.0, 0)      # an empty range
-    inner, values, n_evals, stalled = np.ones_like, None, 0, False
-    for k in range(depth - 1, -1, -1):
-        def sample(n):
-            nonlocal n_evals, values
-            n_evals += n + 1
-            y = _second_kind(0.0, tops[k], n)
-            values = factors[k](y) * inner(y)
-            return values
+    _, wg = _gauss01(_BASE_ORDER)
+    # a panel integrates exactly the z^(m-1) a level starts with up to m = 2 _BASE_ORDER
+    inner, value, n_evals, stalled, total = None, float(weight), 0, n > 2 * _BASE_ORDER, 0.0
+    for k in range(n - 1, -1, -1):
+        top, m = tops[k], n - k
+        held = math.log(m) + k * math.log(math.cosh(top)) + 1.0   # s_k = log P_j - m log z_j + held
+        if inner:
+            c, below = slopes[k], tops[k + 1]
+            end = sum(inner[::2]) - sum(inner[1::2])                # s_(k+1)(-1)
+            held += (m - 1) * math.log(below / (c * top)) + end - 1.0
 
-        coef, points = _chebyshev_series(sample, 64)
+        def sample(size):
+            nonlocal n_evals, total
+            nodes, width, log_z = _unit_panels(size)
+            n_evals += size * _BASE_ORDER
+            y = top * nodes
+            r = np.log(np.cosh(y) / math.cosh(top)) * k if k else np.zeros_like(y)
+            if inner:
+                w = np.arctanh(c * np.sinh(y)) / below
+                r += (m - 1) * np.log(w) + _chebval(inner, 1.0 - 2.0 * w) - end
+            if r[0] < 2 * _LOG_LOW:                             # g_k rises: its least is first
+                raise ConvergenceError(f"nested level {k} spans more than float64 holds",
+                                       estimate=VolumeEstimate(math.nan, math.inf, n_evals))
+            shift = -_LOG_LOW if r[0] < _LOG_LOW else 0.0      # the ideal outer level from n = 15
+            values = np.exp(r) if not shift else np.where(
+                r < _LOG_LOW, np.exp(r + shift), np.exp(r) * math.exp(shift))
+            sums = values.reshape(-1, _BASE_ORDER) @ wg * width
+            total = float(sums.sum()) / math.exp(shift)
+            return _log_level(1.0, sums, m * log_z - held + shift)
+
+        coef, points = _chebyshev_series(sample, 32)
         stalled |= coef.size == points
-        scl = 2 / tops[k]                               # [0, X_k] -> [-1, 1]
-        level = _antiderivative(coef, scl)              # F_k
-        inner = lambda y, k=k, c=level.tolist(), s=scl: _chebval(c, -1.0 + s * limits[k](y))
+        value *= top * math.cosh(top) ** k * total
+        inner = coef.tolist()
 
-    value = float(level.sum())                          # F_0(X_0): every T_j is 1 there
-    err = _CHOP_TOL * (depth * abs(value) + tops[0] * float(np.abs(values).max()))
+    err = _NESTED_BAR * _EPS * (n + 2) * abs(value)
     est = VolumeEstimate(value, err, n_evals)
     if stalled or err > cfg.rel_tol * abs(value):
-        why = f"a level has no plateau by N = {_MAX_DEGREE}" if stalled else f"err {err:.3e}"
-        raise ConvergenceError(f"nested chain unresolved at depth {depth} ({why})", estimate=est)
+        why = f"no plateau by N = {_MAX_DEGREE} or n > {2 * _BASE_ORDER}" if stalled else f"err {err:.3e}"
+        raise ConvergenceError(f"nested chain unresolved at depth {n} ({why})", estimate=est)
     return est
+
+
+@lru_cache(maxsize=None)
+def _unit_panels(n: int):
+    """The Gauss nodes of the _BASE_ORDER-point panels between the points
+    z_j = sin^2(pi j / 2N), j = 0..N, of [0, 1] for N = n, panel by panel,
+    the panels' widths and log z_j past the origin; read-only because they
+    are cached."""
+    z = _sin_squared(n)
+    width = np.diff(z)
+    nodes = (z[:-1, None] + width[:, None] * _gauss01(_BASE_ORDER)[0]).ravel()
+    return tuple(map(_read_only, (nodes, width, np.log(z[1:]))))
+
+
+def _log_level(origin: float, sums: np.ndarray, lead: np.ndarray) -> np.ndarray:
+    """A level's log values at a round's N + 1 points, origin first: ``origin``,
+    then the log of the running sum of the N panel ``sums`` less ``lead``
+    at each point past the origin.  Both engines build every level here."""
+    out = np.empty(sums.size + 1)
+    out[0] = origin
+    rest = np.add.accumulate(sums, out=out[1:])
+    np.subtract(np.log(rest, out=rest), lead, out=rest)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +444,12 @@ def _chebyshev_series(sample, start: int):
     """The coefficients of a Chebyshev series on [-1, 1] from its values at
     the N + 1 points cos(pi j / N), j = 0..N, with the number of points of
     the last round.  ``sample(n)`` returns the values for N = n, the whole
-    grid in every round; each engine maps the points to its own variable
-    (`_second_kind`) and counts what it samples.  A doubled grid's
-    even-indexed points are the old grid's bit for bit, so a nested level
-    samples its old values again unchanged; a radial level's come from
-    panels between its own points (`RadialPowerStack`).
+    grid in every round, origin first; each engine maps the points
+    u = sin^2(pi j / 2N) (`_sin_squared`) to its own variable and counts
+    what it samples.  A doubled grid's even-indexed points are the old
+    grid's bit for bit, but every level of either engine sums the panels
+    between its own points afresh (`_log_level`), so its values depend
+    only on the N it ends at.
 
     N doubles from ``start`` to at most _MAX_DEGREE, read at each call,
     until `_standard_chop` finds the coefficients' plateau; the
@@ -409,8 +470,8 @@ def _chebyshev_series(sample, start: int):
     sums N + 1 terms, so c_0 of a level whose values share one sign
     rounds up to 5.7 eps max|values| off an extended-precision sum at
     N = 512 (ideal p = 3 level 4).  At the N = 32 to 128 where almost
-    every level of the perfbench workloads stops (a near-ideal n = 4
-    orthoscheme reaches 256), the product takes 1-3 us, and no volume
+    every level of the perfbench workloads stops (a near-ideal
+    orthoscheme's outer level reaches 128), the product takes 1-3 us, and no volume
     imports numpy.fft, 1.4 ms of a fresh process.
     """
     n = min(start, _MAX_DEGREE)
@@ -428,44 +489,6 @@ def _sin_squared(n: int) -> np.ndarray:
     """sin^2(pi j / 2N), j = 0..N, for N = n; read-only because it is
     cached."""
     return _read_only(np.sin(np.pi / (2 * n) * np.arange(n + 1)) ** 2)
-
-
-def _second_kind(a: float, b: float, n: int) -> np.ndarray:
-    """The points b - (b - a) sin^2(pi j / 2N), j = 0..N, of [a, b] for
-    N = n, the second-kind points cos(pi j / N) mapped with b to 1 and a
-    to -1, exact at both ends; a > b reverses the map, as the radial
-    levels' u does."""
-    return b - (b - a) * _sin_squared(n)
-
-
-_TWICE = 2 * np.arange(_MAX_DEGREE + 2)         # 2j, j = 0..N + 1, at the largest N
-
-
-def _antiderivative(coef: np.ndarray, scl: float) -> np.ndarray:
-    """The coefficients of the antiderivative, zero at u = 0, of the series
-    ``coef`` of a level on [0, X] with ``scl`` = 2 / X: numpy's
-    ``Chebyshev(coef, domain=(0, X)).integ(lbnd=0).coef``, bitwise, where
-    numpy's chebint loops in Python over the coefficients.  With c the
-    coefficients times 1/scl, c_0 becomes the one of T_1 and each c_j
-    (j >= 1) adds c_j / 2(j+1) to T_(j+1) and takes c_j / 2(j-1) from
-    T_(j-1), in numpy's operations; the constant is then minus the
-    result's value at u = 0, which maps to -1, by the same Clenshaw steps
-    as numpy's chebval.  A zero constant series (numpy keeps one
-    coefficient) becomes two zeros."""
-    c = coef * (1.0 / scl)
-    n = c.size
-    out = np.empty(n + 1)
-    out[0] = c[0] * 0
-    out[1] = c[0]
-    out[2:] = c[1:] / _TWICE[2:n + 1]
-    out[1:n - 1] -= c[2:] / _TWICE[1:n - 1]
-    x = -1.0                                     # u = 0, mapped
-    x2, terms = 2 * x, out.tolist()
-    c0, c1 = terms[-2], terms[-1]
-    for ck in terms[-3::-1]:
-        c0, c1 = ck - c1, c0 + c1 * x2
-    out[0] += 0 - (c0 + c1 * x)
-    return out
 
 
 def _chebval(c: list, x: np.ndarray) -> np.ndarray:
@@ -644,7 +667,8 @@ class RadialPowerStack:
     takes its points' y_j = sqrt(-theta(u_j)), j = 0..N, as panel edges:
     one panel of ``settings.order`` Gauss points on each [y_j, y_(j+1)],
     and the value at y_j is the running sum of the panels below it, one
-    pass over level k - 1.  The sum's terms are positive, so each value
+    pass over level k - 1, logged by `_log_level`, the recipe every nested
+    level shares.  The sum's terms are positive, so each value
     keeps its relative accuracy down to y -> 0.  A doubling round sums
     the whole finer grid afresh, so a level's values depend only on the N
     it ends at.  At theta = 0 the identity is 0/0; there
@@ -714,11 +738,7 @@ class RadialPowerStack:
                 grids[n] = self._grid(n)
             _, panels, log_sigma2 = grids[n]
             self.n_evals += n * self.settings.order
-            out = np.empty(n + 1)
-            out[0] = math.log(at_zero)
-            rest = np.add.accumulate(self._panel_sums(k, panels)[0], out=out[1:])
-            np.subtract(np.log(rest, out=rest), k / 2 * log_sigma2, out=rest)
-            return out
+            return _log_level(math.log(at_zero), self._panel_sums(k, panels)[0], k / 2 * log_sigma2)
 
         return _chebyshev_series(log_level, start)
 
@@ -726,8 +746,7 @@ class RadialPowerStack:
         """The grid of a round at N = n: its points y_j = sqrt(-theta(u_j)),
         j = 0..N, the `_Panels` between them, and log sigma^2 at each point
         but theta = 0."""
-        # x = 1 - 2u: u = 0 (theta = 0) is x = 1, u = 1 (theta_min) is x = -1;
-        # _second_kind(1, 0, n) = 0 - (-1) sin^2 is the table, bit for bit
+        # x = 1 - 2u: u = 0 (theta = 0) is x = 1, u = 1 (theta_min) is x = -1
         u = _sin_squared(n)
         theta = np.maximum(-_STRETCH * np.expm1(self._span * u), self.theta_min)
         y = np.sqrt(-theta)

@@ -10,8 +10,8 @@ each other:
   over the fundamental orthoscheme, whose limits it reads straight off
   the edge ladder, and multiplies by the (n+1)! congruent copies tiling
   the simplex; the chain is the level stack of
-  `quadrature.integrate_nested`, one chopped Chebyshev antiderivative
-  per level, built once;
+  `quadrature.integrate_nested`, one chopped Chebyshev series per level,
+  each a running sum of Gauss panels, built once;
 * `volume_halfspace` integrates the half-space volume element z^(-n)
   vertically between the unit hemisphere below and the facet spheres
   above, reducing to two integrals over the projected bottom facet.
@@ -62,7 +62,6 @@ __all__ = [
     "richardson_limit",
 ]
 
-_CLIP = 1.0 - 1e-16
 _IDEAL_CUT = 40.0     # d_1 of the ideal orthoscheme (`volume_orthoscheme`)
 
 
@@ -104,30 +103,27 @@ def volume_orthoscheme(params: SimplexParams, cfg: QuadratureConfig | None = Non
 
         alpha_k(x) = atanh(c_k sinh x),   c_k = tanh d_{k+1} / sinh d_k,
 
-    in the previous level's variable x; every argument stays below
-    tanh d_{k+1} < 1.  As t -> pi/2 the outer integrand grows like
+    in the previous level's variable x, and `integrate_nested` takes
+    d_1 and the slopes c_k.  As t -> pi/2 the outer integrand grows like
     e^((n-1)(x - d_1)), a layer below d_1 that the outer level's chopped
-    series resolves as it does any other level (`integrate_nested`).
-    Only the ideal point's d_1 = inf is cut, at _IDEAL_CUT = 40: every
-    float t < pi/2 has d_1 <= 36.4, and the cut drops about e^-40,
-    4e-18, of the value.
+    series resolves as it does any other level.  Only the ideal point's
+    d_1 = inf is cut, at _IDEAL_CUT = 40: every float t < pi/2 has
+    d_1 <= 36.4, and the cut drops about e^-40, 4e-18, of the value.
+    c_1 divides by sinh of d_1 as the chain reads it, rounded or cut, so
+    that c_1 sinh d_1 is tanh d_2 to rounding; with the ladder's sinh d_1,
+    the rounding of d_1 near 36 (3.5e-15) would enter the volume n - 1
+    times over.
 
-    The (n+1)! copies are folded into the outer factor, so the tolerance
-    applies to the returned volume.
+    The (n+1)! copies are the chain's weight, so the tolerance applies to
+    the returned volume.
     """
-    n = params.n
     if params.t <= 0.0:
         return VolumeEstimate(0.0, 0.0, 0)
     lad = ladder(params)
-    sinh_d = np.minimum(lad.sinh_d, math.sinh(_IDEAL_CUT))      # cuts only d_1 = inf
-    copies = float(math.factorial(n + 1))
-    limits = [min(float(lad.d[0]), _IDEAL_CUT)]
-    for k in range(1, n):
-        c = lad.tanh_d[k] / sinh_d[k - 1]
-        limits.append(lambda x, c=c: np.arctanh(np.minimum(c * np.sinh(x), _CLIP)))
-    factors = [lambda x: np.full_like(x, copies)]
-    factors += [lambda x, k=k: np.cosh(x) ** k for k in range(1, n)]
-    return integrate_nested(limits, factors, cfg)
+    outer = min(float(lad.d[0]), _IDEAL_CUT)
+    sinh_d = np.concatenate(([np.sinh(outer)], lad.sinh_d[1:-1]))
+    slopes = (lad.tanh_d[1:] / sinh_d).tolist()
+    return integrate_nested(outer, slopes, float(math.factorial(params.n + 1)), cfg)
 
 
 def _projective_job(params: SimplexParams):

@@ -1,6 +1,7 @@
 import os
 import sys
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -24,3 +25,18 @@ def stalled(monkeypatch):
         return lo, hi
 
     monkeypatch.setattr(quadrature, "_radial_pair", crude)
+
+
+@pytest.fixture
+def nested_stalled(monkeypatch):
+    """A noisy panel rule for the nested engine: the panel widths of every
+    round, scaled by 1 + 1e-6 noise, so that no level of an orthoscheme
+    chain finds a plateau by _MAX_DEGREE and every chain raises with its
+    estimate.  The radial engine does not read these panels."""
+    panels = quadrature._unit_panels
+
+    def noisy(n):
+        nodes, width, log_z = panels(n)
+        return nodes, width * (1.0 + np.random.default_rng(n).uniform(-1e-6, 1e-6, n)), log_z
+
+    monkeypatch.setattr(quadrature, "_unit_panels", noisy)

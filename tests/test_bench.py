@@ -126,6 +126,27 @@ def test_accuracy_pass_on_a_stub_table():
         e.error_estimate / e.value for e in ests.values())
 
 
+def test_accuracy_blocks_on_stub_grids():
+    # the gap block on two points of the honesty grid reads their gaps;
+    # the flat block against a stub reference set off the orthoscheme by
+    # a known amount at n = 3, and 0 at n = 2, where a nonzero form reads inf
+    from hypervol import SimplexParams, volume_orthoscheme, volume_projective
+
+    grid = [(3, 0.8, 4), (5, math.pi / 2, 24)]
+    values = [(volume_orthoscheme(SimplexParams(n, t)).value,
+               volume_projective(SimplexParams(n, t)).value) for n, t, _ in grid]
+    gaps = [abs(orth - proj) / proj for orth, proj in values]
+    block = accuracy.orthoscheme_gaps(grid)
+    assert block["beyond_bar"] == block["raised"] == 0
+    assert block["worst_rel_gap"] == max(gaps)
+    value = volume_orthoscheme(SimplexParams(3, 1e-20)).value
+    flat = accuracy.flat_errors(lambda n, t: 0.0 if n == 2 else value * (1 + 1e-9), [3])
+    assert flat["orthoscheme"]["rel_err_at"] == 3
+    assert math.isclose(flat["orthoscheme"]["worst_rel_err"], 1e-9, rel_tol=1e-5)
+    flat = accuracy.flat_errors(lambda n, t: 0.0 if n == 2 else value, [2, 3])
+    assert flat["projective"] == {"worst_rel_err": math.inf, "rel_err_at": 2}
+
+
 def test_accuracy_script_reads_the_frozen_table():
     env = {**os.environ, "PYTHONPATH": str(TOOLS.parent / "src")}
     out = subprocess.run([sys.executable, str(TOOLS / "accuracy.py")], env=env, check=True,
@@ -136,3 +157,7 @@ def test_accuracy_script_reads_the_frozen_table():
     assert {name: f["bar_misses"] for name, f in record["forms"].items()} == {
         "projective": 0, "orthoscheme": 0, "halfspace": 0}
     assert record["ideal_tet_rel_err"] <= 4.4e-16
+    # at the ideal n = 23 and 24 points projective is the form that is off
+    assert record["orthoscheme_vs_projective"]["raised"] == 0
+    assert record["orthoscheme_vs_projective"]["beyond_bar"] <= 2
+    assert record["flat"]["orthoscheme"]["worst_rel_err"] <= 1e-14

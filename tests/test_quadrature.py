@@ -6,6 +6,7 @@ import warnings
 from functools import partial
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
@@ -18,6 +19,7 @@ from hypervol import (
     growth_ratio,
     integrate_nested,
     integrate_simplex_radialpow,
+    ladder,
     quadrature,
     volume_halfspace,
     volume_orthoscheme,
@@ -25,7 +27,6 @@ from hypervol import (
 )
 
 from hypervol.quadrature import (
-    _antiderivative,
     _chebval,
     _cone_factor,
     _radial_pair,
@@ -34,6 +35,7 @@ from hypervol.quadrature import (
 
 from oracles import (
     cone_level_integral,
+    chebyshev_antiderivative,
     chebyshev_coefficients,
     euclidean_simplex_volume,
     level_one_integral,
@@ -71,94 +73,109 @@ def test_estimate_refuses_a_negative_or_nan_bar(err):
         quadrature.VolumeEstimate(1.0, err, 1)
 
 
+def chain_ranges(outer, slopes):
+    """X_0 = outer and X_k = atanh(c_k sinh X_(k-1)) of an orthoscheme chain."""
+    tops = [outer]
+    for c in slopes:
+        tops.append(math.atanh(c * math.sinh(tops[-1])))
+    return tops
+
+
 class TestNested:
+    """The orthoscheme chain: ranges X_k = atanh(c_k sinh X_(k-1)) and
+    factors cosh^k, checked against closed forms and scipy's cubature."""
+
     def test_triangle(self):
-        est = integrate_nested([1.0, lambda x: x], [np.ones_like, np.ones_like])
-        assert est.value == pytest.approx(0.5, abs=1e-12)
+        # the n = 2 orthoscheme chain, 3! copies, is the triangle's area
+        t = 1.1
+        lad = ladder(SimplexParams(2, t))
+        est = integrate_nested(float(lad.d[0]), [lad.tanh_d[1] / lad.sinh_d[0]], 6.0)
+        ref = gauss_bonnet_triangle_area(math.atanh(math.sin(t)))
+        assert est.value == pytest.approx(ref, rel=1e-14)
+
+    def test_one_level_is_its_range(self):
+        est = integrate_nested(1.3, [], 2.0)
+        assert est.value == pytest.approx(2.6, rel=1e-15)
+        assert abs(est.value - 2.6) <= est.error_estimate
 
     def test_against_dblquad(self):
         """Depth-2 chain vs an independent 2-d adaptive cubature."""
-        limits = [1.0, lambda x: x]
-        factors = [lambda x: np.cosh(x) ** 2, np.cosh]
-        est = integrate_nested(limits, factors, QuadratureConfig(rel_tol=1e-11))
+        outer, c = 1.0, 0.5
+        est = integrate_nested(outer, [c], 2.0)
         ref, _ = scipy.integrate.dblquad(
-            lambda y, x: math.cosh(x) ** 2 * math.cosh(y), 0.0, 1.0,
-            0.0, lambda x: x, epsabs=1e-12, epsrel=1e-12)
-        assert abs(est.value - ref) <= 1e-10
+            lambda y, x: 2.0 * math.cosh(y), 0.0, outer,
+            0.0, lambda x: math.atanh(c * math.sinh(x)), epsabs=1e-13, epsrel=1e-13)
+        assert abs(est.value - ref) <= 1e-12 * ref
 
-    def test_separable_equals_product(self):
-        limits = [1.0, lambda x: np.full_like(x, 2.0)]
-        factors = [np.cosh, lambda y: y * y]
-        exact = math.sinh(1.0) * 8.0 / 3.0
-        est = integrate_nested(limits, factors)
-        assert abs(est.value - exact) <= 1e-12 * exact
+    @pytest.mark.parametrize("outer, c", [(0.3, 0.9), (1.0, 0.5), (2.5, 0.08), (12.0, 1e-5)])
+    def test_two_levels_closed_form(self, outer, c):
+        # int_0^X sinh(atanh(c sinh x)) dx = asin(c cosh x / sqrt(1 + c^2))
+        # from 0 to X, taken at 30 digits: it cancels at small X
+        with mp.workdps(30):
+            root = mp.sqrt(1 + mp.mpf(c) ** 2)
+            exact = float(mp.asin(c * mp.cosh(outer) / root) - mp.asin(c / root))
+        est = integrate_nested(outer, [c])
+        assert abs(est.value - exact) <= est.error_estimate
 
     def test_against_tplquad_depth3(self):
         """Depth-3 chain vs an independent 3-d adaptive cubature."""
-        limits = [0.8, lambda x: x, lambda y: np.sinh(y)]
-        factors = [np.ones_like, np.cosh, lambda z: np.cosh(z) ** 2]
-        t = integrate_nested(limits, factors)
+        outer, (c1, c2) = 0.8, (0.7, 0.6)
+        est = integrate_nested(outer, [c1, c2], 3.0)
         ref, _ = scipy.integrate.tplquad(
-            lambda z, y, x: math.cosh(y) * math.cosh(z) ** 2, 0.0, 0.8,
-            0.0, lambda x: x, 0.0, lambda x, y: math.sinh(y),
-            epsabs=1e-13, epsrel=1e-12)
-        assert t.value == pytest.approx(ref, rel=1e-9)
+            lambda z, y, x: 3.0 * math.cosh(y) * math.cosh(z) ** 2, 0.0, outer,
+            0.0, lambda x: math.atanh(c1 * math.sinh(x)),
+            0.0, lambda x, y: math.atanh(c2 * math.sinh(y)), epsabs=1e-14, epsrel=1e-13)
+        assert est.value == pytest.approx(ref, rel=1e-11)
 
     def test_bad_chain(self):
-        with pytest.raises(DomainError):
-            integrate_nested([], [])
-        with pytest.raises(DomainError):
-            integrate_nested([1.0], [np.ones_like, np.ones_like])
+        # a negative range is no chain
+        for outer, slopes, k in ((-1.0, [], 0), (1.0, [-0.5], 1), (1.0, [0.5, -1e-300], 2)):
+            with pytest.raises(DomainError, match=rf"the range X_{k} = -"):
+                integrate_nested(outer, slopes)
 
-    @pytest.mark.parametrize("limits", [
-        [0.0], [0.0, lambda x: x], [1.0, lambda x: 0 * x],
-    ], ids=["outer", "both", "inner"])
-    def test_zero_range_is_the_zero_estimate(self, limits):
+    @pytest.mark.parametrize("outer, slopes", [
+        (0.0, []), (0.0, [0.5]), (1.0, [0.0]), (1.0, [0.5, 0.0]),
+    ], ids=["outer", "both", "inner", "innermost"])
+    def test_zero_range_is_the_zero_estimate(self, outer, slopes):
         # X_k = 0 empties level k and every level inside it
-        est = integrate_nested(limits, [np.ones_like] * len(limits))
+        est = integrate_nested(outer, slopes)
         assert (est.value, est.error_estimate, est.n_evals) == (0.0, 0.0, 0)
 
     @pytest.mark.parametrize("limits, k", [
-        ([math.inf], 0), ([math.nan], 0), ([1.0, lambda x: x * math.inf], 1),
+        ((math.inf, []), 0), ((math.nan, [0.5]), 0), ((1.0, [1 / math.sinh(1.0)]), 1),
+        ((1.0, [2.0]), 1), ((1.0, [0.5, 3.0]), 2),
     ])
     def test_non_finite_range_is_refused(self, limits, k):
-        with pytest.raises(DomainError, match=rf"limits\[{k}\] gives the range"):
-            integrate_nested(limits, [np.ones_like] * len(limits))
+        # c sinh X_(k-1) at or past 1 has no atanh
+        with pytest.raises(DomainError, match=rf"the range X_{k} = "):
+            integrate_nested(*limits)
 
-    def test_n_evals_counts_every_round(self):
-        # both levels double past N = 64, and every round of every level,
-        # the outer one too, samples and counts its whole grid
-        sizes = {0: [], 1: []}
+    def test_n_evals_counts_every_round(self, monkeypatch):
+        # every level starts at N = 32 and doubles while its series has no
+        # plateau; each round sums _BASE_ORDER Gauss points on each of its N
+        # panels.  Near the ideal point the outer level doubles
+        sizes = []
+        panels = quadrature._unit_panels
+        monkeypatch.setattr(quadrature, "_unit_panels", lambda n: sizes.append(n) or panels(n))
+        outer, slopes = 30.0, [math.tanh(0.6) / math.sinh(30.0), 0.5]
+        est = integrate_nested(outer, slopes)
+        levels = [[]]
+        for n in sizes:
+            if n == 32 and levels[-1]:
+                levels.append([])
+            levels[-1].append(n)
+        assert len(levels) == 3 and len(levels[-1]) >= 2
+        for rounds in levels:
+            assert rounds == [32 * 2 ** i for i in range(len(rounds))]
+        assert est.n_evals == quadrature._BASE_ORDER * sum(sizes)
 
-        def recorded(k, factor):
-            return lambda x: sizes[k].append(x.size) or factor(x)
-
-        est = integrate_nested([1.0, lambda x: x],
-                               [recorded(0, np.ones_like), recorded(1, lambda y: np.cos(40 * y))])
-        for rounds in sizes.values():
-            assert len(rounds) >= 2
-            assert rounds == [64 * 2 ** i + 1 for i in range(len(rounds))]
-        assert est.n_evals == sum(sizes[0]) + sum(sizes[1])
-        assert est.value == pytest.approx((1 - math.cos(40)) / 1600, rel=1e-12)
-
-    @pytest.mark.parametrize("w", [40, 80, 160])
-    def test_oscillating_outer_level_is_resolved(self, w):
-        # the outer level doubles its chopped series like every other
-        # level, so an outer integrand sin(w x) / w that oscillates over
-        # its whole range is resolved
-        est = integrate_nested([1.0, lambda x: x], [np.ones_like, lambda y: np.cos(w * y)])
-        assert est.value == pytest.approx((1 - math.cos(w)) / w ** 2, rel=1e-11)
-
-    def test_tensor_exhaustion_carries_estimate(self):
-        # the cusp at y = 0.31 leaves level 1's Chebyshev series without a
-        # plateau at _MAX_DEGREE, so the chop never settles
-        cfg = QuadratureConfig(rel_tol=1e-13)
-        limits = [1.0, lambda x: x + 0.5, lambda y: y]
-        factors = [np.ones_like, lambda y: 1.0 / np.sqrt(np.abs(y - 0.31) + 1e-13), np.ones_like]
-        with pytest.raises(ConvergenceError) as info:
-            integrate_nested(limits, factors, cfg)
-        assert info.value.estimate is not None
-        assert info.value.estimate.value > 0
+    def test_stalled_chain_carries_its_estimate(self, nested_stalled):
+        # no level of a noisy panel rule finds a plateau; the chain still
+        # forms its value and bar and raises them
+        with pytest.raises(ConvergenceError, match="no plateau by N = 512") as info:
+            integrate_nested(1.0, [0.5, 0.5])
+        est = info.value.estimate
+        assert est.value > 0 and est.error_estimate > 0 and est.n_evals > 0
 
 
 class TestSimplexRadialPow:
@@ -483,6 +500,9 @@ class TestChebval:
 
 
 class TestAntiderivative:
+    """The test-side Chebyshev antiderivative (`oracles.chebyshev_antiderivative`),
+    which a per-level series oracle integrates with."""
+
     @pytest.mark.parametrize("size", [*range(1, 41), 100, 513])
     @pytest.mark.parametrize("domain", [(0.0, 1.3), (0.0, 47.5), (0.0, 3e-4)])
     def test_bitwise_equal_to_numpy(self, size, domain):
@@ -491,7 +511,7 @@ class TestAntiderivative:
             rng.standard_normal(size) * 0.8 ** np.arange(size) * 10.0 ** rng.uniform(-6, 6),
             domain=domain)
         kept = series.coef.copy()
-        got, want = _antiderivative(series.coef, 2 / domain[1]), series.integ(lbnd=0)
+        got, want = chebyshev_antiderivative(series.coef, 2 / domain[1]), series.integ(lbnd=0)
         assert got.tobytes() == want.coef.tobytes()
         assert series.coef.tobytes() == kept.tobytes()
 
@@ -643,16 +663,10 @@ class TestDctMatrix:
 
 class TestEngineMaps:
     """Each engine maps its variable to [-1, 1] by constants its interval
-    fixes.  A nested level reads -1 + (2 / X) u, where numpy's Chebyshev
-    derives the same constants with mapparms, so its values stay bitwise
-    equal to numpy's.  A radial level reads 1 - 2 u(theta) with
-    u = log1p(-theta / c) / log1p(-theta_min / c), exact at both ends, and
-    `_chebval` stays bitwise equal to numpy's chebval at the mapped points."""
-
-    @staticmethod
-    def numpy_map(domain, x):
-        off, scl = np.polynomial.Chebyshev([1.0], domain=domain).mapparms()
-        return off + scl * x
+    fixes, with the origin at x = 1.  A radial level reads 1 - 2 u(theta)
+    with u = log1p(-theta / c) / log1p(-theta_min / c), exact at both
+    ends, and `_chebval` stays bitwise equal to numpy's chebval at the
+    mapped points."""
 
     @staticmethod
     def mapped_reads(monkeypatch):
@@ -732,13 +746,6 @@ class TestEngineMaps:
             (x, _), = reads
             assert x.tolist() == [1.0, -1.0], stack.theta_min
 
-    def test_nested_map_at_random_tops(self):
-        rng = np.random.default_rng(7)
-        for top in 10.0 ** rng.uniform(-6, 2, 2000):
-            u = np.concatenate(([0.0, top], rng.uniform(0.0, top, 20)))
-            got = -1.0 + (2 / top) * u
-            assert got.tobytes() == self.numpy_map((0.0, top), u).tobytes(), top
-
     def test_sin_squared_table_is_the_formula(self):
         # the points of every round read one cached table per N
         for n in range(16, 513):
@@ -749,13 +756,10 @@ class TestEngineMaps:
 
     def test_doubled_grid_keeps_the_old_points(self):
         # the even-indexed points of a round at 2N are those of the round
-        # at N bit for bit, in both engines' maps, so a nested level that
-        # samples its whole grid again keeps its old values
-        rng = np.random.default_rng(8)
-        for top, n in zip(10.0 ** rng.uniform(-6, 2, 2000), rng.integers(2, 513, 2000).tolist()):
-            for a, b in ((0.0, top), (1.0, 0.0)):
-                old = quadrature._second_kind(a, b, n)
-                assert quadrature._second_kind(a, b, 2 * n)[::2].tobytes() == old.tobytes()
+        # at N bit for bit, in the u of both engines
+        for n in range(2, 513):
+            assert quadrature._sin_squared(2 * n)[::2].tobytes() == \
+                quadrature._sin_squared(n).tobytes(), n
 
     def test_no_numpy_chebyshev_is_built(self, monkeypatch):
         # a level is its coefficient list: no volume route builds numpy's

@@ -27,9 +27,12 @@ from hypervol import (
 )
 
 from oracles import (
+    GAUSS_BONNET_VOLUMES,
     IDEAL_TET,
     SCHLAFLI_VOLUMES,
+    flat_volume,
     gauss_bonnet_triangle_area,
+    gauss_bonnet_volume,
     ideal_tetrahedron_volume,
     mp_integral,
     schlafli_digits,
@@ -161,6 +164,64 @@ class TestOrthoscheme:
         assert est.value == pytest.approx(ref.value, rel=1e-10)
 
 
+class TestOrthoschemeHonesty:
+    """The orthoscheme's bar, C eps (n + 2) |value|, covers its error
+    against every reference there is, from n = 2 to 24; near the ideal
+    point it may raise instead."""
+
+    EPS = quadrature._EPS
+
+    def test_within_its_bar_of_schlafli(self):
+        for (n, t), ref in SCHLAFLI_VOLUMES.items():
+            est = volume_orthoscheme(SimplexParams(n, t))
+            assert abs(mp.mpf(est.value) - mp.mpf(ref)) <= est.error_estimate, (n, t)
+
+    def test_within_its_bar_of_the_flat_simplex(self):
+        # from n = 15 on the volume is subnormal or 0, and so is the bar
+        for n in range(2, 25):
+            est = volume_orthoscheme(SimplexParams(n, 1e-20))
+            assert abs(est.value - flat_volume(n, 1e-20)) <= est.error_estimate, n
+
+    def test_within_its_bar_of_projective(self):
+        # projective is within 3 eps n of the truth at finite t (ROADMAP
+        # item 15); the allowance is 4 eps n
+        for n in range(7, 25):
+            for t in (0.05, 0.3, 0.8, 1.2, 1.5):
+                params = SimplexParams(n, t)
+                est, ref = volume_orthoscheme(params), volume_projective(params).value
+                assert abs(est.value - ref) <= est.error_estimate + 4 * self.EPS * n * ref, (n, t)
+
+    def test_ideal_within_its_bar_or_raises(self):
+        # projective near the ideal point is within about 22 eps n up to
+        # n = 22, and the allowance is 24 eps n; at n = 24 it is 2.5e-13
+        # off the Gauss-Bonnet volume, which stands in for it, and n = 23
+        # has no reference
+        refs = {n: volume_projective(SimplexParams(n, math.pi / 2)).value for n in range(2, 23)}
+        refs[24] = float(GAUSS_BONNET_VOLUMES[24, math.pi / 2])
+        for n, ref in refs.items():
+            try:
+                est = volume_orthoscheme(SimplexParams(n, math.pi / 2))
+            except ConvergenceError:
+                continue
+            assert abs(est.value - ref) <= est.error_estimate + 24 * self.EPS * n * ref, n
+
+    def test_deep_chain_raises(self):
+        # 14-point panels integrate a level's z^(m-1) start exactly only
+        # up to m = 28: the n = 40 volume comes back 5e-11 off its bar,
+        # so a deeper chain raises with that estimate
+        with pytest.raises(ConvergenceError, match="n > 28") as info:
+            volume_orthoscheme(SimplexParams(40, 0.5))
+        est = info.value.estimate
+        ref = mp.mpf(GAUSS_BONNET_VOLUMES[40, 0.5])
+        assert abs(est.value - ref) > est.error_estimate
+        assert volume_orthoscheme(SimplexParams(28, 0.5)).value > 0
+
+    def test_underflowed_volume_is_zero_on_a_zero_bar(self):
+        for n in (2, 6, 12, 24):
+            est = volume_orthoscheme(SimplexParams(n, 1e-300))
+            assert (est.value, est.error_estimate) == (0.0, 0.0), n
+
+
 class TestProjective:
     def test_zero_t(self):
         # the radial engine returns the zero volume of scale 0
@@ -189,16 +250,17 @@ class TestProjective:
         (volume_projective, 5, 1.2, 2_231),
         (facet_row, 4, 0.8, 759),
         (volume_halfspace, 4, 1.0, 1_219),
-        (volume_orthoscheme, 3, 0.8, 195),
-        (volume_orthoscheme, 5, 1.2, 325),
+        (volume_orthoscheme, 3, 0.8, 1_344),
+        (volume_orthoscheme, 5, 1.2, 3_136),
     ])
     def test_n_evals_standalone(self, form, n, t, evals):
         # radial forms: the stack pair's build plus this call's own
         # top-level work, (32 + 1) x order per stack, and the build is
         # empty below three levels (levels 1 and 2 are closed forms), so
-        # 759 = 33 x (9 + 14); orthoscheme: the
-        # points of every round of every level, the outer one too.  The
-        # same on every call
+        # 759 = 33 x (9 + 14); orthoscheme: 14 Gauss points on each of the
+        # N panels of every round of every level, the outer one too, so
+        # 1,344 = 14 x 3 x 32, and at n = 5 one level doubles to 64:
+        # 3,136 = 14 x (5 x 32 + 64).  The same on every call
         p = SimplexParams(n, t)
         assert form(p).n_evals == form(p).n_evals == evals
 
@@ -538,6 +600,20 @@ class TestSchlafli:
 
     def test_oracle_ideal_tetrahedron(self):
         assert schlafli_volume(3, math.pi / 2) == pytest.approx(IDEAL_TET, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_flat_oracle_to_its_t_squared_term(self, n):
+        # the Euclidean simplex of circumradius sin t is within
+        # (n + 1)/2 sin^2 t of the volume, relative
+        t = 1e-6
+        gap = abs(flat_volume(n, t) / schlafli_volume(n, t) - 1)
+        assert gap <= (n + 1) / 2 * math.sin(t) ** 2
+
+    @pytest.mark.parametrize("t", [0.3, math.pi / 2])
+    def test_gauss_bonnet_oracle_matches_schlafli(self, t):
+        # the even-n orthant route against the frozen table, at n = 4
+        ref = mp.mpf(SCHLAFLI_VOLUMES[4, t])
+        assert abs(gauss_bonnet_volume(4, t) - ref) <= mp.mpf("1e-15") * ref
 
     @pytest.mark.parametrize("n, t", [(4, 1.2), (5, 0.3)])
     def test_frozen_table_recomputes(self, n, t):
