@@ -229,36 +229,26 @@ def _check_lines(params: SimplexParams, cfg: QuadratureConfig):
         gram = emb.v[1:] @ emb.v[1:].T
         gram_res = float(np.max(np.abs(gram - emb.gram))) / max(emb.sin_alpha**2, 1e-30)
         yield "gram_closed_form", gram_res <= 1e-12, gram_res
-        worst = 0.0
-        for i in range(params.n):
-            center = np.append(emb.centers[i], 0.0)
-            for k in range(params.n + 1):
-                if k == i:
-                    continue
-                dist = float(np.linalg.norm(emb.vertices[k] - center))
-                worst = max(worst, abs(dist - emb.gamma) / emb.gamma)
+        n, g2 = params.n, emb.gamma**2
+        centers = emb.centers[:n]                       # facet sphere i, in the boundary z = 0
+        # vertex k to sphere i's center, k != i: the sphere passes through them
+        dist = np.linalg.norm(emb.vertices - np.pad(centers, ((0, 0), (0, 1)))[:, None], axis=-1)
+        worst = float(np.max(np.abs(dist - emb.gamma) / emb.gamma,
+                             where=~np.eye(n, n + 1, dtype=bool), initial=0.0))
         yield "gamma_spheres", worst <= 1e-10, worst
-        alpha_res = abs(emb.sin_alpha - lad.tanh_r[params.n - 2])
+        alpha_res = abs(emb.sin_alpha - lad.tanh_r[n - 2])
         yield "sin_alpha_ladder", alpha_res <= 1e-12, alpha_res
         rng = np.random.Generator(np.random.Philox(key=0))
-        bad = 0.0
-        for _ in range(200):
-            w = rng.dirichlet(np.ones(params.n))
-            v = w @ emb.v
-            lo, hi = zn_bounds(emb, v)
-            if lo > hi + 1e-12:
-                bad = max(bad, lo - hi)
-            for z in (lo + 1e-12, 0.5 * (lo + hi), hi - 1e-12):
-                if z < lo or z > hi:
-                    continue
-                point = np.append(v, z)
-                if point @ point < 1.0 - 1e-9:
-                    bad = max(bad, 1.0 - float(point @ point))
-                for i in range(params.n):
-                    center = np.append(emb.centers[i], 0.0)
-                    d2 = float((point - center) @ (point - center))
-                    if d2 > emb.gamma**2 * (1 + 1e-9):
-                        bad = max(bad, d2 / emb.gamma**2 - 1.0)
+        v = rng.dirichlet(np.ones(n), size=200) @ emb.v
+        lo, hi = zn_bounds(emb, v)
+        z = np.array([lo + 1e-12, 0.5 * (lo + hi), hi - 1e-12])      # (3, 200) heights
+        inside = (lo <= z) & (z <= hi)
+        norm2 = (v * v).sum(axis=-1) + z * z                            # |(v, z)|^2
+        d2 = ((v[:, None] - centers) ** 2).sum(axis=-1) + (z * z)[..., None]   # (3, 200, n)
+        bad = float(max(np.max(lo - hi, where=lo > hi + 1e-12, initial=0.0),
+                        np.max(1.0 - norm2, where=inside & (norm2 < 1.0 - 1e-9), initial=0.0),
+                        np.max(d2 / g2 - 1.0, where=inside[..., None] & (d2 > g2 * (1 + 1e-9)),
+                               initial=0.0)))
         yield "zn_sandwich", bad == 0.0, bad
 
     ests = []

@@ -144,20 +144,15 @@ class OrthoschemeLadder:
     sinh_d: np.ndarray
 
     def chain_residuals(self) -> np.ndarray:
-        """Relative residuals of cosh r_{k+1} - cosh d_{k+1} cosh r_k, k=1..n-1.
+        """Relative residuals |lhs - rhs| / lhs of the rungs lhs = cosh r_{k+1},
+        rhs = cosh d_{k+1} cosh r_k, k = 1..n-1, as one array.
 
-        Entries where r_{k+1} is ideal (infinite cosh) are reported through
-        the reciprocal identity and stay finite.
+        An ideal rung reads 0 where both sides are inf and inf where only
+        one side is.
         """
-        n = self.params.n
-        res = np.empty(n - 1)
-        for k in range(n - 1):
-            lhs, rhs = self.cosh_r[k + 1], self.cosh_d[k + 1] * self.cosh_r[k]
-            if math.isinf(lhs) or math.isinf(rhs):
-                res[k] = 0.0 if lhs == rhs else math.inf
-            else:
-                res[k] = abs(lhs - rhs) / lhs
-        return res
+        lhs, rhs = self.cosh_r[1:], self.cosh_d[1:] * self.cosh_r[:-1]
+        with np.errstate(invalid="ignore"):             # inf - inf on an ideal rung
+            return np.where(lhs == rhs, 0.0, np.abs(lhs - rhs) / np.where(lhs < math.inf, lhs, 1.0))
 
 
 def unit_simplex_vertices(k: int) -> np.ndarray:

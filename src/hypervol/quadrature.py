@@ -230,13 +230,14 @@ def integrate_nested(outer: float, slopes: Sequence[float], weight: float = 1.0,
     The error estimate is _NESTED_BAR eps (n + 2) |value|: against
     Schlafli, Gauss-Bonnet and flat references at n = 2..24 the error
     measured up to 4.3 eps (n + 2) |value|, the rounding of the slopes
-    carried along the chain.  A level with no plateau by _MAX_DEGREE, a
-    chain deeper than 2 _BASE_ORDER = 28 levels, or an estimate above
-    rel_tol times the value raises ConvergenceError carrying the estimate:
+    carried along the chain.  A level with no plateau by _MAX_DEGREE or
+    an estimate above rel_tol times the value raises ConvergenceError
+    carrying the estimate.  A chain deeper than 2 _BASE_ORDER = 28 levels
+    is refused before any level is built, with the estimate (nan, inf, 0):
     a panel integrates the z^(m-1) a level starts with exactly only up
-    to m = 28, and the n = 40 chain comes back 5e-11 off.  A level that
-    cannot be held raises it with the estimate (nan, inf, the evaluations
-    so far).
+    to m = 28, and the n = 40 chain, built, came back 5.1e-11 off its
+    reference, beyond its bar.  A level that cannot be held raises it with
+    the estimate (nan, inf, the evaluations so far).
     """
     cfg = cfg or QuadratureConfig()
     n = len(slopes) + 1
@@ -249,9 +250,11 @@ def integrate_nested(outer: float, slopes: Sequence[float], weight: float = 1.0,
             raise DomainError(f"the range X_{k} = {top!r} must be finite and nonnegative")
     if 0.0 in tops:
         return VolumeEstimate(0.0, 0.0, 0)      # an empty range
+    if n > 2 * _BASE_ORDER:     # a panel integrates a level's z^(m-1) start exactly to m = 28
+        raise ConvergenceError(f"nested chain of depth {n} refused (n > {2 * _BASE_ORDER})",
+                               estimate=VolumeEstimate(math.nan, math.inf, 0))
     _, wg = _gauss01(_BASE_ORDER)
-    # a panel integrates exactly the z^(m-1) a level starts with up to m = 2 _BASE_ORDER
-    inner, value, n_evals, stalled, total = None, float(weight), 0, n > 2 * _BASE_ORDER, 0.0
+    inner, value, n_evals, stalled, total = None, float(weight), 0, False, 0.0
     for k in range(n - 1, -1, -1):
         top, m = tops[k], n - k
         held = math.log(m) + k * math.log(math.cosh(top)) + 1.0   # s_k = log P_j - m log z_j + held
@@ -287,7 +290,7 @@ def integrate_nested(outer: float, slopes: Sequence[float], weight: float = 1.0,
     err = _NESTED_BAR * _EPS * (n + 2) * abs(value)
     est = VolumeEstimate(value, err, n_evals)
     if stalled or err > cfg.rel_tol * abs(value):
-        why = f"no plateau by N = {_MAX_DEGREE} or n > {2 * _BASE_ORDER}" if stalled else f"err {err:.3e}"
+        why = f"no plateau by N = {_MAX_DEGREE}" if stalled else f"err {err:.3e}"
         raise ConvergenceError(f"nested chain unresolved at depth {n} ({why})", estimate=est)
     return est
 

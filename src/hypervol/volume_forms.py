@@ -156,13 +156,16 @@ def volume_projective(params: SimplexParams, cfg: QuadratureConfig | None = None
 # ---------------------------------------------------------------------------
 # Half-space form
 
-def zn_bounds(emb: HalfspaceEmbedding, v) -> tuple[float, float]:
-    """Vertical extent of the half-space simplex above boundary point v.
+def zn_bounds(emb: HalfspaceEmbedding, v):
+    """Vertical extent of the half-space simplex above boundary points v.
 
+    v is one point of shape (n - 1,) or a stack of shape (..., n - 1).
     Returns (lo, hi) with lo^2 = 1 - |v|^2 (the unit hemisphere carrying
     the bottom facet) and hi^2 = lo^2 + B (1 - a), where a is the
     barycentric sum of v in its dissection piece and B the embedding's
-    height slope.  The interval collapses exactly at the facet vertices.
+    height slope: two floats for one point, two arrays of v's leading
+    shape for a stack.  The interval collapses exactly at the facet
+    vertices.
 
     a is the projected facet's gauge about its center.  The piece of v
     omits the vertex v_i with the least <v, v_i>, and on the piece
@@ -172,19 +175,18 @@ def zn_bounds(emb: HalfspaceEmbedding, v) -> tuple[float, float]:
 
     which is 1 - n times v's least barycentric weight in the facet.  Both
     vectors are divided by sigma first, so a keeps its digits where sigma^2
-    underflows (t = 1e-300).  Raises DomainError for a point outside the
-    facet, a > 1 + 1e-10.
+    underflows (t = 1e-300).  Raises DomainError if any point lies outside
+    the facet, a > 1 + 1e-10.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape != (emb.n - 1,):
-        raise DomainError(f"v must have shape ({emb.n - 1},)")
-    a = (1 - emb.n) * float(np.min((emb.v / emb.sin_alpha) @ (v / emb.sin_alpha)))
-    if a > 1.0 + 1e-10:
+    if v.shape[-1:] != (emb.n - 1,):
+        raise DomainError(f"v must have shape (..., {emb.n - 1})")
+    a = (1 - emb.n) * np.min((v / emb.sin_alpha) @ (emb.v / emb.sin_alpha).T, axis=-1)
+    if np.any(a > 1.0 + 1e-10):
         raise DomainError("point lies outside the projected facet")
-    rho2 = float(v @ v)
-    lo_sq = max(1.0 - rho2, 0.0)
-    hi_sq = lo_sq + emb.height_sq_slope * max(1.0 - a, 0.0)
-    return math.sqrt(lo_sq), math.sqrt(hi_sq)
+    lo_sq = np.maximum(1.0 - (v * v).sum(axis=-1), 0.0)
+    lo, hi = np.sqrt(lo_sq), np.sqrt(lo_sq + emb.height_sq_slope * np.maximum(1.0 - a, 0.0))
+    return (lo, hi) if v.ndim > 1 else (float(lo), float(hi))
 
 
 def _halfspace_value(n: int, sigma: float, w_perp: float, slope: float,

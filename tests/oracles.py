@@ -163,10 +163,14 @@ def gauss_bonnet_volume(n: int, t: float, dps: int = 60):
         return (-1) ** (n // 2) * mp.pi ** (mp.mpf(n + 1) / 2) / mp.gamma(mp.mpf(n + 1) / 2) * total
 
 
-# frozen from gauss_bonnet_volume(n, t) at two working precisions (50 and
-# 100 digits at the ideal n = 24, 110 and 140 at n = 40), which agree to
-# 20 digits or more, rounded to 20; (n, t) -> V_n
+# frozen from gauss_bonnet_volume(n, t) at two working precisions (60 and
+# 80 digits at n = 8, 50 and 100 at the ideal n = 24, 110 and 140 at
+# n = 40), which agree to 20 digits or more, rounded to 20; (n, t) -> V_n
 GAUSS_BONNET_VOLUMES = {
+    (8, 0.3): "7.2140834153243031786e-9",
+    (8, 1.2): "1.0693543051898458457e-4",
+    (8, math.pi / 2 - 1e-5): "2.0497686680231937021e-4",
+    (8, math.pi / 2): "2.0497686689883607909e-4",
     (24, math.pi / 2): "2.1935597090455410438e-23",
     (40, 0.5): "2.4388721904448531105e-60",
 }

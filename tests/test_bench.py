@@ -1,7 +1,8 @@
 """tools/bench.py runs perfbench in equal-length copies of two trees and
 records both sides; here against a stub ``run.py`` that prints one fixed
 result line per run and a stub ``accuracy.py``, so no benchmark runs.
-tools/accuracy.py itself runs on a three-point stub table."""
+tools/accuracy.py itself runs on a three-point stub table and a two-point
+one where every form raises at one point."""
 
 import importlib.util
 import json
@@ -124,6 +125,17 @@ def test_accuracy_pass_on_a_stub_table():
         "projective": 2, "orthoscheme": 3, "halfspace": 1}
     assert forms["projective"]["median_bar_over_value"] == statistics.median(
         e.error_estimate / e.value for e in ests.values())
+    # the per-form records alone, as the gauss_bonnet block reads them: at
+    # n = 40 every form raises, which counts as raised for each, and
+    # half-space, which returned nowhere, has no median bar
+    block = accuracy.form_errors({(3, math.pi / 2): volumes[3, math.pi / 2],
+                                  (40, 0.5): "2.4388721904448531105e-60"})
+    assert {name: (f["returned"], f["raised"]) for name, f in block.items()} == {
+        "projective": (1, 1), "orthoscheme": (1, 1), "halfspace": (0, 2)}
+    assert all(block[name].keys() == forms[name].keys() for name in forms)
+    assert block["projective"]["rel_err_at"] == [3, math.pi / 2]
+    assert block["halfspace"]["median_bar_over_value"] is None
+    assert block["halfspace"]["rel_err_at"] is None
 
 
 def test_accuracy_blocks_on_stub_grids():
@@ -157,6 +169,13 @@ def test_accuracy_script_reads_the_frozen_table():
     assert {name: f["bar_misses"] for name, f in record["forms"].items()} == {
         "projective": 0, "orthoscheme": 0, "halfspace": 0}
     assert record["ideal_tet_rel_err"] <= 4.4e-16
+    # the even-n Gauss-Bonnet table: half-space has no ideal point, and
+    # no form builds n = 40
+    gauss_bonnet = record["gauss_bonnet"]
+    assert {name: (f["returned"], f["raised"]) for name, f in gauss_bonnet.items()} == {
+        "projective": (5, 1), "orthoscheme": (5, 1), "halfspace": (3, 3)}
+    assert {name: f["bar_misses"] for name, f in gauss_bonnet.items()} == {
+        "projective": 0, "orthoscheme": 0, "halfspace": 0}
     # at the ideal n = 23 and 24 points projective is the form that is off
     assert record["orthoscheme_vs_projective"]["raised"] == 0
     assert record["orthoscheme_vs_projective"]["beyond_bar"] <= 2

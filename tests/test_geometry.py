@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -193,6 +194,17 @@ class TestLadders:
         res = ladder(SimplexParams(4, math.pi / 2)).chain_residuals()
         # finite rungs of the ideal chain still satisfy the identity
         assert np.all(res[np.isfinite(res)] <= 1e-12)
+
+    def test_chain_residuals_of_infinite_rungs(self):
+        # a rung with both sides inf reads 0, as every ideal rung does; one
+        # with a single side inf reads inf: cosh r_3 = inf is rung 2's lhs
+        # and a factor of rung 3's rhs
+        assert np.all(ladder(SimplexParams(4, math.pi / 2)).chain_residuals() == 0.0)
+        lad = ladder(SimplexParams(4, 0.8))
+        cosh_r = lad.cosh_r.copy()
+        cosh_r[2] = math.inf
+        res = dataclasses.replace(lad, cosh_r=cosh_r).chain_residuals()
+        assert res[0] <= 1e-12 and res[1] == res[2] == math.inf
 
     def test_entries_nondecreasing_in_t(self):
         for n in (2, 4, 6):

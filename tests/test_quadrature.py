@@ -134,10 +134,11 @@ class TestNested:
                 integrate_nested(outer, slopes)
 
     @pytest.mark.parametrize("outer, slopes", [
-        (0.0, []), (0.0, [0.5]), (1.0, [0.0]), (1.0, [0.5, 0.0]),
-    ], ids=["outer", "both", "inner", "innermost"])
+        (0.0, []), (0.0, [0.5]), (1.0, [0.0]), (1.0, [0.5, 0.0]), (0.0, [0.5] * 40),
+    ], ids=["outer", "both", "inner", "innermost", "deeper_than_28"])
     def test_zero_range_is_the_zero_estimate(self, outer, slopes):
-        # X_k = 0 empties level k and every level inside it
+        # X_k = 0 empties level k and every level inside it, also in a
+        # chain too deep to build
         est = integrate_nested(outer, slopes)
         assert (est.value, est.error_estimate, est.n_evals) == (0.0, 0.0, 0)
 

@@ -207,13 +207,15 @@ class TestOrthoschemeHonesty:
 
     def test_deep_chain_raises(self):
         # 14-point panels integrate a level's z^(m-1) start exactly only
-        # up to m = 28: the n = 40 volume comes back 5e-11 off its bar,
-        # so a deeper chain raises with that estimate
-        with pytest.raises(ConvergenceError, match="n > 28") as info:
-            volume_orthoscheme(SimplexParams(40, 0.5))
-        est = info.value.estimate
-        ref = mp.mpf(GAUSS_BONNET_VOLUMES[40, 0.5])
-        assert abs(est.value - ref) > est.error_estimate
+        # up to m = 28 (built, the n = 40 volume came back 5.1e-11 off
+        # Gauss-Bonnet, beyond its bar), so a deeper chain is refused
+        # before any level is built
+        for n in (29, 40, 80):
+            with pytest.raises(ConvergenceError, match="n > 28") as info:
+                volume_orthoscheme(SimplexParams(n, 0.5))
+            est = info.value.estimate
+            assert math.isnan(est.value) and est.error_estimate == math.inf, n
+            assert est.n_evals == 0, n
         assert volume_orthoscheme(SimplexParams(28, 0.5)).value > 0
 
     def test_underflowed_volume_is_zero_on_a_zero_bar(self):
@@ -374,6 +376,28 @@ class TestZnBounds:
             zn_bounds(self.emb, np.array([10.0, 0.0]))
         with pytest.raises(DomainError):
             zn_bounds(self.emb, np.zeros(3))
+
+    def test_stack_matches_point_by_point(self):
+        # the rows of a stack are the one-point results but for the order
+        # of the sums; one point still gives two floats
+        rng = np.random.Generator(np.random.Philox(key=9))
+        for n in range(2, 13):
+            emb = halfspace_embedding(SimplexParams(n, 0.7))
+            v = rng.dirichlet(np.ones(n), size=(20, 10)) @ emb.v
+            lo, hi = zn_bounds(emb, v)
+            assert lo.shape == hi.shape == (20, 10)
+            rows = [zn_bounds(emb, point) for point in v.reshape(-1, n - 1)]
+            assert all(type(x) is float for row in rows for x in row)
+            np.testing.assert_allclose(np.stack([lo, hi], axis=-1).reshape(-1, 2), rows,
+                                       rtol=1e-12, atol=0)
+
+    def test_stack_with_one_point_outside_or_a_wrong_axis_raises(self):
+        v = np.zeros((4, 2))
+        v[2] = [10.0, 0.0]
+        with pytest.raises(DomainError, match="outside the projected facet"):
+            zn_bounds(self.emb, v)
+        with pytest.raises(DomainError, match="shape"):
+            zn_bounds(self.emb, np.zeros((4, 3)))
 
     @pytest.mark.parametrize("n,t", [(3, 0.8), (4, 1.2), (5, 0.6)])
     def test_sandwich_points_inside_model_simplex(self, n, t):
@@ -614,6 +638,23 @@ class TestSchlafli:
         # the even-n orthant route against the frozen table, at n = 4
         ref = mp.mpf(SCHLAFLI_VOLUMES[4, t])
         assert abs(gauss_bonnet_volume(4, t) - ref) <= mp.mpf("1e-15") * ref
+
+    def test_gauss_bonnet_n8_recomputes_and_holds_the_forms(self):
+        # the ideal n = 8 entry recomputes at 60 digits; each form that
+        # returns is within its bar and within 4 eps n of the frozen
+        # values, 24 eps n at the ideal point, where half-space has no value
+        with mp.workdps(30):
+            ideal = mp.mpf(GAUSS_BONNET_VOLUMES[8, math.pi / 2])
+            assert abs(gauss_bonnet_volume(8, math.pi / 2) - ideal) <= mp.mpf("1e-19") * ideal
+            for (n, t), value in GAUSS_BONNET_VOLUMES.items():
+                if n != 8:
+                    continue
+                params, ref = SimplexParams(n, t), mp.mpf(value)
+                allowance = (24 if params.is_ideal else 4) * quadrature._EPS * n * ref
+                for form in FORMS[:2] if params.is_ideal else FORMS:
+                    est = form(params)
+                    off = abs(mp.mpf(est.value) - ref)
+                    assert off <= est.error_estimate and off <= allowance, (form, t)
 
     @pytest.mark.parametrize("n, t", [(4, 1.2), (5, 0.3)])
     def test_frozen_table_recomputes(self, n, t):

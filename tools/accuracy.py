@@ -17,6 +17,11 @@ no ideal point); then ``ideal_tet_rel_err``, the projective form's at
 the ideal n = 3 point.  Errors are taken against the reference's 20
 digits in decimal, so a float reference adds no rounding.
 
+``gauss_bonnet`` holds the same per-form records over
+``GAUSS_BONNET_VOLUMES`` (even n: n = 8 at t = 0.3, 1.2, pi/2 - 1e-5 and
+pi/2, the ideal n = 24 and n = 40 at t = 0.5, where every form raises);
+a form that returned nowhere has no median bar (``null``).
+
 Two blocks follow.  ``orthoscheme_vs_projective`` runs the grid of the
 orthoscheme's honesty test (``GAP_GRID``: n = 7..24 at five finite t,
 and the ideal point at n = 2..24) and records the worst relative gap
@@ -51,9 +56,11 @@ GAP_GRID = [(n, t, 4) for n in range(7, 25) for t in (0.05, 0.3, 0.8, 1.2, 1.5)]
 FLAT_NS = range(2, 25)
 
 
-def worst_errors(volumes: dict) -> dict:
-    """The record the script prints, for ``volumes`` {(n, t): decimal
-    string}, which holds the ideal tetrahedron (3, pi/2)."""
+def form_errors(volumes: dict) -> dict:
+    """Per form, its record over ``volumes`` {(n, t): decimal string}: the
+    worst relative error and error over bar with where each falls, the
+    bar misses, the median bar / value (None where the form returned
+    nowhere), and the points where it returned and where it raised."""
     from hypervol import (ConvergenceError, DegenerateGeometryError, SimplexParams,
                           volume_halfspace, volume_orthoscheme, volume_projective)
 
@@ -81,11 +88,20 @@ def worst_errors(volumes: dict) -> dict:
         out[name] = {"worst_rel_err": worst["rel_err"][0], "rel_err_at": worst["rel_err"][1],
                      "worst_err_over_bar": worst["err_over_bar"][0],
                      "err_over_bar_at": worst["err_over_bar"][1],
-                     "bar_misses": misses, "median_bar_over_value": statistics.median(bars),
+                     "bar_misses": misses,
+                     "median_bar_over_value": statistics.median(bars) if bars else None,
                      "returned": returned, "raised": raised}
+    return out
+
+
+def worst_errors(volumes: dict) -> dict:
+    """The Schlafli part of the record, for ``volumes`` {(n, t): decimal
+    string}, which holds the ideal tetrahedron (3, pi/2)."""
+    from hypervol import SimplexParams, volume_projective
+
     ideal = Decimal(volume_projective(SimplexParams(3, math.pi / 2)).value)
     ideal_tet = Decimal(volumes[3, math.pi / 2])
-    return {"forms": out, "ideal_tet_rel_err": float(abs(ideal / ideal_tet - 1))}
+    return {"forms": form_errors(volumes), "ideal_tet_rel_err": float(abs(ideal / ideal_tet - 1))}
 
 
 def orthoscheme_gaps(grid) -> dict:
@@ -132,6 +148,7 @@ def main() -> int:
     oracles = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(oracles)
     record = {**worst_errors(oracles.SCHLAFLI_VOLUMES),
+              "gauss_bonnet": form_errors(oracles.GAUSS_BONNET_VOLUMES),
               "orthoscheme_vs_projective": orthoscheme_gaps(GAP_GRID),
               "flat": flat_errors(oracles.flat_volume, FLAT_NS)}
     print(json.dumps(record))

@@ -28,7 +28,9 @@ wobbles in its last bit from run to run.  Under ``accuracy`` it records,
 for each side, what ``tools/accuracy.py`` of this checkout prints when it
 runs on that side's ``src``: each form's worst error against the frozen
 Schlafli volumes of ``tests/oracles.py``, relative and over its own bar,
-and the ideal tetrahedron's against its 20-digit entry there.
+and the ideal tetrahedron's against its 20-digit entry there, and under
+``gauss_bonnet`` the same per-form records against the frozen even-n
+Gauss-Bonnet volumes there.
 
 The source bytes are recorded because, where the environment sets
 PYTHONDONTWRITEBYTECODE=1, each perfbench child compiles ``src`` afresh,
